@@ -1,43 +1,13 @@
-"""Hot numerical kernels with numba-accelerated and pure-numpy twins.
+"""Hot numerical kernels, in plain numpy.
 
-Every kernel exists in two versions: a plain numpy implementation and a
-numba ``@njit`` one.  The module-level names (``coupled_powers`` etc.) are
-bound at import time: numba is used when it imports cleanly and the
-environment variable ``GKDVLAB_NUMBA`` is not ``0``/``false``.  Both
-versions stay importable for benchmarking, see ``benchmarks/bench_kernels.py``.
-
-FFT work is deliberately not here; np.fft dominates those paths and gains
-nothing from jit.
+FFT work is deliberately not here; np.fft dominates those paths.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _flag_enabled() -> bool:
-    raw = os.environ.get("GKDVLAB_NUMBA", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-USE_NUMBA = HAS_NUMBA and _flag_enabled()
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -45,32 +15,9 @@ USE_NUMBA = HAS_NUMBA and _flag_enabled()
 # u^(p+1) v^p).  This is the inner loop of every RK stage.
 
 
-def coupled_powers_numpy(u: np.ndarray, v: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def coupled_powers(u: np.ndarray, v: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     base = (u * v) ** p
     return base * v, base * u
-
-
-@njit(cache=True)
-def _coupled_powers_jit(u, v, p):
-    n = u.shape[0]
-    out1 = np.empty(n, dtype=np.float64)
-    out2 = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        base = 1.0
-        uv = u[i] * v[i]
-        for _ in range(p):
-            base *= uv
-        out1[i] = base * v[i]
-        out2[i] = base * u[i]
-    return out1, out2
-
-
-def coupled_powers_numba(u: np.ndarray, v: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    return _coupled_powers_jit(
-        np.ascontiguousarray(u, dtype=np.float64),
-        np.ascontiguousarray(v, dtype=np.float64),
-        p,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -78,38 +25,12 @@ def coupled_powers_numba(u: np.ndarray, v: np.ndarray, p: int) -> tuple[np.ndarr
 # (1+|eta_l - z_k^3|)^b on the (eta, zeta) grid.
 
 
-def bourgain_weight_numpy(
+def bourgain_weight(
     zeta: np.ndarray, eta: np.ndarray, rho: float, s: float, b: float
 ) -> np.ndarray:
     az = 1.0 + np.abs(zeta)[None, :]
     dispersive = 1.0 + np.abs(eta[:, None] - zeta[None, :] ** 3)
     return np.exp(rho * az) * az**s * dispersive**b
-
-
-@njit(cache=True)
-def _bourgain_weight_jit(zeta, eta, rho, s, b):
-    m = eta.shape[0]
-    n = zeta.shape[0]
-    out = np.empty((m, n), dtype=np.float64)
-    for k in range(n):
-        az = 1.0 + abs(zeta[k])
-        spatial = np.exp(rho * az) * az**s
-        cube = zeta[k] ** 3
-        for l in range(m):
-            out[l, k] = spatial * (1.0 + abs(eta[l] - cube)) ** b
-    return out
-
-
-def bourgain_weight_numba(
-    zeta: np.ndarray, eta: np.ndarray, rho: float, s: float, b: float
-) -> np.ndarray:
-    return _bourgain_weight_jit(
-        np.ascontiguousarray(zeta, dtype=np.float64),
-        np.ascontiguousarray(eta, dtype=np.float64),
-        float(rho),
-        float(s),
-        float(b),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +40,7 @@ def bourgain_weight_numba(
 # (0 expected: |z| <= |z1| + |z-z2| + |z2-z1| plus 1 <= 3 spare ones).
 
 
-def triangle_split_failures_numpy(
+def triangle_split_failures(
     rhos: np.ndarray, zetas: np.ndarray, z1s: np.ndarray, z2s: np.ndarray
 ) -> int:
     z = zetas[:, None, None]
@@ -131,45 +52,3 @@ def triangle_split_failures_numpy(
     for rho in rhos:
         failures += int(np.count_nonzero(rho * lhs_arg > rho * rhs_arg + 1e-12))
     return failures
-
-
-@njit(cache=True)
-def _triangle_split_jit(rhos, zetas, z1s, z2s):
-    failures = 0
-    for iz in range(zetas.shape[0]):
-        z = zetas[iz]
-        lhs_arg = 1.0 + abs(z)
-        for i1 in range(z1s.shape[0]):
-            z1 = z1s[i1]
-            for i2 in range(z2s.shape[0]):
-                z2 = z2s[i2]
-                rhs_arg = (1.0 + abs(z1)) + (1.0 + abs(z - z2)) + (1.0 + abs(z2 - z1))
-                for ir in range(rhos.shape[0]):
-                    if rhos[ir] * lhs_arg > rhos[ir] * rhs_arg + 1e-12:
-                        failures += 1
-    return failures
-
-
-def triangle_split_failures_numba(
-    rhos: np.ndarray, zetas: np.ndarray, z1s: np.ndarray, z2s: np.ndarray
-) -> int:
-    return int(
-        _triangle_split_jit(
-            np.ascontiguousarray(rhos, dtype=np.float64),
-            np.ascontiguousarray(zetas, dtype=np.float64),
-            np.ascontiguousarray(z1s, dtype=np.float64),
-            np.ascontiguousarray(z2s, dtype=np.float64),
-        )
-    )
-
-
-if USE_NUMBA:
-    coupled_powers = coupled_powers_numba
-    bourgain_weight = bourgain_weight_numba
-    triangle_split_failures = triangle_split_failures_numba
-    BACKEND = "numba"
-else:
-    coupled_powers = coupled_powers_numpy
-    bourgain_weight = bourgain_weight_numpy
-    triangle_split_failures = triangle_split_failures_numpy
-    BACKEND = "numpy"

@@ -20,6 +20,7 @@ from .diagnostics import TrajectoryRecord
 from .evolution import (
     CoupledState,
     SolverConfig,
+    _duhamel_cumulative,
     dispersive_phase,
     reflect_state,
     simulate,
@@ -311,13 +312,9 @@ def _duhamel_rows(coeffs: np.ndarray, grid: SpectralGrid, dt: float, j0: int) ->
     """Trapezoid accumulation of int_0^t e^{i zeta^3 (t-s)} w(s) ds per mode,
     marching forward and backward from the t=0 row."""
     phase = dispersive_phase(grid, dt)
-    back = np.conj(phase)
-    out = np.zeros_like(coeffs)
-    for j in range(j0 + 1, coeffs.shape[0]):
-        out[j] = phase * out[j - 1] + 0.5 * dt * (phase * coeffs[j - 1] + coeffs[j])
-    for j in range(j0 - 1, -1, -1):
-        out[j] = back * out[j + 1] - 0.5 * dt * (coeffs[j] + back * coeffs[j + 1])
-    return out
+    forward = _duhamel_cumulative(coeffs[j0:], phase, dt)
+    backward = _duhamel_cumulative(coeffs[j0::-1], np.conj(phase), -dt)
+    return np.concatenate([backward[::-1], forward[1:]])
 
 
 def duhamel_ratio(

@@ -3,6 +3,8 @@ single modes, hand-expanded trigonometric products for the nonlinear term,
 dt-halving self-convergence, and an O(M^2) direct quadrature for the first
 integral iterate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from gkdvlab.evolution import (
     picard_solve,
     reflect_state,
     simulate,
-    step,
 )
 from gkdvlab.spaces import NormParams, gevrey_norm
 from gkdvlab.spectral import (
@@ -44,6 +45,18 @@ def bandlimited_state(grid, seed, bandwidth=5, amp=1.5):
         return inverse_transform(SpectralField(grid, c))
 
     return CoupledState(0.0, one(seed), one(seed + 1000))
+
+
+def run_steps(state, config, num_steps):
+    """Final state of simulate after num_steps steps of config.dt."""
+    rec = simulate(
+        state,
+        dataclasses.replace(
+            config, t_end=state.t + num_steps * config.dt, record_stride=num_steps
+        ),
+    )
+    u, v = rec.fields_at(-1)
+    return CoupledState(rec.times[-1], u, v)
 
 
 class TestFreePropagate:
@@ -143,7 +156,7 @@ class TestStep:
     def test_zero_state_stays_zero(self):
         g = SpectralGrid(np.pi, 64)
         z = Field(g, np.zeros(64))
-        out = step(CoupledState(0.0, z, z), SolverConfig(p=1, dt=0.01))
+        out = run_steps(CoupledState(0.0, z, z), SolverConfig(p=1, dt=0.01), 1)
         assert np.max(np.abs(out.u.samples)) == 0.0
         assert out.t == pytest.approx(0.01)
 
@@ -152,9 +165,7 @@ class TestStep:
         g = SpectralGrid(10.0, 128)
         w = Field(g, 1.0 / np.cosh(g.x))
         st = CoupledState(0.0, w, Field(g, w.samples.copy()))
-        cfg = SolverConfig(p=1, dt=1e-3, scheme=scheme)
-        for _ in range(50):
-            st = step(st, cfg)
+        st = run_steps(st, SolverConfig(p=1, dt=1e-3, scheme=scheme), 50)
         assert np.max(np.abs(st.u.samples - st.v.samples)) < 1e-10
 
     @staticmethod
@@ -164,11 +175,8 @@ class TestStep:
         s0 = bandlimited_state(g, 1)
 
         def run(dt, t_end=0.064):
-            st = s0
             cfg = SolverConfig(p=1, dt=dt, scheme=scheme)
-            for _ in range(int(round(t_end / dt))):
-                st = step(st, cfg)
-            return st.u.samples
+            return run_steps(s0, cfg, int(round(t_end / dt))).u.samples
 
         ref = run(0.000125)
         coarse = np.max(np.abs(run(0.004) - ref))
@@ -186,10 +194,9 @@ class TestStep:
     def test_schemes_agree_at_small_dt(self):
         g = SpectralGrid(10.0, 128)
         w = Field(g, 1.0 / np.cosh(g.x))
-        a = b = CoupledState(0.0, w, w)
-        for _ in range(20):
-            a = step(a, SolverConfig(p=1, dt=5e-4, scheme="if_rk4"))
-            b = step(b, SolverConfig(p=1, dt=5e-4, scheme="strang"))
+        s0 = CoupledState(0.0, w, w)
+        a = run_steps(s0, SolverConfig(p=1, dt=5e-4, scheme="if_rk4"), 20)
+        b = run_steps(s0, SolverConfig(p=1, dt=5e-4, scheme="strang"), 20)
         assert np.max(np.abs(a.u.samples - b.u.samples)) < 1e-6
 
 
@@ -221,13 +228,8 @@ class TestReflection:
             Field(g, 0.8 / np.cosh(g.x + 1.0) ** 2),
         )
         cfg = SolverConfig(p=1, dt=1e-3)
-        st = s0
-        for _ in range(200):
-            st = step(st, cfg)
-        st = reflect_state(st)
-        for _ in range(200):
-            st = step(st, cfg)
-        st = reflect_state(st)
+        st = reflect_state(run_steps(s0, cfg, 200))
+        st = reflect_state(run_steps(st, cfg, 200))
         assert np.max(np.abs(st.u.samples - s0.u.samples)) < 1e-10
         assert np.max(np.abs(st.v.samples - s0.v.samples)) < 1e-10
 
@@ -261,16 +263,31 @@ class TestSimulate:
         assert len(rec) >= 1
 
     def test_sup_growth_guard(self):
-        # an absurdly small factor trips the guard on healthy data
+        # a weak pulse run back 0.1 under the free group refocuses by t = 0.1;
+        # its sup-norm grows 1.6x, past a factor of 1.2
         g = SpectralGrid(10.0, 64)
-        s = bandlimited_state(g, 2, amp=0.3)
-        with pytest.raises(NumericalBlowupError, match="sup-norm"):
+        w = Field(g, 0.3 * np.exp(-4.0 * g.x**2))
+        s = free_propagate(CoupledState(0.1, w, w), -0.1)
+        with pytest.raises(NumericalBlowupError, match="sup-norm") as info:
             simulate(
                 s,
                 SolverConfig(
-                    p=1, dt=0.01, t_end=0.1, record_stride=2, blowup_factor=0.5
+                    p=1, dt=0.01, t_end=0.1, record_stride=2, blowup_factor=1.2
                 ),
             )
+        assert info.value.record.blow_up
+
+    @pytest.mark.parametrize("scheme", ["if_rk4", "strang"])
+    def test_recording_only_reads_the_state(self, scheme):
+        # the final snapshot must not depend on how often the loop records
+        g = SpectralGrid(20.0 * np.pi, 256)
+        w = Field(g, np.sqrt(2.0) / np.cosh(g.x))
+        s0 = CoupledState(0.0, w, w)
+        every = simulate(s0, SolverConfig(dt=1e-3, t_end=0.04, scheme=scheme, record_stride=1))
+        once = simulate(s0, SolverConfig(dt=1e-3, t_end=0.04, scheme=scheme, record_stride=40))
+        assert len(every) == 41 and len(once) == 2
+        assert np.array_equal(every.snapshots_u[-1], once.snapshots_u[-1])
+        assert np.array_equal(every.snapshots_v[-1], once.snapshots_v[-1])
 
 
 class TestPicard:
@@ -325,14 +342,12 @@ class TestPicard:
         )
         assert res.converged
         assert all(f < 0.5 for f in res.contraction_factors)
-        dt = 0.1 / 512
-        st = s0
-        cfg = SolverConfig(p=1, dt=dt)
+        rec = simulate(s0, SolverConfig(p=1, dt=0.1 / 512, t_end=0.1, record_stride=1))
+        assert len(rec) == 513
         worst = 0.0
         for j in range(1, 513):
-            st = step(st, cfg)
             pj = res.state_at(j)
-            err = np.sqrt(np.sum((pj.u.samples - st.u.samples) ** 2) * g.dx)
+            err = np.sqrt(np.sum((pj.u.samples - rec.snapshots_u[j]) ** 2) * g.dx)
             worst = max(worst, err)
         assert worst < 1e-6  # measured 1.04e-7
 
@@ -369,6 +384,9 @@ class TestConfigValidation:
             dict(dt=np.inf),
             dict(scheme="euler"),
             dict(record_stride=0),
+            dict(blowup_factor=np.nan),
+            dict(blowup_factor=1.0),
+            dict(blowup_factor=0.0),
         ):
             with pytest.raises(ValueError):
                 SolverConfig(**kwargs)

@@ -1,9 +1,4 @@
-"""Both kernel backends (numba jit and pure numpy) must agree with each
-other and with directly coded formulas; the env flag must select backends."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels must agree with directly coded formulas."""
 
 import numpy as np
 import pytest
@@ -16,28 +11,23 @@ def test_coupled_powers_backends_agree(p):
     rng = np.random.default_rng(11)
     u = rng.standard_normal(257)
     v = rng.standard_normal(257)
-    a_np, b_np = _kernels.coupled_powers_numpy(u, v, p)
-    a_nb, b_nb = _kernels.coupled_powers_numba(u, v, p)
+    a, b = _kernels.coupled_powers(u, v, p)
     direct_a = u**p * v ** (p + 1)
     direct_b = u ** (p + 1) * v**p
-    assert np.allclose(a_np, direct_a, rtol=1e-13)
-    assert np.allclose(b_np, direct_b, rtol=1e-13)
-    assert np.allclose(a_nb, direct_a, rtol=1e-13)
-    assert np.allclose(b_nb, direct_b, rtol=1e-13)
+    assert np.allclose(a, direct_a, rtol=1e-13)
+    assert np.allclose(b, direct_b, rtol=1e-13)
 
 
 def test_bourgain_weight_backends_agree():
     zeta = np.linspace(-8, 8, 33)
     eta = np.linspace(-30, 30, 24)
-    w_np = _kernels.bourgain_weight_numpy(zeta, eta, 0.3, 1.5, 0.55)
-    w_nb = _kernels.bourgain_weight_numba(zeta, eta, 0.3, 1.5, 0.55)
-    assert w_np.shape == (24, 33)
-    assert np.allclose(w_np, w_nb, rtol=1e-13)
+    w = _kernels.bourgain_weight(zeta, eta, 0.3, 1.5, 0.55)
+    assert w.shape == (24, 33)
     # spot-check the formula at a few entries
     for l, k in ((0, 0), (5, 17), (23, 32)):
         az = 1.0 + abs(zeta[k])
         expect = np.exp(0.3 * az) * az**1.5 * (1.0 + abs(eta[l] - zeta[k] ** 3)) ** 0.55
-        assert np.isclose(w_np[l, k], expect, rtol=1e-13)
+        assert np.isclose(w[l, k], expect, rtol=1e-13)
 
 
 def test_triangle_split_holds_on_grid():
@@ -45,8 +35,7 @@ def test_triangle_split_holds_on_grid():
     zetas = np.linspace(-50, 50, 41)
     z1s = np.linspace(-60, 60, 31)
     z2s = np.linspace(-60, 60, 31)
-    assert _kernels.triangle_split_failures_numpy(rhos, zetas, z1s, z2s) == 0
-    assert _kernels.triangle_split_failures_numba(rhos, zetas, z1s, z2s) == 0
+    assert _kernels.triangle_split_failures(rhos, zetas, z1s, z2s) == 0
 
 
 def test_triangle_split_counter_actually_counts():
@@ -57,25 +46,5 @@ def test_triangle_split_counter_actually_counts():
     z1s = np.linspace(-5, 5, 5)
     z2s = np.linspace(-5, 5, 3)
     expect = 7 * 5 * 3
-    assert _kernels.triangle_split_failures_numpy(rhos, zetas, z1s, z2s) == expect
-    assert _kernels.triangle_split_failures_numba(rhos, zetas, z1s, z2s) == expect
+    assert _kernels.triangle_split_failures(rhos, zetas, z1s, z2s) == expect
 
-
-def test_backend_flag_selects_numpy():
-    code = "import gkdvlab._kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, GKDVLAB_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backend_default_uses_numba_when_available():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    env = {k: v for k, v in os.environ.items() if k != "GKDVLAB_NUMBA"}
-    code = "import gkdvlab._kernels as k; print(k.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "numba"
