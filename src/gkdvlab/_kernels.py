@@ -30,7 +30,9 @@ def bourgain_weight(
 ) -> np.ndarray:
     az = 1.0 + np.abs(zeta)[None, :]
     dispersive = 1.0 + np.abs(eta[:, None] - zeta[None, :] ** 3)
-    return np.exp(rho * az) * az**s * dispersive**b
+    # an overflowing weight is reported by the norm that applies it
+    with np.errstate(over="ignore"):
+        return np.exp(rho * az) * az**s * dispersive**b
 
 
 # ---------------------------------------------------------------------------

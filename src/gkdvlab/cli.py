@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(blowup or non-contracting iteration), 4 not enough usable data for the
-requested analysis.
+(blowup, non-contracting iteration or an overflowing norm weight), 4 not
+enough usable data for the requested analysis.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"gkdvlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalBlowupError, NonContractionError) as exc:
+    except (NumericalBlowupError, NonContractionError, OverflowError) as exc:
         print(f"gkdvlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except InsufficientDataError as exc:

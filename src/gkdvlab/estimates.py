@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     complex_samples,
-    dealiased_product,
+    dealiased_product_rows,
     dft_axis,
     forward_transform,
     idft_axis,
@@ -175,8 +175,7 @@ def _ratio(num: float, den: float) -> float:
     return float(num) / float(den)
 
 
-def _default_grid() -> SpectralGrid:
-    return SpectralGrid(10.0, 64)
+LAB_GRID = SpectralGrid(10.0, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +274,8 @@ def free_wave_sample(
     g = u0.grid
     c0 = forward_transform(u0).coeffs
     times = -half_span + (2.0 * half_span / num_times) * np.arange(num_times)
-    rows = np.exp(1j * np.outer(times, g.zeta**3))
-    rows[:, g.nyquist_index] = 1.0
-    vals = idft_axis(rows * c0[None, :], 2.0 * g.half_length, -g.half_length, axis=1).real
+    rows = dispersive_phase(g, times) * c0[None, :]
+    vals = idft_axis(rows, 2.0 * g.half_length, -g.half_length, axis=1).real
     return SpaceTimeSample(g, -half_span, half_span, vals)
 
 
@@ -407,7 +405,8 @@ def strichartz_ratio(
 
 
 def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
-    """Row-by-row dealiased pointwise product of samples sharing both grids."""
+    """Dealiased pointwise product of samples sharing both grids, taken on
+    all time rows at once (each row is one spatial product)."""
     _require(len(samples) >= 1, "product_sample: need at least one factor")
     base = samples[0]
     for s in samples[1:]:
@@ -420,10 +419,7 @@ def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
         _require(same, "product_sample: samples must share grid and time window")
         _require(np.isrealobj(s.values), "product_sample: factors must be real")
     _require(np.isrealobj(base.values), "product_sample: factors must be real")
-    rows = np.empty_like(base.values)
-    for j in range(base.num_times):
-        fields = [Field(base.grid, s.values[j]) for s in samples]
-        rows[j] = dealiased_product(fields).samples
+    rows = dealiased_product_rows([s.values for s in samples], base.grid)
     return SpaceTimeSample(base.grid, base.t0, base.t1, rows)
 
 
@@ -483,45 +479,47 @@ def _base_params(
     return out
 
 
+def _ensemble(estimate_id: str, spec: SampleSpec, params: NormParams | None,
+              grid: SpectralGrid, num_times: int, ensemble: int,
+              member: Callable[[int], float], **info) -> EstimateReport:
+    """Fold member(seed) over the seeds spec.seed + i; info joins the recorded parameters."""
+    seeds = [spec.seed + i for i in range(ensemble)]
+    ratios = [member(sd) for sd in seeds]
+    recorded = {**_base_params(spec, params, grid, num_times), **info}
+    return _fold(estimate_id, seeds, ratios, recorded)
+
+
 def check_linear_free(
     spec: SampleSpec,
     params: NormParams,
     T: float,
-    grid: SpectralGrid | None = None,
+    grid: SpectralGrid = LAB_GRID,
     num_times: int = 64,
     ensemble: int = 50,
 ) -> EstimateReport:
     """Windowed free waves from random data: dispersive norm against
     sqrt(T) times the data norm."""
-    g = _default_grid() if grid is None else grid
-    seeds = [spec.seed + i for i in range(ensemble)]
-    ratios = [
-        linear_free_ratio(random_field(g, spec, sd), params, T, num_times)
-        for sd in seeds
-    ]
-    info = _base_params(spec, params, g, num_times)
-    info["T"] = T
-    return _fold("linear_free", seeds, ratios, info)
+
+    def member(sd: int) -> float:
+        return linear_free_ratio(random_field(grid, spec, sd), params, T, num_times)
+
+    return _ensemble("linear_free", spec, params, grid, num_times, ensemble, member, T=T)
 
 
 def check_time_cutoff(
     spec: SampleSpec,
     params: NormParams,
     T: float,
-    grid: SpectralGrid | None = None,
+    grid: SpectralGrid = LAB_GRID,
     num_times: int = 64,
     ensemble: int = 50,
 ) -> EstimateReport:
     """Stability of the dispersive norm under multiplication by psi_T."""
-    g = _default_grid() if grid is None else grid
-    seeds = [spec.seed + i for i in range(ensemble)]
-    ratios = [
-        time_cutoff_ratio(random_window_sample(g, spec, num_times, sd), params, T)
-        for sd in seeds
-    ]
-    info = _base_params(spec, params, g, num_times)
-    info["T"] = T
-    return _fold("time_cutoff", seeds, ratios, info)
+
+    def member(sd: int) -> float:
+        return time_cutoff_ratio(random_window_sample(grid, spec, num_times, sd), params, T)
+
+    return _ensemble("time_cutoff", spec, params, grid, num_times, ensemble, member, T=T)
 
 
 def check_duhamel(
@@ -529,26 +527,19 @@ def check_duhamel(
     params: NormParams,
     T: float,
     b_prime: float = -0.3,
-    grid: SpectralGrid | None = None,
+    grid: SpectralGrid = LAB_GRID,
     num_times: int = 64,
     ensemble: int = 50,
 ) -> EstimateReport:
     """Windowed Duhamel integral against T times the forcing in the b' norm."""
-    g = _default_grid() if grid is None else grid
     span = 2.5 * max(T, spec.window_scale)
-    seeds = [spec.seed + i for i in range(ensemble)]
-    ratios = [
-        duhamel_ratio(
-            random_window_sample(g, spec, num_times, sd, half_span=span),
-            params,
-            b_prime,
-            T,
-        )
-        for sd in seeds
-    ]
-    info = _base_params(spec, params, g, num_times)
-    info.update({"T": T, "b_prime": b_prime, "half_span": span})
-    return _fold("duhamel", seeds, ratios, info)
+
+    def member(sd: int) -> float:
+        sample = random_window_sample(grid, spec, num_times, sd, half_span=span)
+        return duhamel_ratio(sample, params, b_prime, T)
+
+    return _ensemble("duhamel", spec, params, grid, num_times, ensemble, member,
+                     T=T, b_prime=b_prime, half_span=span)
 
 
 def check_strichartz(
@@ -556,24 +547,20 @@ def check_strichartz(
     spec: SampleSpec,
     kappa: float = 0.55,
     s: float = 2.0,
-    grid: SpectralGrid | None = None,
+    grid: SpectralGrid = LAB_GRID,
     num_times: int = 64,
     half_span: float = 2.5,
     ensemble: int = 50,
 ) -> EstimateReport:
     """One mixed-norm bound over an ensemble of boxed random samples."""
     _strichartz_variant(variant, kappa, s)  # fail fast before sampling
-    g = _default_grid() if grid is None else grid
-    seeds = [spec.seed + i for i in range(ensemble)]
-    ratios = [
-        strichartz_ratio(
-            random_boxed_sample(g, spec, num_times, half_span, sd), variant, kappa, s
-        )
-        for sd in seeds
-    ]
-    info = _base_params(spec, None, g, num_times)
-    info.update({"variant": variant, "kappa": kappa, "s": s, "half_span": half_span})
-    return _fold(f"strichartz:{variant}", seeds, ratios, info)
+
+    def member(sd: int) -> float:
+        sample = random_boxed_sample(grid, spec, num_times, half_span, sd)
+        return strichartz_ratio(sample, variant, kappa, s)
+
+    return _ensemble(f"strichartz:{variant}", spec, None, grid, num_times, ensemble, member,
+                     variant=variant, kappa=kappa, s=s, half_span=half_span)
 
 
 def check_multilinear(
@@ -581,7 +568,7 @@ def check_multilinear(
     params: NormParams,
     spec: SampleSpec,
     b_prime: float = -0.3,
-    grid: SpectralGrid | None = None,
+    grid: SpectralGrid = LAB_GRID,
     num_times: int = 48,
     ensemble: int = 50,
 ) -> EstimateReport:
@@ -594,50 +581,39 @@ def check_multilinear(
     mirror offset by 500000.
     """
     _require(isinstance(p, (int, np.integer)) and p >= 1, f"p must be a positive int, got {p}")
-    g = _default_grid() if grid is None else grid
-    count = 2 * p + 1
-    seeds = [spec.seed + i for i in range(ensemble)]
-    ratios = []
-    first, second = [], []
-    for sd in seeds:
-        split_ratios = []
-        for offset in (0, 500000):
-            factors = [
-                random_window_sample(g, spec, num_times, sd * 1009 + offset + k)
-                for k in range(count)
-            ]
-            split_ratios.append(multilinear_ratio(factors, params, b_prime))
-        first.append(split_ratios[0])
-        second.append(split_ratios[1])
-        ratios.append(max(split_ratios))
-    info = _base_params(spec, params, g, num_times)
-    info.update({"p": p, "b_prime": b_prime})
-    extra = {
-        "max_ratio_first_split": float(np.max(first)),
-        "max_ratio_mirror_split": float(np.max(second)),
-    }
-    return _fold(f"multilinear:p={p}", seeds, ratios, info, extra)
+    splits = []  # (first, mirror) ratio of each member
+
+    def member(sd: int) -> float:
+        def factors(offset: int) -> list[SpaceTimeSample]:
+            seeds = range(sd * 1009 + offset, sd * 1009 + offset + 2 * p + 1)
+            return [random_window_sample(grid, spec, num_times, k) for k in seeds]
+
+        splits.append([multilinear_ratio(factors(o), params, b_prime) for o in (0, 500000)])
+        return max(splits[-1])
+
+    report = _ensemble(f"multilinear:p={p}", spec, params, grid, num_times, ensemble, member,
+                       p=p, b_prime=b_prime)
+    first, mirror = np.max(splits, axis=0)
+    extra = {"max_ratio_first_split": float(first), "max_ratio_mirror_split": float(mirror)}
+    return dataclasses.replace(report, extra=extra)
 
 
 def check_embedding(
     spec: SampleSpec,
     params: NormParams,
-    grid: SpectralGrid | None = None,
+    grid: SpectralGrid = LAB_GRID,
     num_times: int = 64,
     ensemble: int = 50,
 ) -> EstimateReport:
     """Sup over time of the per-slice exponential norm against the dispersive
     norm; the b > 1/2 embedding constant, observed empirically."""
     _require(params.b > 0.5, f"need b > 1/2, got {params.b}")
-    g = _default_grid() if grid is None else grid
-    seeds = [spec.seed + i for i in range(ensemble)]
-    ratios = []
-    for sd in seeds:
-        w = random_window_sample(g, spec, num_times, sd)
-        ratios.append(
-            _ratio(float(np.max(gevrey_norm_slices(w, params))), bourgain_norm(w, params, None))
-        )
-    return _fold("embedding", seeds, ratios, _base_params(spec, params, g, num_times))
+
+    def member(sd: int) -> float:
+        w = random_window_sample(grid, spec, num_times, sd)
+        return _ratio(float(np.max(gevrey_norm_slices(w, params))), bourgain_norm(w, params, None))
+
+    return _ensemble("embedding", spec, params, grid, num_times, ensemble, member)
 
 
 # ---------------------------------------------------------------------------
@@ -685,20 +661,25 @@ def check_exponential_lemmas(
 def bidirectional_record(
     initial: CoupledState, config: SolverConfig, t_half: float
 ) -> TrajectoryRecord:
-    """Trajectory on [t0 - t_half, t0 + t_half] with uniform record times."""
+    """Trajectory on [t0 - t_half, t0 + t_half] with uniform record times.
+
+    The backward half is the run of the reflected data with its snapshots
+    reflected back; its recorded invariants, norms and radius fits are kept,
+    since the reflection leaves them unchanged.
+    """
     _require(t_half > 0.0, f"t_half must be positive, got {t_half}")
     cfg = dataclasses.replace(config, t_end=initial.t + t_half)
     fwd = simulate(initial, cfg)
     back = simulate(reflect_state(initial), cfg)
-    rp = NormParams(config.record_rho, config.record_s, 0.0)
+    order = range(len(back) - 1, 0, -1)  # back in time; skips the duplicate t0 entry
+    mirrored = [reflect_state(CoupledState(0.0, *back.fields_at(i))) for i in order]
     merged = TrajectoryRecord(initial.grid, config.p)
-    for i in range(len(back) - 1, 0, -1):  # skip the duplicate t = t0 entry
-        u, v = back.fields_at(i)
-        st = reflect_state(CoupledState(0.0, u, v))
-        merged.record(2.0 * initial.t - back.times[i], st.u, st.v, rp)
-    for i in range(len(fwd)):
-        u, v = fwd.fields_at(i)
-        merged.record(fwd.times[i], u, v, rp)
+    merged.times = [2.0 * initial.t - back.times[i] for i in order] + fwd.times
+    merged.snapshots_u = [st.u.samples for st in mirrored] + fwd.snapshots_u
+    merged.snapshots_v = [st.v.samples for st in mirrored] + fwd.snapshots_v
+    for name in ("invariant_sets", "sobolev_u", "sobolev_v", "gevrey_u", "gevrey_v",
+                 "radius_u", "radius_v"):
+        setattr(merged, name, [getattr(back, name)[i] for i in order] + getattr(fwd, name))
     return merged
 
 
@@ -797,7 +778,7 @@ def check_apriori_ensemble(
     params: NormParams,
     T: float,
     p: int = 1,
-    grid: SpectralGrid | None = None,
+    grid: SpectralGrid = LAB_GRID,
     dt: float = 0.02,
     record_stride: int = 10,
     ensemble: int = 20,
@@ -807,23 +788,13 @@ def check_apriori_ensemble(
     Keep spec.amplitude small: the stepping is explicit in the nonlinearity
     and large random data on a coarse grid blows up honestly.
     """
-    g = _default_grid() if grid is None else grid
-    cfg = SolverConfig(
-        p=p,
-        dt=dt,
-        t_end=2.0 * T,
-        record_stride=record_stride,
-        record_rho=params.rho,
-        record_s=params.s,
-    )
-    seeds = [spec.seed + i for i in range(ensemble)]
-    ratios = []
-    for sd in seeds:
-        state = CoupledState(
-            0.0, random_field(g, spec, sd), random_field(g, spec, sd + 7919)
-        )
-        rec = bidirectional_record(state, cfg, 2.0 * T)
-        ratios.append(check_apriori(rec, params, T, p).max_ratio)
-    info = _base_params(spec, params, g, num_times=0)
-    info.update({"T": T, "p": p, "dt": dt, "record_stride": record_stride})
-    return _fold("apriori", seeds, ratios, info)
+    cfg = SolverConfig(p=p, dt=dt, t_end=2.0 * T, record_stride=record_stride,
+                       record_rho=params.rho, record_s=params.s)
+
+    def member(sd: int) -> float:
+        u, v = random_field(grid, spec, sd), random_field(grid, spec, sd + 7919)
+        state = CoupledState(0.0, u, v)
+        return check_apriori(bidirectional_record(state, cfg, 2.0 * T), params, T, p).max_ratio
+
+    return _ensemble("apriori", spec, params, grid, 0, ensemble, member,
+                     T=T, p=p, dt=dt, record_stride=record_stride)

@@ -91,11 +91,12 @@ class SolverConfig:
             )
 
 
-def dispersive_phase(grid: SpectralGrid, t: float) -> np.ndarray:
-    """Multiplier e^{i zeta^3 t} of the free group; identity on the
-    unpaired Nyquist mode so real fields stay real."""
-    phase = np.exp(1j * grid.zeta**3 * t)
-    phase[grid.nyquist_index] = 1.0
+def dispersive_phase(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
+    """Multiplier e^{i zeta^3 t} of the free group, one row per entry of t
+    (a scalar t gives one row of shape (N,)); identity on the unpaired
+    Nyquist mode so real fields stay real."""
+    phase = np.exp(1j * grid.zeta**3 * np.asarray(t, dtype=np.float64)[..., None])
+    phase[..., grid.nyquist_index] = 1.0
     return phase
 
 
@@ -136,9 +137,13 @@ class _RhsWorkspace:
         self.deriv = deriv
 
     def __call__(self, cu: np.ndarray, cv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        up = idft_axis(pad_coeffs(cu, self.num_padded), self.span, self.offset).real
-        vp = idft_axis(pad_coeffs(cv, self.num_padded), self.span, self.offset).real
-        w1, w2 = _kernels.coupled_powers(up, vp, self.p)
+        # the padded samples die with the call; on a Picard node stack they
+        # are the largest arrays alive
+        w1, w2 = _kernels.coupled_powers(
+            idft_axis(pad_coeffs(cu, self.num_padded), self.span, self.offset).real,
+            idft_axis(pad_coeffs(cv, self.num_padded), self.span, self.offset).real,
+            self.p,
+        )
         c1 = truncate_coeffs(dft_axis(w1, self.span, self.offset), self.grid.num_points)
         c2 = truncate_coeffs(dft_axis(w2, self.span, self.offset), self.grid.num_points)
         return self.deriv * c1, self.deriv * c2
@@ -308,7 +313,7 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     rhs = _RhsWorkspace(g, p, None)
     cu0 = forward_transform(initial.u).coeffs
     cv0 = forward_transform(initial.v).coeffs
-    node_phase = np.stack([dispersive_phase(g, h * j) for j in range(m + 1)])
+    node_phase = dispersive_phase(g, h * np.arange(m + 1))
     free_u = node_phase * cu0[None, :]
     free_v = node_phase * cv0[None, :]
     phase_h = dispersive_phase(g, h)
@@ -327,10 +332,7 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     rising = 0
     for it in range(1, config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            w_u = np.empty_like(cur_u)
-            w_v = np.empty_like(cur_v)
-            for j in range(m + 1):
-                w_u[j], w_v[j] = rhs(cur_u[j], cur_v[j])
+            w_u, w_v = rhs(cur_u, cur_v)
             new_u = free_u + _duhamel_cumulative(w_u, phase_h, h)
             new_v = free_v + _duhamel_cumulative(w_v, phase_h, h)
             d = diff_norm(new_u, new_v, cur_u, cur_v)

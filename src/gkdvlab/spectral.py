@@ -139,49 +139,60 @@ class SpectralField:
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project natural-order coefficients onto exact conjugate symmetry.
+    """Project natural-order coefficient rows onto exact conjugate symmetry.
 
     Real input guarantees this symmetry analytically; the projection strips
     the fft roundoff floor so later odd-power multipliers (which amplify
     high-zeta junk) cannot break the reality check.
     """
     out = np.empty_like(coeffs)
-    out[0] = coeffs[0].real
-    out[1:] = 0.5 * (coeffs[1:] + np.conj(coeffs[1:][::-1]))
+    out[..., 0] = coeffs[..., 0].real
+    out[..., 1:] = 0.5 * (coeffs[..., 1:] + np.conj(coeffs[..., :0:-1]))
     return out
+
+
+def _forward_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Real sample rows (..., N) -> symmetrized natural-order coefficients."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("forward_transform: non-finite samples")
+    return hermitian_symmetrize(dft_axis(samples, 2.0 * grid.half_length, -grid.half_length))
 
 
 def forward_transform(field: Field) -> SpectralField:
     """Samples -> natural-order coefficients; rejects non-finite input."""
-    if not np.all(np.isfinite(field.samples)):
-        raise ValueError("forward_transform: non-finite samples")
-    g = field.grid
-    coeffs = dft_axis(field.samples, 2.0 * g.half_length, -g.half_length)
-    return SpectralField(g, hermitian_symmetrize(coeffs))
+    return SpectralField(field.grid, _forward_coeffs(field.samples, field.grid))
+
+
+def _asymmetry(coeffs: np.ndarray) -> np.ndarray:
+    # per-row relative deviation from conjugate symmetry; a zero row gives 0 / 1
+    scale = np.max(np.abs(coeffs), axis=-1)
+    paired = np.max(np.abs(coeffs[..., 1:] - np.conj(coeffs[..., :0:-1])), axis=-1)
+    worst = np.maximum(paired, np.abs(coeffs[..., 0].imag))  # the lone mode must be real
+    return worst / np.where(scale == 0.0, 1.0, scale)
 
 
 def hermitian_asymmetry(sf: SpectralField) -> float:
     """Relative deviation of coeffs from the conjugate symmetry of a real field."""
-    c = sf.coeffs
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        return 0.0
-    paired = np.max(np.abs(c[1:] - np.conj(c[1:][::-1])))
-    lone = abs(c[0].imag)
-    return float(max(paired, lone)) / scale
+    return float(_asymmetry(sf.coeffs))
+
+
+def _real_samples(coeffs: np.ndarray, grid: SpectralGrid, symmetry_tol: float) -> np.ndarray:
+    """Coefficient rows (..., N) -> real samples; errors if any row breaks
+    conjugate symmetry by more than symmetry_tol (the worst row is quoted)."""
+    err = _asymmetry(coeffs)
+    broken = err[err > symmetry_tol]
+    if broken.size:
+        raise ValueError(
+            f"inverse_transform: coefficients break conjugate symmetry "
+            f"(relative deviation {broken.max():.3e} > {symmetry_tol:.1e})"
+        )
+    return idft_axis(coeffs, 2.0 * grid.half_length, -grid.half_length).real
 
 
 def inverse_transform(sf: SpectralField, symmetry_tol: float = 1e-10) -> Field:
     """Coefficients -> real samples; errors if conjugate symmetry is broken."""
-    err = hermitian_asymmetry(sf)
-    if err > symmetry_tol:
-        raise ValueError(
-            f"inverse_transform: coefficients break conjugate symmetry "
-            f"(relative deviation {err:.3e} > {symmetry_tol:.1e})"
-        )
-    g = sf.grid
-    values = idft_axis(sf.coeffs, 2.0 * g.half_length, -g.half_length)
-    return Field(g, values.real)
+    return Field(sf.grid, _real_samples(sf.coeffs, sf.grid, symmetry_tol))
 
 
 def complex_samples(sf: SpectralField) -> np.ndarray:
@@ -251,6 +262,22 @@ def padded_points(num: int, count: int, padding_ratio: float | None) -> int:
     return num_padded + (num_padded % 2)
 
 
+def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid,
+                           padding_ratio: float | None = None) -> np.ndarray:
+    """Pointwise product of real sample arrays (..., N) on grid, dealiased by
+    zero-padding; leading axes are independent rows."""
+    num = grid.num_points
+    num_padded = padded_points(num, len(factors), padding_ratio)
+    span = 2.0 * grid.half_length
+    prod = None
+    for samples in factors:
+        cpad = pad_coeffs(_forward_coeffs(samples, grid), num_padded)
+        vals = idft_axis(cpad, span, -grid.half_length).real
+        prod = vals if prod is None else prod * vals
+    cprod = dft_axis(prod, span, -grid.half_length)
+    return _real_samples(truncate_coeffs(cprod, num), grid, 1e-10)
+
+
 def dealiased_product(
     fields: Sequence[Field], padding_ratio: float | None = None
 ) -> Field:
@@ -266,13 +293,4 @@ def dealiased_product(
     for f in fields[1:]:
         if f.grid != grid:
             raise ValueError("dealiased_product: fields live on different grids")
-    num = grid.num_points
-    num_padded = padded_points(num, len(fields), padding_ratio)
-    span = 2.0 * grid.half_length
-    prod = None
-    for f in fields:
-        cpad = pad_coeffs(forward_transform(f).coeffs, num_padded)
-        vals = idft_axis(cpad, span, -grid.half_length).real
-        prod = vals if prod is None else prod * vals
-    cprod = dft_axis(prod, span, -grid.half_length)
-    return inverse_transform(SpectralField(grid, truncate_coeffs(cprod, num)))
+    return Field(grid, dealiased_product_rows([f.samples for f in fields], grid, padding_ratio))

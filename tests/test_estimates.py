@@ -41,7 +41,7 @@ from gkdvlab.estimates import (
 )
 from gkdvlab.evolution import CoupledState, SolverConfig, dispersive_phase, free_propagate, simulate
 from gkdvlab.spaces import NormParams, SpaceTimeSample, bourgain_norm, bump, xt_inverse
-from gkdvlab.spectral import Field, SpectralGrid, dft_axis, forward_transform
+from gkdvlab.spectral import Field, SpectralGrid, dealiased_product, dft_axis, forward_transform
 
 GRID = SpectralGrid(10.0, 64)
 PARAMS = NormParams(0.25, 2.0, 0.55)
@@ -384,6 +384,14 @@ class TestMultilinear:
         with pytest.raises(ValueError, match="positive int"):
             check_multilinear(0, PARAMS, SampleSpec(seed=81), ensemble=2)
 
+    def test_product_rows_equal_field_products(self):
+        spec = SampleSpec(seed=83)
+        factors = [random_window_sample(GRID, spec, 48, 83 + k) for k in range(5)]
+        ps = product_sample(factors)
+        for j in range(48):
+            row = dealiased_product([Field(GRID, f.values[j]) for f in factors])
+            assert np.array_equal(ps.values[j], row.samples)
+
     def test_mismatched_windows_rejected(self):
         factors, *_ = self._trig_factors()
         other = SpaceTimeSample(GRID, -3.0, 3.0, np.zeros((48, GRID.num_points)))
@@ -516,6 +524,43 @@ class TestBidirectional:
         uf, vf = rec2.fields_at(len(rec2) - 1)
         assert np.max(np.abs(uf.samples - state.u.samples)) < 1e-9
         assert np.max(np.abs(vf.samples - state.v.samples)) < 1e-9
+
+    def test_backward_half_reuses_recorded_diagnostics(self):
+        # reflection leaves invariants, norms and radius fits unchanged, so
+        # the merged record reuses the reflected run's entries
+        state, cfg = self._setup()
+        rec = bidirectional_record(state, cfg, 2.0)
+        i0 = rec.times.index(0.0)
+        fresh = TrajectoryRecord(GRID, cfg.p)
+        rp = NormParams(cfg.record_rho, cfg.record_s, 0.0)
+        for i in range(i0):
+            u, v = rec.fields_at(i)
+            fresh.record(rec.times[i], u, v, rp)
+
+        def close(a, b):
+            return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+        fits = 0
+        for i in range(i0):
+            for name in ("sobolev_u", "sobolev_v", "gevrey_u", "gevrey_v"):
+                assert close(getattr(rec, name)[i], getattr(fresh, name)[i]), (name, i)
+            for a, b in zip(dataclasses.astuple(rec.invariant_sets[i]),
+                            dataclasses.astuple(fresh.invariant_sets[i])):
+                assert close(a, b), ("invariants", i)
+            for name in ("radius_u", "radius_v"):
+                a, b = getattr(rec, name)[i], getattr(fresh, name)[i]
+                assert a.noise_floor_hit == b.noise_floor_hit, (name, i)
+                if a.noise_floor_hit:
+                    continue
+                fits += 1
+                assert (a.zeta_lo, a.zeta_hi, a.num_points) == (b.zeta_lo, b.zeta_hi, b.num_points)
+                assert close(a.rho, b.rho), (name, i)
+                # r^2 and the slope stderr come from near-zero residuals, so
+                # compare them on their own scales, 1 and rho (measured
+                # 2.8e-13 and 2.9e-13 against 1e-12)
+                assert abs(a.r_squared - b.r_squared) <= 1e-12, (name, i)
+                assert abs(a.slope_stderr - b.slope_stderr) <= 1e-12 * a.rho, (name, i)
+        assert fits > 0
 
     def test_ensemble_driver_nests(self):
         spec = SampleSpec(seed=7, amplitude=0.05, bandwidth=3.0)

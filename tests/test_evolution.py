@@ -10,6 +10,7 @@ import pytest
 
 from gkdvlab.evolution import (
     CoupledState,
+    _RhsWorkspace,
     NonContractionError,
     NumericalBlowupError,
     PicardConfig,
@@ -102,6 +103,14 @@ class TestFreePropagate:
         assert phase[g.nyquist_index] == 1.0
         assert np.allclose(np.abs(phase), 1.0)
 
+    def test_array_of_times_equals_scalar_calls(self):
+        g = SpectralGrid(10.0, 256)
+        times = (0.05 / 192) * np.arange(193)
+        rows = dispersive_phase(g, times)
+        assert rows.shape == (193, 256)
+        for j, t in enumerate(times):
+            assert np.array_equal(rows[j], dispersive_phase(g, float(t)))
+
 
 class TestNonlinearRhs:
     def test_zero_state(self):
@@ -141,6 +150,20 @@ class TestNonlinearRhs:
         )
         # pointwise power is alias-free here only up to spectral decay
         assert np.max(np.abs(ru.samples - expect.samples)) < 1e-8
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_node_stack_equals_per_node_calls(self, p):
+        # picard_solve evaluates all nodes in one call
+        g = SpectralGrid(20.0, 256)
+        nodes = [bandlimited_state(g, 40 + j) for j in range(7)]
+        cu = np.stack([forward_transform(s.u).coeffs for s in nodes])
+        cv = np.stack([forward_transform(s.v).coeffs for s in nodes])
+        rhs = _RhsWorkspace(g, p, None)
+        wu, wv = rhs(cu, cv)
+        for j in range(len(nodes)):
+            ru, rv = rhs(cu[j], cv[j])
+            assert np.array_equal(wu[j], ru)
+            assert np.array_equal(wv[j], rv)
 
     def test_mean_is_conserved_by_flux_form(self):
         # the rhs is an exact x-derivative, so its zero mode vanishes

@@ -360,6 +360,17 @@ class TestCli:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("kind,extra", [
+        ("simulate", ("--set", "t_end=0.01")),
+        ("estimate-lab", ("--set", "ensemble=1")),
+    ])
+    def test_weight_overflow_exits_3(self, tmp_path, capsys, kind, extra):
+        rc = self.run_main(kind, "--out", str(tmp_path), "--set", "rho=800", *extra)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gkdvlab: numerical failure:") and "overflows" in err
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_insufficient_data_exits_4(self, tmp_path):
         rc = self.run_main(
             "radius-track", "--out", str(tmp_path), "--set", "N=256",
