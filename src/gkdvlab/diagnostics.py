@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .spectral import (
     dealiased_product,
     forward_transform,
 )
-from .spaces import NormParams, gevrey_norm, sobolev_norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .evolution import CoupledState
@@ -155,36 +154,20 @@ def joint_radius(ru: RadiusEstimate, rv: RadiusEstimate) -> RadiusEstimate:
 
 @dataclass
 class TrajectoryRecord:
-    """Per-record-time diagnostics of one simulation, plus raw snapshots."""
+    """Snapshots of one simulation at its record times; the diagnostics are
+    computed from them on request."""
 
     grid: SpectralGrid
     p: int
     times: list[float] = dc_field(default_factory=list)
     snapshots_u: list[np.ndarray] = dc_field(default_factory=list)
     snapshots_v: list[np.ndarray] = dc_field(default_factory=list)
-    invariant_sets: list[InvariantSet] = dc_field(default_factory=list)
-    sobolev_u: list[float] = dc_field(default_factory=list)
-    sobolev_v: list[float] = dc_field(default_factory=list)
-    gevrey_u: list[float] = dc_field(default_factory=list)
-    gevrey_v: list[float] = dc_field(default_factory=list)
-    radius_u: list[RadiusEstimate] = dc_field(default_factory=list)
-    radius_v: list[RadiusEstimate] = dc_field(default_factory=list)
     blow_up: bool = False
-    meta: dict[str, Any] = dc_field(default_factory=dict)
 
-    def record(self, t: float, u: Field, v: Field, record_params: NormParams) -> None:
-        from .evolution import CoupledState  # deferred, avoids import cycle
-
+    def record(self, t: float, u: Field, v: Field) -> None:
         self.times.append(float(t))
         self.snapshots_u.append(u.samples.copy())
         self.snapshots_v.append(v.samples.copy())
-        self.invariant_sets.append(invariants(CoupledState(t, u, v), self.p))
-        self.sobolev_u.append(sobolev_norm(u, record_params.s))
-        self.sobolev_v.append(sobolev_norm(v, record_params.s))
-        self.gevrey_u.append(gevrey_norm(u, record_params))
-        self.gevrey_v.append(gevrey_norm(v, record_params))
-        self.radius_u.append(estimate_radius(u))
-        self.radius_v.append(estimate_radius(v))
 
     def fields_at(self, i: int) -> tuple[Field, Field]:
         return Field(self.grid, self.snapshots_u[i]), Field(self.grid, self.snapshots_v[i])
@@ -192,10 +175,22 @@ class TrajectoryRecord:
     def __len__(self) -> int:
         return len(self.times)
 
+    def invariant_sets(self) -> list[InvariantSet]:
+        """Conserved functionals at each record time."""
+        from .evolution import CoupledState  # deferred, avoids import cycle
+
+        return [invariants(CoupledState(t, *self.fields_at(i)), self.p)
+                for i, t in enumerate(self.times)]
+
+    def radii(self) -> tuple[list[RadiusEstimate], list[RadiusEstimate]]:
+        """Fitted radius of u and of v at each record time."""
+        pairs = [self.fields_at(i) for i in range(len(self))]
+        return [estimate_radius(u) for u, _ in pairs], [estimate_radius(v) for _, v in pairs]
+
 
 def track_radius(record: TrajectoryRecord) -> tuple[np.ndarray, list[RadiusEstimate]]:
     """Joint (min over components) radius estimate at each record time."""
-    joints = [joint_radius(ru, rv) for ru, rv in zip(record.radius_u, record.radius_v)]
+    joints = [joint_radius(ru, rv) for ru, rv in zip(*record.radii())]
     return np.asarray(record.times), joints
 
 

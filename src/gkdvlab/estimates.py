@@ -664,8 +664,7 @@ def bidirectional_record(
     """Trajectory on [t0 - t_half, t0 + t_half] with uniform record times.
 
     The backward half is the run of the reflected data with its snapshots
-    reflected back; its recorded invariants, norms and radius fits are kept,
-    since the reflection leaves them unchanged.
+    reflected back.
     """
     _require(t_half > 0.0, f"t_half must be positive, got {t_half}")
     cfg = dataclasses.replace(config, t_end=initial.t + t_half)
@@ -677,9 +676,6 @@ def bidirectional_record(
     merged.times = [2.0 * initial.t - back.times[i] for i in order] + fwd.times
     merged.snapshots_u = [st.u.samples for st in mirrored] + fwd.snapshots_u
     merged.snapshots_v = [st.v.samples for st in mirrored] + fwd.snapshots_v
-    for name in ("invariant_sets", "sobolev_u", "sobolev_v", "gevrey_u", "gevrey_v",
-                 "radius_u", "radius_v"):
-        setattr(merged, name, [getattr(back, name)[i] for i in order] + getattr(fwd, name))
     return merged
 
 
@@ -788,8 +784,7 @@ def check_apriori_ensemble(
     Keep spec.amplitude small: the stepping is explicit in the nonlinearity
     and large random data on a coarse grid blows up honestly.
     """
-    cfg = SolverConfig(p=p, dt=dt, t_end=2.0 * T, record_stride=record_stride,
-                       record_rho=params.rho, record_s=params.s)
+    cfg = SolverConfig(p=p, dt=dt, t_end=2.0 * T, record_stride=record_stride)
 
     def member(sd: int) -> float:
         u, v = random_field(grid, spec, sd), random_field(grid, spec, sd + 7919)

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import _kernels
 from .diagnostics import TrajectoryRecord
-from .spaces import NormParams
 from .spectral import (
     Field,
     SpectralGrid,
@@ -72,8 +71,6 @@ class SolverConfig:
     scheme: str = "if_rk4"
     padding_ratio: float | None = None
     record_stride: int = 50
-    record_rho: float = 0.25
-    record_s: float = 2.0
     blowup_factor: float = 1e6
 
     def __post_init__(self):
@@ -184,7 +181,7 @@ def _step_strang(cu, cv, dt, half_phase, rhs):
 
 
 def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
-    """March from initial.t to config.t_end, recording diagnostics every
+    """March from initial.t to config.t_end, recording snapshots every
     record_stride steps (always at the first and last instant).
 
     Sup-norm growth beyond blowup_factor times the initial amplitude, or a
@@ -203,10 +200,7 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
             "of steps; adjust dt or t_end"
         )
 
-    record_params = NormParams(config.record_rho, config.record_s, 0.0)
     record = TrajectoryRecord(grid=g, p=config.p)
-    record.meta["scheme"] = config.scheme
-    record.meta["dt"] = config.dt
 
     rhs = _RhsWorkspace(g, config.p, config.padding_ratio)
     half = dispersive_phase(g, 0.5 * config.dt)
@@ -218,7 +212,7 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
         float(np.max(np.abs(initial.v.samples))),
         1e-300,
     )
-    record.record(initial.t, initial.u, initial.v, record_params)
+    record.record(initial.t, initial.u, initial.v)
 
     for n in range(1, num_steps + 1):
         t = initial.t + n * config.dt
@@ -245,7 +239,7 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
                     f"{config.blowup_factor:.1e}) at t = {t:.6g}",
                     record,
                 )
-            record.record(t, u, v, record_params)
+            record.record(t, u, v)
     return record
 
 

@@ -52,7 +52,7 @@ from .evolution import (
     picard_solve,
     simulate,
 )
-from .spaces import NormParams
+from .spaces import NormParams, sobolev_norm
 from .spectral import Field, SpectralGrid
 
 __all__ = [
@@ -314,22 +314,22 @@ def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return header, np.asarray(data, dtype=float).reshape(len(data), len(header))
 
 
-def trajectory_rows(record: TrajectoryRecord) -> list[list[float]]:
+def trajectory_rows(record: TrajectoryRecord, s: float) -> list[list[float]]:
+    """One row per record time; hs_u and hs_v are H^s norms."""
     rows = []
-    for i in range(len(record)):
-        inv = record.invariant_sets[i]
-        ru, rv = record.radius_u[i], record.radius_v[i]
+    for i, (inv, ru, rv) in enumerate(zip(record.invariant_sets(), *record.radii())):
+        u, v = record.fields_at(i)
         rj = joint_radius(ru, rv)
         rows.append([
             record.times[i], inv.mass_u, inv.mass_v, inv.l2, inv.hamiltonian,
-            record.sobolev_u[i], record.sobolev_v[i],
+            sobolev_norm(u, s), sobolev_norm(v, s),
             ru.rho, rv.rho, rj.rho, ru.r_squared, rv.r_squared,
         ])
     return rows
 
 
-def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> None:
-    write_csv(path, TRAJECTORY_COLUMNS, trajectory_rows(record))
+def write_trajectory_csv(record: TrajectoryRecord, path: Path, s: float) -> None:
+    write_csv(path, TRAJECTORY_COLUMNS, trajectory_rows(record, s))
 
 
 def write_decay_csv(fit: DecayFit, path: Path) -> None:
@@ -381,8 +381,6 @@ def _solver_config(config: RunConfig) -> SolverConfig:
         t_end=config.t_end,
         scheme=config.scheme,
         record_stride=config.record_stride,
-        record_rho=config.rho,
-        record_s=config.s,
         blowup_factor=config.blowup_factor,
     )
 
@@ -395,13 +393,13 @@ def _simulate_record(config: RunConfig) -> TrajectoryRecord:
 
 def _run_simulate(config: RunConfig, out: Path) -> list[str]:
     rec = _simulate_record(config)
-    write_trajectory_csv(rec, out / "trajectory.csv")
+    write_trajectory_csv(rec, out / "trajectory.csv", config.s)
     return ["trajectory.csv"]
 
 
 def _run_radius_track(config: RunConfig, out: Path) -> list[str]:
     rec = _simulate_record(config)
-    write_trajectory_csv(rec, out / "trajectory.csv")
+    write_trajectory_csv(rec, out / "trajectory.csv", config.s)
     times, joints = track_radius(rec)
     rhos = np.asarray([e.rho for e in joints])
     try:
@@ -437,15 +435,14 @@ def _run_soliton_test(config: RunConfig, out: Path) -> list[str]:
     err_u = float(np.sqrt(np.sum((uf.samples - exact) ** 2) * g.dx))
     err_v = float(np.sqrt(np.sum((vf.samples - exact) ** 2) * g.dx))
 
-    inv0 = rec.invariant_sets[0]
+    invs = rec.invariant_sets()
+    inv0 = invs[0]
     rel = lambda a, b: abs(a - b) / max(abs(b), 1e-300)
     drifts = {
-        "mass_u_rel_drift": max(rel(i.mass_u, inv0.mass_u) for i in rec.invariant_sets),
-        "mass_v_rel_drift": max(rel(i.mass_v, inv0.mass_v) for i in rec.invariant_sets),
-        "l2_rel_drift": max(rel(i.l2, inv0.l2) for i in rec.invariant_sets),
-        "hamiltonian_abs_drift": max(
-            abs(i.hamiltonian - inv0.hamiltonian) for i in rec.invariant_sets
-        ),
+        "mass_u_rel_drift": max(rel(i.mass_u, inv0.mass_u) for i in invs),
+        "mass_v_rel_drift": max(rel(i.mass_v, inv0.mass_v) for i in invs),
+        "l2_rel_drift": max(rel(i.l2, inv0.l2) for i in invs),
+        "hamiltonian_abs_drift": max(abs(i.hamiltonian - inv0.hamiltonian) for i in invs),
     }
     print(f"[gkdvlab] soliton test: l2 error u = {err_u:.3e}, v = {err_v:.3e}")
     _write_json(
@@ -612,7 +609,11 @@ def sweep(
     template: RunConfig, vary: dict[str, Sequence[str]], out_root
 ) -> list[RunManifest]:
     """Run the cartesian product of overrides; one subdirectory per point,
-    plus a summary CSV of the decay fits."""
+    plus a summary CSV of the decay fits.
+
+    The summary has one column per varied key, in vary order; a string value
+    is written as its 0-based position in that key's list, so the file stays
+    numeric."""
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     keys = list(vary)
@@ -621,10 +622,11 @@ def sweep(
             raise ConfigError(f"--vary: unknown key {key!r}")
         if not vary[key]:
             raise ConfigError(f"--vary: no values for key {key!r}")
+    entries = [_SCHEMA_BY_NAME[k] for k in keys]
     manifests = []
     summary = []
-    for idx, combo in enumerate(itertools.product(*(vary[k] for k in keys))):
-        pairs = [f"{k}={v}" for k, v in zip(keys, combo)]
+    for idx, combo in enumerate(itertools.product(*(enumerate(vary[k]) for k in keys))):
+        pairs = [f"{k}={v}" for k, (_, v) in zip(keys, combo)]
         cfg = apply_overrides(template, pairs, origin="--vary")
         sub = out_root / f"point_{idx:03d}"
         print(f"[gkdvlab] sweep point {idx}: " + ", ".join(pairs))
@@ -634,6 +636,8 @@ def sweep(
         if decay.exists():
             _, data = read_csv(decay)
             k_fit, alpha = data[0][1], data[0][2]
-        summary.append([cfg.p, cfg.t_end, alpha, k_fit])
-    write_csv(out_root / "summary.csv", ("p", "t_end", "alpha_fit", "K_fit"), summary)
+        point = [pos if e.kind == "str" else getattr(cfg, e.field)
+                 for e, (pos, _) in zip(entries, combo)]
+        summary.append(point + [alpha, k_fit])
+    write_csv(out_root / "summary.csv", (*keys, "alpha_fit", "K_fit"), summary)
     return manifests

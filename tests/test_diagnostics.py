@@ -21,6 +21,8 @@ from gkdvlab.diagnostics import (
     track_radius,
 )
 from gkdvlab.evolution import CoupledState, SolverConfig, free_propagate, simulate
+from gkdvlab.harness import TRAJECTORY_COLUMNS, read_csv, write_trajectory_csv
+from gkdvlab.spaces import sobolev_norm
 from gkdvlab.spectral import Field, SpectralField, SpectralGrid
 
 
@@ -66,7 +68,8 @@ class TestInvariants:
         rec = simulate(
             soliton_state(g), SolverConfig(p=1, dt=1e-3, t_end=0.2, record_stride=100)
         )
-        first, last = rec.invariant_sets[0], rec.invariant_sets[-1]
+        invs = rec.invariant_sets()
+        first, last = invs[0], invs[-1]
         assert abs(last.mass_u - first.mass_u) < 1e-10
         assert abs(last.l2 - first.l2) < 1e-10
         assert abs(last.hamiltonian - first.hamiltonian) < 1e-8
@@ -184,7 +187,28 @@ class TestTrajectoryTracking:
         assert ok
         u0, v0 = rec.fields_at(0)
         assert np.max(np.abs(u0.samples - np.sqrt(2.0) / np.cosh(g.x))) < 1e-14
-        assert len(rec.invariant_sets) == len(rec) == 3
+        assert len(rec.invariant_sets()) == len(rec) == 3
+
+    def test_derived_diagnostics_equal_direct_calls(self, tmp_path):
+        # the record keeps snapshots only; every diagnostic read from it is
+        # the plain function applied to one snapshot, bit for bit
+        g = SpectralGrid(20.0, 256)
+        rec = simulate(
+            soliton_state(g), SolverConfig(p=2, dt=1e-3, t_end=0.2, record_stride=50)
+        )
+        invs = rec.invariant_sets()
+        radius_u, radius_v = rec.radii()
+        write_trajectory_csv(rec, tmp_path / "trajectory.csv", 1.5)
+        header, data = read_csv(tmp_path / "trajectory.csv")
+        hs_u, hs_v = (data[:, header.index(c)] for c in ("hs_u", "hs_v"))
+        assert header == list(TRAJECTORY_COLUMNS) and len(rec) == 5
+        for i, t in enumerate(rec.times):
+            u, v = rec.fields_at(i)
+            assert invs[i] == invariants(CoupledState(t, u, v), p=2)
+            assert radius_u[i] == estimate_radius(u)
+            assert radius_v[i] == estimate_radius(v)
+            assert hs_u[i] == sobolev_norm(u, 1.5)
+            assert hs_v[i] == sobolev_norm(v, 1.5)
 
 
 class TestDecayFit:

@@ -290,17 +290,32 @@ class TestSweep:
         assert len(manifests) == 2
         assert (tmp_path / "point_000" / "decay_fit.csv").exists()
         header, data = read_csv(tmp_path / "summary.csv")
-        assert header == ["p", "t_end", "alpha_fit", "K_fit"]
-        assert data.shape == (2, 4)
+        assert header == ["p", "alpha_fit", "K_fit"]
+        assert data.shape == (2, 3)
         assert list(data[:, 0]) == [1.0, 2.0]
-        assert np.all(np.isfinite(data[:, 2]))
+        assert np.all(np.isfinite(data[:, 1]))
+
+    @pytest.mark.parametrize("vary,want", [
+        ({"dt": ["0.002", "0.001"]}, [[0.002], [0.001]]),
+        # a string value is written as its position in the --vary list
+        ({"scheme": ["if_rk4", "strang"]}, [[0.0], [1.0]]),
+        ({"scheme": ["strang", "if_rk4"], "p": ["1", "2"]},
+         [[0.0, 1.0], [0.0, 2.0], [1.0, 1.0], [1.0, 2.0]]),
+    ])
+    def test_summary_columns_are_the_varied_keys(self, tmp_path, vary, want):
+        sweep(fast_config(), vary, tmp_path)
+        header, data = read_csv(tmp_path / "summary.csv")
+        assert header == [*vary, "alpha_fit", "K_fit"]
+        assert data[:, :-2].tolist() == want
+        cfg = json.loads((tmp_path / "point_000" / "manifest.json").read_text())["config_text"]
+        assert parse_config(cfg).scheme == vary.get("scheme", ["if_rk4"])[0]
 
     def test_summary_nan_when_no_fit(self, tmp_path):
         # simulate points have no decay file; summary keeps nan placeholders
         manifests = sweep(fast_config(), {"p": ["1"]}, tmp_path)
         assert len(manifests) == 1
         _, data = read_csv(tmp_path / "summary.csv")
-        assert np.isnan(data[0, 2]) and np.isnan(data[0, 3])
+        assert np.isnan(data[0, -2]) and np.isnan(data[0, -1])
 
     def test_rejects_unknown_vary_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -361,15 +376,23 @@ class TestCli:
         assert rc == 3
 
     @pytest.mark.parametrize("kind,extra", [
-        ("simulate", ("--set", "t_end=0.01")),
-        ("estimate-lab", ("--set", "ensemble=1")),
+        ("simulate", ("--set", "s=300", "--set", "t_end=0.01")),
+        ("estimate-lab", ("--set", "rho=800", "--set", "ensemble=1")),
     ])
     def test_weight_overflow_exits_3(self, tmp_path, capsys, kind, extra):
-        rc = self.run_main(kind, "--out", str(tmp_path), "--set", "rho=800", *extra)
+        rc = self.run_main(kind, "--out", str(tmp_path), *extra)
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("gkdvlab: numerical failure:") and "overflows" in err
         assert err.count("\n") == 1  # one line, no traceback
+
+    def test_rho_does_not_feed_simulate(self, tmp_path):
+        # rho weights only the estimate-lab norms; trajectory.csv reports H^s
+        assert self.run_main("simulate", "--out", str(tmp_path / "a"),
+                             "--set", "rho=800", "--set", "t_end=0.01") == 0
+        assert self.run_main("simulate", "--out", str(tmp_path / "b"), "--set", "t_end=0.01") == 0
+        csv = [(tmp_path / d / "trajectory.csv").read_bytes() for d in "ab"]
+        assert csv[0] == csv[1]
 
     def test_insufficient_data_exits_4(self, tmp_path):
         rc = self.run_main(
