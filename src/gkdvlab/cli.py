@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .evolution import NonContractionError, NumericalBlowupError
 from .harness import (
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
-            text = open(args.config, encoding="utf-8").read()
+            text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         config = parse_config(text)

@@ -28,6 +28,14 @@ from .spectral import (
 if TYPE_CHECKING:  # pragma: no cover
     from .evolution import CoupledState
 
+# fit and warning thresholds; the docstrings that use them give their roles
+NOISE_FACTOR = 1e3
+DEALIAS_FRAC = 2.0 / 3.0
+MONOTONE_RUN = 8
+MIN_FIT_POINTS = 8
+STDERR_FACTOR = 3.0
+ANALYTICITY_MARGIN = 0.05
+
 
 @dataclass(frozen=True)
 class InvariantSet:
@@ -90,36 +98,31 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, floa
     return slope, intercept, r_squared, stderr
 
 
-def estimate_radius(
-    f: Field | SpectralField,
-    noise_factor: float = 1e3,
-    min_points: int = 8,
-    dealias_frac: float = 2.0 / 3.0,
-    monotone_run: int = 8,
-) -> RadiusEstimate:
+def estimate_radius(f: Field | SpectralField) -> RadiusEstimate:
     """Fit -log|u_hat(zeta)| ~ rho * zeta on the positive-zeta side.
 
-    The window keeps coefficients above noise_factor times the noise floor
-    (median magnitude over the top 10% of zeta), below dealias_frac of the
-    grid's maximum wavenumber, and starts at the first run of monotone_run
-    strictly decreasing magnitudes.  Fewer than min_points usable points
-    flags the noise floor instead of fitting.
+    The window keeps coefficients above NOISE_FACTOR (1e3) times the noise
+    floor (median magnitude over the top 10% of zeta), below DEALIAS_FRAC
+    (2/3) of the grid's maximum wavenumber, and starts at the first run of
+    MONOTONE_RUN (8) strictly decreasing magnitudes.  Fewer than
+    MIN_FIT_POINTS (8) usable points flags the noise floor instead of
+    fitting.
     """
     sf = f if isinstance(f, SpectralField) else forward_transform(f)
     g = sf.grid
     half = g.num_points // 2
     amp = np.abs(sf.coeffs[half + 1 :])
     zeta = sf.grid.zeta[half + 1 :]
-    if amp.size < min_points or not np.any(amp > 0):
+    if amp.size < MIN_FIT_POINTS or not np.any(amp > 0):
         return RadiusEstimate.floor_hit()
 
     floor = float(np.median(amp[zeta >= 0.9 * zeta[-1]]))
-    threshold = noise_factor * floor
-    usable = (amp > threshold) & (zeta <= dealias_frac * g.zeta_max) & (amp > 0.0)
+    threshold = NOISE_FACTOR * floor
+    usable = (amp > threshold) & (zeta <= DEALIAS_FRAC * g.zeta_max) & (amp > 0.0)
 
     dec = amp[1:] < amp[:-1]
     lo = None
-    run = monotone_run - 1
+    run = MONOTONE_RUN - 1
     for i in range(amp.size - run):
         if np.all(dec[i : i + run]):
             lo = i
@@ -128,7 +131,7 @@ def estimate_radius(
         return RadiusEstimate.floor_hit()
     usable[:lo] = False
     sel = np.nonzero(usable)[0]
-    if sel.size < min_points:
+    if sel.size < MIN_FIT_POINTS:
         return RadiusEstimate.floor_hit()
     x = zeta[sel]
     y = -np.log(amp[sel])
@@ -194,17 +197,15 @@ def track_radius(record: TrajectoryRecord) -> tuple[np.ndarray, list[RadiusEstim
     return np.asarray(record.times), joints
 
 
-def radius_nonincreasing(
-    estimates: list[RadiusEstimate], stderr_factor: float = 3.0
-) -> tuple[bool, float]:
-    """True when no step increases the radius by more than stderr_factor
-    times the larger of the adjacent regression standard errors.  Returns
-    the worst normalized increase as evidence either way."""
+def radius_nonincreasing(estimates: list[RadiusEstimate]) -> tuple[bool, float]:
+    """True when no step increases the radius by more than STDERR_FACTOR
+    (3) times the larger of the adjacent regression standard errors.
+    Returns the worst normalized increase as evidence either way."""
     worst = 0.0
     for a, b in zip(estimates[:-1], estimates[1:]):
         if a.noise_floor_hit or b.noise_floor_hit:
             continue
-        allowed = stderr_factor * max(a.slope_stderr, b.slope_stderr)
+        allowed = STDERR_FACTOR * max(a.slope_stderr, b.slope_stderr)
         excess = (b.rho - a.rho) / allowed if allowed > 0 else np.inf
         worst = max(worst, excess)
     return worst <= 1.0, worst
@@ -221,16 +222,15 @@ class DecayFit:
     num_points: int
 
 
-def fit_decay_exponent(
-    times: np.ndarray, rhos: np.ndarray, t_min: float, min_points: int = 8
-) -> DecayFit:
-    """Log-log regression of the radius series against time."""
+def fit_decay_exponent(times: np.ndarray, rhos: np.ndarray, t_min: float) -> DecayFit:
+    """Log-log regression of the radius series against time; needs
+    MIN_FIT_POINTS usable points at t >= t_min."""
     times = np.asarray(times, dtype=float)
     rhos = np.asarray(rhos, dtype=float)
     keep = (times >= t_min) & np.isfinite(rhos) & (rhos > 0) & (times > 0)
-    if int(keep.sum()) < min_points:
+    if int(keep.sum()) < MIN_FIT_POINTS:
         raise ValueError(
-            f"decay fit needs >= {min_points} usable points at t >= {t_min}, "
+            f"decay fit needs >= {MIN_FIT_POINTS} usable points at t >= {t_min}, "
             f"got {int(keep.sum())}"
         )
     x = np.log(times[keep])
@@ -253,12 +253,12 @@ def evaluate_analytic_extension(
     f: Field,
     y: float,
     order: int = 0,
-    margin: float = 0.05,
     band_limit: float | None = None,
 ) -> Field:
     """|d^order/dx^order f(x + i y)| via the multiplier (i zeta)^order
-    e^{-y zeta}.  Warns when |y| reaches the fitted radius minus margin;
-    values there are dominated by the spectral tail and untrustworthy.
+    e^{-y zeta}.  Warns when |y| reaches the fitted radius minus
+    ANALYTICITY_MARGIN (0.05); values there are dominated by the spectral
+    tail and untrustworthy.
 
     e^{|y| zeta} amplifies the coefficient roundoff floor into garbage, so
     for y != 0 the spectrum is cut where it settles onto the floor (first
@@ -270,9 +270,9 @@ def evaluate_analytic_extension(
         raise ValueError(f"order must be in 0..3, got {order}")
     g = f.grid
     est = estimate_radius(f)
-    if not est.noise_floor_hit and abs(y) >= est.rho - margin:
+    if not est.noise_floor_hit and abs(y) >= est.rho - ANALYTICITY_MARGIN:
         warnings.warn(
-            f"|y| = {abs(y):.4g} is within {margin} of the fitted radius "
+            f"|y| = {abs(y):.4g} is within {ANALYTICITY_MARGIN} of the fitted radius "
             f"{est.rho:.4g}; extension values are tail-dominated",
             AnalyticityMarginWarning,
             stacklevel=2,

@@ -9,6 +9,10 @@ the dispersive term exactly in Fourier space (the classic scheme of Kassam
 half-step around a midpoint-rule nonlinear step.  Also a fixed-point
 (successive substitution) solver for the integral form of the equations on
 a short window, with per-iteration contraction factors.
+
+The two components share their linear part, so the steppers and the solver
+hold the coefficients of u and v as one array with the pair on the leading
+axis: (2, N) for a state, (2, num_nodes + 1, N) for a Picard node stack.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ class SolverConfig:
     dt: float = 1e-3
     t_end: float = 5.0
     scheme: str = "if_rk4"
-    padding_ratio: float | None = None
     record_stride: int = 50
     blowup_factor: float = 1e6
 
@@ -97,13 +100,21 @@ def dispersive_phase(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
     return phase
 
 
+def _pair_coeffs(u: Field, v: Field) -> np.ndarray:
+    """Coefficients of the pair, stacked (2, N)."""
+    return np.stack([forward_transform(u).coeffs, forward_transform(v).coeffs])
+
+
+def _pair_fields(grid: SpectralGrid, c: np.ndarray) -> tuple[Field, Field]:
+    """Real fields of a stacked (2, N) coefficient pair."""
+    return (inverse_transform(SpectralField(grid, c[0])),
+            inverse_transform(SpectralField(grid, c[1])))
+
+
 def free_propagate(state: CoupledState, dt: float) -> CoupledState:
     """Exact solution of w_t + w_xxx = 0 over time dt."""
-    g = state.grid
-    phase = dispersive_phase(g, dt)
-    new_u = inverse_transform(SpectralField(g, forward_transform(state.u).coeffs * phase))
-    new_v = inverse_transform(SpectralField(g, forward_transform(state.v).coeffs * phase))
-    return CoupledState(state.t + dt, new_u, new_v)
+    c = _pair_coeffs(state.u, state.v) * dispersive_phase(state.grid, dt)
+    return CoupledState(state.t + dt, *_pair_fields(state.grid, c))
 
 
 def reflect_state(state: CoupledState) -> CoupledState:
@@ -121,63 +132,60 @@ def reflect_state(state: CoupledState) -> CoupledState:
 
 
 class _RhsWorkspace:
-    """Precomputed padding layout and derivative symbol for one (grid, p)."""
+    """Precomputed padding layout and derivative symbol for one (grid, p);
+    maps stacked pair coefficients (2, ..., N) to the stacked right-hand side."""
 
-    def __init__(self, grid: SpectralGrid, p: int, padding_ratio: float | None):
+    def __init__(self, grid: SpectralGrid, p: int):
         self.grid = grid
         self.p = p
-        self.num_padded = padded_points(grid.num_points, 2 * p + 1, padding_ratio)
+        self.num_padded = padded_points(grid.num_points, 2 * p + 1)
         self.span = 2.0 * grid.half_length
         self.offset = -grid.half_length
         deriv = -1j * grid.zeta
         deriv[grid.nyquist_index] = 0.0
         self.deriv = deriv
 
-    def __call__(self, cu: np.ndarray, cv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the padded samples die with the call; on a Picard node stack they
-        # are the largest arrays alive
-        w1, w2 = _kernels.coupled_powers(
-            idft_axis(pad_coeffs(cu, self.num_padded), self.span, self.offset).real,
-            idft_axis(pad_coeffs(cv, self.num_padded), self.span, self.offset).real,
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        # one inverse transform per component and one forward transform per
+        # product; the padded samples die with the call, and on a Picard node
+        # stack they are the largest arrays alive
+        powers = _kernels.coupled_powers(
+            idft_axis(pad_coeffs(c[0], self.num_padded), self.span, self.offset).real,
+            idft_axis(pad_coeffs(c[1], self.num_padded), self.span, self.offset).real,
             self.p,
         )
-        c1 = truncate_coeffs(dft_axis(w1, self.span, self.offset), self.grid.num_points)
-        c2 = truncate_coeffs(dft_axis(w2, self.span, self.offset), self.grid.num_points)
-        return self.deriv * c1, self.deriv * c2
+        coeffs = [truncate_coeffs(dft_axis(w, self.span, self.offset), self.grid.num_points)
+                  for w in powers]
+        # allocated once both transforms are done: allocated before them, a
+        # node-stack-sized output costs page faults on every Picard iterate
+        out = np.empty_like(c)
+        for k, ck in enumerate(coeffs):
+            np.multiply(self.deriv, ck, out=out[k])
+        return out
 
 
-def nonlinear_rhs(
-    state: CoupledState, p: int, padding_ratio: float | None = None
-) -> tuple[Field, Field]:
+def nonlinear_rhs(state: CoupledState, p: int) -> tuple[Field, Field]:
     """-(u^p v^(p+1))_x and -(u^(p+1) v^p)_x, dealiased."""
-    rhs = _RhsWorkspace(state.grid, p, padding_ratio)
-    cu = forward_transform(state.u).coeffs
-    cv = forward_transform(state.v).coeffs
-    ru, rv = rhs(cu, cv)
-    g = state.grid
-    return inverse_transform(SpectralField(g, ru)), inverse_transform(SpectralField(g, rv))
+    rhs = _RhsWorkspace(state.grid, p)
+    return _pair_fields(state.grid, rhs(_pair_coeffs(state.u, state.v)))
 
 
-def _step_if_rk4(cu, cv, dt, half_phase, full_phase, rhs):
-    e, e2 = half_phase, full_phase
-    n1u, n1v = rhs(cu, cv)
-    au, av = e * (cu + 0.5 * dt * n1u), e * (cv + 0.5 * dt * n1v)
-    n2u, n2v = rhs(au, av)
-    bu, bv = e * cu + 0.5 * dt * n2u, e * cv + 0.5 * dt * n2v
-    n3u, n3v = rhs(bu, bv)
-    gu, gv = e2 * cu + dt * e * n3u, e2 * cv + dt * e * n3v
-    n4u, n4v = rhs(gu, gv)
-    new_u = e2 * cu + (dt / 6.0) * (e2 * n1u + 2.0 * e * (n2u + n3u) + n4u)
-    new_v = e2 * cv + (dt / 6.0) * (e2 * n1v + 2.0 * e * (n2v + n3v) + n4v)
-    return new_u, new_v
+def _step_if_rk4(c, dt, e, e2, rhs):
+    """One integrating-factor RK4 step; e and e2 are the half- and full-step
+    phases."""
+    n1 = rhs(c)
+    n2 = rhs(e * (c + 0.5 * dt * n1))
+    n3 = rhs(e * c + 0.5 * dt * n2)
+    n4 = rhs(e2 * c + dt * e * n3)
+    return e2 * c + (dt / 6.0) * (e2 * n1 + 2.0 * e * (n2 + n3) + n4)
 
 
-def _step_strang(cu, cv, dt, half_phase, rhs):
-    cu, cv = half_phase * cu, half_phase * cv
-    k1u, k1v = rhs(cu, cv)
-    k2u, k2v = rhs(cu + 0.5 * dt * k1u, cv + 0.5 * dt * k1v)
-    cu, cv = cu + dt * k2u, cv + dt * k2v
-    return half_phase * cu, half_phase * cv
+def _step_strang(c, dt, e, rhs):
+    """Dispersive half-step e, midpoint nonlinear step, dispersive half-step."""
+    c = e * c
+    k1 = rhs(c)
+    k2 = rhs(c + 0.5 * dt * k1)
+    return e * (c + dt * k2)
 
 
 def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
@@ -202,11 +210,10 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
 
     record = TrajectoryRecord(grid=g, p=config.p)
 
-    rhs = _RhsWorkspace(g, config.p, config.padding_ratio)
+    rhs = _RhsWorkspace(g, config.p)
     half = dispersive_phase(g, 0.5 * config.dt)
     full = dispersive_phase(g, config.dt)
-    cu = forward_transform(initial.u).coeffs
-    cv = forward_transform(initial.v).coeffs
+    c = _pair_coeffs(initial.u, initial.v)
     baseline = max(
         float(np.max(np.abs(initial.u.samples))),
         float(np.max(np.abs(initial.v.samples))),
@@ -220,17 +227,16 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
         # turns it into the typed error instead of a warning cascade
         with np.errstate(over="ignore", invalid="ignore"):
             if config.scheme == "if_rk4":
-                cu, cv = _step_if_rk4(cu, cv, config.dt, half, full, rhs)
+                c = _step_if_rk4(c, config.dt, half, full, rhs)
             else:
-                cu, cv = _step_strang(cu, cv, config.dt, half, rhs)
-        if not (np.all(np.isfinite(cu)) and np.all(np.isfinite(cv))):
+                c = _step_strang(c, config.dt, half, rhs)
+        if not np.all(np.isfinite(c)):
             record.blow_up = True
             raise NumericalBlowupError(
                 f"blow-up at t = {t:.6g}: non-finite spectrum", record
             )
         if n % config.record_stride == 0 or n == num_steps:
-            u = inverse_transform(SpectralField(g, cu))
-            v = inverse_transform(SpectralField(g, cv))
+            u, v = _pair_fields(g, c)
             sup = max(float(np.max(np.abs(u.samples))), float(np.max(np.abs(v.samples))))
             if sup > config.blowup_factor * baseline:
                 record.blow_up = True
@@ -266,29 +272,23 @@ class PicardResult:
 
     grid: SpectralGrid
     times: np.ndarray
-    coeffs_u: np.ndarray  # (num_nodes + 1, N) at the final iterate
-    coeffs_v: np.ndarray
+    coeffs: np.ndarray  # (2, num_nodes + 1, N) at the final iterate
     diffs: list[float] = dc_field(default_factory=list)
     contraction_factors: list[float] = dc_field(default_factory=list)
     iterations: int = 0
     converged: bool = False
 
     def state_at(self, j: int) -> CoupledState:
-        g = self.grid
-        return CoupledState(
-            float(self.times[j]),
-            inverse_transform(SpectralField(g, self.coeffs_u[j])),
-            inverse_transform(SpectralField(g, self.coeffs_v[j])),
-        )
+        return CoupledState(float(self.times[j]), *_pair_fields(self.grid, self.coeffs[:, j]))
 
 
 def _duhamel_cumulative(w: np.ndarray, phase_h: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid quadrature of  integral_0^{t_j} e^{i zeta^3 (t_j - s)} w(s) ds
-    for all nodes t_j, accumulated with the group property."""
-    num, n = w.shape
-    out = np.zeros((num, n), dtype=np.complex128)
-    for j in range(1, num):
-        out[j] = phase_h * out[j - 1] + 0.5 * h * (phase_h * w[j - 1] + w[j])
+    for all nodes t_j (axis -2 of w), accumulated with the group property."""
+    out = np.zeros(w.shape, dtype=np.complex128)
+    for j in range(1, w.shape[-2]):
+        out[..., j, :] = phase_h * out[..., j - 1, :] + 0.5 * h * (
+            phase_h * w[..., j - 1, :] + w[..., j, :])
     return out
 
 
@@ -304,32 +304,28 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     m = config.num_nodes
     h = config.t_window / m
     times = initial.t + h * np.arange(m + 1)
-    rhs = _RhsWorkspace(g, p, None)
-    cu0 = forward_transform(initial.u).coeffs
-    cv0 = forward_transform(initial.v).coeffs
-    node_phase = dispersive_phase(g, h * np.arange(m + 1))
-    free_u = node_phase * cu0[None, :]
-    free_v = node_phase * cv0[None, :]
+    rhs = _RhsWorkspace(g, p)
+    c0 = _pair_coeffs(initial.u, initial.v)
+    free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
     phase_h = dispersive_phase(g, h)
 
     # settle H^s weights once; differences measured in this norm
     weight = (1.0 + np.abs(g.zeta)) ** config.diff_s
     cell = g.dzeta
 
-    def diff_norm(au, av, bu, bv):
-        du = np.sqrt(np.sum((weight * np.abs(au - bu)) ** 2, axis=1) * cell)
-        dv = np.sqrt(np.sum((weight * np.abs(av - bv)) ** 2, axis=1) * cell)
-        return float(max(du.max(), dv.max()))
-
-    cur_u, cur_v = free_u.copy(), free_v.copy()
-    result = PicardResult(g, times, cur_u, cur_v)
+    cur = free
+    result = PicardResult(g, times, cur)
     rising = 0
     for it in range(1, config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            w_u, w_v = rhs(cur_u, cur_v)
-            new_u = free_u + _duhamel_cumulative(w_u, phase_h, h)
-            new_v = free_v + _duhamel_cumulative(w_v, phase_h, h)
-            d = diff_norm(new_u, new_v, cur_u, cur_v)
+            new = free + _duhamel_cumulative(rhs(cur), phase_h, h)
+            # sup over components and nodes of the H^s successive difference;
+            # squared in place, since fresh node-stack-sized temporaries cost
+            # page faults on every iterate
+            delta = np.abs(new - cur)
+            delta *= weight
+            delta *= delta
+            d = float(np.sqrt(np.sum(delta, axis=-1) * cell).max())
         if not np.isfinite(d):
             d = np.inf
         result.diffs.append(d)
@@ -338,7 +334,7 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
             ratio = d / prev if prev > 0 else (np.inf if d > 0 else 0.0)
             result.contraction_factors.append(ratio)
             rising = rising + 1 if ratio >= 1.0 else 0
-        cur_u, cur_v = new_u, new_v
+        cur = new
         result.iterations = it
         if d <= config.contraction_tol:
             result.converged = True
@@ -350,5 +346,5 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
                 f"{[round(r, 3) for r in result.contraction_factors[-3:]]}); "
                 "shrink t_window"
             )
-    result.coeffs_u, result.coeffs_v = cur_u, cur_v
+    result.coeffs = cur
     return result

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    STDERR_FACTOR,
     DecayFit,
     TrajectoryRecord,
     fit_decay_exponent,
@@ -413,7 +414,7 @@ def _run_radius_track(config: RunConfig, out: Path) -> list[str]:
     )
     write_decay_csv(fit, out / "decay_fit.csv")
     _write_json(
-        {"monotone_ok": bool(ok), "worst_excess": float(worst), "stderr_factor": 3.0},
+        {"monotone_ok": bool(ok), "worst_excess": float(worst), "stderr_factor": STDERR_FACTOR},
         out / "radius_check.json",
     )
     return ["trajectory.csv", "decay_fit.csv", "radius_check.json"]

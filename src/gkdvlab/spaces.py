@@ -26,6 +26,8 @@ from .spectral import (
     idft_axis,
 )
 
+SUPPORT_TOL = 1e-8  # edge rows / peak; see check_window_support
+
 
 @dataclass(frozen=True)
 class NormParams:
@@ -139,13 +141,16 @@ def _safe_weighted_l2(weighted: np.ndarray, cell: float) -> float:
     return peak * float(np.sqrt(np.sum(ratio * ratio) * cell))
 
 
-def _apply_weights(coeffs_abs: np.ndarray, weights: np.ndarray, what: str) -> np.ndarray:
+def _apply_weights(
+    coeffs_abs: np.ndarray, weights: np.ndarray, what: str, params: NormParams
+) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = np.where(coeffs_abs > 0.0, weights * coeffs_abs, 0.0)
     if not np.all(np.isfinite(weighted)):
         raise OverflowError(
-            f"{what}: exponential weight overflows on the populated spectrum; "
-            "reduce rho or the grid bandwidth"
+            f"{what}: norm weight overflows on the populated spectrum "
+            f"(rho = {params.rho:g}, s = {params.s:g}); reduce rho, s or the "
+            "grid bandwidth"
         )
     return weighted
 
@@ -155,7 +160,7 @@ def gevrey_norm(field: Field, params: NormParams) -> float:
     g = field.grid
     c = np.abs(forward_transform(field).coeffs)
     w = gevrey_weights(g.zeta, params.rho, params.s)
-    return _safe_weighted_l2(_apply_weights(c, w, "gevrey_norm"), g.dzeta)
+    return _safe_weighted_l2(_apply_weights(c, w, "gevrey_norm", params), g.dzeta)
 
 
 def sobolev_norm(field: Field, s: float) -> float:
@@ -168,23 +173,21 @@ def gevrey_norm_slices(sample: SpaceTimeSample, params: NormParams) -> np.ndarra
     g = sample.grid
     cx = np.abs(dft_axis(sample.values, 2.0 * g.half_length, -g.half_length, axis=1))
     w = gevrey_weights(g.zeta, params.rho, params.s)[None, :]
-    weighted = _apply_weights(cx, w, "gevrey_norm_slices")
+    weighted = _apply_weights(cx, w, "gevrey_norm_slices", params)
     return np.array([_safe_weighted_l2(row, g.dzeta) for row in weighted])
 
 
-def check_window_support(
-    values: np.ndarray, support_tol: float = 1e-8
-) -> None:
-    """Error unless the first and last time rows are negligible relative to
+def check_window_support(values: np.ndarray) -> None:
+    """Error unless the first and last time rows stay within SUPPORT_TOL of
     the sample peak; discrete stand-in for 'supported strictly inside'."""
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         return
     edge = max(float(np.max(np.abs(values[0]))), float(np.max(np.abs(values[-1]))))
-    if edge > support_tol * scale:
+    if edge > SUPPORT_TOL * scale:
         raise ValueError(
             f"sample not supported inside the time window: edge/peak = "
-            f"{edge / scale:.3e} > {support_tol:.1e}; widen the window or "
+            f"{edge / scale:.3e} > {SUPPORT_TOL:.1e}; widen the window or "
             "shrink the cutoff scale"
         )
 
@@ -193,7 +196,6 @@ def bourgain_norm(
     sample: SpaceTimeSample,
     params: NormParams,
     cutoff: CutoffProfile | None = None,
-    support_tol: float = 1e-8,
 ) -> float:
     """Space-time norm with weight e^{rho(1+|zeta|)} (1+|zeta|)^s
     (1+|eta - zeta^3|)^b, optionally after multiplying by a time cutoff.
@@ -204,14 +206,14 @@ def bourgain_norm(
     vals = sample.values
     if cutoff is not None:
         vals = vals * np.asarray(cutoff(sample.times))[:, None]
-    check_window_support(vals, support_tol)
+    check_window_support(vals)
     windowed = SpaceTimeSample(sample.grid, sample.t0, sample.t1, vals)
     coeffs = np.abs(xt_transform(windowed))
     w = _kernels.bourgain_weight(
         sample.grid.zeta, windowed.eta, params.rho, params.s, params.b
     )
     cell = sample.grid.dzeta * (2.0 * np.pi / (sample.t1 - sample.t0))
-    return _safe_weighted_l2(_apply_weights(coeffs, w, "bourgain_norm"), cell)
+    return _safe_weighted_l2(_apply_weights(coeffs, w, "bourgain_norm", params), cell)
 
 
 def weighted_l2_2d(
@@ -224,7 +226,7 @@ def weighted_l2_2d(
     """Bourgain-weighted L^2 of raw 2D coefficients (lab-side fast path)."""
     w = _kernels.bourgain_weight(grid.zeta, eta, params.rho, params.s, params.b)
     cell = grid.dzeta * (2.0 * np.pi / span)
-    return _safe_weighted_l2(_apply_weights(np.abs(coeffs), w, "weighted_l2_2d"), cell)
+    return _safe_weighted_l2(_apply_weights(np.abs(coeffs), w, "weighted_l2_2d", params), cell)
 
 
 _ALLOWED_EXPONENTS = (2.0, 4.0, np.inf)

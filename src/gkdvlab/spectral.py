@@ -23,6 +23,8 @@ import numpy as np
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
+SYMMETRY_TOL = 1e-10  # relative conjugate-symmetry deviation a real inverse accepts
+
 
 def axis_freqs(num: int, span: float) -> np.ndarray:
     """Natural-order frequency grid (2 pi / span) * [-num/2, ..., num/2 - 1]."""
@@ -177,22 +179,22 @@ def hermitian_asymmetry(sf: SpectralField) -> float:
     return float(_asymmetry(sf.coeffs))
 
 
-def _real_samples(coeffs: np.ndarray, grid: SpectralGrid, symmetry_tol: float) -> np.ndarray:
+def _real_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Coefficient rows (..., N) -> real samples; errors if any row breaks
-    conjugate symmetry by more than symmetry_tol (the worst row is quoted)."""
+    conjugate symmetry by more than SYMMETRY_TOL (the worst row is quoted)."""
     err = _asymmetry(coeffs)
-    broken = err[err > symmetry_tol]
+    broken = err[err > SYMMETRY_TOL]
     if broken.size:
         raise ValueError(
             f"inverse_transform: coefficients break conjugate symmetry "
-            f"(relative deviation {broken.max():.3e} > {symmetry_tol:.1e})"
+            f"(relative deviation {broken.max():.3e} > {SYMMETRY_TOL:.1e})"
         )
     return idft_axis(coeffs, 2.0 * grid.half_length, -grid.half_length).real
 
 
-def inverse_transform(sf: SpectralField, symmetry_tol: float = 1e-10) -> Field:
+def inverse_transform(sf: SpectralField) -> Field:
     """Coefficients -> real samples; errors if conjugate symmetry is broken."""
-    return Field(sf.grid, _real_samples(sf.coeffs, sf.grid, symmetry_tol))
+    return Field(sf.grid, _real_samples(sf.coeffs, sf.grid))
 
 
 def complex_samples(sf: SpectralField) -> np.ndarray:
@@ -253,21 +255,18 @@ def truncate_coeffs(coeffs_padded: np.ndarray, num: int) -> np.ndarray:
     return out
 
 
-def padded_points(num: int, count: int, padding_ratio: float | None) -> int:
-    """Padded grid size for a count-fold product (default exact: (count+1)/2)."""
-    ratio = 0.5 * (count + 1) if padding_ratio is None else float(padding_ratio)
-    if ratio < 1.0:
-        raise ValueError(f"padding_ratio must be >= 1, got {ratio}")
-    num_padded = int(np.ceil(ratio * num))
+def padded_points(num: int, count: int) -> int:
+    """Padded grid size that makes a count-fold product of num-point fields
+    alias-free: ratio (count + 1) / 2, rounded up to an even size."""
+    num_padded = int(np.ceil(0.5 * (count + 1) * num))
     return num_padded + (num_padded % 2)
 
 
-def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid,
-                           padding_ratio: float | None = None) -> np.ndarray:
+def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray:
     """Pointwise product of real sample arrays (..., N) on grid, dealiased by
     zero-padding; leading axes are independent rows."""
     num = grid.num_points
-    num_padded = padded_points(num, len(factors), padding_ratio)
+    num_padded = padded_points(num, len(factors))
     span = 2.0 * grid.half_length
     prod = None
     for samples in factors:
@@ -275,17 +274,14 @@ def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid,
         vals = idft_axis(cpad, span, -grid.half_length).real
         prod = vals if prod is None else prod * vals
     cprod = dft_axis(prod, span, -grid.half_length)
-    return _real_samples(truncate_coeffs(cprod, num), grid, 1e-10)
+    return _real_samples(truncate_coeffs(cprod, num), grid)
 
 
-def dealiased_product(
-    fields: Sequence[Field], padding_ratio: float | None = None
-) -> Field:
+def dealiased_product(fields: Sequence[Field]) -> Field:
     """Pointwise product of fields, dealiased by zero-padding.
 
-    With the default padding the result equals the exact truncated spectral
-    convolution whenever the true product bandwidth stays below the Nyquist
-    mode of the original grid.
+    The result equals the exact truncated spectral convolution whenever the
+    true product bandwidth stays below the Nyquist mode of the original grid.
     """
     if len(fields) == 0:
         raise ValueError("dealiased_product: need at least one field")
@@ -293,4 +289,4 @@ def dealiased_product(
     for f in fields[1:]:
         if f.grid != grid:
             raise ValueError("dealiased_product: fields live on different grids")
-    return Field(grid, dealiased_product_rows([f.samples for f in fields], grid, padding_ratio))
+    return Field(grid, dealiased_product_rows([f.samples for f in fields], grid))

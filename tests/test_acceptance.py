@@ -120,7 +120,7 @@ def test_decay_law_consistency():
     rec = simulate(st, cfg)
     times, joints = track_radius(rec)
     window = [j for t, j in zip(times, joints) if t >= 1.0]
-    ok, worst = radius_nonincreasing(window, stderr_factor=3.0)
+    ok, worst = radius_nonincreasing(window)
     assert ok, f"radius increased beyond 3x stderr (worst excess {worst:.2f})"
     rhos = np.asarray([e.rho for e in joints])
     fit = fit_decay_exponent(np.asarray(times), rhos, t_min=1.0)

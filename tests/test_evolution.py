@@ -156,14 +156,11 @@ class TestNonlinearRhs:
         # picard_solve evaluates all nodes in one call
         g = SpectralGrid(20.0, 256)
         nodes = [bandlimited_state(g, 40 + j) for j in range(7)]
-        cu = np.stack([forward_transform(s.u).coeffs for s in nodes])
-        cv = np.stack([forward_transform(s.v).coeffs for s in nodes])
-        rhs = _RhsWorkspace(g, p, None)
-        wu, wv = rhs(cu, cv)
+        c = np.stack([[forward_transform(f).coeffs for f in (s.u, s.v)] for s in nodes], axis=1)
+        rhs = _RhsWorkspace(g, p)
+        w = rhs(c)
         for j in range(len(nodes)):
-            ru, rv = rhs(cu[j], cv[j])
-            assert np.array_equal(wu[j], ru)
-            assert np.array_equal(wv[j], rv)
+            assert np.array_equal(w[:, j], rhs(c[:, j]))
 
     def test_mean_is_conserved_by_flux_form(self):
         # the rhs is an exact x-derivative, so its zero mode vanishes
@@ -334,19 +331,12 @@ class TestPicard:
         res = picard_solve(s0, cfg, p=1)
         assert res.iterations == 1
 
-        from gkdvlab.evolution import _RhsWorkspace
-
-        rhs = _RhsWorkspace(g, 1, None)
+        rhs = _RhsWorkspace(g, 1)
         m, h = cfg.num_nodes, cfg.t_window / cfg.num_nodes
-        cu0 = forward_transform(s0.u).coeffs
-        cv0 = forward_transform(s0.v).coeffs
-        free_u = np.stack([dispersive_phase(g, h * j) * cu0 for j in range(m + 1)])
-        free_v = np.stack([dispersive_phase(g, h * j) * cv0 for j in range(m + 1)])
-        w_u = np.empty_like(free_u)
-        w_v = np.empty_like(free_v)
-        for j in range(m + 1):
-            w_u[j], w_v[j] = rhs(free_u[j], free_v[j])
-        expect_u = free_u.copy()
+        c0 = np.stack([forward_transform(s0.u).coeffs, forward_transform(s0.v).coeffs])
+        free = np.stack([dispersive_phase(g, h * j) * c0 for j in range(m + 1)])
+        w_u = np.stack([rhs(free[j])[0] for j in range(m + 1)])
+        expect_u = free[:, 0].copy()
         for j in range(1, m + 1):
             acc = np.zeros(g.num_points, dtype=complex)
             for k in range(j + 1):
@@ -354,7 +344,7 @@ class TestPicard:
                 acc += wt * h * dispersive_phase(g, h * (j - k)) * w_u[k]
             expect_u[j] += acc
         scale = np.max(np.abs(expect_u))
-        assert np.max(np.abs(res.coeffs_u - expect_u)) < 1e-10 * scale
+        assert np.max(np.abs(res.coeffs[0] - expect_u)) < 1e-10 * scale
 
     def test_contracts_on_short_window_and_matches_stepper(self):
         g = SpectralGrid(20.0, 256)
@@ -395,6 +385,38 @@ class TestPicard:
             )
             firsts.append(res.contraction_factors[0])
         assert firsts[0] < firsts[1] < firsts[2]
+
+
+class TestSwapSymmetry:
+    """Swapping u and v maps the system to itself, and the stacked pair must
+    not mix its components: swapped data give swapped results bit for bit."""
+
+    @staticmethod
+    def _pair(p):
+        g = SpectralGrid(10.0, 128)
+        s = bandlimited_state(g, 21, amp=0.6 if p == 1 else 0.4)
+        return s, CoupledState(s.t, s.v, s.u)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("scheme", ["if_rk4", "strang"])
+    def test_simulate(self, scheme, p):
+        s, swapped = self._pair(p)
+        cfg = SolverConfig(p=p, dt=2e-3, t_end=0.1, scheme=scheme, record_stride=10)
+        a, b = simulate(s, cfg), simulate(swapped, cfg)
+        assert len(a) == len(b) == 6
+        for i in range(len(a)):
+            assert np.array_equal(a.snapshots_u[i], b.snapshots_v[i])
+            assert np.array_equal(a.snapshots_v[i], b.snapshots_u[i])
+        assert not np.array_equal(a.snapshots_u[-1], a.snapshots_v[-1])
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_picard(self, p):
+        s, swapped = self._pair(p)
+        cfg = PicardConfig(t_window=0.02, num_nodes=16)
+        a, b = picard_solve(s, cfg, p), picard_solve(swapped, cfg, p)
+        assert a.converged and a.iterations == b.iterations
+        assert a.diffs == b.diffs
+        assert np.array_equal(a.coeffs, b.coeffs[::-1])
 
 
 class TestConfigValidation:

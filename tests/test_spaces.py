@@ -182,6 +182,14 @@ class TestGevreyNorm:
         with pytest.raises(OverflowError):
             gevrey_norm(u, NormParams(50.0, 0.0))
 
+    def test_overflow_message_names_s(self):
+        # at rho = 0 the polynomial H^s weight is the one that overflows
+        g = SpectralGrid(40.0, 1024)
+        u = Field(g, 1.0 / np.cosh(g.x))
+        with pytest.raises(OverflowError, match=r"rho, s or the grid bandwidth") as info:
+            gevrey_norm(u, NormParams(0.0, 300.0))
+        assert "s = 300" in str(info.value)
+
     def test_zero_field_is_zero_even_at_huge_rho(self):
         g = SpectralGrid(40.0, 1024)
         assert gevrey_norm(Field(g, np.zeros(1024)), NormParams(50.0, 0.0)) == 0.0
