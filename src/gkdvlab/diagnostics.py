@@ -157,23 +157,23 @@ def joint_radius(ru: RadiusEstimate, rv: RadiusEstimate) -> RadiusEstimate:
 
 @dataclass
 class TrajectoryRecord:
-    """Snapshots of one simulation at its record times; the diagnostics are
-    computed from them on request."""
+    """Snapshots of one simulation at its record times, one (2, N) array of
+    samples each (u in row 0, v in row 1); the diagnostics are computed from
+    them on request."""
 
     grid: SpectralGrid
     p: int
     times: list[float] = dc_field(default_factory=list)
-    snapshots_u: list[np.ndarray] = dc_field(default_factory=list)
-    snapshots_v: list[np.ndarray] = dc_field(default_factory=list)
+    snapshots: list[np.ndarray] = dc_field(default_factory=list)
     blow_up: bool = False
 
     def record(self, t: float, u: Field, v: Field) -> None:
         self.times.append(float(t))
-        self.snapshots_u.append(u.samples.copy())
-        self.snapshots_v.append(v.samples.copy())
+        self.snapshots.append(np.stack([u.samples, v.samples]))
 
     def fields_at(self, i: int) -> tuple[Field, Field]:
-        return Field(self.grid, self.snapshots_u[i]), Field(self.grid, self.snapshots_v[i])
+        u, v = self.snapshots[i]
+        return Field(self.grid, u), Field(self.grid, v)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -206,7 +206,9 @@ def radius_nonincreasing(estimates: list[RadiusEstimate]) -> tuple[bool, float]:
         if a.noise_floor_hit or b.noise_floor_hit:
             continue
         allowed = STDERR_FACTOR * max(a.slope_stderr, b.slope_stderr)
-        excess = (b.rho - a.rho) / allowed if allowed > 0 else np.inf
+        rise = b.rho - a.rho
+        # exact fits (zero stderr) allow no rise; a fall or a tie scores 0
+        excess = rise / allowed if allowed > 0 else (np.inf if rise > 0 else 0.0)
         worst = max(worst, excess)
     return worst <= 1.0, worst
 

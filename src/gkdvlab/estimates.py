@@ -22,6 +22,7 @@ from .evolution import (
     SolverConfig,
     _duhamel_cumulative,
     dispersive_phase,
+    reflect_samples,
     reflect_state,
     simulate,
 )
@@ -41,9 +42,7 @@ from .spaces import (
 )
 from .spectral import (
     Field,
-    SpectralField,
     SpectralGrid,
-    complex_samples,
     dealiased_product_rows,
     dft_axis,
     forward_transform,
@@ -205,12 +204,7 @@ def _envelope_weights(grid: SpectralGrid, spec: SampleSpec) -> np.ndarray:
 
 def random_field(grid: SpectralGrid, spec: SampleSpec, seed: int | None = None) -> Field:
     """Envelope-shaped random real field; seed defaults to spec.seed."""
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
-    n = grid.num_points
-    c = _envelope_weights(grid, spec) * (
-        rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    )
-    return Field(grid, complex_samples(SpectralField(grid, c)).real)
+    return Field(grid, _random_rows(grid, spec, 1, seed)[0])
 
 
 def _random_rows(
@@ -664,18 +658,16 @@ def bidirectional_record(
     """Trajectory on [t0 - t_half, t0 + t_half] with uniform record times.
 
     The backward half is the run of the reflected data with its snapshots
-    reflected back.
+    reflected back, all in one gather.
     """
     _require(t_half > 0.0, f"t_half must be positive, got {t_half}")
     cfg = dataclasses.replace(config, t_end=initial.t + t_half)
     fwd = simulate(initial, cfg)
     back = simulate(reflect_state(initial), cfg)
-    order = range(len(back) - 1, 0, -1)  # back in time; skips the duplicate t0 entry
-    mirrored = [reflect_state(CoupledState(0.0, *back.fields_at(i))) for i in order]
     merged = TrajectoryRecord(initial.grid, config.p)
-    merged.times = [2.0 * initial.t - back.times[i] for i in order] + fwd.times
-    merged.snapshots_u = [st.u.samples for st in mirrored] + fwd.snapshots_u
-    merged.snapshots_v = [st.v.samples for st in mirrored] + fwd.snapshots_v
+    # back in time; [:0:-1] skips the duplicate t0 entry
+    merged.times = [2.0 * initial.t - t for t in back.times[:0:-1]] + fwd.times
+    merged.snapshots = list(reflect_samples(np.asarray(back.snapshots[:0:-1]))) + fwd.snapshots
     return merged
 
 
@@ -698,16 +690,12 @@ def _windowed_pair_sample(
     )
     keep = np.abs(times) <= 2.0 * T + tol
     psi = np.asarray(CutoffProfile(T)(times[keep]))
-    u_rows = psi[:, None] * np.asarray([record.snapshots_u[i] for i in np.flatnonzero(keep)])
-    v_rows = psi[:, None] * np.asarray([record.snapshots_v[i] for i in np.flatnonzero(keep)])
+    rows = psi[:, None, None] * np.asarray(record.snapshots)[keep]  # (rows, 2, N)
     # pad with exact zeros past the cutoff support; keeps spacing uniform and
     # makes the edge rows vanish as the transform requires
     n_pad = max(1, int(np.ceil(0.5 * T / h)))
-    n_right = n_pad + (u_rows.shape[0] + 2 * n_pad) % 2
-    zeros_l = np.zeros((n_pad, u_rows.shape[1]))
-    zeros_r = np.zeros((n_right, u_rows.shape[1]))
-    u_all = np.concatenate([zeros_l, u_rows, zeros_r])
-    v_all = np.concatenate([zeros_l, v_rows, zeros_r])
+    n_right = n_pad + (rows.shape[0] + 2 * n_pad) % 2
+    u_all, v_all = np.pad(rows.transpose(1, 0, 2), ((0, 0), (n_pad, n_right), (0, 0)))
     t0 = float(times[keep][0]) - n_pad * h
     t1 = t0 + u_all.shape[0] * h
     g = record.grid

@@ -34,6 +34,7 @@ from .spectral import (
     padded_points,
     truncate_coeffs,
     SpectralField,
+    _real_samples,
 )
 
 
@@ -117,18 +118,21 @@ def free_propagate(state: CoupledState, dt: float) -> CoupledState:
     return CoupledState(state.t + dt, *_pair_fields(state.grid, c))
 
 
+def reflect_samples(s: np.ndarray) -> np.ndarray:
+    """Spatial reflection x -> -x of sample rows (..., N) on the periodic
+    grid (exact, on-node): node x_j goes to x_{-j mod N}."""
+    return np.roll(s[..., ::-1], 1, axis=-1)
+
+
 def reflect_state(state: CoupledState) -> CoupledState:
-    """Spatial reflection x -> -x on the periodic grid (exact, on-node).
+    """Spatial reflection x -> -x of the pair.
 
     The system is invariant under (t, x) -> (-t, -x), so evolving reflected
     data forward and reflecting back integrates backward in time without a
     negative dt.
     """
-
-    def flip(f: Field) -> Field:
-        return Field(f.grid, np.roll(f.samples[::-1], 1))
-
-    return CoupledState(state.t, flip(state.u), flip(state.v))
+    u, v = reflect_samples(np.stack([state.u.samples, state.v.samples]))
+    return CoupledState(state.t, Field(state.grid, u), Field(state.grid, v))
 
 
 class _RhsWorkspace:
@@ -278,8 +282,9 @@ class PicardResult:
     iterations: int = 0
     converged: bool = False
 
-    def state_at(self, j: int) -> CoupledState:
-        return CoupledState(float(self.times[j]), *_pair_fields(self.grid, self.coeffs[:, j]))
+    def samples(self) -> np.ndarray:
+        """Real samples of the final iterate at every node, (2, num_nodes + 1, N)."""
+        return _real_samples(self.coeffs, self.grid)
 
 
 def _duhamel_cumulative(w: np.ndarray, phase_h: np.ndarray, h: float) -> np.ndarray:

@@ -263,12 +263,6 @@ def apply_spatial_weight(sample: SpaceTimeSample, power: float) -> SpaceTimeSamp
     return _multiplier_apply(sample, mult)
 
 
-def apply_temporal_weight(sample: SpaceTimeSample, power: float) -> SpaceTimeSample:
-    """Multiplier (1 + |eta|)^power."""
-    mult = (1.0 + np.abs(sample.eta))[:, None] ** power
-    return _multiplier_apply(sample, mult)
-
-
 def apply_dispersive_smoothing(sample: SpaceTimeSample, kappa: float) -> SpaceTimeSample:
     """Multiplier (1 + |eta - zeta^3|)^(-kappa)."""
     mult = dispersive_multiplier(sample.grid.zeta, sample.eta, kappa)

@@ -174,11 +174,6 @@ def _asymmetry(coeffs: np.ndarray) -> np.ndarray:
     return worst / np.where(scale == 0.0, 1.0, scale)
 
 
-def hermitian_asymmetry(sf: SpectralField) -> float:
-    """Relative deviation of coeffs from the conjugate symmetry of a real field."""
-    return float(_asymmetry(sf.coeffs))
-
-
 def _real_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Coefficient rows (..., N) -> real samples; errors if any row breaks
     conjugate symmetry by more than SYMMETRY_TOL (the worst row is quoted)."""
@@ -212,25 +207,6 @@ def differentiate(sf: SpectralField, order: int = 1) -> SpectralField:
     if order % 2 == 1:
         out[sf.grid.nyquist_index] = 0.0  # unpaired mode has no odd derivative
     return SpectralField(sf.grid, out)
-
-
-def mollifier_multiplier(grid: SpectralGrid, n: float) -> np.ndarray:
-    """Smooth low-pass symbol: 1 on |zeta| <= n, 0 on |zeta| >= 2n,
-    cosine half-wave ramp in between (monotone, C^1)."""
-    if not n > 0.0:
-        raise ValueError(f"n must be positive, got {n}")
-    az = np.abs(grid.zeta)
-    ramp = 0.5 * (1.0 + np.cos(np.pi * (az - n) / n))
-    return np.where(az <= n, 1.0, np.where(az >= 2.0 * n, 0.0, ramp))
-
-
-def project_lowpass(sf: SpectralField, n: float) -> SpectralField:
-    """Smooth low-pass projection: multiply by :func:`mollifier_multiplier`.
-
-    Not idempotent on the ramp band (the ramp squares), but composing with
-    a cutoff-2n projection leaves a cutoff-n projection unchanged.
-    """
-    return SpectralField(sf.grid, sf.coeffs * mollifier_multiplier(sf.grid, n))
 
 
 def pad_coeffs(coeffs: np.ndarray, num_padded: int) -> np.ndarray:

@@ -166,6 +166,13 @@ class TestRadiusMonotonicity:
         assert not ok
         assert worst > 1.0
 
+    def test_exact_fits_score_rise_fall_and_tie(self):
+        # zero stderr allows no rise, but a fall or a tie scores 0
+        pair = lambda a, b: radius_nonincreasing([self.mk(a, 0.0), self.mk(b, 0.0)])
+        assert pair(1.0, 1.1) == (False, np.inf)
+        assert pair(1.0, 0.9) == (True, 0.0)
+        assert pair(1.0, 1.0) == (True, 0.0)
+
     def test_floor_entries_skipped(self):
         seq = [self.mk(1.0), RadiusEstimate.floor_hit(), self.mk(2.0)]
         ok, _ = radius_nonincreasing(seq)

@@ -39,7 +39,9 @@ from gkdvlab.estimates import (
     strichartz_ratio,
     time_cutoff_ratio,
 )
-from gkdvlab.evolution import CoupledState, SolverConfig, dispersive_phase, free_propagate, simulate
+from gkdvlab.evolution import (
+    CoupledState, SolverConfig, dispersive_phase, free_propagate, reflect_state, simulate,
+)
 from gkdvlab.spaces import NormParams, SpaceTimeSample, bourgain_norm, bump, xt_inverse
 from gkdvlab.spectral import Field, SpectralGrid, dealiased_product, dft_axis, forward_transform
 
@@ -523,6 +525,21 @@ class TestBidirectional:
         uf, vf = rec2.fields_at(len(rec2) - 1)
         assert np.max(np.abs(uf.samples - state.u.samples)) < 1e-9
         assert np.max(np.abs(vf.samples - state.v.samples)) < 1e-9
+
+    def test_backward_half_is_reflected_back_run(self):
+        # the gathered backward half equals reflect_state applied per
+        # snapshot to the run of the reflected data, bit for bit
+        state, cfg = self._setup()
+        rec = bidirectional_record(state, cfg, 2.0)
+        back = simulate(reflect_state(state), cfg)
+        k = len(back) - 1
+        assert len(rec) == 2 * k + 1
+        for i in range(k):
+            mirrored = reflect_state(CoupledState(0.0, *back.fields_at(k - i)))
+            u, v = rec.fields_at(i)
+            assert rec.times[i] == -back.times[k - i]
+            assert np.array_equal(u.samples, mirrored.u.samples)
+            assert np.array_equal(v.samples, mirrored.v.samples)
 
     def test_ensemble_driver_nests(self):
         spec = SampleSpec(seed=7, amplitude=0.05, bandwidth=3.0)

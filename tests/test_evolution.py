@@ -19,6 +19,7 @@ from gkdvlab.evolution import (
     free_propagate,
     nonlinear_rhs,
     picard_solve,
+    reflect_samples,
     reflect_state,
     simulate,
 )
@@ -238,6 +239,17 @@ class TestReflection:
         assert np.array_equal(back.u.samples, s.u.samples)
         assert np.array_equal(back.v.samples, s.v.samples)
 
+    def test_block_reflection_matches_per_state(self):
+        # a (k, 2, N) block of pairs reflects row by row, bit for bit
+        g = SpectralGrid(3.0, 32)
+        states = [bandlimited_state(g, sd) for sd in range(4)]
+        block = np.stack([np.stack([s.u.samples, s.v.samples]) for s in states])
+        out = reflect_samples(block)
+        for row, s in zip(out, states):
+            r = reflect_state(s)
+            assert np.array_equal(row[0], r.u.samples)
+            assert np.array_equal(row[1], r.v.samples)
+
     def test_backward_integration_round_trip(self):
         # (t,x) -> (-t,-x) symmetry: forward-evolving the reflected final
         # state undoes the evolution up to scheme error
@@ -306,8 +318,7 @@ class TestSimulate:
         every = simulate(s0, SolverConfig(dt=1e-3, t_end=0.04, scheme=scheme, record_stride=1))
         once = simulate(s0, SolverConfig(dt=1e-3, t_end=0.04, scheme=scheme, record_stride=40))
         assert len(every) == 41 and len(once) == 2
-        assert np.array_equal(every.snapshots_u[-1], once.snapshots_u[-1])
-        assert np.array_equal(every.snapshots_v[-1], once.snapshots_v[-1])
+        assert np.array_equal(every.snapshots[-1], once.snapshots[-1])
 
 
 class TestPicard:
@@ -357,12 +368,25 @@ class TestPicard:
         assert all(f < 0.5 for f in res.contraction_factors)
         rec = simulate(s0, SolverConfig(p=1, dt=0.1 / 512, t_end=0.1, record_stride=1))
         assert len(rec) == 513
+        pic = res.samples()
         worst = 0.0
         for j in range(1, 513):
-            pj = res.state_at(j)
-            err = np.sqrt(np.sum((pj.u.samples - rec.snapshots_u[j]) ** 2) * g.dx)
+            err = np.sqrt(np.sum((pic[0, j] - rec.snapshots[j][0]) ** 2) * g.dx)
             worst = max(worst, err)
         assert worst < 1e-6  # measured 1.04e-7
+
+    def test_samples_match_per_node_inverse(self):
+        # one batched inverse of the node stack equals the per-node inverses
+        g = SpectralGrid(20.0, 128)
+        w = Field(g, 1.0 / np.cosh(g.x))
+        s0 = CoupledState(0.0, w, Field(g, 0.5 / np.cosh(g.x - 1.0)))
+        res = picard_solve(s0, PicardConfig(num_nodes=16), p=1)
+        pic = res.samples()
+        assert pic.shape == (2, 17, 128)
+        for k in range(2):
+            for j in range(17):
+                node = inverse_transform(SpectralField(g, res.coeffs[k, j])).samples
+                assert np.array_equal(pic[k, j], node)
 
     def test_long_window_raises(self):
         g = SpectralGrid(20.0, 128)
@@ -405,9 +429,8 @@ class TestSwapSymmetry:
         a, b = simulate(s, cfg), simulate(swapped, cfg)
         assert len(a) == len(b) == 6
         for i in range(len(a)):
-            assert np.array_equal(a.snapshots_u[i], b.snapshots_v[i])
-            assert np.array_equal(a.snapshots_v[i], b.snapshots_u[i])
-        assert not np.array_equal(a.snapshots_u[-1], a.snapshots_v[-1])
+            assert np.array_equal(a.snapshots[i], b.snapshots[i][::-1])
+        assert not np.array_equal(a.snapshots[-1][0], a.snapshots[-1][1])
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_picard(self, p):

@@ -12,7 +12,6 @@ from gkdvlab.spaces import (
     SpaceTimeSample,
     apply_dispersive_smoothing,
     apply_spatial_weight,
-    apply_temporal_weight,
     bourgain_norm,
     bump,
     check_window_support,
@@ -320,12 +319,6 @@ class TestMultipliers:
         out = apply_spatial_weight(s, -1.5)
         factor = (1.0 + abs(z)) ** -1.5
         assert np.allclose(out.values, factor * s.values, rtol=1e-10)
-
-    def test_temporal_weight_exact_on_single_mode(self):
-        g = SpectralGrid(np.pi, 16)
-        s, _, e = self.exp_mode_sample(g, 10, 12)
-        out = apply_temporal_weight(s, 1.0)
-        assert np.allclose(out.values, (1.0 + abs(e)) * s.values, rtol=1e-10)
 
     def test_dispersive_smoothing_is_identity_on_curve(self):
         g = SpectralGrid(np.pi, 16)

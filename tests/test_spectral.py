@@ -15,12 +15,9 @@ from gkdvlab.spectral import (
     dft_axis,
     differentiate,
     forward_transform,
-    hermitian_asymmetry,
     idft_axis,
     inverse_transform,
-    mollifier_multiplier,
     pad_coeffs,
-    project_lowpass,
     truncate_coeffs,
 )
 
@@ -140,7 +137,6 @@ class TestForwardTransform:
         c[9] = 1.0  # positive-zeta bin with no conjugate partner
         with pytest.raises(ValueError, match="symmetry"):
             inverse_transform(SpectralField(g, c))
-        assert hermitian_asymmetry(SpectralField(g, c)) == 1.0
 
     def test_complex_samples_skips_check(self):
         g = SpectralGrid(1.0, 16)
@@ -226,59 +222,6 @@ class TestDifferentiate:
         for bad in (0, 4, -1):
             with pytest.raises(ValueError):
                 differentiate(sf, bad)
-
-
-class TestProjections:
-    def test_passes_band_below_n(self):
-        g = SpectralGrid(np.pi, 32)
-        u, c = bandlimited_field(g, 3, 5)
-        proj = project_lowpass(forward_transform(u), 5.0)
-        assert np.allclose(proj.coeffs, c, atol=1e-13)
-
-    def test_kills_band_above_2n(self):
-        g = SpectralGrid(np.pi, 64)
-        c = np.zeros(64, dtype=complex)
-        c[32 + 13] = 1.0
-        c[32 - 13] = 1.0
-        proj = project_lowpass(SpectralField(g, c), 6.0)
-        assert np.max(np.abs(proj.coeffs)) == 0.0
-
-    def test_ramp_midpoint_is_half(self):
-        g = SpectralGrid(np.pi, 256)
-        n = 20.0
-        m = mollifier_multiplier(g, n)
-        az = np.abs(g.zeta)
-        assert np.all(m[az <= n] == 1.0)
-        assert np.all(m[az >= 2 * n] == 0.0)
-        assert np.allclose(m[np.isclose(az, 1.5 * n)], 0.5)
-        pos = m[g.num_points // 2 :]
-        assert np.all(np.diff(pos) <= 1e-15)  # monotone
-
-    def test_wider_projection_after_narrower_is_noop(self):
-        g = SpectralGrid(np.pi, 256)
-        sf = forward_transform(Field(g, np.exp(np.sin(g.x)) * np.cos(7 * g.x)))
-        n = 10.0
-        once = project_lowpass(sf, n)
-        twice = project_lowpass(once, 2 * n)
-        keep = np.abs(g.zeta) <= n
-        assert np.allclose(twice.coeffs[keep], once.coeffs[keep], atol=1e-15)
-        # but the projection itself is not idempotent on the ramp
-        again = project_lowpass(once, n)
-        ramp = (np.abs(g.zeta) > n) & (np.abs(g.zeta) < 2 * n)
-        assert not np.allclose(again.coeffs[ramp], once.coeffs[ramp])
-
-    def test_cutoff_validated(self):
-        g = SpectralGrid(1.0, 8)
-        sf = forward_transform(Field(g, np.zeros(8)))
-        with pytest.raises(ValueError):
-            project_lowpass(sf, 0.0)
-
-    def test_differentiate_commutes_with_projection(self):
-        g = SpectralGrid(np.pi, 128)
-        sf = forward_transform(Field(g, np.exp(np.cos(g.x))))
-        a = differentiate(project_lowpass(sf, 11.0), 2)
-        b = project_lowpass(differentiate(sf, 2), 11.0)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * np.max(np.abs(b.coeffs))
 
 
 class TestDealiasedProduct:
