@@ -4,7 +4,9 @@ Transforms follow the unitary-in-(2 pi) convention: the discrete coefficient
 at wavenumber zeta_k = (pi/L) k approximates (2 pi)^{-1/2} integral of
 u(x) e^{-i x zeta} dx, so sum |u_j|^2 dx == sum |C_k|^2 dzeta holds exactly
 (dzeta = pi/L).  Coefficient arrays are kept in fftshift-natural order,
-zeta ascending, with the single unpaired Nyquist entry first.
+zeta ascending, with the single unpaired Nyquist entry first.  Transforms
+reuse a cached, read-only phase per (size, offset) and swap the FFT halves
+into natural order by slicing, so a call allocates no phase and no roll copy.
 
 Derivative and product rules follow standard Fourier pseudospectral
 practice (see Trefethen, "Spectral Methods in MATLAB", ch. 3): odd-order
@@ -16,7 +18,7 @@ convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -31,16 +33,25 @@ def axis_freqs(num: int, span: float) -> np.ndarray:
     return (2.0 * np.pi / span) * (np.arange(num) - num // 2)
 
 
-def _axis_phase(num: int, offset_ratio: float) -> np.ndarray:
-    # e^{-i x0 f_m} with x0 = offset_ratio * span / 2; exact +-1 whenever the
-    # left edge sits an integer number of half-spans from the origin.
+@lru_cache(maxsize=32)
+def _axis_phase(num: int, offset_ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    # e^{-i x0 f_m} with x0 = offset_ratio * span / 2, and its conjugate; exact
+    # +-1 whenever the left edge sits an integer number of half-spans from the
+    # origin.  Cached read-only: every transform of one (size, offset) shares
+    # them, and a run meets only a few such pairs.
     m = np.arange(num) - num // 2
     if offset_ratio == round(offset_ratio):
         g = int(round(offset_ratio))
         if g % 2 == 0:
-            return np.ones(num, dtype=np.complex128)
-        return np.where(m % 2 == 0, 1.0 + 0.0j, -1.0 + 0.0j)
-    return np.exp(-1j * np.pi * offset_ratio * m)
+            phase = np.ones(num, dtype=np.complex128)
+        else:
+            phase = np.where(m % 2 == 0, 1.0 + 0.0j, -1.0 + 0.0j)
+    else:
+        phase = np.exp(-1j * np.pi * offset_ratio * m)
+    conj = np.conj(phase)
+    phase.flags.writeable = False
+    conj.flags.writeable = False
+    return phase, conj
 
 
 def _reshape_for(axis: int, ndim: int, vec: np.ndarray) -> np.ndarray:
@@ -49,13 +60,23 @@ def _reshape_for(axis: int, ndim: int, vec: np.ndarray) -> np.ndarray:
     return vec.reshape(shape)
 
 
+def _swap_halves(a: np.ndarray, split: int, axis: int) -> np.ndarray:
+    """a[split:] followed by a[:split] along axis, in one copy: fftshift is
+    split = ceil(n/2), ifftshift is split = floor(n/2)."""
+    head = [slice(None)] * a.ndim
+    tail = list(head)
+    head[axis] = slice(split, None)
+    tail[axis] = slice(None, split)
+    return np.concatenate((a[tuple(head)], a[tuple(tail)]), axis=axis)
+
+
 def dft_axis(values: np.ndarray, span: float, offset: float, axis: int = -1) -> np.ndarray:
     """Normalized forward DFT along one axis of samples on [offset, offset+span)."""
     values = np.asarray(values)
     num = values.shape[axis]
     scale = (span / num) / SQRT_2PI
-    raw = np.fft.fftshift(np.fft.fft(values, axis=axis), axes=axis)
-    phase = _axis_phase(num, 2.0 * offset / span)
+    raw = _swap_halves(np.fft.fft(values, axis=axis), (num + 1) // 2, axis)
+    phase, _ = _axis_phase(num, 2.0 * offset / span)
     return scale * _reshape_for(axis, values.ndim, phase) * raw
 
 
@@ -64,8 +85,8 @@ def idft_axis(coeffs: np.ndarray, span: float, offset: float, axis: int = -1) ->
     coeffs = np.asarray(coeffs)
     num = coeffs.shape[axis]
     scale = (span / num) / SQRT_2PI
-    phase = np.conj(_axis_phase(num, 2.0 * offset / span))
-    shifted = np.fft.ifftshift(coeffs * _reshape_for(axis, coeffs.ndim, phase), axes=axis)
+    _, conj = _axis_phase(num, 2.0 * offset / span)
+    shifted = _swap_halves(coeffs * _reshape_for(axis, coeffs.ndim, conj), num // 2, axis)
     return np.fft.ifft(shifted, axis=axis) / scale
 
 

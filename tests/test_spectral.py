@@ -9,6 +9,7 @@ from gkdvlab.spectral import (
     Field,
     SpectralField,
     SpectralGrid,
+    _axis_phase,
     complex_samples,
     dealiased_product,
     dealiased_product_rows,
@@ -336,3 +337,90 @@ class TestBatchedTransforms:
         bad[2, 7] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             dealiased_product_rows([np.ones((4, 64)), bad], g)
+
+
+def _plain_phase(num, offset_ratio):
+    # the uncached phase formula, rebuilt on every call
+    m = np.arange(num) - num // 2
+    if offset_ratio == round(offset_ratio):
+        if int(round(offset_ratio)) % 2 == 0:
+            return np.ones(num, dtype=np.complex128)
+        return np.where(m % 2 == 0, 1.0 + 0.0j, -1.0 + 0.0j)
+    return np.exp(-1j * np.pi * offset_ratio * m)
+
+
+def _along(axis, ndim, vec):
+    shape = [1] * ndim
+    shape[axis] = vec.shape[0]
+    return vec.reshape(shape)
+
+
+def _plain_dft(values, span, offset, axis):
+    num = values.shape[axis]
+    scale = (span / num) / SQRT_2PI
+    raw = np.fft.fftshift(np.fft.fft(values, axis=axis), axes=axis)
+    return scale * _along(axis, values.ndim, _plain_phase(num, 2.0 * offset / span)) * raw
+
+
+def _plain_idft(coeffs, span, offset, axis):
+    num = coeffs.shape[axis]
+    scale = (span / num) / SQRT_2PI
+    phase = np.conj(_plain_phase(num, 2.0 * offset / span))
+    shifted = np.fft.ifftshift(coeffs * _along(axis, coeffs.ndim, phase), axes=axis)
+    return np.fft.ifft(shifted, axis=axis) / scale
+
+
+class TestTransformPlan:
+    # the cached phase and the slice swap must reproduce the plain formula
+    # (fresh phase, np.fft.fftshift/ifftshift) bit for bit, or snapshots and
+    # report hashes would move; odd sizes check both split points
+    @pytest.mark.parametrize("num", [8, 9, 64, 2048])
+    @pytest.mark.parametrize(
+        "span, offset",
+        [(20.0, 0.0), (20.0, -10.0), (2.0, 0.3)],
+        ids=["even-ratio", "grid-edge", "time-window"],
+    )
+    @pytest.mark.parametrize("layout", ["row", "stack-axis0", "stack-axis-1"])
+    def test_bit_identical_to_plain_formula(self, num, span, offset, layout):
+        shape, axis = {
+            "row": ((num,), -1),
+            "stack-axis0": ((num, 5), 0),
+            "stack-axis-1": ((5, num), -1),
+        }[layout]
+        rng = np.random.default_rng(num)
+        vals = rng.standard_normal(shape)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(dft_axis(vals, span, offset, axis=axis),
+                              _plain_dft(vals, span, offset, axis))
+        assert np.array_equal(idft_axis(coeffs, span, offset, axis=axis),
+                              _plain_idft(coeffs, span, offset, axis))
+
+    def test_cached_phase_is_read_only(self):
+        for arr in _axis_phase(64, 0.3):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+
+    def test_results_do_not_alias_the_cache(self):
+        span, offset = 2.0, 0.3
+        rng = np.random.default_rng(1)
+        vals = rng.standard_normal(64)
+        phase, conj = _axis_phase(64, 2.0 * offset / span)
+        fwd = dft_axis(vals, span, offset)
+        inv = idft_axis(fwd, span, offset)
+        for out in (fwd, inv):
+            assert not np.shares_memory(out, phase)
+            assert not np.shares_memory(out, conj)
+        expect_fwd, expect_inv = fwd.copy(), inv.copy()
+        fwd[:] = 7.0
+        inv[:] = 7.0
+        assert np.array_equal(dft_axis(vals, span, offset), expect_fwd)
+        assert np.array_equal(idft_axis(expect_fwd, span, offset), expect_inv)
+
+    def test_moving_windows_keep_the_cache_bounded(self):
+        bound = _axis_phase.cache_info().maxsize
+        assert bound is not None
+        vals = np.ones((4, 16))
+        for k in range(200):
+            t0 = 0.3 + 0.01 * k
+            dft_axis(vals, 2.0, t0, axis=0)
+        assert _axis_phase.cache_info().currsize <= bound
