@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(blowup, non-contracting iteration or an overflowing norm weight), 4 not
-enough usable data for the requested analysis.
+(blowup, non-contracting iteration, an overflowing norm weight, or
+non-finite samples or coefficients), 4 not enough usable data for the
+requested analysis.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .harness import (
     run,
     sweep,
 )
+from .spectral import NonFiniteDataError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,7 +117,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"gkdvlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalBlowupError, NonContractionError, OverflowError) as exc:
+    except (NumericalBlowupError, NonContractionError, OverflowError,
+            NonFiniteDataError) as exc:
         print(f"gkdvlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except InsufficientDataError as exc:

@@ -68,6 +68,9 @@ class CoupledState:
         return self.u.grid
 
 
+SCHEMES = ("if_rk4", "strang")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     p: int = 1
@@ -82,7 +85,7 @@ class SolverConfig:
             raise ValueError(f"p must be a positive integer, got {self.p}")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if self.scheme not in ("if_rk4", "strang"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
@@ -303,7 +306,8 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     successive difference falls below contraction_tol.
 
     Three consecutive non-decreasing differences raise NonContractionError:
-    the window is too long for the contraction regime.
+    the window is too long for the contraction regime.  A non-finite
+    difference raises NumericalBlowupError at once.
     """
     g = initial.grid
     m = config.num_nodes
@@ -332,7 +336,9 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
             delta *= delta
             d = float(np.sqrt(np.sum(delta, axis=-1) * cell).max())
         if not np.isfinite(d):
-            d = np.inf
+            raise NumericalBlowupError(
+                f"Picard iterate {it}: non-finite successive difference"
+            )
         result.diffs.append(d)
         if len(result.diffs) >= 2:
             prev = result.diffs[-2]

@@ -2,7 +2,9 @@
 
 Configs are plain key=value text with [section] headers for grouping only;
 keys are global and unique, floats are emitted with 17 significant digits so
-parse(render(config)) is lossless.  Every run directory gets a manifest with
+parse(render(config)) is lossless.  Each key is declared once, as a RunConfig
+field whose metadata holds its section, its check and, for L, N, lab_L, lab_N
+and lab_M, its config spelling.  Every run directory gets a manifest with
 a config snapshot, wall times, and sha256 checksums of the data files it
 wrote.  Data files themselves carry no timestamps: the same config and seed
 reproduce them byte for byte.
@@ -31,9 +33,9 @@ from .diagnostics import (
     fit_decay_exponent,
     joint_radius,
     radius_nonincreasing,
-    track_radius,
 )
 from .estimates import (
+    ENVELOPES,
     STRICHARTZ_VARIANTS,
     EstimateReport,
     SampleSpec,
@@ -47,6 +49,7 @@ from .estimates import (
     check_time_cutoff,
 )
 from .evolution import (
+    SCHEMES,
     CoupledState,
     PicardConfig,
     SolverConfig,
@@ -92,135 +95,98 @@ class InsufficientDataError(RuntimeError):
     short series); distinct from numerical failure of the solver."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    kind: str = "simulate"
-    seed: int = 0
-    out: str = ""
-    half_length: float = 20.0 * np.pi
-    num_points: int = 1024
-    p: int = 1
-    dt: float = 1e-3
-    t_end: float = 5.0
-    scheme: str = "if_rk4"
-    record_stride: int = 50
-    blowup_factor: float = 1e6
-    ic: str = "soliton"
-    ic_speed: float = 1.0
-    ic_x0: float = 0.0
-    ic_amp: float = 1.0
-    ic_width: float = 1.0
-    ic_eps: float = 0.05
-    rho: float = 0.25
-    s: float = 2.0
-    b: float = 0.55
-    b_prime: float = -0.3
-    t_min: float = 1.0
-    t_window: float = 0.05
-    picard_nodes: int = 256
-    max_iters: int = 20
-    ensemble: int = 50
-    lab_T: float = 1.0
-    bandwidth: float = 4.0
-    envelope: str = "exponential"
-    rho0: float = 0.5
-    amplitude: float = 1.0
-    apriori_amplitude: float = 0.05
-    lab_half_length: float = 10.0
-    lab_num_points: int = 64
-    lab_num_times: int = 64
-
-
-@dataclass(frozen=True)
-class _Key:
-    name: str
-    section: str
-    field: str
-    kind: str  # int | float | str
-    check: Callable[[object], bool]
-    desc: str
-
-
-def _choices(*opts: str) -> tuple[Callable[[object], bool], str]:
+def _one_of(opts: Sequence[str]) -> tuple[Callable[[object], bool], str]:
     return (lambda v: v in opts), "must be one of " + ", ".join(opts)
 
 
 _POS = (lambda v: np.isfinite(v) and v > 0, "must be positive and finite")
 _NONNEG = (lambda v: np.isfinite(v) and v >= 0, "must be >= 0")
+_FINITE = (lambda v: np.isfinite(v), "must be finite")
+_ONE_OR_MORE = (lambda v: np.isfinite(v) and v >= 1.0, "must be >= 1")
 _ANY = (lambda v: True, "")
 
-_SCHEMA = [
-    _Key("kind", "run", "kind", "str", *_choices(*KINDS)),
-    _Key("seed", "run", "seed", "int", *(lambda v: v >= 0, "must be >= 0")),
-    _Key("out", "run", "out", "str", *_ANY),
-    _Key("L", "grid", "half_length", "float", *_POS),
-    _Key("N", "grid", "num_points", "int",
-         *(lambda v: v >= 4 and v % 2 == 0, "must be even and >= 4")),
-    _Key("p", "solver", "p", "int", *(lambda v: v >= 1, "must be >= 1")),
-    _Key("dt", "solver", "dt", "float", *_POS),
-    _Key("t_end", "solver", "t_end", "float", *_POS),
-    _Key("scheme", "solver", "scheme", "str", *_choices("if_rk4", "strang")),
-    _Key("record_stride", "solver", "record_stride", "int",
-         *(lambda v: v >= 1, "must be >= 1")),
-    _Key("blowup_factor", "solver", "blowup_factor", "float",
-         *(lambda v: np.isfinite(v) and v > 1, "must be > 1")),
-    _Key("ic", "initial", "ic", "str",
-         *_choices("soliton", "sech", "perturbed_sech", "gaussian")),
-    _Key("ic_speed", "initial", "ic_speed", "float", *_POS),
-    _Key("ic_x0", "initial", "ic_x0", "float",
-         *(lambda v: np.isfinite(v), "must be finite")),
-    _Key("ic_amp", "initial", "ic_amp", "float", *_POS),
-    _Key("ic_width", "initial", "ic_width", "float", *_POS),
-    _Key("ic_eps", "initial", "ic_eps", "float", *_NONNEG),
-    _Key("rho", "norms", "rho", "float", *_NONNEG),
-    _Key("s", "norms", "s", "float",
-         *(lambda v: np.isfinite(v), "must be finite")),
-    _Key("b", "norms", "b", "float",
-         *(lambda v: -1.0 <= v <= 1.0, "must lie in [-1, 1]")),
-    _Key("b_prime", "norms", "b_prime", "float",
-         *(lambda v: -1.0 <= v < 0.0, "must lie in [-1, 0)")),
-    _Key("t_min", "fit", "t_min", "float",
-         *(lambda v: np.isfinite(v) and v >= 1.0, "must be >= 1")),
-    _Key("t_window", "picard", "t_window", "float", *_POS),
-    _Key("picard_nodes", "picard", "picard_nodes", "int",
-         *(lambda v: v >= 8, "must be >= 8")),
-    _Key("max_iters", "picard", "max_iters", "int",
-         *(lambda v: v >= 2, "must be >= 2")),
-    _Key("ensemble", "lab", "ensemble", "int", *(lambda v: v >= 1, "must be >= 1")),
-    _Key("lab_T", "lab", "lab_T", "float",
-         *(lambda v: np.isfinite(v) and v >= 1.0, "must be >= 1")),
-    _Key("bandwidth", "lab", "bandwidth", "float", *_POS),
-    _Key("envelope", "lab", "envelope", "str",
-         *_choices("flat", "gaussian", "exponential")),
-    _Key("rho0", "lab", "rho0", "float", *_NONNEG),
-    _Key("amplitude", "lab", "amplitude", "float", *_POS),
-    _Key("apriori_amplitude", "lab", "apriori_amplitude", "float", *_POS),
-    _Key("lab_L", "lab", "lab_half_length", "float", *_POS),
-    _Key("lab_N", "lab", "lab_num_points", "int",
-         *(lambda v: v >= 4 and v % 2 == 0, "must be even and >= 4")),
-    _Key("lab_M", "lab", "lab_num_times", "int",
-         *(lambda v: v >= 8 and v % 2 == 0, "must be even and >= 8")),
-]
 
-_SCHEMA_BY_NAME = {e.name: e for e in _SCHEMA}
-_SECTIONS = list(dict.fromkeys(e.section for e in _SCHEMA))
+def _at_least(low: int, even: bool = False) -> tuple[Callable[[object], bool], str]:
+    if even:
+        return (lambda v: v >= low and v % 2 == 0), f"must be even and >= {low}"
+    return (lambda v: v >= low), f"must be >= {low}"
 
 
-def _convert(entry: _Key, raw: str, where: str):
-    if entry.kind == "int":
+def _key(default, section: str, rule=_ANY, name: str | None = None):
+    """A RunConfig field declaring one config key: the default (its type is
+    the value type), [section], (check, rule) pair and, if not the field name,
+    the config spelling."""
+    return dataclasses.field(
+        default=default, metadata={"section": section, "rule": rule, "name": name})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every run parameter; each field declares one config key."""
+
+    kind: str = _key("simulate", "run", _one_of(KINDS))
+    seed: int = _key(0, "run", _at_least(0))
+    out: str = _key("", "run")
+    half_length: float = _key(20.0 * np.pi, "grid", _POS, name="L")
+    num_points: int = _key(1024, "grid", _at_least(4, even=True), name="N")
+    p: int = _key(1, "solver", _at_least(1))
+    dt: float = _key(1e-3, "solver", _POS)
+    t_end: float = _key(5.0, "solver", _POS)
+    scheme: str = _key("if_rk4", "solver", _one_of(SCHEMES))
+    record_stride: int = _key(50, "solver", _at_least(1))
+    blowup_factor: float = _key(
+        1e6, "solver", (lambda v: np.isfinite(v) and v > 1, "must be > 1"))
+    ic: str = _key(
+        "soliton", "initial", _one_of(("soliton", "sech", "perturbed_sech", "gaussian")))
+    ic_speed: float = _key(1.0, "initial", _POS)
+    ic_x0: float = _key(0.0, "initial", _FINITE)
+    ic_amp: float = _key(1.0, "initial", _POS)
+    ic_width: float = _key(1.0, "initial", _POS)
+    ic_eps: float = _key(0.05, "initial", _NONNEG)
+    rho: float = _key(0.25, "norms", _NONNEG)
+    s: float = _key(2.0, "norms", _FINITE)
+    b: float = _key(0.55, "norms", (lambda v: -1.0 <= v <= 1.0, "must lie in [-1, 1]"))
+    b_prime: float = _key(-0.3, "norms", (lambda v: -1.0 <= v < 0.0, "must lie in [-1, 0)"))
+    t_min: float = _key(1.0, "fit", _ONE_OR_MORE)
+    t_window: float = _key(0.05, "picard", _POS)
+    picard_nodes: int = _key(256, "picard", _at_least(8))
+    max_iters: int = _key(20, "picard", _at_least(2))
+    ensemble: int = _key(50, "lab", _at_least(1))
+    lab_T: float = _key(1.0, "lab", _ONE_OR_MORE)
+    bandwidth: float = _key(4.0, "lab", _POS)
+    envelope: str = _key("exponential", "lab", _one_of(ENVELOPES))
+    rho0: float = _key(0.5, "lab", _NONNEG)
+    amplitude: float = _key(1.0, "lab", _POS)
+    apriori_amplitude: float = _key(0.05, "lab", _POS)
+    lab_half_length: float = _key(10.0, "lab", _POS, name="lab_L")
+    lab_num_points: int = _key(64, "lab", _at_least(4, even=True), name="lab_N")
+    lab_num_times: int = _key(64, "lab", _at_least(8, even=True), name="lab_M")
+
+
+# config spelling -> field, in declaration order
+_KEYS = {f.metadata["name"] or f.name: f for f in dataclasses.fields(RunConfig)}
+_SECTIONS = list(dict.fromkeys(f.metadata["section"] for f in _KEYS.values()))
+
+
+def _lookup(key: str, where: str) -> dataclasses.Field:
+    f = _KEYS.get(key)
+    if f is None:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return f
+
+
+def _convert(f: dataclasses.Field, key: str, raw: str, where: str):
+    kind = type(f.default)
+    value = raw
+    if kind is not str:
         try:
-            value = int(raw)
+            value = kind(raw)
         except ValueError:
-            raise ConfigError(f"{where}: key {entry.name!r} expects an integer, got {raw!r}") from None
-    elif entry.kind == "float":
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: key {entry.name!r} expects a number, got {raw!r}") from None
-    else:
-        value = raw
-    if not entry.check(value):
-        raise ConfigError(f"{where}: {entry.name} {entry.desc}, got {raw!r}")
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{where}: key {key!r} expects {noun}, got {raw!r}") from None
+    check, rule = f.metadata["rule"]
+    if not check(value):
+        raise ConfigError(f"{where}: {key} {rule}, got {raw!r}")
     return value
 
 
@@ -241,13 +207,11 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{where}: expected key = value, got {raw.strip()!r}")
         key, raw_value = (t.strip() for t in line.split("=", 1))
-        entry = _SCHEMA_BY_NAME.get(key)
-        if entry is None:
-            raise ConfigError(f"{where}: unknown key {key!r}")
+        f = _lookup(key, where)
         if key in seen:
             raise ConfigError(f"{where}: duplicate key {key!r} (first set on line {seen[key]})")
         seen[key] = lineno
-        values[entry.field] = _convert(entry, raw_value, where)
+        values[f.name] = _convert(f, key, raw_value, where)
     return RunConfig(**values)
 
 
@@ -260,11 +224,11 @@ def render_config(config: RunConfig) -> str:
     lines = []
     for section in _SECTIONS:
         lines.append(f"[{section}]")
-        for e in _SCHEMA:
-            if e.section != section:
+        for key, f in _KEYS.items():
+            if f.metadata["section"] != section:
                 continue
-            v = getattr(config, e.field)
-            lines.append(f"{e.name} = {format_float(v) if e.kind == 'float' else v}")
+            v = getattr(config, f.name)
+            lines.append(f"{key} = {format_float(v) if isinstance(f.default, float) else v}")
         lines.append("")
     return "\n".join(lines)
 
@@ -279,10 +243,8 @@ def apply_overrides(
         if "=" not in pair:
             raise ConfigError(f"{where}: expected key=value, got {pair!r}")
         key, raw_value = (t.strip() for t in pair.split("=", 1))
-        entry = _SCHEMA_BY_NAME.get(key)
-        if entry is None:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        updates[entry.field] = _convert(entry, raw_value, where)
+        f = _lookup(key, where)
+        updates[f.name] = _convert(f, key, raw_value, where)
     return dataclasses.replace(config, **updates)
 
 
@@ -315,10 +277,11 @@ def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return header, np.asarray(data, dtype=float).reshape(len(data), len(header))
 
 
-def trajectory_rows(record: TrajectoryRecord, s: float) -> list[list[float]]:
-    """One row per record time; hs_u and hs_v are H^s norms."""
+def trajectory_rows(record: TrajectoryRecord, s: float, radii) -> list[list[float]]:
+    """One row per record time; hs_u and hs_v are H^s norms, and radii is
+    record.radii(), the fitted radii of u and of v."""
     rows = []
-    for i, (inv, ru, rv) in enumerate(zip(record.invariant_sets(), *record.radii())):
+    for i, (inv, ru, rv) in enumerate(zip(record.invariant_sets(), *radii)):
         u, v = record.fields_at(i)
         rj = joint_radius(ru, rv)
         rows.append([
@@ -330,7 +293,7 @@ def trajectory_rows(record: TrajectoryRecord, s: float) -> list[list[float]]:
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: Path, s: float) -> None:
-    write_csv(path, TRAJECTORY_COLUMNS, trajectory_rows(record, s))
+    write_csv(path, TRAJECTORY_COLUMNS, trajectory_rows(record, s, record.radii()))
 
 
 def write_decay_csv(fit: DecayFit, path: Path) -> None:
@@ -376,14 +339,9 @@ def initial_state(config: RunConfig) -> CoupledState:
 
 
 def _solver_config(config: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        p=config.p,
-        dt=config.dt,
-        t_end=config.t_end,
-        scheme=config.scheme,
-        record_stride=config.record_stride,
-        blowup_factor=config.blowup_factor,
-    )
+    # every SolverConfig field is a RunConfig key of the same name
+    names = [f.name for f in dataclasses.fields(SolverConfig)]
+    return SolverConfig(**{name: getattr(config, name) for name in names})
 
 
 def _simulate_record(config: RunConfig) -> TrajectoryRecord:
@@ -400,11 +358,12 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
 
 def _run_radius_track(config: RunConfig, out: Path) -> list[str]:
     rec = _simulate_record(config)
-    write_trajectory_csv(rec, out / "trajectory.csv", config.s)
-    times, joints = track_radius(rec)
+    radii = rec.radii()  # fitted once, for the trajectory file and the decay fit
+    write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, trajectory_rows(rec, config.s, radii))
+    joints = [joint_radius(ru, rv) for ru, rv in zip(*radii)]
     rhos = np.asarray([e.rho for e in joints])
     try:
-        fit = fit_decay_exponent(times, rhos, config.t_min)
+        fit = fit_decay_exponent(np.asarray(rec.times), rhos, config.t_min)
     except ValueError as exc:
         raise InsufficientDataError(str(exc)) from exc
     ok, worst = radius_nonincreasing(joints)
@@ -612,12 +571,11 @@ def sweep(
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     keys = list(vary)
+    fields = []
     for key in keys:
-        if key not in _SCHEMA_BY_NAME:
-            raise ConfigError(f"--vary: unknown key {key!r}")
+        fields.append(_lookup(key, "--vary"))
         if not vary[key]:
             raise ConfigError(f"--vary: no values for key {key!r}")
-    entries = [_SCHEMA_BY_NAME[k] for k in keys]
     manifests = []
     summary = []
     for idx, combo in enumerate(itertools.product(*(enumerate(vary[k]) for k in keys))):
@@ -631,8 +589,8 @@ def sweep(
         if decay.exists():
             _, data = read_csv(decay)
             k_fit, alpha = data[0][1], data[0][2]
-        point = [pos if e.kind == "str" else getattr(cfg, e.field)
-                 for e, (pos, _) in zip(entries, combo)]
+        point = [pos if isinstance(f.default, str) else getattr(cfg, f.name)
+                 for f, (pos, _) in zip(fields, combo)]
         summary.append(point + [alpha, k_fit])
     write_csv(out_root / "summary.csv", (*keys, "alpha_fit", "K_fit"), summary)
     return manifests

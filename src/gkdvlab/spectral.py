@@ -28,6 +28,12 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 SYMMETRY_TOL = 1e-10  # relative conjugate-symmetry deviation a real inverse accepts
 
 
+class NonFiniteDataError(ValueError):
+    """Samples or coefficients no real transform can take: non-finite
+    values, or coefficient rows that break conjugate symmetry.  A numerical
+    failure of the run, not a configuration error."""
+
+
 def axis_freqs(num: int, span: float) -> np.ndarray:
     """Natural-order frequency grid (2 pi / span) * [-num/2, ..., num/2 - 1]."""
     return (2.0 * np.pi / span) * (np.arange(num) - num // 2)
@@ -178,7 +184,7 @@ def _forward_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Real sample rows (..., N) -> symmetrized natural-order coefficients."""
     samples = np.asarray(samples, dtype=np.float64)
     if not np.all(np.isfinite(samples)):
-        raise ValueError("forward_transform: non-finite samples")
+        raise NonFiniteDataError("forward_transform: non-finite samples")
     return hermitian_symmetrize(dft_axis(samples, 2.0 * grid.half_length, -grid.half_length))
 
 
@@ -196,14 +202,16 @@ def _asymmetry(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _real_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Coefficient rows (..., N) -> real samples; errors if any row breaks
-    conjugate symmetry by more than SYMMETRY_TOL (the worst row is quoted)."""
-    err = _asymmetry(coeffs)
-    broken = err[err > SYMMETRY_TOL]
+    """Coefficient rows (..., N) -> real samples; errors if any row is
+    non-finite or breaks conjugate symmetry by more than SYMMETRY_TOL (the
+    worst row is quoted)."""
+    with np.errstate(invalid="ignore"):  # inf - inf; the row is rejected below
+        err = _asymmetry(coeffs)
+    broken = err[~(err <= SYMMETRY_TOL)]  # a NaN deviation fails this test too
     if broken.size:
-        raise ValueError(
-            f"inverse_transform: coefficients break conjugate symmetry "
-            f"(relative deviation {broken.max():.3e} > {SYMMETRY_TOL:.1e})"
+        raise NonFiniteDataError(
+            f"inverse_transform: coefficients are non-finite or break conjugate "
+            f"symmetry (relative deviation {broken.max():.3e} > {SYMMETRY_TOL:.1e})"
         )
     return idft_axis(coeffs, 2.0 * grid.half_length, -grid.half_length).real
 

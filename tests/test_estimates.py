@@ -105,6 +105,16 @@ class TestGenerators:
         want = np.exp(-0.5 * np.abs(GRID.zeta[keep]))
         assert np.allclose(got, want, rtol=1e-10)
 
+    def test_gaussian_envelope_edge_and_support(self):
+        # the band edge sits at two standard deviations: weight amplitude e^-2
+        edge = float(GRID.zeta[GRID.num_points // 2 + 10])
+        spec = SampleSpec(seed=0, envelope="gaussian", bandwidth=edge, amplitude=1.5)
+        w = estimates._envelope_weights(GRID, spec)
+        az = np.abs(GRID.zeta)
+        assert np.all(w[az == edge] == 1.5 * np.exp(-2.0))
+        assert np.all(w[az > edge] == 0.0)
+        assert w[az == 0.0] == 1.5
+
     def test_window_sample_vanishes_outside_cutoff_support(self):
         spec = SampleSpec(seed=25, window_scale=1.0)
         w = random_window_sample(GRID, spec, num_times=64)
@@ -471,6 +481,12 @@ class TestApriori:
         assert np.isfinite(rep.max_ratio) and rep.max_ratio > 0.0
         assert rep.max_ratio == max(rep.ratios)
         assert rep.max_seed == -1
+
+    def test_zero_rho_reports_the_derivative_scale_twice(self):
+        _, rec = self._free_record()
+        rep = check_apriori(rec, NormParams(0.0, 2.0, 0.55), 1.0)
+        assert rep.extra["ratio_exponential_scale"] == rep.extra["ratio_derivative_scale"]
+        assert rep.extra["sup_exponential"] == rep.extra["sup_derivative"]
 
     def test_forward_only_coverage_rejected(self):
         spec = SampleSpec(seed=93, bandwidth=3.0)

@@ -388,6 +388,13 @@ class TestPicard:
                 node = inverse_transform(SpectralField(g, res.coeffs[k, j])).samples
                 assert np.array_equal(pic[k, j], node)
 
+    def test_nonfinite_difference_raises_at_first_iterate(self):
+        # a sech pair of amplitude 1e300 overflows the first iterate
+        g = SpectralGrid(20.0, 64)
+        w = Field(g, 1e300 / np.cosh(g.x))
+        with pytest.raises(NumericalBlowupError, match="iterate 1: non-finite"):
+            picard_solve(CoupledState(0.0, w, w), PicardConfig(max_iters=25), p=1)
+
     def test_long_window_raises(self):
         g = SpectralGrid(20.0, 128)
         w = Field(g, 1.0 / np.cosh(g.x))

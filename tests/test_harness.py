@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from gkdvlab import diagnostics
 from gkdvlab.cli import main
+from gkdvlab.diagnostics import estimate_radius
 from gkdvlab.harness import (
     DECAY_COLUMNS,
     TRAJECTORY_COLUMNS,
@@ -34,6 +36,55 @@ from gkdvlab.harness import (
 FAST = [
     "N=256", "dt=0.002", "t_end=0.2", "record_stride=20",
 ]
+
+
+RENDERED_DEFAULTS = "[run]\nkind = simulate\nseed = 0\nout = \n" + """
+[grid]
+L = 62.831853071795862
+N = 1024
+
+[solver]
+p = 1
+dt = 0.001
+t_end = 5
+scheme = if_rk4
+record_stride = 50
+blowup_factor = 1000000
+
+[initial]
+ic = soliton
+ic_speed = 1
+ic_x0 = 0
+ic_amp = 1
+ic_width = 1
+ic_eps = 0.050000000000000003
+
+[norms]
+rho = 0.25
+s = 2
+b = 0.55000000000000004
+b_prime = -0.29999999999999999
+
+[fit]
+t_min = 1
+
+[picard]
+t_window = 0.050000000000000003
+picard_nodes = 256
+max_iters = 20
+
+[lab]
+ensemble = 50
+lab_T = 1
+bandwidth = 4
+envelope = exponential
+rho0 = 0.5
+amplitude = 1
+apriori_amplitude = 0.050000000000000003
+lab_L = 10
+lab_N = 64
+lab_M = 64
+"""
 
 
 def fast_config(*extra):
@@ -78,6 +129,11 @@ class TestParse:
             "out=/tmp/somewhere",
         ])
         assert parse_config(render_config(c)) == c
+
+    def test_render_default_text_pinned(self):
+        # the canonical text of the defaults, key by key: a reordered,
+        # respelled or re-sectioned key shows up here
+        assert render_config(RunConfig()) == RENDERED_DEFAULTS
 
     def test_float_render_is_17g(self):
         assert format_float(1 / 3) == f"{1 / 3:.17g}"
@@ -175,6 +231,12 @@ class TestCsv:
         header, data = read_csv(path)
         assert header == ["a", "b"] and data.shape == (0, 2)
 
+    def test_empty_file_names_path(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="blank.csv: empty file"):
+            read_csv(path)
+
     def test_decimal_point_not_comma(self, tmp_path):
         path = tmp_path / "y.csv"
         write_csv(path, ("v",), [[0.5]])
@@ -232,6 +294,22 @@ class TestRunRadiusTrack:
         assert data[0, 0] == 1.0  # t_min
         check = json.loads((tmp_path / "radius_check.json").read_text())
         assert set(check) == {"monotone_ok", "worst_excess", "stderr_factor"}
+
+    def test_fits_each_radius_once(self, tmp_path, monkeypatch):
+        # trajectory.csv and the decay fit share one fit per component and
+        # record time
+        calls = []
+
+        def counting(f):
+            calls.append(1)
+            return estimate_radius(f)
+
+        monkeypatch.setattr(diagnostics, "estimate_radius", counting)
+        cfg = fast_config("kind=radius-track", "t_end=1.6", "record_stride=25",
+                          "ic=perturbed_sech")
+        run(cfg, tmp_path)
+        _, data = read_csv(tmp_path / "trajectory.csv")
+        assert len(calls) == 2 * data.shape[0]
 
     def test_too_short_raises_insufficient(self, tmp_path):
         cfg = fast_config("kind=radius-track", "t_end=1.1", "record_stride=25",
@@ -404,6 +482,33 @@ class TestCli:
 
     def test_sweep_requires_vary(self):
         assert self.run_main("sweep") == 2
+
+    @pytest.mark.parametrize("vary,fragment", [
+        (["p"], "expected KEY=V1,V2"),
+        (["p=1", "p=2"], "given twice"),
+    ])
+    def test_malformed_vary_exits_2(self, capsys, vary, fragment):
+        rc = self.run_main("sweep", *(f"--vary={v}" for v in vary))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gkdvlab: config error: --vary:") and fragment in err
+
+    def test_nonfinite_samples_exit_3(self, tmp_path, capsys):
+        # amplitude 1e308 overflows the random samples; the spectral check
+        # that rejects them is a numerical failure, not a config error
+        with np.errstate(over="ignore", invalid="ignore"):  # the provoked overflow
+            rc = self.run_main("estimate-lab", "--out", str(tmp_path),
+                               "--set", "amplitude=1e308", "--set", "ensemble=1")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "gkdvlab: numerical failure: forward_transform: non-finite samples\n"
+
+    def test_value_error_from_config_exits_2(self, tmp_path, capsys):
+        # a ValueError the library raises on a bad config value stays exit 2
+        rc = self.run_main("estimate-lab", "--out", str(tmp_path), "--set", "bandwidth=100")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gkdvlab: config error:") and "exceeds the dealias cutoff" in err
 
     def test_sweep_success(self, tmp_path):
         rc = self.run_main(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gkdvlab.spectral import (
+    NonFiniteDataError,
     Field,
     SpectralField,
     SpectralGrid,
@@ -131,6 +132,14 @@ class TestForwardTransform:
         bad.samples[3] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             forward_transform(bad)
+
+    @pytest.mark.parametrize("where,value", [(3, np.nan), (0, np.nan), (9, np.inf)])
+    def test_inverse_rejects_nonfinite_coeffs(self, where, value):
+        g = SpectralGrid(10.0, 16)
+        c = np.zeros(16, dtype=complex)
+        c[where] = value
+        with pytest.raises(NonFiniteDataError, match="non-finite"):
+            inverse_transform(SpectralField(g, c))
 
     def test_inverse_rejects_asymmetric_coeffs(self):
         g = SpectralGrid(1.0, 16)
