@@ -21,18 +21,26 @@ def coupled_powers(u: np.ndarray, v: np.ndarray, p: int) -> tuple[np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# Bourgain weight table w[l, k] = e^{rho (1+|z_k|)} (1+|z_k|)^s
-# (1+|eta_l - z_k^3|)^b on the (eta, zeta) grid.
+# Norm weights: Gevrey factor e^{rho (1+|z_k|)} (1+|z_k|)^s, dispersive
+# factor 1+|eta_l - z_k^3|, and the Bourgain table w[l, k], the first times
+# the second to the b.  The norm that applies a weight reports its overflow.
+
+
+def gevrey_weight(zeta: np.ndarray, rho: float, s: float) -> np.ndarray:
+    az = 1.0 + np.abs(zeta)
+    with np.errstate(over="ignore"):
+        return np.exp(rho * az) * az**s
+
+
+def dispersive_factor(zeta: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    return 1.0 + np.abs(eta[:, None] - zeta[None, :] ** 3)
 
 
 def bourgain_weight(
     zeta: np.ndarray, eta: np.ndarray, rho: float, s: float, b: float
 ) -> np.ndarray:
-    az = 1.0 + np.abs(zeta)[None, :]
-    dispersive = 1.0 + np.abs(eta[:, None] - zeta[None, :] ** 3)
-    # an overflowing weight is reported by the norm that applies it
     with np.errstate(over="ignore"):
-        return np.exp(rho * az) * az**s * dispersive**b
+        return gevrey_weight(zeta, rho, s)[None, :] * dispersive_factor(zeta, eta) ** b
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .spectral import (
     Field,
     SpectralField,
     SpectralGrid,
-    complex_samples,
     dealiased_product,
     forward_transform,
 )
@@ -308,8 +307,5 @@ def evaluate_analytic_extension(
             f"|zeta| <= {top:.4g}"
         )
     exponent = np.where(np.abs(c) > 0.0, -y * g.zeta, 0.0)
-    mult = (1j * g.zeta) ** order * np.exp(exponent)
-    if order % 2 == 1:
-        mult[g.nyquist_index] = 0.0
-    vals = complex_samples(SpectralField(g, c * mult))
-    return Field(g, np.abs(vals))
+    mult = g.derivative_symbol(order) * np.exp(exponent)
+    return Field(g, np.abs(g.idft(c * mult)))

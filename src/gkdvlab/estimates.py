@@ -34,19 +34,18 @@ from .spaces import (
     apply_spatial_weight,
     bourgain_norm,
     gevrey_norm,
+    gevrey_norm_rows,
     gevrey_norm_slices,
+    l2_rows,
     mixed_norm,
-    sobolev_norm,
-    weighted_l2_2d,
     xt_transform,
 )
 from .spectral import (
     Field,
+    NonFiniteDataError,
     SpectralGrid,
     dealiased_product_rows,
-    dft_axis,
     forward_transform,
-    idft_axis,
 )
 
 __all__ = [
@@ -79,6 +78,11 @@ __all__ = [
 ]
 
 ENVELOPES = ("flat", "gaussian", "exponential")
+
+# step and record stride of the apriori runs: their record times, and so the
+# cutoff window [-2T, 2T], fall on multiples of APRIORI_DT * APRIORI_STRIDE
+APRIORI_DT = 0.02
+APRIORI_STRIDE = 10
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -212,10 +216,16 @@ def _random_rows(
 ) -> np.ndarray:
     rng = np.random.default_rng(spec.seed if seed is None else seed)
     shape = (num_times, grid.num_points)
-    c = _envelope_weights(grid, spec)[None, :] * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
-    return idft_axis(c, 2.0 * grid.half_length, -grid.half_length, axis=1).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _envelope_weights(grid, spec)[None, :] * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        rows = grid.idft(c, axis=1).real
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteDataError(
+            f"random samples are not finite: amplitude {spec.amplitude:g} is too large"
+        )
+    return rows
 
 
 def random_window_sample(
@@ -269,7 +279,7 @@ def free_wave_sample(
     c0 = forward_transform(u0).coeffs
     times = -half_span + (2.0 * half_span / num_times) * np.arange(num_times)
     rows = dispersive_phase(g, times) * c0[None, :]
-    vals = idft_axis(rows, 2.0 * g.half_length, -g.half_length, axis=1).real
+    vals = g.idft(rows, axis=1).real
     return SpaceTimeSample(g, -half_span, half_span, vals)
 
 
@@ -326,9 +336,8 @@ def duhamel_ratio(
     times = sample.times
     j0 = int(np.argmin(np.abs(times)))
     _require(abs(times[j0]) <= 1e-9 * sample.dt, "time grid must contain t = 0")
-    cw = dft_axis(sample.values, 2.0 * g.half_length, -g.half_length, axis=1)
-    integral = _duhamel_rows(cw, g, sample.dt, j0)
-    vals = idft_axis(integral, 2.0 * g.half_length, -g.half_length, axis=1)
+    integral = _duhamel_rows(g.dft(sample.values, axis=1), g, sample.dt, j0)
+    vals = g.idft(integral, axis=1)
     if np.isrealobj(sample.values):
         vals = vals.real
     vals = vals * np.asarray(CutoffProfile(T)(times))[:, None]
@@ -388,13 +397,7 @@ def strichartz_ratio(
     power = -s if v.weight_power is None else v.weight_power
     smoothed = apply_spatial_weight(apply_dispersive_smoothing(sample, kappa), power)
     lhs = mixed_norm(smoothed, v.p_exp, v.q_exp)
-    rhs = weighted_l2_2d(
-        xt_transform(sample),
-        sample.grid,
-        sample.eta,
-        sample.t1 - sample.t0,
-        NormParams(0.0, 0.0, 0.0),
-    )
+    rhs = float(l2_rows(np.abs(xt_transform(sample)).ravel(), sample.cell))
     return _ratio(lhs, rhs)
 
 
@@ -420,10 +423,7 @@ def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
 def derivative_sample(sample: SpaceTimeSample) -> SpaceTimeSample:
     """Spatial derivative, one multiplier pass over all time rows."""
     g = sample.grid
-    cx = dft_axis(sample.values, 2.0 * g.half_length, -g.half_length, axis=1)
-    cx = cx * (1j * g.zeta)[None, :]
-    cx[:, g.nyquist_index] = 0.0
-    vals = idft_axis(cx, 2.0 * g.half_length, -g.half_length, axis=1)
+    vals = g.idft(g.dft(sample.values, axis=1) * g.derivative_symbol(1), axis=1)
     if np.isrealobj(sample.values):
         vals = vals.real
     return SpaceTimeSample(g, sample.t0, sample.t1, vals)
@@ -703,12 +703,10 @@ def _windowed_pair_sample(
 
 
 def _pair_sup(record: TrajectoryRecord, T: float, params: NormParams) -> float:
-    sup = 0.0
-    for i, t in enumerate(record.times):
-        if -1e-9 <= t <= 2.0 * T + 1e-9:
-            u, v = record.fields_at(i)
-            sup = max(sup, float(np.hypot(gevrey_norm(u, params), gevrey_norm(v, params))))
-    return sup
+    times = np.asarray(record.times)
+    inside = (times >= -1e-9) & (times <= 2.0 * T + 1e-9)
+    norms = gevrey_norm_rows(np.asarray(record.snapshots)[inside], record.grid, params)
+    return float(np.max(np.hypot(norms[:, 0], norms[:, 1]), initial=0.0))
 
 
 def check_apriori(
@@ -763,8 +761,6 @@ def check_apriori_ensemble(
     T: float,
     p: int = 1,
     grid: SpectralGrid = LAB_GRID,
-    dt: float = 0.02,
-    record_stride: int = 10,
     ensemble: int = 20,
 ) -> EstimateReport:
     """check_apriori over short two-sided runs from random analytic data.
@@ -772,7 +768,7 @@ def check_apriori_ensemble(
     Keep spec.amplitude small: the stepping is explicit in the nonlinearity
     and large random data on a coarse grid blows up honestly.
     """
-    cfg = SolverConfig(p=p, dt=dt, t_end=2.0 * T, record_stride=record_stride)
+    cfg = SolverConfig(p=p, dt=APRIORI_DT, t_end=2.0 * T, record_stride=APRIORI_STRIDE)
 
     def member(sd: int) -> float:
         u, v = random_field(grid, spec, sd), random_field(grid, spec, sd + 7919)
@@ -780,4 +776,4 @@ def check_apriori_ensemble(
         return check_apriori(bidirectional_record(state, cfg, 2.0 * T), params, T, p).max_ratio
 
     return _ensemble("apriori", spec, params, grid, 0, ensemble, member,
-                     T=T, p=p, dt=dt, record_stride=record_stride)
+                     T=T, p=p, dt=APRIORI_DT, record_stride=APRIORI_STRIDE)

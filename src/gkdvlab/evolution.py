@@ -26,13 +26,11 @@ from .diagnostics import TrajectoryRecord
 from .spectral import (
     Field,
     SpectralGrid,
-    dft_axis,
     forward_transform,
-    idft_axis,
     inverse_transform,
-    pad_coeffs,
     padded_points,
-    truncate_coeffs,
+    padded_samples,
+    truncated_coeffs,
     SpectralField,
     _real_samples,
 )
@@ -146,23 +144,18 @@ class _RhsWorkspace:
         self.grid = grid
         self.p = p
         self.num_padded = padded_points(grid.num_points, 2 * p + 1)
-        self.span = 2.0 * grid.half_length
-        self.offset = -grid.half_length
-        deriv = -1j * grid.zeta
-        deriv[grid.nyquist_index] = 0.0
-        self.deriv = deriv
+        self.deriv = -grid.derivative_symbol(1)
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         # one inverse transform per component and one forward transform per
         # product; the padded samples die with the call, and on a Picard node
         # stack they are the largest arrays alive
         powers = _kernels.coupled_powers(
-            idft_axis(pad_coeffs(c[0], self.num_padded), self.span, self.offset).real,
-            idft_axis(pad_coeffs(c[1], self.num_padded), self.span, self.offset).real,
+            padded_samples(c[0], self.grid, self.num_padded),
+            padded_samples(c[1], self.grid, self.num_padded),
             self.p,
         )
-        coeffs = [truncate_coeffs(dft_axis(w, self.span, self.offset), self.grid.num_points)
-                  for w in powers]
+        coeffs = [truncated_coeffs(w, self.grid) for w in powers]
         # allocated once both transforms are done: allocated before them, a
         # node-stack-sized output costs page faults on every Picard iterate
         out = np.empty_like(c)

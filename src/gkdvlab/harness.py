@@ -35,6 +35,8 @@ from .diagnostics import (
     radius_nonincreasing,
 )
 from .estimates import (
+    APRIORI_DT,
+    APRIORI_STRIDE,
     ENVELOPES,
     STRICHARTZ_VARIANTS,
     EstimateReport,
@@ -56,7 +58,7 @@ from .evolution import (
     picard_solve,
     simulate,
 )
-from .spaces import NormParams, sobolev_norm
+from .spaces import NormParams, gevrey_norm_rows
 from .spectral import Field, SpectralGrid
 
 __all__ = [
@@ -112,6 +114,14 @@ def _at_least(low: int, even: bool = False) -> tuple[Callable[[object], bool], s
     return (lambda v: v >= low), f"must be >= {low}"
 
 
+# the apriori runs record every APRIORI_DT * APRIORI_STRIDE, and their cutoff
+# window [-2 lab_T, 2 lab_T] must begin and end on a record time
+_LAB_T_STEP = 0.5 * APRIORI_DT * APRIORI_STRIDE
+_LAB_T = (lambda v: np.isfinite(v) and v >= 1.0
+          and abs(v / _LAB_T_STEP - round(v / _LAB_T_STEP)) <= 1e-9 * v,
+          f"must be >= 1 and a whole multiple of {_LAB_T_STEP:g}")
+
+
 def _key(default, section: str, rule=_ANY, name: str | None = None):
     """A RunConfig field declaring one config key: the default (its type is
     the value type), [section], (check, rule) pair and, if not the field name,
@@ -152,7 +162,7 @@ class RunConfig:
     picard_nodes: int = _key(256, "picard", _at_least(8))
     max_iters: int = _key(20, "picard", _at_least(2))
     ensemble: int = _key(50, "lab", _at_least(1))
-    lab_T: float = _key(1.0, "lab", _ONE_OR_MORE)
+    lab_T: float = _key(1.0, "lab", _LAB_T)
     bandwidth: float = _key(4.0, "lab", _POS)
     envelope: str = _key("exponential", "lab", _one_of(ENVELOPES))
     rho0: float = _key(0.5, "lab", _NONNEG)
@@ -280,16 +290,14 @@ def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
 def trajectory_rows(record: TrajectoryRecord, s: float, radii) -> list[list[float]]:
     """One row per record time; hs_u and hs_v are H^s norms, and radii is
     record.radii(), the fitted radii of u and of v."""
-    rows = []
-    for i, (inv, ru, rv) in enumerate(zip(record.invariant_sets(), *radii)):
-        u, v = record.fields_at(i)
-        rj = joint_radius(ru, rv)
-        rows.append([
-            record.times[i], inv.mass_u, inv.mass_v, inv.l2, inv.hamiltonian,
-            sobolev_norm(u, s), sobolev_norm(v, s),
-            ru.rho, rv.rho, rj.rho, ru.r_squared, rv.r_squared,
-        ])
-    return rows
+    sobolev = NormParams(0.0, s, 0.0)
+    rows = zip(record.times, record.snapshots, record.invariant_sets(), *radii)
+    return [
+        [t, inv.mass_u, inv.mass_v, inv.l2, inv.hamiltonian,
+         *gevrey_norm_rows(snap, record.grid, sobolev),
+         ru.rho, rv.rho, joint_radius(ru, rv).rho, ru.r_squared, rv.r_squared]
+        for t, snap, inv, ru, rv in rows
+    ]
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: Path, s: float) -> None:

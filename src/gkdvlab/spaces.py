@@ -20,9 +20,9 @@ from . import _kernels
 from .spectral import (
     Field,
     SpectralGrid,
+    _forward_coeffs,
     axis_freqs,
     dft_axis,
-    forward_transform,
     idft_axis,
 )
 
@@ -110,11 +110,15 @@ class SpaceTimeSample:
     def eta(self) -> np.ndarray:
         return axis_freqs(self.num_times, self.t1 - self.t0)
 
+    @property
+    def cell(self) -> float:
+        """Area dzeta * deta of one cell of the (eta, zeta) coefficient grid."""
+        return self.grid.dzeta * (2.0 * np.pi / (self.t1 - self.t0))
+
 
 def xt_transform(sample: SpaceTimeSample) -> np.ndarray:
     """Two-dimensional coefficients, eta along axis 0, zeta along axis 1."""
-    g = sample.grid
-    cx = dft_axis(sample.values, 2.0 * g.half_length, -g.half_length, axis=1)
+    cx = sample.grid.dft(sample.values, axis=1)
     return dft_axis(cx, sample.t1 - sample.t0, sample.t0, axis=0)
 
 
@@ -122,23 +126,15 @@ def xt_inverse(
     coeffs: np.ndarray, grid: SpectralGrid, t0: float, t1: float
 ) -> np.ndarray:
     """Inverse of :func:`xt_transform`; complex (num_times, num_points) values."""
-    vx = idft_axis(coeffs, t1 - t0, t0, axis=0)
-    return idft_axis(vx, 2.0 * grid.half_length, -grid.half_length, axis=1)
+    return grid.idft(idft_axis(coeffs, t1 - t0, t0, axis=0), axis=1)
 
 
-def gevrey_weights(zeta: np.ndarray, rho: float, s: float) -> np.ndarray:
-    az = 1.0 + np.abs(zeta)
-    with np.errstate(over="ignore"):
-        return np.exp(rho * az) * az**s
-
-
-def _safe_weighted_l2(weighted: np.ndarray, cell: float) -> float:
-    # scale out the max so squaring cannot overflow
-    peak = float(np.max(weighted)) if weighted.size else 0.0
-    if peak == 0.0:
-        return 0.0
-    ratio = weighted / peak
-    return peak * float(np.sqrt(np.sum(ratio * ratio) * cell))
+def l2_rows(values: np.ndarray, cell: float) -> np.ndarray:
+    """sqrt(sum values^2 * cell) along the last axis of nonnegative rows; each
+    row is divided by its peak first, so squaring cannot overflow."""
+    peak = np.max(values, axis=-1, keepdims=True)
+    ratio = values / np.where(peak == 0.0, 1.0, peak)
+    return peak[..., 0] * np.sqrt(np.sum(ratio * ratio, axis=-1) * cell)
 
 
 def _apply_weights(
@@ -155,12 +151,16 @@ def _apply_weights(
     return weighted
 
 
+def gevrey_norm_rows(samples: np.ndarray, grid: SpectralGrid, params: NormParams) -> np.ndarray:
+    """gevrey_norm of every row of real samples (..., N) on grid, in one pass."""
+    c = np.abs(_forward_coeffs(samples, grid))
+    w = _kernels.gevrey_weight(grid.zeta, params.rho, params.s)
+    return l2_rows(_apply_weights(c, w, "gevrey_norm", params), grid.dzeta)
+
+
 def gevrey_norm(field: Field, params: NormParams) -> float:
     """L^2-based norm with weight e^{rho (1+|zeta|)} (1+|zeta|)^s."""
-    g = field.grid
-    c = np.abs(forward_transform(field).coeffs)
-    w = gevrey_weights(g.zeta, params.rho, params.s)
-    return _safe_weighted_l2(_apply_weights(c, w, "gevrey_norm", params), g.dzeta)
+    return float(gevrey_norm_rows(field.samples, field.grid, params))
 
 
 def sobolev_norm(field: Field, s: float) -> float:
@@ -171,10 +171,9 @@ def sobolev_norm(field: Field, s: float) -> float:
 def gevrey_norm_slices(sample: SpaceTimeSample, params: NormParams) -> np.ndarray:
     """Per-time-slice exponential norms; used for embedding checks."""
     g = sample.grid
-    cx = np.abs(dft_axis(sample.values, 2.0 * g.half_length, -g.half_length, axis=1))
-    w = gevrey_weights(g.zeta, params.rho, params.s)[None, :]
-    weighted = _apply_weights(cx, w, "gevrey_norm_slices", params)
-    return np.array([_safe_weighted_l2(row, g.dzeta) for row in weighted])
+    cx = np.abs(g.dft(sample.values, axis=1))
+    w = _kernels.gevrey_weight(g.zeta, params.rho, params.s)
+    return l2_rows(_apply_weights(cx, w, "gevrey_norm_slices", params), g.dzeta)
 
 
 def check_window_support(values: np.ndarray) -> None:
@@ -212,21 +211,8 @@ def bourgain_norm(
     w = _kernels.bourgain_weight(
         sample.grid.zeta, windowed.eta, params.rho, params.s, params.b
     )
-    cell = sample.grid.dzeta * (2.0 * np.pi / (sample.t1 - sample.t0))
-    return _safe_weighted_l2(_apply_weights(coeffs, w, "bourgain_norm", params), cell)
-
-
-def weighted_l2_2d(
-    coeffs: np.ndarray,
-    grid: SpectralGrid,
-    eta: np.ndarray,
-    span: float,
-    params: NormParams,
-) -> float:
-    """Bourgain-weighted L^2 of raw 2D coefficients (lab-side fast path)."""
-    w = _kernels.bourgain_weight(grid.zeta, eta, params.rho, params.s, params.b)
-    cell = grid.dzeta * (2.0 * np.pi / span)
-    return _safe_weighted_l2(_apply_weights(np.abs(coeffs), w, "weighted_l2_2d", params), cell)
+    weighted = _apply_weights(coeffs, w, "bourgain_norm", params)
+    return float(l2_rows(weighted.ravel(), windowed.cell))
 
 
 _ALLOWED_EXPONENTS = (2.0, 4.0, np.inf)
@@ -265,9 +251,5 @@ def apply_spatial_weight(sample: SpaceTimeSample, power: float) -> SpaceTimeSamp
 
 def apply_dispersive_smoothing(sample: SpaceTimeSample, kappa: float) -> SpaceTimeSample:
     """Multiplier (1 + |eta - zeta^3|)^(-kappa)."""
-    mult = dispersive_multiplier(sample.grid.zeta, sample.eta, kappa)
+    mult = _kernels.dispersive_factor(sample.grid.zeta, sample.eta) ** (-kappa)
     return _multiplier_apply(sample, mult)
-
-
-def dispersive_multiplier(zeta: np.ndarray, eta: np.ndarray, kappa: float) -> np.ndarray:
-    return (1.0 + np.abs(eta[:, None] - zeta[None, :] ** 3)) ** (-kappa)

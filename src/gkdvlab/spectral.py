@@ -7,12 +7,13 @@ u(x) e^{-i x zeta} dx, so sum |u_j|^2 dx == sum |C_k|^2 dzeta holds exactly
 zeta ascending, with the single unpaired Nyquist entry first.  Transforms
 reuse a cached, read-only phase per (size, offset) and swap the FFT halves
 into natural order by slicing, so a call allocates no phase and no roll copy.
+The grid owns the x-transform (span 2L, offset -L) as SpectralGrid.dft/idft.
 
 Derivative and product rules follow standard Fourier pseudospectral
-practice (see Trefethen, "Spectral Methods in MATLAB", ch. 3): odd-order
-derivatives zero the Nyquist mode, and products are dealiased by
-zero-padding wide enough to make the truncated result an exact spectral
-convolution.
+practice (see Trefethen, "Spectral Methods in MATLAB", ch. 3): the grid owns
+the derivative symbol (i zeta)^k, zero on the Nyquist mode for odd k, and
+products are dealiased by zero-padding wide enough to make the truncated
+result an exact spectral convolution.
 """
 
 from __future__ import annotations
@@ -134,6 +135,22 @@ class SpectralGrid:
     def zeta_max(self) -> float:
         return self.dzeta * (self.num_points // 2 - 1)
 
+    def dft(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
+        """x-transform along axis; any length, padded too, spans [-L, L)."""
+        return dft_axis(values, 2.0 * self.half_length, -self.half_length, axis)
+
+    def idft(self, coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Inverse of :meth:`dft`; complex samples, no reality check."""
+        return idft_axis(coeffs, 2.0 * self.half_length, -self.half_length, axis)
+
+    def derivative_symbol(self, order: int) -> np.ndarray:
+        """Multiplier (i zeta)^order of d^order/dx^order; zero on the unpaired
+        Nyquist mode for odd order, which has no odd derivative."""
+        mult = (1j * self.zeta) ** order
+        if order % 2 == 1:
+            mult[self.nyquist_index] = 0.0
+        return mult
+
 
 @dataclass
 class Field:
@@ -185,7 +202,7 @@ def _forward_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if not np.all(np.isfinite(samples)):
         raise NonFiniteDataError("forward_transform: non-finite samples")
-    return hermitian_symmetrize(dft_axis(samples, 2.0 * grid.half_length, -grid.half_length))
+    return hermitian_symmetrize(grid.dft(samples))
 
 
 def forward_transform(field: Field) -> SpectralField:
@@ -213,7 +230,7 @@ def _real_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
             f"inverse_transform: coefficients are non-finite or break conjugate "
             f"symmetry (relative deviation {broken.max():.3e} > {SYMMETRY_TOL:.1e})"
         )
-    return idft_axis(coeffs, 2.0 * grid.half_length, -grid.half_length).real
+    return grid.idft(coeffs).real
 
 
 def inverse_transform(sf: SpectralField) -> Field:
@@ -221,21 +238,11 @@ def inverse_transform(sf: SpectralField) -> Field:
     return Field(sf.grid, _real_samples(sf.coeffs, sf.grid))
 
 
-def complex_samples(sf: SpectralField) -> np.ndarray:
-    """Inverse transform without the reality check; returns complex samples."""
-    g = sf.grid
-    return idft_axis(sf.coeffs, 2.0 * g.half_length, -g.half_length)
-
-
 def differentiate(sf: SpectralField, order: int = 1) -> SpectralField:
     """Spectral d^order/dx^order for order in {1, 2, 3}."""
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2, or 3, got {order}")
-    mult = (1j * sf.grid.zeta) ** order
-    out = sf.coeffs * mult
-    if order % 2 == 1:
-        out[sf.grid.nyquist_index] = 0.0  # unpaired mode has no odd derivative
-    return SpectralField(sf.grid, out)
+    return SpectralField(sf.grid, sf.coeffs * sf.grid.derivative_symbol(order))
 
 
 def pad_coeffs(coeffs: np.ndarray, num_padded: int) -> np.ndarray:
@@ -267,19 +274,25 @@ def padded_points(num: int, count: int) -> int:
     return num_padded + (num_padded % 2)
 
 
+def padded_samples(coeffs: np.ndarray, grid: SpectralGrid, num_padded: int) -> np.ndarray:
+    """Real samples of grid's coefficient rows on num_padded points over [-L, L)."""
+    return grid.idft(pad_coeffs(coeffs, num_padded)).real
+
+
+def truncated_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Coefficients, cut back to grid's band, of sample rows on a padded grid."""
+    return truncate_coeffs(grid.dft(samples), grid.num_points)
+
+
 def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray:
     """Pointwise product of real sample arrays (..., N) on grid, dealiased by
     zero-padding; leading axes are independent rows."""
-    num = grid.num_points
-    num_padded = padded_points(num, len(factors))
-    span = 2.0 * grid.half_length
+    num_padded = padded_points(grid.num_points, len(factors))
     prod = None
     for samples in factors:
-        cpad = pad_coeffs(_forward_coeffs(samples, grid), num_padded)
-        vals = idft_axis(cpad, span, -grid.half_length).real
+        vals = padded_samples(_forward_coeffs(samples, grid), grid, num_padded)
         prod = vals if prod is None else prod * vals
-    cprod = dft_axis(prod, span, -grid.half_length)
-    return _real_samples(truncate_coeffs(cprod, num), grid)
+    return _real_samples(truncated_coeffs(prod, grid), grid)
 
 
 def dealiased_product(fields: Sequence[Field]) -> Field:

@@ -494,14 +494,32 @@ class TestCli:
         assert err.startswith("gkdvlab: config error: --vary:") and fragment in err
 
     def test_nonfinite_samples_exit_3(self, tmp_path, capsys):
-        # amplitude 1e308 overflows the random samples; the spectral check
-        # that rejects them is a numerical failure, not a config error
-        with np.errstate(over="ignore", invalid="ignore"):  # the provoked overflow
-            rc = self.run_main("estimate-lab", "--out", str(tmp_path),
-                               "--set", "amplitude=1e308", "--set", "ensemble=1")
+        # amplitude 1e308 overflows the random samples; the sampler rejects
+        # them as a numerical failure, not a config error, and no warning
+        # escapes (warnings are errors in this suite)
+        rc = self.run_main("estimate-lab", "--out", str(tmp_path),
+                           "--set", "amplitude=1e308", "--set", "ensemble=1")
         assert rc == 3
         err = capsys.readouterr().err
-        assert err == "gkdvlab: numerical failure: forward_transform: non-finite samples\n"
+        assert err == ("gkdvlab: numerical failure: random samples are not finite: "
+                       "amplitude 1e+308 is too large\n")
+
+    @pytest.mark.parametrize("lab_t", ["1.05", "1.005"])
+    def test_unwindowable_lab_T_exits_2_at_parse(self, tmp_path, capsys, lab_t):
+        # the apriori runs record every 0.2, so 2 lab_T must be a multiple of it
+        rc = self.run_main("estimate-lab", "--out", str(tmp_path), "--set", f"lab_T={lab_t}")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"gkdvlab: config error: --set #1: lab_T must be >= 1 and a whole "
+                       f"multiple of 0.1, got '{lab_t}'\n")
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_windowable_lab_T_runs(self, tmp_path):
+        rc = self.run_main("estimate-lab", "--out", str(tmp_path),
+                           "--set", "lab_T=1.5", "--set", "ensemble=1")
+        assert rc == 0
+        report = json.loads((tmp_path / "report_apriori.json").read_text())
+        assert report["params"]["T"] == 1.5 and not report["violation"]
 
     def test_value_error_from_config_exits_2(self, tmp_path, capsys):
         # a ValueError the library raises on a bad config value stays exit 2

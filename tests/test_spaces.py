@@ -5,7 +5,8 @@ loop implementations of the mixed norms, and internal Fubini identities."""
 import numpy as np
 import pytest
 
-from gkdvlab.spectral import Field, SpectralGrid, forward_transform
+from gkdvlab import _kernels
+from gkdvlab.spectral import Field, SpectralGrid, dft_axis, forward_transform
 from gkdvlab.spaces import (
     CutoffProfile,
     NormParams,
@@ -16,10 +17,10 @@ from gkdvlab.spaces import (
     bump,
     check_window_support,
     gevrey_norm,
+    gevrey_norm_rows,
     gevrey_norm_slices,
     mixed_norm,
     sobolev_norm,
-    weighted_l2_2d,
     xt_inverse,
     xt_transform,
 )
@@ -193,6 +194,36 @@ class TestGevreyNorm:
         g = SpectralGrid(40.0, 1024)
         assert gevrey_norm(Field(g, np.zeros(1024)), NormParams(50.0, 0.0)) == 0.0
 
+    def test_rows_equal_per_row_norms_exactly(self):
+        g = SpectralGrid(10.0, 64)
+        rows = np.random.default_rng(3).standard_normal((3, 2, 64))
+        rows[1, 0] = 0.0
+        params = NormParams(0.4, 1.5)
+        norms = gevrey_norm_rows(rows, g, params)
+        assert norms.shape == (3, 2) and norms[1, 0] == 0.0
+        for i, j in np.ndindex(3, 2):
+            assert norms[i, j] == gevrey_norm(Field(g, rows[i, j]), params)
+
+    def test_slices_equal_per_slice_loop(self):
+        # the loop gevrey_norm_slices replaced: one peak-scaled L^2 per row
+        g = SpectralGrid(10.0, 64)
+        rng = np.random.default_rng(4)
+        vals = rng.standard_normal((8, 64))
+        vals[5] = 0.0
+        params = NormParams(0.3, 2.0)
+        w = np.exp(0.3 * (1.0 + np.abs(g.zeta))) * (1.0 + np.abs(g.zeta)) ** 2.0
+        expect = []
+        for row in vals:
+            weighted = w * np.abs(dft_axis(row, 2.0 * g.half_length, -g.half_length))
+            peak = np.max(weighted)
+            if peak == 0.0:
+                expect.append(0.0)
+                continue
+            ratio = weighted / peak
+            expect.append(peak * np.sqrt(np.sum(ratio * ratio) * g.dzeta))
+        got = gevrey_norm_slices(SpaceTimeSample(g, -1.0, 1.0, vals), params)
+        assert np.array_equal(got, expect)
+
 
 class TestBourgainNorm:
     def test_fubini_identity_at_b_zero(self):
@@ -253,9 +284,9 @@ class TestBourgainNorm:
         hi = bourgain_norm(samp, params, psi)
         windowed = samp.values * np.asarray(psi(samp.times))[:, None]
         wsamp = SpaceTimeSample(g, samp.t0, samp.t1, windowed)
-        lo = weighted_l2_2d(
-            xt_transform(wsamp), g, wsamp.eta, samp.t1 - samp.t0, params
-        )
+        w = _kernels.bourgain_weight(g.zeta, wsamp.eta, 0.3, 1.2, 0.55)
+        cell = g.dzeta * 2.0 * np.pi / (samp.t1 - samp.t0)
+        lo = np.sqrt(np.sum((w * np.abs(xt_transform(wsamp))) ** 2) * cell)
         assert np.isclose(hi, lo, rtol=1e-12)
 
 

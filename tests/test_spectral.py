@@ -11,7 +11,6 @@ from gkdvlab.spectral import (
     SpectralField,
     SpectralGrid,
     _axis_phase,
-    complex_samples,
     dealiased_product,
     dealiased_product_rows,
     dft_axis,
@@ -152,7 +151,7 @@ class TestForwardTransform:
         g = SpectralGrid(1.0, 16)
         c = np.zeros(16, dtype=complex)
         c[9] = 1.0
-        vals = complex_samples(SpectralField(g, c))
+        vals = g.idft(c)
         assert vals.dtype == np.complex128
         assert np.max(np.abs(vals)) > 0
 
@@ -233,6 +232,16 @@ class TestDifferentiate:
             with pytest.raises(ValueError):
                 differentiate(sf, bad)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_symbol_is_i_zeta_to_the_order(self, order):
+        g = SpectralGrid(2.0, 16)
+        mult = g.derivative_symbol(order)
+        expect = (1j * g.zeta) ** order
+        assert np.array_equal(mult[1:], expect[1:])
+        # only odd orders drop the unpaired Nyquist mode
+        assert mult[g.nyquist_index] == (0.0 if order % 2 else expect[g.nyquist_index])
+        assert expect[g.nyquist_index] != 0.0
+
 
 class TestDealiasedProduct:
     def test_matches_direct_convolution(self):
@@ -312,6 +321,23 @@ class TestDealiasedProduct:
         expect = c.copy()
         expect[0] = 0.0  # band Nyquist dropped by design
         assert np.array_equal(back, expect)
+
+
+class TestGridTransforms:
+    # every x-transform goes through the grid; it must be exactly dft_axis /
+    # idft_axis on [-L, L), or snapshots and report hashes would move
+    @pytest.mark.parametrize("shape, axis", [
+        ((64,), -1), ((5, 64), 1), ((64, 5), 0), ((2, 3, 64), -1), ((5, 96), 1),
+    ], ids=["row", "stack-axis1", "stack-axis0", "pair-stack", "padded"])
+    def test_equal_to_axis_transforms_on_the_grid(self, shape, axis):
+        g = SpectralGrid(7.5, 64)
+        rng = np.random.default_rng(len(shape) + shape[axis])
+        vals = rng.standard_normal(shape)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        span, offset = 2.0 * g.half_length, -g.half_length
+        assert np.array_equal(g.dft(vals, axis=axis), dft_axis(vals, span, offset, axis=axis))
+        assert np.array_equal(g.idft(coeffs, axis=axis),
+                              idft_axis(coeffs, span, offset, axis=axis))
 
 
 class TestBatchedTransforms:
