@@ -109,9 +109,9 @@ def estimate_radius(f: Field | SpectralField) -> RadiusEstimate:
     """
     sf = f if isinstance(f, SpectralField) else forward_transform(f)
     g = sf.grid
-    half = g.num_points // 2
-    amp = np.abs(sf.coeffs[half + 1 :])
-    zeta = sf.grid.zeta[half + 1 :]
+    positive = g.zeta > 0.0
+    amp = np.abs(sf.coeffs[positive])
+    zeta = g.zeta[positive]
     if amp.size < MIN_FIT_POINTS or not np.any(amp > 0):
         return RadiusEstimate.floor_hit()
 
@@ -285,13 +285,13 @@ def evaluate_analytic_extension(
         amp = np.abs(c)
         floor = float(np.median(amp[np.abs(g.zeta) >= 0.9 * g.zeta_max]))
         threshold = 10.0 * floor
-        half = g.num_points // 2
-        below = amp[half:] <= threshold  # positive side; |c| is even in zeta
+        side = g.zeta >= 0.0  # |c| is even in zeta
+        below = amp[side] <= threshold
         cut = g.zeta_max
         run = 8
         for i in range(below.size - run + 1):
             if np.all(below[i : i + run]):
-                cut = g.zeta[half + i]
+                cut = g.zeta[side][i]
                 break
         if threshold > 0.0:
             # never keep bins where amplified floor junk could outgrow the

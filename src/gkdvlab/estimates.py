@@ -184,7 +184,8 @@ LAB_GRID = SpectralGrid(10.0, 64)
 # ---------------------------------------------------------------------------
 # Sample generators.  Reality comes from taking the real part of the inverse
 # transform of unconstrained complex Gaussians, which is distributionally the
-# same as symmetrizing the coefficients and keeps the draw order trivial.
+# same as symmetrizing the coefficients and keeps the draw order trivial: a
+# row's draws go to its wavenumbers in ascending order, whatever the layout.
 
 
 def _envelope_weights(grid: SpectralGrid, spec: SampleSpec) -> np.ndarray:
@@ -216,10 +217,10 @@ def _random_rows(
 ) -> np.ndarray:
     rng = np.random.default_rng(spec.seed if seed is None else seed)
     shape = (num_times, grid.num_points)
+    draws = np.empty(shape, dtype=np.complex128)
+    draws[:, np.argsort(grid.zeta)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _envelope_weights(grid, spec)[None, :] * (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        )
+        c = _envelope_weights(grid, spec)[None, :] * draws
         rows = grid.idft(c, axis=1).real
     if not np.all(np.isfinite(rows)):
         raise NonFiniteDataError(

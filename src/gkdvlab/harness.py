@@ -170,7 +170,8 @@ class RunConfig:
     apriori_amplitude: float = _key(0.05, "lab", _POS)
     lab_half_length: float = _key(10.0, "lab", _POS, name="lab_L")
     lab_num_points: int = _key(64, "lab", _at_least(4, even=True), name="lab_N")
-    lab_num_times: int = _key(64, "lab", _at_least(8, even=True), name="lab_M")
+    # M rows over [-2.5, 2.5) end at 2.5 - 5/M, past the cutoff support 2 iff M >= 10
+    lab_num_times: int = _key(64, "lab", _at_least(10, even=True), name="lab_M")
 
 
 # config spelling -> field, in declaration order

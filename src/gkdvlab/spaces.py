@@ -221,9 +221,13 @@ _ALLOWED_EXPONENTS = (2.0, 4.0, np.inf)
 def _axis_lp(values_abs: np.ndarray, exponent: float, cell: float, axis: int) -> np.ndarray:
     if exponent == np.inf:
         return np.max(values_abs, axis=axis)
+    rows = np.moveaxis(values_abs, axis, -1)
     if exponent == 2.0:
-        return np.sqrt(np.sum(values_abs**2, axis=axis) * cell)
-    return (np.sum(values_abs**4, axis=axis) * cell) ** 0.25
+        return l2_rows(rows, cell)
+    # ||w||_4 = ||w^2||_2^(1/2), with w divided by its peak so w^2 cannot overflow
+    peak = np.max(rows, axis=-1)
+    unit = rows / np.where(peak == 0.0, 1.0, peak)[..., None]
+    return peak * np.sqrt(l2_rows(unit * unit, cell))
 
 
 def mixed_norm(sample: SpaceTimeSample, p_exp: float, q_exp: float) -> float:

@@ -3,10 +3,11 @@
 Transforms follow the unitary-in-(2 pi) convention: the discrete coefficient
 at wavenumber zeta_k = (pi/L) k approximates (2 pi)^{-1/2} integral of
 u(x) e^{-i x zeta} dx, so sum |u_j|^2 dx == sum |C_k|^2 dzeta holds exactly
-(dzeta = pi/L).  Coefficient arrays are kept in fftshift-natural order,
-zeta ascending, with the single unpaired Nyquist entry first.  Transforms
-reuse a cached, read-only phase per (size, offset) and swap the FFT halves
-into natural order by slicing, so a call allocates no phase and no roll copy.
+(dzeta = pi/L).  Coefficient arrays are kept in numpy's FFT order: mode m
+sits at index m mod N, so index 0 is the zero mode, index N/2 the single
+unpaired Nyquist mode, and index j pairs with N - j.  Only this module knows
+the layout; callers select modes by their wavenumbers.  Transforms reuse a
+cached, read-only phase per (size, offset), so a call allocates no phase.
 The grid owns the x-transform (span 2L, offset -L) as SpectralGrid.dft/idft.
 
 Derivative and product rules follow standard Fourier pseudospectral
@@ -36,8 +37,8 @@ class NonFiniteDataError(ValueError):
 
 
 def axis_freqs(num: int, span: float) -> np.ndarray:
-    """Natural-order frequency grid (2 pi / span) * [-num/2, ..., num/2 - 1]."""
-    return (2.0 * np.pi / span) * (np.arange(num) - num // 2)
+    """Frequencies (2 pi / span) * m over the modes m in FFT order: 0, 1, ..., -1."""
+    return (2.0 * np.pi / span) * np.fft.ifftshift(np.arange(num) - num // 2)
 
 
 @lru_cache(maxsize=32)
@@ -46,13 +47,10 @@ def _axis_phase(num: int, offset_ratio: float) -> tuple[np.ndarray, np.ndarray]:
     # +-1 whenever the left edge sits an integer number of half-spans from the
     # origin.  Cached read-only: every transform of one (size, offset) shares
     # them, and a run meets only a few such pairs.
-    m = np.arange(num) - num // 2
+    m = axis_freqs(num, 2.0 * np.pi)  # the integer modes themselves
     if offset_ratio == round(offset_ratio):
         g = int(round(offset_ratio))
-        if g % 2 == 0:
-            phase = np.ones(num, dtype=np.complex128)
-        else:
-            phase = np.where(m % 2 == 0, 1.0 + 0.0j, -1.0 + 0.0j)
+        phase = np.where(g * m % 2 == 0, 1.0 + 0.0j, -1.0 + 0.0j)
     else:
         phase = np.exp(-1j * np.pi * offset_ratio * m)
     conj = np.conj(phase)
@@ -67,24 +65,13 @@ def _reshape_for(axis: int, ndim: int, vec: np.ndarray) -> np.ndarray:
     return vec.reshape(shape)
 
 
-def _swap_halves(a: np.ndarray, split: int, axis: int) -> np.ndarray:
-    """a[split:] followed by a[:split] along axis, in one copy: fftshift is
-    split = ceil(n/2), ifftshift is split = floor(n/2)."""
-    head = [slice(None)] * a.ndim
-    tail = list(head)
-    head[axis] = slice(split, None)
-    tail[axis] = slice(None, split)
-    return np.concatenate((a[tuple(head)], a[tuple(tail)]), axis=axis)
-
-
 def dft_axis(values: np.ndarray, span: float, offset: float, axis: int = -1) -> np.ndarray:
     """Normalized forward DFT along one axis of samples on [offset, offset+span)."""
     values = np.asarray(values)
     num = values.shape[axis]
     scale = (span / num) / SQRT_2PI
-    raw = _swap_halves(np.fft.fft(values, axis=axis), (num + 1) // 2, axis)
     phase, _ = _axis_phase(num, 2.0 * offset / span)
-    return scale * _reshape_for(axis, values.ndim, phase) * raw
+    return scale * _reshape_for(axis, values.ndim, phase) * np.fft.fft(values, axis=axis)
 
 
 def idft_axis(coeffs: np.ndarray, span: float, offset: float, axis: int = -1) -> np.ndarray:
@@ -93,8 +80,7 @@ def idft_axis(coeffs: np.ndarray, span: float, offset: float, axis: int = -1) ->
     num = coeffs.shape[axis]
     scale = (span / num) / SQRT_2PI
     _, conj = _axis_phase(num, 2.0 * offset / span)
-    shifted = _swap_halves(coeffs * _reshape_for(axis, coeffs.ndim, conj), num // 2, axis)
-    return np.fft.ifft(shifted, axis=axis) / scale
+    return np.fft.ifft(coeffs * _reshape_for(axis, coeffs.ndim, conj), axis=axis) / scale
 
 
 @dataclass(frozen=True)
@@ -124,12 +110,13 @@ class SpectralGrid:
 
     @cached_property
     def zeta(self) -> np.ndarray:
+        """Wavenumber of each coefficient entry; the non-negative ones ascend."""
         return axis_freqs(self.num_points, 2.0 * self.half_length)
 
     @property
     def nyquist_index(self) -> int:
-        # natural order puts the lone unpaired mode first
-        return 0
+        # FFT order puts the lone unpaired mode -N/2 in the middle
+        return self.num_points // 2
 
     @property
     def zeta_max(self) -> float:
@@ -170,7 +157,7 @@ class Field:
 
 @dataclass
 class SpectralField:
-    """Natural-order complex coefficients on a SpectralGrid."""
+    """Complex coefficients on a SpectralGrid, in FFT order."""
 
     grid: SpectralGrid
     coeffs: np.ndarray
@@ -185,7 +172,7 @@ class SpectralField:
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project natural-order coefficient rows onto exact conjugate symmetry.
+    """Project coefficient rows onto exact conjugate symmetry (index j with N - j).
 
     Real input guarantees this symmetry analytically; the projection strips
     the fft roundoff floor so later odd-power multipliers (which amplify
@@ -198,7 +185,7 @@ def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _forward_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Real sample rows (..., N) -> symmetrized natural-order coefficients."""
+    """Real sample rows (..., N) -> symmetrized coefficients."""
     samples = np.asarray(samples, dtype=np.float64)
     if not np.all(np.isfinite(samples)):
         raise NonFiniteDataError("forward_transform: non-finite samples")
@@ -206,7 +193,7 @@ def _forward_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 
 def forward_transform(field: Field) -> SpectralField:
-    """Samples -> natural-order coefficients; rejects non-finite input."""
+    """Samples -> coefficients; rejects non-finite input."""
     return SpectralField(field.grid, _forward_coeffs(field.samples, field.grid))
 
 
@@ -214,7 +201,7 @@ def _asymmetry(coeffs: np.ndarray) -> np.ndarray:
     # per-row relative deviation from conjugate symmetry; a zero row gives 0 / 1
     scale = np.max(np.abs(coeffs), axis=-1)
     paired = np.max(np.abs(coeffs[..., 1:] - np.conj(coeffs[..., :0:-1])), axis=-1)
-    worst = np.maximum(paired, np.abs(coeffs[..., 0].imag))  # the lone mode must be real
+    worst = np.maximum(paired, np.abs(coeffs[..., 0].imag))  # the zero mode must be real
     return worst / np.where(scale == 0.0, 1.0, scale)
 
 
@@ -246,24 +233,23 @@ def differentiate(sf: SpectralField, order: int = 1) -> SpectralField:
 
 
 def pad_coeffs(coeffs: np.ndarray, num_padded: int) -> np.ndarray:
-    """Embed natural-order coefficients in a wider natural-order band."""
+    """Embed coefficient rows in a wider band; the new modes, in the middle, are zero."""
     num = coeffs.shape[-1]
     if num_padded < num or num_padded % 2 != 0:
         raise ValueError(f"num_padded must be even and >= {num}, got {num_padded}")
-    shape = coeffs.shape[:-1] + (num_padded,)
-    out = np.zeros(shape, dtype=np.complex128)
-    lo = (num_padded - num) // 2
-    out[..., lo : lo + num] = coeffs
+    half = num // 2
+    out = np.zeros(coeffs.shape[:-1] + (num_padded,), dtype=np.complex128)
+    out[..., :half] = coeffs[..., :half]
+    out[..., num_padded - half :] = coeffs[..., half:]
     return out
 
 
 def truncate_coeffs(coeffs_padded: np.ndarray, num: int) -> np.ndarray:
-    """Extract the central band; the band's own Nyquist entry is zeroed
-    because its conjugate partner is discarded."""
-    num_padded = coeffs_padded.shape[-1]
-    lo = (num_padded - num) // 2
-    out = np.array(coeffs_padded[..., lo : lo + num])
-    out[..., 0] = 0.0
+    """Keep the modes of the num-point band; the band's own Nyquist entry is
+    zeroed because its conjugate partner is discarded."""
+    half = num // 2
+    out = np.concatenate((coeffs_padded[..., :half], coeffs_padded[..., -half:]), axis=-1)
+    out[..., half] = 0.0
     return out
 
 
@@ -289,10 +275,14 @@ def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid) ->
     zero-padding; leading axes are independent rows."""
     num_padded = padded_points(grid.num_points, len(factors))
     prod = None
-    for samples in factors:
-        vals = padded_samples(_forward_coeffs(samples, grid), grid, num_padded)
-        prod = vals if prod is None else prod * vals
-    return _real_samples(truncated_coeffs(prod, grid), grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        for samples in factors:
+            vals = padded_samples(_forward_coeffs(samples, grid), grid, num_padded)
+            prod = vals if prod is None else prod * vals
+        coeffs = truncated_coeffs(prod, grid)
+    if not np.all(np.isfinite(coeffs)):
+        raise NonFiniteDataError("dealiased product: the product overflows")
+    return _real_samples(coeffs, grid)
 
 
 def dealiased_product(fields: Sequence[Field]) -> Field:

@@ -504,6 +504,30 @@ class TestCli:
         assert err == ("gkdvlab: numerical failure: random samples are not finite: "
                        "amplitude 1e+308 is too large\n")
 
+    def test_overflowing_product_exits_3(self, tmp_path, capsys):
+        # amplitude 1e160 keeps the samples finite, but the multilinear check's
+        # product overflows; it is rejected by name, with no warning on the way
+        rc = self.run_main("estimate-lab", "--out", str(tmp_path),
+                           "--set", "amplitude=1e160", "--set", "ensemble=1")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "gkdvlab: numerical failure: dealiased product: the product overflows\n"
+
+    def test_too_few_lab_time_rows_exit_2_at_parse(self, tmp_path, capsys):
+        # 8 rows over [-2.5, 2.5) end at 1.875, inside the cutoff support
+        rc = self.run_main("estimate-lab", "--out", str(tmp_path), "--set", "lab_M=8")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "gkdvlab: config error: --set #1: lab_M must be even and >= 10, got '8'\n"
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_ten_lab_time_rows_run(self, tmp_path):
+        rc = self.run_main("estimate-lab", "--out", str(tmp_path),
+                           "--set", "lab_M=10", "--set", "ensemble=1")
+        assert rc == 0
+        report = json.loads((tmp_path / "report_duhamel.json").read_text())
+        assert report["params"]["num_times"] == 10
+
     @pytest.mark.parametrize("lab_t", ["1.05", "1.005"])
     def test_unwindowable_lab_T_exits_2_at_parse(self, tmp_path, capsys, lab_t):
         # the apriori runs record every 0.2, so 2 lab_T must be a multiple of it

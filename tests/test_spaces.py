@@ -100,7 +100,7 @@ class TestSpaceTimeSample:
         assert np.allclose(np.diff(s.times), 0.25)
         assert s.times[-1] == pytest.approx(2.75)
         deta = 2 * np.pi / 4.0
-        assert np.allclose(s.eta, deta * np.arange(-8, 8))
+        assert np.allclose(s.eta, deta * np.r_[0:8, -8:0])
 
     def test_xt_roundtrip_and_parseval(self):
         g = SpectralGrid(2.0, 32)
@@ -125,8 +125,8 @@ class TestSpaceTimeSample:
         s = SpaceTimeSample(g, -span / 2, span / 2, np.cos(2 * xx + 8 * tt))
         c = xt_transform(s)
         deta = 2 * np.pi / span  # = 4
-        l_plus = m // 2 + 2  # eta = +8
-        k_plus = g.num_points // 2 + 2  # zeta = +2
+        l_plus = 2  # eta = +8
+        k_plus = 2  # zeta = +2
         expect = 0.5 * (2 * g.half_length / SQRT_2PI) * (span / SQRT_2PI)
         assert np.isclose(abs(c[l_plus, k_plus]), expect, rtol=1e-10)
         assert np.isclose(abs(c[m - l_plus, g.num_points - k_plus]), expect, rtol=1e-10)
@@ -335,33 +335,33 @@ class TestMixedNorm:
 
 
 class TestMultipliers:
-    def exp_mode_sample(self, g, k_idx, l_idx, m=16, span=np.pi / 2):
-        # complex exponential living on exactly one (eta, zeta) bin
+    def exp_mode_sample(self, g, k, l, m=16, span=np.pi / 2):
+        # complex exponential living on exactly one (eta, zeta) bin: modes l, k
         times = -span / 2 + span / m * np.arange(m)
-        z = g.zeta[k_idx]
-        e = (2 * np.pi / span) * (l_idx - m // 2)
+        z = g.zeta[k]
+        e = (2 * np.pi / span) * l
         xx, tt = np.meshgrid(g.x, times)
         vals = np.exp(1j * (z * xx + e * tt))
         return SpaceTimeSample(g, -span / 2, span / 2, vals), z, e
 
     def test_spatial_weight_exact_on_single_mode(self):
         g = SpectralGrid(np.pi, 16)
-        s, z, _ = self.exp_mode_sample(g, 11, 9)
+        s, z, _ = self.exp_mode_sample(g, 3, 1)
         out = apply_spatial_weight(s, -1.5)
         factor = (1.0 + abs(z)) ** -1.5
         assert np.allclose(out.values, factor * s.values, rtol=1e-10)
 
     def test_dispersive_smoothing_is_identity_on_curve(self):
         g = SpectralGrid(np.pi, 16)
-        # zeta = 2 (k=10), eta = 8 needs l = 8/deta + m/2 = 2 + 8 = 10
-        s, z, e = self.exp_mode_sample(g, 10, 10)
+        # zeta = 2 (k=2), eta = 8 needs l = 8/deta = 2
+        s, z, e = self.exp_mode_sample(g, 2, 2)
         assert e == pytest.approx(z**3)
         out = apply_dispersive_smoothing(s, 0.55)
         assert np.allclose(out.values, s.values, rtol=1e-10)
 
     def test_dispersive_smoothing_damps_off_curve(self):
         g = SpectralGrid(np.pi, 16)
-        s, z, e = self.exp_mode_sample(g, 10, 6)  # eta = -8, zeta = 2
+        s, z, e = self.exp_mode_sample(g, 2, -2)  # eta = -8, zeta = 2
         out = apply_dispersive_smoothing(s, 0.55)
         factor = (1.0 + abs(e - z**3)) ** -0.55
         assert np.allclose(out.values, factor * s.values, rtol=1e-10)

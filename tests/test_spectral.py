@@ -33,13 +33,12 @@ def random_field(grid, seed, scale=1.0):
 def bandlimited_field(grid, seed, bandwidth):
     """Real field with random spectrum supported on 0 < |k| <= bandwidth."""
     rng = np.random.default_rng(seed)
-    half = grid.num_points // 2
     c = np.zeros(grid.num_points, dtype=complex)
-    c[half] = rng.standard_normal()
+    c[0] = rng.standard_normal()
     for k in range(1, bandwidth + 1):
         z = rng.standard_normal() + 1j * rng.standard_normal()
-        c[half + k] = z
-        c[half - k] = np.conj(z)
+        c[k] = z
+        c[-k] = np.conj(z)
     return inverse_transform(SpectralField(grid, c)), c
 
 
@@ -48,10 +47,14 @@ class TestGrid:
         g = SpectralGrid(np.pi, 16)
         assert g.x[0] == -np.pi
         assert np.isclose(g.dx * g.num_points, 2 * np.pi)
-        # zeta ascending, integer multiples of pi/L, symmetric except Nyquist
-        assert np.allclose(g.zeta, np.arange(-8, 8) * 1.0)
-        assert np.allclose(g.zeta[1:], -g.zeta[1:][::-1])
+        # FFT order, integer multiples of pi/L; index j pairs with N - j, except Nyquist
+        assert np.allclose(g.zeta, np.r_[0:8, -8:0] * 1.0)
+        j = np.arange(1, 16)
+        j = j[j != g.nyquist_index]
+        assert np.allclose(g.zeta[j], -g.zeta[16 - j])
         assert g.zeta[g.nyquist_index] == g.zeta.min()
+        g = SpectralGrid(3.0, 32)
+        assert np.array_equal(g.zeta, (np.pi / g.half_length) * np.r_[0:16, -16:0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -86,25 +89,25 @@ class TestForwardTransform:
         g = SpectralGrid(np.pi, 64)
         amp, k1 = 0.7, 5
         c = forward_transform(Field(g, amp * np.cos(k1 * g.x))).coeffs
-        half = g.num_points // 2
+        n = g.num_points  # mode m sits at index m mod n
         expected = amp * g.half_length / SQRT_2PI
-        assert abs(abs(c[half + k1]) - expected) < 1e-12 * expected
-        assert abs(abs(c[half - k1]) - expected) < 1e-12 * expected
-        rest = np.abs(np.delete(c, [half - k1, half + k1]))
+        assert abs(abs(c[k1]) - expected) < 1e-12 * expected
+        assert abs(abs(c[n - k1]) - expected) < 1e-12 * expected
+        rest = np.abs(np.delete(c, [n - k1, k1]))
         assert np.max(rest) < 1e-12 * expected
 
     def test_constant_field_is_zero_mode_only(self):
         g = SpectralGrid(7.0, 64)
         c = forward_transform(Field(g, np.full(64, 1.5))).coeffs
         expected = 1.5 * 2 * g.half_length / SQRT_2PI
-        assert abs(c[32] - expected) < 1e-13 * expected
-        rest = np.abs(np.delete(c, 32))
+        assert abs(c[0] - expected) < 1e-13 * expected
+        rest = np.abs(np.delete(c, 0))
         assert np.max(rest) < 1e-13 * expected
 
     def test_zero_mode_delta_is_constant_field(self):
         g = SpectralGrid(3.0, 32)
         c = np.zeros(32, dtype=complex)
-        c[16] = 2.5
+        c[0] = 2.5
         u = inverse_transform(SpectralField(g, c))
         expected = 2.5 * SQRT_2PI / (2 * g.half_length)
         assert np.allclose(u.samples, expected, rtol=0, atol=1e-14)
@@ -237,7 +240,8 @@ class TestDifferentiate:
         g = SpectralGrid(2.0, 16)
         mult = g.derivative_symbol(order)
         expect = (1j * g.zeta) ** order
-        assert np.array_equal(mult[1:], expect[1:])
+        others = np.arange(16) != g.nyquist_index
+        assert np.array_equal(mult[others], expect[others])
         # only odd orders drop the unpaired Nyquist mode
         assert mult[g.nyquist_index] == (0.0 if order % 2 else expect[g.nyquist_index])
         assert expect[g.nyquist_index] != 0.0
@@ -257,9 +261,9 @@ class TestDealiasedProduct:
             for k in range(-half, half):
                 l = m - k
                 if -half <= l < half:
-                    acc += c1[half + k] * c2[half + l]
-            oracle[half + m] = acc * g.dzeta / SQRT_2PI
-        oracle[0] = 0.0
+                    acc += c1[k] * c2[l]
+            oracle[m] = acc * g.dzeta / SQRT_2PI
+        oracle[-half] = 0.0  # the Nyquist mode
         assert np.max(np.abs(cp - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_triple_product_matches_pointwise_for_smooth_fields(self):
@@ -282,14 +286,13 @@ class TestDealiasedProduct:
         g = SpectralGrid(np.pi, 64)
         prod = dealiased_product([Field(g, np.cos(5 * g.x)), Field(g, np.cos(3 * g.x))])
         c = forward_transform(prod).coeffs
-        half = 32
         expected = 0.5 * g.half_length / SQRT_2PI  # per-bin weight of cos/2
         for k in (2, 8):
-            assert abs(abs(c[half + k]) - expected) < 1e-12
-            assert abs(abs(c[half - k]) - expected) < 1e-12
+            assert abs(abs(c[k]) - expected) < 1e-12
+            assert abs(abs(c[-k]) - expected) < 1e-12
         rest = np.abs(c.copy())
         for k in (2, 8):
-            rest[half + k] = rest[half - k] = 0.0
+            rest[k] = rest[-k] = 0.0
         assert np.max(rest) < 1e-12
 
     def test_unpadded_product_aliases(self):
@@ -298,11 +301,10 @@ class TestDealiasedProduct:
         u = Field(g, np.cos(12 * g.x))
         clean = forward_transform(dealiased_product([u, u])).coeffs
         dirty = forward_transform(Field(g, u.samples * u.samples)).coeffs
-        half = 16
         # true product: 1/2 + cos(24 x)/2; mode 24 is unrepresentable, but the
         # aliased copy lands at |k|=8 only in the unpadded version
-        assert abs(clean[half + 8]) < 1e-13
-        assert abs(dirty[half + 8]) > 0.1
+        assert abs(clean[8]) < 1e-13
+        assert abs(dirty[8]) > 0.1
 
     def test_grid_mismatch_rejected(self):
         f1 = Field(SpectralGrid(np.pi, 32), np.zeros(32))
@@ -319,7 +321,7 @@ class TestDealiasedProduct:
         assert padded.shape == (24,)
         back = truncate_coeffs(padded, 16)
         expect = c.copy()
-        expect[0] = 0.0  # band Nyquist dropped by design
+        expect[-8] = 0.0  # band Nyquist dropped by design
         assert np.array_equal(back, expect)
 
 
@@ -375,8 +377,8 @@ class TestBatchedTransforms:
 
 
 def _plain_phase(num, offset_ratio):
-    # the uncached phase formula, rebuilt on every call
-    m = np.arange(num) - num // 2
+    # the uncached phase formula, rebuilt on every call, over the FFT-order modes
+    m = np.r_[0 : (num + 1) // 2, -(num // 2) : 0]
     if offset_ratio == round(offset_ratio):
         if int(round(offset_ratio)) % 2 == 0:
             return np.ones(num, dtype=np.complex128)
@@ -393,22 +395,21 @@ def _along(axis, ndim, vec):
 def _plain_dft(values, span, offset, axis):
     num = values.shape[axis]
     scale = (span / num) / SQRT_2PI
-    raw = np.fft.fftshift(np.fft.fft(values, axis=axis), axes=axis)
-    return scale * _along(axis, values.ndim, _plain_phase(num, 2.0 * offset / span)) * raw
+    phase = _along(axis, values.ndim, _plain_phase(num, 2.0 * offset / span))
+    return scale * phase * np.fft.fft(values, axis=axis)
 
 
 def _plain_idft(coeffs, span, offset, axis):
     num = coeffs.shape[axis]
     scale = (span / num) / SQRT_2PI
-    phase = np.conj(_plain_phase(num, 2.0 * offset / span))
-    shifted = np.fft.ifftshift(coeffs * _along(axis, coeffs.ndim, phase), axes=axis)
-    return np.fft.ifft(shifted, axis=axis) / scale
+    conj = np.conj(_plain_phase(num, 2.0 * offset / span))
+    return np.fft.ifft(coeffs * _along(axis, coeffs.ndim, conj), axis=axis) / scale
 
 
 class TestTransformPlan:
-    # the cached phase and the slice swap must reproduce the plain formula
-    # (fresh phase, np.fft.fftshift/ifftshift) bit for bit, or snapshots and
-    # report hashes would move; odd sizes check both split points
+    # the cached phase must reproduce the plain formula (fresh phase, plain
+    # np.fft) bit for bit, or snapshots and report hashes would move; odd
+    # sizes check the mode list of an odd axis
     @pytest.mark.parametrize("num", [8, 9, 64, 2048])
     @pytest.mark.parametrize(
         "span, offset",
