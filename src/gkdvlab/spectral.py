@@ -7,14 +7,18 @@ u(x) e^{-i x zeta} dx, so sum |u_j|^2 dx == sum |C_k|^2 dzeta holds exactly
 sits at index m mod N, so index 0 is the zero mode, index N/2 the single
 unpaired Nyquist mode, and index j pairs with N - j.  Only this module knows
 the layout; callers select modes by their wavenumbers.  Transforms reuse a
-cached, read-only phase per (size, offset), so a call allocates no phase.
-The grid owns the x-transform (span 2L, offset -L) as SpectralGrid.dft/idft.
+cached, read-only phase per (size, offset), over every mode or, for the
+real-to-complex pair, a half phase over the modes 0 ... N/2, so a call
+allocates no phase.  The grid owns the x-transform (span 2L, offset -L) as
+SpectralGrid.dft/idft.
 
 Derivative and product rules follow standard Fourier pseudospectral
 practice (see Trefethen, "Spectral Methods in MATLAB", ch. 3): the grid owns
 the derivative symbol (i zeta)^k, zero on the Nyquist mode for odd k, and
 products are dealiased by zero-padding wide enough to make the truncated
-result an exact spectral convolution.
+result an exact spectral convolution.  The padded round trip is
+real-to-complex: it reads and writes the modes 0 ... N/2 through
+rfft/irfft, and the band it returns is conjugate-symmetric by construction.
 """
 
 from __future__ import annotations
@@ -42,12 +46,14 @@ def axis_freqs(num: int, span: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _axis_phase(num: int, offset_ratio: float) -> tuple[np.ndarray, np.ndarray]:
+def _axis_phase(num: int, offset_ratio: float,
+                real: bool = False) -> tuple[np.ndarray, np.ndarray]:
     # e^{-i x0 f_m} with x0 = offset_ratio * span / 2, and its conjugate; exact
     # +-1 whenever the left edge sits an integer number of half-spans from the
-    # origin.  Cached read-only: every transform of one (size, offset) shares
-    # them, and a run meets only a few such pairs.
-    m = axis_freqs(num, 2.0 * np.pi)  # the integer modes themselves
+    # origin.  Over the modes in FFT order, or with real over 0 ... num/2, so
+    # the Nyquist entry carries the phase of +num/2.  Cached read-only: every
+    # transform of one (size, offset) shares them, and a run meets only a few.
+    m = np.arange(num // 2 + 1) if real else axis_freqs(num, 2.0 * np.pi)
     if offset_ratio == round(offset_ratio):
         g = int(round(offset_ratio))
         phase = np.where(g * m % 2 == 0, 1.0 + 0.0j, -1.0 + 0.0j)
@@ -65,22 +71,35 @@ def _reshape_for(axis: int, ndim: int, vec: np.ndarray) -> np.ndarray:
     return vec.reshape(shape)
 
 
-def dft_axis(values: np.ndarray, span: float, offset: float, axis: int = -1) -> np.ndarray:
-    """Normalized forward DFT along one axis of samples on [offset, offset+span)."""
+def dft_axis(values: np.ndarray, span: float, offset: float, axis: int = -1,
+             real: bool = False) -> np.ndarray:
+    """Normalized forward DFT along one axis of samples on [offset, offset+span).
+
+    With real, real samples on an even-sized axis map to the modes 0 ... num/2
+    through rfft, on the same scale as the complex modes.
+    """
     values = np.asarray(values)
     num = values.shape[axis]
+    if real and num % 2:
+        raise ValueError(f"a real transform needs an even axis, got {num} points")
     scale = (span / num) / SQRT_2PI
-    phase, _ = _axis_phase(num, 2.0 * offset / span)
-    return scale * _reshape_for(axis, values.ndim, phase) * np.fft.fft(values, axis=axis)
+    phase, _ = _axis_phase(num, 2.0 * offset / span, real)
+    fft = np.fft.rfft if real else np.fft.fft
+    return scale * _reshape_for(axis, values.ndim, phase) * fft(values, axis=axis)
 
 
-def idft_axis(coeffs: np.ndarray, span: float, offset: float, axis: int = -1) -> np.ndarray:
-    """Inverse of :func:`dft_axis`; returns complex samples."""
+def idft_axis(coeffs: np.ndarray, span: float, offset: float, axis: int = -1,
+              real: bool = False) -> np.ndarray:
+    """Inverse of :func:`dft_axis`; complex samples, or with real, real
+    samples on 2 (n - 1) points from the modes 0 ... n - 1 of the axis."""
     coeffs = np.asarray(coeffs)
-    num = coeffs.shape[axis]
+    num = 2 * (coeffs.shape[axis] - 1) if real else coeffs.shape[axis]
     scale = (span / num) / SQRT_2PI
-    _, conj = _axis_phase(num, 2.0 * offset / span)
-    return np.fft.ifft(coeffs * _reshape_for(axis, coeffs.ndim, conj), axis=axis) / scale
+    _, conj = _axis_phase(num, 2.0 * offset / span, real)
+    twisted = coeffs * _reshape_for(axis, coeffs.ndim, conj)
+    if real:
+        return np.fft.irfft(twisted, num, axis=axis) / scale
+    return np.fft.ifft(twisted, axis=axis) / scale
 
 
 @dataclass(frozen=True)
@@ -122,13 +141,14 @@ class SpectralGrid:
     def zeta_max(self) -> float:
         return self.dzeta * (self.num_points // 2 - 1)
 
-    def dft(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
+    def dft(self, values: np.ndarray, axis: int = -1, real: bool = False) -> np.ndarray:
         """x-transform along axis; any length, padded too, spans [-L, L)."""
-        return dft_axis(values, 2.0 * self.half_length, -self.half_length, axis)
+        return dft_axis(values, 2.0 * self.half_length, -self.half_length, axis, real)
 
-    def idft(self, coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Inverse of :meth:`dft`; complex samples, no reality check."""
-        return idft_axis(coeffs, 2.0 * self.half_length, -self.half_length, axis)
+    def idft(self, coeffs: np.ndarray, axis: int = -1, real: bool = False) -> np.ndarray:
+        """Inverse of :meth:`dft`; complex samples with no reality check, or
+        with real, real samples from the modes 0 ... num/2."""
+        return idft_axis(coeffs, 2.0 * self.half_length, -self.half_length, axis, real)
 
     def derivative_symbol(self, order: int) -> np.ndarray:
         """Multiplier (i zeta)^order of d^order/dx^order; zero on the unpaired
@@ -232,27 +252,6 @@ def differentiate(sf: SpectralField, order: int = 1) -> SpectralField:
     return SpectralField(sf.grid, sf.coeffs * sf.grid.derivative_symbol(order))
 
 
-def pad_coeffs(coeffs: np.ndarray, num_padded: int) -> np.ndarray:
-    """Embed coefficient rows in a wider band; the new modes, in the middle, are zero."""
-    num = coeffs.shape[-1]
-    if num_padded < num or num_padded % 2 != 0:
-        raise ValueError(f"num_padded must be even and >= {num}, got {num_padded}")
-    half = num // 2
-    out = np.zeros(coeffs.shape[:-1] + (num_padded,), dtype=np.complex128)
-    out[..., :half] = coeffs[..., :half]
-    out[..., num_padded - half :] = coeffs[..., half:]
-    return out
-
-
-def truncate_coeffs(coeffs_padded: np.ndarray, num: int) -> np.ndarray:
-    """Keep the modes of the num-point band; the band's own Nyquist entry is
-    zeroed because its conjugate partner is discarded."""
-    half = num // 2
-    out = np.concatenate((coeffs_padded[..., :half], coeffs_padded[..., -half:]), axis=-1)
-    out[..., half] = 0.0
-    return out
-
-
 def padded_points(num: int, count: int) -> int:
     """Padded grid size that makes a count-fold product of num-point fields
     alias-free: ratio (count + 1) / 2, rounded up to an even size."""
@@ -261,13 +260,30 @@ def padded_points(num: int, count: int) -> int:
 
 
 def padded_samples(coeffs: np.ndarray, grid: SpectralGrid, num_padded: int) -> np.ndarray:
-    """Real samples of grid's coefficient rows on num_padded points over [-L, L)."""
-    return grid.idft(pad_coeffs(coeffs, num_padded)).real
+    """Real samples of grid's conjugate-symmetric coefficient rows on
+    num_padded points over [-L, L); only the modes 0 ... N/2 are read."""
+    num = grid.num_points
+    if num_padded < num or num_padded % 2 != 0:
+        raise ValueError(f"num_padded must be even and >= {num}, got {num_padded}")
+    half = num // 2
+    out = np.zeros(coeffs.shape[:-1] + (num_padded // 2 + 1,), dtype=np.complex128)
+    out[..., :half] = coeffs[..., :half]
+    # the unpaired mode -N/2 enters as its conjugate +N/2 at half weight, or
+    # at full weight when +N/2 is the padded grid's own Nyquist mode
+    out[..., half] = (0.5 if num_padded > num else 1.0) * np.conj(coeffs[..., half])
+    return grid.idft(out, real=True)
 
 
 def truncated_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Coefficients, cut back to grid's band, of sample rows on a padded grid."""
-    return truncate_coeffs(grid.dft(samples), grid.num_points)
+    """Coefficients, cut back to grid's band, of real sample rows on a padded
+    grid; conjugate-symmetric, with the band's unpaired Nyquist entry zero."""
+    half = grid.num_points // 2
+    modes = grid.dft(samples, real=True)
+    out = np.empty(modes.shape[:-1] + (grid.num_points,), dtype=np.complex128)
+    out[..., :half] = modes[..., :half]
+    out[..., half] = 0.0
+    np.conj(modes[..., half - 1 : 0 : -1], out=out[..., half + 1 :])
+    return out
 
 
 def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray:

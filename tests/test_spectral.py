@@ -10,16 +10,18 @@ from gkdvlab.spectral import (
     Field,
     SpectralField,
     SpectralGrid,
+    _asymmetry,
     _axis_phase,
     dealiased_product,
     dealiased_product_rows,
     dft_axis,
     differentiate,
     forward_transform,
+    hermitian_symmetrize,
     idft_axis,
     inverse_transform,
-    pad_coeffs,
-    truncate_coeffs,
+    padded_samples,
+    truncated_coeffs,
 )
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -315,14 +317,33 @@ class TestDealiasedProduct:
             dealiased_product([])
 
     def test_pad_truncate_roundtrip(self):
+        # the real-to-complex round trip gives what the complex one gave:
+        # zero-pad in FFT order and keep .real of the inverse; transform,
+        # keep the band and zero its Nyquist entry.  The rows are conjugate-
+        # symmetric but for a complex Nyquist entry, which the complex
+        # inverse reads as mode -8 and the real one as its conjugate +8
+        g = SpectralGrid(10.0, 16)
         rng = np.random.default_rng(0)
-        c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        padded = pad_coeffs(c, 24)
-        assert padded.shape == (24,)
-        back = truncate_coeffs(padded, 16)
-        expect = c.copy()
-        expect[-8] = 0.0  # band Nyquist dropped by design
-        assert np.array_equal(back, expect)
+        c = hermitian_symmetrize(g.dft(rng.standard_normal((3, 16))))
+        c[:, 8] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        for num_padded in (16, 24, 40):
+            padded = np.zeros((3, num_padded), dtype=complex)
+            padded[:, :8] = c[:, :8]
+            padded[:, -8:] = c[:, 8:]
+            expect = g.idft(padded).real
+            vals = padded_samples(c, g, num_padded)
+            assert vals.shape == (3, num_padded) and np.isrealobj(vals)
+            assert np.max(np.abs(vals - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+            w = rng.standard_normal((3, num_padded))
+            full = g.dft(w)
+            expect = np.concatenate((full[:, :8], full[:, -8:]), axis=-1)
+            expect[:, 8] = 0.0
+            back = truncated_coeffs(w, g)
+            assert np.max(np.abs(back - expect)) <= 1e-15 * np.max(np.abs(expect))
+            assert np.all(_asymmetry(back) == 0.0)
+        with pytest.raises(ValueError, match="num_padded"):
+            padded_samples(c, g, 12)
 
 
 class TestGridTransforms:
@@ -340,6 +361,12 @@ class TestGridTransforms:
         assert np.array_equal(g.dft(vals, axis=axis), dft_axis(vals, span, offset, axis=axis))
         assert np.array_equal(g.idft(coeffs, axis=axis),
                               idft_axis(coeffs, span, offset, axis=axis))
+        # the real pair: samples to the modes 0 ... num/2 and back
+        half = np.take(coeffs, np.arange(shape[axis] // 2 + 1), axis=axis)
+        assert np.array_equal(g.dft(vals, axis=axis, real=True),
+                              dft_axis(vals, span, offset, axis=axis, real=True))
+        assert np.array_equal(g.idft(half, axis=axis, real=True),
+                              idft_axis(half, span, offset, axis=axis, real=True))
 
 
 class TestBatchedTransforms:
@@ -359,6 +386,20 @@ class TestBatchedTransforms:
             assert np.array_equal(fwd[j], dft_axis(vals[j], span, offset))
             assert np.array_equal(inv[j], idft_axis(coeffs[j], span, offset))
 
+    @pytest.mark.parametrize("num", [64, 128, 192, 256, 512, 2048])
+    @pytest.mark.parametrize("rows", [3, 64, 193])
+    def test_real_stack_equals_rows_exactly(self, num, rows):
+        rng = np.random.default_rng(num + rows)
+        span, offset = 20.0, -10.0
+        vals = rng.standard_normal((rows, num))
+        shape = (rows, num // 2 + 1)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        fwd = dft_axis(vals, span, offset, real=True)
+        inv = idft_axis(coeffs, span, offset, real=True)
+        for j in range(rows):
+            assert np.array_equal(fwd[j], dft_axis(vals[j], span, offset, real=True))
+            assert np.array_equal(inv[j], idft_axis(coeffs[j], span, offset, real=True))
+
     def test_product_rows_equal_field_products(self):
         g = SpectralGrid(10.0, 64)
         rng = np.random.default_rng(5)
@@ -376,12 +417,13 @@ class TestBatchedTransforms:
             dealiased_product_rows([np.ones((4, 64)), bad], g)
 
 
-def _plain_phase(num, offset_ratio):
-    # the uncached phase formula, rebuilt on every call, over the FFT-order modes
-    m = np.r_[0 : (num + 1) // 2, -(num // 2) : 0]
+def _plain_phase(num, offset_ratio, real=False):
+    # the uncached phase formula, rebuilt on every call, over the FFT-order
+    # modes, or with real over the modes 0 ... num/2
+    m = np.arange(num // 2 + 1) if real else np.r_[0 : (num + 1) // 2, -(num // 2) : 0]
     if offset_ratio == round(offset_ratio):
         if int(round(offset_ratio)) % 2 == 0:
-            return np.ones(num, dtype=np.complex128)
+            return np.ones(m.size, dtype=np.complex128)
         return np.where(m % 2 == 0, 1.0 + 0.0j, -1.0 + 0.0j)
     return np.exp(-1j * np.pi * offset_ratio * m)
 
@@ -392,18 +434,20 @@ def _along(axis, ndim, vec):
     return vec.reshape(shape)
 
 
-def _plain_dft(values, span, offset, axis):
+def _plain_dft(values, span, offset, axis, real=False):
     num = values.shape[axis]
     scale = (span / num) / SQRT_2PI
-    phase = _along(axis, values.ndim, _plain_phase(num, 2.0 * offset / span))
-    return scale * phase * np.fft.fft(values, axis=axis)
+    phase = _along(axis, values.ndim, _plain_phase(num, 2.0 * offset / span, real))
+    return scale * phase * (np.fft.rfft if real else np.fft.fft)(values, axis=axis)
 
 
-def _plain_idft(coeffs, span, offset, axis):
-    num = coeffs.shape[axis]
+def _plain_idft(coeffs, span, offset, axis, real=False):
+    num = 2 * (coeffs.shape[axis] - 1) if real else coeffs.shape[axis]
     scale = (span / num) / SQRT_2PI
-    conj = np.conj(_plain_phase(num, 2.0 * offset / span))
-    return np.fft.ifft(coeffs * _along(axis, coeffs.ndim, conj), axis=axis) / scale
+    conj = _along(axis, coeffs.ndim, np.conj(_plain_phase(num, 2.0 * offset / span, real)))
+    if real:
+        return np.fft.irfft(coeffs * conj, num, axis=axis) / scale
+    return np.fft.ifft(coeffs * conj, axis=axis) / scale
 
 
 class TestTransformPlan:
@@ -431,8 +475,43 @@ class TestTransformPlan:
         assert np.array_equal(idft_axis(coeffs, span, offset, axis=axis),
                               _plain_idft(coeffs, span, offset, axis))
 
+    @pytest.mark.parametrize("num", [8, 64, 2048])
+    @pytest.mark.parametrize(
+        "span, offset",
+        [(20.0, 0.0), (20.0, -10.0), (2.0, 0.3)],
+        ids=["even-ratio", "grid-edge", "time-window"],
+    )
+    @pytest.mark.parametrize("layout", ["row", "stack-axis0", "stack-axis-1"])
+    def test_real_pair_bit_identical_to_plain_formula(self, num, span, offset, layout):
+        shape, axis = {
+            "row": ((num,), -1),
+            "stack-axis0": ((num, 5), 0),
+            "stack-axis-1": ((5, num), -1),
+        }[layout]
+        rng = np.random.default_rng(num)
+        vals = rng.standard_normal(shape)
+        fwd = dft_axis(vals, span, offset, axis=axis, real=True)
+        assert np.array_equal(fwd, _plain_dft(vals, span, offset, axis, real=True))
+        inv = idft_axis(fwd, span, offset, axis=axis, real=True)
+        assert np.array_equal(inv, _plain_idft(fwd, span, offset, axis, real=True))
+        # against the complex pair: the modes 0 ... num/2 - 1 agree, and the
+        # entry num/2 is mode +num/2, the conjugate of the complex entry -num/2
+        # (a different phase unless the offset is a whole number of half-spans)
+        full = _plain_dft(vals, span, offset, axis)
+        expect = np.take(full, np.arange(num // 2 + 1), axis=axis)
+        nyq = [slice(None)] * vals.ndim
+        nyq[axis] = num // 2
+        expect[tuple(nyq)] = np.conj(expect[tuple(nyq)])
+        assert np.max(np.abs(fwd - expect)) <= 1e-15 * np.max(np.abs(expect))
+        back = _plain_idft(full, span, offset, axis).real
+        assert np.max(np.abs(inv - back)) <= 1e-15 * np.max(np.abs(back))
+
+    def test_real_pair_needs_an_even_axis(self):
+        with pytest.raises(ValueError, match="even"):
+            dft_axis(np.ones(9), 20.0, -10.0, real=True)
+
     def test_cached_phase_is_read_only(self):
-        for arr in _axis_phase(64, 0.3):
+        for arr in _axis_phase(64, 0.3) + _axis_phase(64, 0.3, True):
             with pytest.raises(ValueError):
                 arr[0] = 2.0
 
@@ -440,17 +519,18 @@ class TestTransformPlan:
         span, offset = 2.0, 0.3
         rng = np.random.default_rng(1)
         vals = rng.standard_normal(64)
-        phase, conj = _axis_phase(64, 2.0 * offset / span)
-        fwd = dft_axis(vals, span, offset)
-        inv = idft_axis(fwd, span, offset)
-        for out in (fwd, inv):
-            assert not np.shares_memory(out, phase)
-            assert not np.shares_memory(out, conj)
-        expect_fwd, expect_inv = fwd.copy(), inv.copy()
-        fwd[:] = 7.0
-        inv[:] = 7.0
-        assert np.array_equal(dft_axis(vals, span, offset), expect_fwd)
-        assert np.array_equal(idft_axis(expect_fwd, span, offset), expect_inv)
+        for real in (False, True):
+            phase, conj = _axis_phase(64, 2.0 * offset / span, real)
+            fwd = dft_axis(vals, span, offset, real=real)
+            inv = idft_axis(fwd, span, offset, real=real)
+            for out in (fwd, inv):
+                assert not np.shares_memory(out, phase)
+                assert not np.shares_memory(out, conj)
+            expect_fwd, expect_inv = fwd.copy(), inv.copy()
+            fwd[:] = 7.0
+            inv[:] = 7.0
+            assert np.array_equal(dft_axis(vals, span, offset, real=real), expect_fwd)
+            assert np.array_equal(idft_axis(expect_fwd, span, offset, real=real), expect_inv)
 
     def test_moving_windows_keep_the_cache_bounded(self):
         bound = _axis_phase.cache_info().maxsize
@@ -459,4 +539,5 @@ class TestTransformPlan:
         for k in range(200):
             t0 = 0.3 + 0.01 * k
             dft_axis(vals, 2.0, t0, axis=0)
+            dft_axis(vals, 2.0, t0, axis=0, real=True)
         assert _axis_phase.cache_info().currsize <= bound
