@@ -56,8 +56,9 @@ def invariants(state: "CoupledState", p: int) -> InvariantSet:
     l2 = 0.5 * float(np.sum(u.samples**2 + v.samples**2) * g.dx)
     cu = forward_transform(u).coeffs
     cv = forward_transform(v).coeffs
+    # a sum over every mode: each half-spectrum entry counts with its multiplicity
     grad = float(
-        np.sum(g.zeta**2 * (np.abs(cu) ** 2 + np.abs(cv) ** 2)) * g.dzeta
+        np.sum(g.multiplicity * g.rzeta**2 * (np.abs(cu) ** 2 + np.abs(cv) ** 2)) * g.dzeta
     )
     coupling = dealiased_product([u] * (p + 1) + [v] * (p + 1))
     mixed = float(np.sum(coupling.samples) * g.dx)
@@ -109,9 +110,9 @@ def estimate_radius(f: Field | SpectralField) -> RadiusEstimate:
     """
     sf = f if isinstance(f, SpectralField) else forward_transform(f)
     g = sf.grid
-    positive = g.zeta > 0.0
-    amp = np.abs(sf.coeffs[positive])
-    zeta = g.zeta[positive]
+    # the modes 1 ... N/2 - 1; the unpaired Nyquist mode stays out
+    amp = np.abs(sf.coeffs[1 : g.nyquist_index])
+    zeta = g.rzeta[1 : g.nyquist_index]
     if amp.size < MIN_FIT_POINTS or not np.any(amp > 0):
         return RadiusEstimate.floor_hit()
 
@@ -278,7 +279,7 @@ def evaluate_analytic_extension(
             AnalyticityMarginWarning,
             stacklevel=2,
         )
-    c = forward_transform(f).coeffs.copy()
+    c = g.dft(f.samples)  # every mode: e^{-y zeta} is not even in zeta
     if band_limit is not None:
         c[np.abs(g.zeta) > band_limit] = 0.0
     elif y != 0.0:

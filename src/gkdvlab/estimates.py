@@ -279,8 +279,8 @@ def free_wave_sample(
     g = u0.grid
     c0 = forward_transform(u0).coeffs
     times = -half_span + (2.0 * half_span / num_times) * np.arange(num_times)
-    rows = dispersive_phase(g, times) * c0[None, :]
-    vals = g.idft(rows, axis=1).real
+    rows = dispersive_phase(g, times, real=True) * c0[None, :]
+    vals = g.idft(rows, axis=1, real=True)
     return SpaceTimeSample(g, -half_span, half_span, vals)
 
 

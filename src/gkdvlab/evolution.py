@@ -11,8 +11,9 @@ half-step around a midpoint-rule nonlinear step.  Also a fixed-point
 a short window, with per-iteration contraction factors.
 
 The two components share their linear part, so the steppers and the solver
-hold the coefficients of u and v as one array with the pair on the leading
-axis: (2, N) for a state, (2, num_nodes + 1, N) for a Picard node stack.
+hold the half-spectra (modes 0 ... N/2) of u and v as one array with the
+pair on the leading axis: (2, N/2 + 1) for a state, (2, num_nodes + 1,
+N/2 + 1) for a Picard node stack.
 """
 
 from __future__ import annotations
@@ -93,29 +94,31 @@ class SolverConfig:
             )
 
 
-def dispersive_phase(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
-    """Multiplier e^{i zeta^3 t} of the free group, one row per entry of t
-    (a scalar t gives one row of shape (N,)); identity on the unpaired
-    Nyquist mode so real fields stay real."""
-    phase = np.exp(1j * grid.zeta**3 * np.asarray(t, dtype=np.float64)[..., None])
+def dispersive_phase(grid: SpectralGrid, t: float | np.ndarray,
+                     real: bool = False) -> np.ndarray:
+    """Multiplier e^{i zeta^3 t} of the free group, over the half-spectrum
+    with real, one row per entry of t (a scalar t gives one row); identity
+    on the unpaired Nyquist mode so real fields stay real."""
+    zeta = grid.rzeta if real else grid.zeta
+    phase = np.exp(1j * zeta**3 * np.asarray(t, dtype=np.float64)[..., None])
     phase[..., grid.nyquist_index] = 1.0
     return phase
 
 
 def _pair_coeffs(u: Field, v: Field) -> np.ndarray:
-    """Coefficients of the pair, stacked (2, N)."""
+    """Half-spectra of the pair, stacked (2, N/2 + 1)."""
     return np.stack([forward_transform(u).coeffs, forward_transform(v).coeffs])
 
 
 def _pair_fields(grid: SpectralGrid, c: np.ndarray) -> tuple[Field, Field]:
-    """Real fields of a stacked (2, N) coefficient pair."""
+    """Real fields of a stacked (2, N/2 + 1) half-spectrum pair."""
     return (inverse_transform(SpectralField(grid, c[0])),
             inverse_transform(SpectralField(grid, c[1])))
 
 
 def free_propagate(state: CoupledState, dt: float) -> CoupledState:
     """Exact solution of w_t + w_xxx = 0 over time dt."""
-    c = _pair_coeffs(state.u, state.v) * dispersive_phase(state.grid, dt)
+    c = _pair_coeffs(state.u, state.v) * dispersive_phase(state.grid, dt, real=True)
     return CoupledState(state.t + dt, *_pair_fields(state.grid, c))
 
 
@@ -138,13 +141,13 @@ def reflect_state(state: CoupledState) -> CoupledState:
 
 class _RhsWorkspace:
     """Precomputed padding layout and derivative symbol for one (grid, p);
-    maps stacked pair coefficients (2, ..., N) to the stacked right-hand side."""
+    maps stacked pair half-spectra (2, ..., N/2 + 1) to the stacked RHS."""
 
     def __init__(self, grid: SpectralGrid, p: int):
         self.grid = grid
         self.p = p
         self.num_padded = padded_points(grid.num_points, 2 * p + 1)
-        self.deriv = -grid.derivative_symbol(1)
+        self.deriv = -grid.derivative_symbol(1, real=True)
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         # one inverse transform per component and one forward transform per
@@ -211,8 +214,8 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
     record = TrajectoryRecord(grid=g, p=config.p)
 
     rhs = _RhsWorkspace(g, config.p)
-    half = dispersive_phase(g, 0.5 * config.dt)
-    full = dispersive_phase(g, config.dt)
+    half = dispersive_phase(g, 0.5 * config.dt, real=True)
+    full = dispersive_phase(g, config.dt, real=True)
     c = _pair_coeffs(initial.u, initial.v)
     baseline = max(
         float(np.max(np.abs(initial.u.samples))),
@@ -272,7 +275,7 @@ class PicardResult:
 
     grid: SpectralGrid
     times: np.ndarray
-    coeffs: np.ndarray  # (2, num_nodes + 1, N) at the final iterate
+    coeffs: np.ndarray  # (2, num_nodes + 1, N/2 + 1) half-spectra at the final iterate
     diffs: list[float] = dc_field(default_factory=list)
     contraction_factors: list[float] = dc_field(default_factory=list)
     iterations: int = 0
@@ -308,12 +311,13 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     times = initial.t + h * np.arange(m + 1)
     rhs = _RhsWorkspace(g, p)
     c0 = _pair_coeffs(initial.u, initial.v)
-    free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
-    phase_h = dispersive_phase(g, h)
+    free = dispersive_phase(g, h * np.arange(m + 1), real=True) * c0[:, None, :]
+    phase_h = dispersive_phase(g, h, real=True)
 
-    # settle H^s weights once; differences measured in this norm
-    weight = (1.0 + np.abs(g.zeta)) ** config.diff_s
-    cell = g.dzeta
+    # settle H^s weights once; differences measured in this norm, where each
+    # half-spectrum entry counts with its multiplicity
+    weight = (1.0 + g.rzeta) ** config.diff_s
+    cell = g.multiplicity * g.dzeta
 
     cur = free
     result = PicardResult(g, times, cur)
@@ -327,7 +331,7 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
             delta = np.abs(new - cur)
             delta *= weight
             delta *= delta
-            d = float(np.sqrt(np.sum(delta, axis=-1) * cell).max())
+            d = float(np.sqrt(delta @ cell).max())
         if not np.isfinite(d):
             raise NumericalBlowupError(
                 f"Picard iterate {it}: non-finite successive difference"

@@ -325,14 +325,19 @@ def _report_filename(report: EstimateReport) -> str:
 # Experiments.
 
 
+def soliton_profile(y: np.ndarray, c: float, p: int) -> np.ndarray:
+    """Profile Q = ((p+1) c)^{1/(2p)} sech^{1/p}(p sqrt(c) y) of the equal-pair
+    soliton u = v = Q(x - c t), which solves -c Q + Q'' + Q^{2p+1} = 0."""
+    return np.sqrt((p + 1) * c) ** (1 / p) / np.cosh(p * np.sqrt(c) * y) ** (1 / p)
+
+
 def initial_state(config: RunConfig) -> CoupledState:
     """Initial data factory; the pair is equal except for perturbed_sech,
     whose components get distinct low-mode modulations."""
     g = SpectralGrid(config.half_length, config.num_points)
     y = g.x - config.ic_x0
     if config.ic == "soliton":
-        c = config.ic_speed
-        u = np.sqrt(2.0 * c) / np.cosh(np.sqrt(c) * y)
+        u = soliton_profile(y, config.ic_speed, config.p)
         v = u.copy()
     elif config.ic == "sech":
         u = config.ic_amp / np.cosh(config.ic_width * y)
@@ -399,7 +404,7 @@ def _run_soliton_test(config: RunConfig, out: Path) -> list[str]:
     g = rec.grid
     c = config.ic_speed
     shift = _periodic_shift(g.x - config.ic_x0 - c * config.t_end, g.half_length)
-    exact = np.sqrt(2.0 * c) / np.cosh(np.sqrt(c) * shift)
+    exact = soliton_profile(shift, c, config.p)
     final = rec.snapshots[-1]  # (2, N): u and v at t_end
     err_u, err_v = (float(e) for e in np.sqrt(np.sum((final - exact) ** 2, axis=-1) * g.dx))
 

@@ -153,8 +153,10 @@ def _apply_weights(
 
 def gevrey_norm_rows(samples: np.ndarray, grid: SpectralGrid, params: NormParams) -> np.ndarray:
     """gevrey_norm of every row of real samples (..., N) on grid, in one pass."""
-    c = np.abs(_forward_coeffs(samples, grid))
-    w = _kernels.gevrey_weight(grid.zeta, params.rho, params.s)
+    # the L^2 sum runs over every mode: each half-spectrum entry stands for
+    # multiplicity modes of its size
+    c = np.abs(_forward_coeffs(samples, grid)) * np.sqrt(grid.multiplicity)
+    w = _kernels.gevrey_weight(grid.rzeta, params.rho, params.s)
     return l2_rows(_apply_weights(c, w, "gevrey_norm", params), grid.dzeta)
 
 

@@ -3,22 +3,24 @@
 Transforms follow the unitary-in-(2 pi) convention: the discrete coefficient
 at wavenumber zeta_k = (pi/L) k approximates (2 pi)^{-1/2} integral of
 u(x) e^{-i x zeta} dx, so sum |u_j|^2 dx == sum |C_k|^2 dzeta holds exactly
-(dzeta = pi/L).  Coefficient arrays are kept in numpy's FFT order: mode m
-sits at index m mod N, so index 0 is the zero mode, index N/2 the single
-unpaired Nyquist mode, and index j pairs with N - j.  Only this module knows
-the layout; callers select modes by their wavenumbers.  Transforms reuse a
-cached, read-only phase per (size, offset), over every mode or, for the
-real-to-complex pair, a half phase over the modes 0 ... N/2, so a call
-allocates no phase.  The grid owns the x-transform (span 2L, offset -L) as
-SpectralGrid.dft/idft.
+over every mode (dzeta = pi/L).
+
+A real field keeps only its rfft half-spectrum, the modes 0 ... N/2: its
+negative modes are the conjugates of the positive ones, so reality holds by
+construction.  The last entry is the unpaired Nyquist mode +N/2.  A sum over
+every mode becomes a sum over the half-spectrum weighted by
+SpectralGrid.multiplicity, which counts the modes 1 ... N/2 - 1 twice.
+Complex samples (the space-time lab) keep every mode, in numpy's FFT order:
+mode m at index m mod N.  Only this module knows these layouts; callers
+select modes by their wavenumbers.  Transforms reuse a cached, read-only
+phase per (size, offset), so a call allocates no phase.  The grid owns the
+x-transform (span 2L, offset -L) as SpectralGrid.dft/idft.
 
 Derivative and product rules follow standard Fourier pseudospectral
 practice (see Trefethen, "Spectral Methods in MATLAB", ch. 3): the grid owns
 the derivative symbol (i zeta)^k, zero on the Nyquist mode for odd k, and
 products are dealiased by zero-padding wide enough to make the truncated
-result an exact spectral convolution.  The padded round trip is
-real-to-complex: it reads and writes the modes 0 ... N/2 through
-rfft/irfft, and the band it returns is conjugate-symmetric by construction.
+result an exact spectral convolution.
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ import numpy as np
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
-SYMMETRY_TOL = 1e-10  # relative conjugate-symmetry deviation a real inverse accepts
-
 
 class NonFiniteDataError(ValueError):
-    """Samples or coefficients no real transform can take: non-finite
-    values, or coefficient rows that break conjugate symmetry.  A numerical
-    failure of the run, not a configuration error."""
+    """Samples or coefficients with non-finite values, which no real
+    transform can take.  A numerical failure of the run, not a
+    configuration error."""
 
 
 def axis_freqs(num: int, span: float) -> np.ndarray:
@@ -129,12 +129,27 @@ class SpectralGrid:
 
     @cached_property
     def zeta(self) -> np.ndarray:
-        """Wavenumber of each coefficient entry; the non-negative ones ascend."""
+        """Wavenumber of each entry of a full spectrum; the non-negative ones ascend."""
         return axis_freqs(self.num_points, 2.0 * self.half_length)
+
+    @cached_property
+    def rzeta(self) -> np.ndarray:
+        """Wavenumber of each half-spectrum entry, modes 0 ... N/2."""
+        return self.dzeta * np.arange(self.num_points // 2 + 1)
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """Modes each half-spectrum entry stands for: 2 for the conjugate
+        pairs 1 ... N/2 - 1, 1 for the zero and the Nyquist mode."""
+        count = np.full(self.num_points // 2 + 1, 2.0)
+        count[[0, -1]] = 1.0
+        count.flags.writeable = False
+        return count
 
     @property
     def nyquist_index(self) -> int:
-        # FFT order puts the lone unpaired mode -N/2 in the middle
+        # the lone unpaired mode: +N/2, the last half-spectrum entry, and
+        # -N/2 in the middle of a full spectrum
         return self.num_points // 2
 
     @property
@@ -150,10 +165,11 @@ class SpectralGrid:
         with real, real samples from the modes 0 ... num/2."""
         return idft_axis(coeffs, 2.0 * self.half_length, -self.half_length, axis, real)
 
-    def derivative_symbol(self, order: int) -> np.ndarray:
-        """Multiplier (i zeta)^order of d^order/dx^order; zero on the unpaired
-        Nyquist mode for odd order, which has no odd derivative."""
-        mult = (1j * self.zeta) ** order
+    def derivative_symbol(self, order: int, real: bool = False) -> np.ndarray:
+        """Multiplier (i zeta)^order of d^order/dx^order over a full spectrum,
+        or with real over the half-spectrum; zero on the unpaired Nyquist
+        mode for odd order, which has no odd derivative."""
+        mult = (1j * (self.rzeta if real else self.zeta)) ** order
         if order % 2 == 1:
             mult[self.nyquist_index] = 0.0
         return mult
@@ -177,71 +193,43 @@ class Field:
 
 @dataclass
 class SpectralField:
-    """Complex coefficients on a SpectralGrid, in FFT order."""
+    """Half-spectrum of a real field on a SpectralGrid, modes 0 ... N/2."""
 
     grid: SpectralGrid
     coeffs: np.ndarray
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != (self.grid.num_points,):
+        modes = self.grid.num_points // 2 + 1
+        if self.coeffs.shape != (modes,):
             raise ValueError(
-                f"coeffs shape {self.coeffs.shape} does not match grid "
-                f"({self.grid.num_points},)"
+                f"coeffs shape {self.coeffs.shape} does not match grid ({modes},)"
             )
 
 
-def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project coefficient rows onto exact conjugate symmetry (index j with N - j).
-
-    Real input guarantees this symmetry analytically; the projection strips
-    the fft roundoff floor so later odd-power multipliers (which amplify
-    high-zeta junk) cannot break the reality check.
-    """
-    out = np.empty_like(coeffs)
-    out[..., 0] = coeffs[..., 0].real
-    out[..., 1:] = 0.5 * (coeffs[..., 1:] + np.conj(coeffs[..., :0:-1]))
-    return out
-
-
 def _forward_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Real sample rows (..., N) -> symmetrized coefficients."""
+    """Real sample rows (..., N) -> half-spectra (..., N/2 + 1)."""
     samples = np.asarray(samples, dtype=np.float64)
     if not np.all(np.isfinite(samples)):
         raise NonFiniteDataError("forward_transform: non-finite samples")
-    return hermitian_symmetrize(grid.dft(samples))
+    return grid.dft(samples, real=True)
 
 
 def forward_transform(field: Field) -> SpectralField:
-    """Samples -> coefficients; rejects non-finite input."""
+    """Samples -> half-spectrum; rejects non-finite input."""
     return SpectralField(field.grid, _forward_coeffs(field.samples, field.grid))
 
 
-def _asymmetry(coeffs: np.ndarray) -> np.ndarray:
-    # per-row relative deviation from conjugate symmetry; a zero row gives 0 / 1
-    scale = np.max(np.abs(coeffs), axis=-1)
-    paired = np.max(np.abs(coeffs[..., 1:] - np.conj(coeffs[..., :0:-1])), axis=-1)
-    worst = np.maximum(paired, np.abs(coeffs[..., 0].imag))  # the zero mode must be real
-    return worst / np.where(scale == 0.0, 1.0, scale)
-
-
 def _real_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Coefficient rows (..., N) -> real samples; errors if any row is
-    non-finite or breaks conjugate symmetry by more than SYMMETRY_TOL (the
-    worst row is quoted)."""
-    with np.errstate(invalid="ignore"):  # inf - inf; the row is rejected below
-        err = _asymmetry(coeffs)
-    broken = err[~(err <= SYMMETRY_TOL)]  # a NaN deviation fails this test too
-    if broken.size:
-        raise NonFiniteDataError(
-            f"inverse_transform: coefficients are non-finite or break conjugate "
-            f"symmetry (relative deviation {broken.max():.3e} > {SYMMETRY_TOL:.1e})"
-        )
-    return grid.idft(coeffs).real
+    """Half-spectrum rows (..., N/2 + 1) -> real samples (..., N); rejects
+    non-finite input."""
+    if not np.all(np.isfinite(coeffs)):
+        raise NonFiniteDataError("inverse_transform: non-finite coefficients")
+    return grid.idft(coeffs, real=True)
 
 
 def inverse_transform(sf: SpectralField) -> Field:
-    """Coefficients -> real samples; errors if conjugate symmetry is broken."""
+    """Half-spectrum -> real samples; rejects non-finite input."""
     return Field(sf.grid, _real_samples(sf.coeffs, sf.grid))
 
 
@@ -249,7 +237,7 @@ def differentiate(sf: SpectralField, order: int = 1) -> SpectralField:
     """Spectral d^order/dx^order for order in {1, 2, 3}."""
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2, or 3, got {order}")
-    return SpectralField(sf.grid, sf.coeffs * sf.grid.derivative_symbol(order))
+    return SpectralField(sf.grid, sf.coeffs * sf.grid.derivative_symbol(order, real=True))
 
 
 def padded_points(num: int, count: int) -> int:
@@ -260,30 +248,28 @@ def padded_points(num: int, count: int) -> int:
 
 
 def padded_samples(coeffs: np.ndarray, grid: SpectralGrid, num_padded: int) -> np.ndarray:
-    """Real samples of grid's conjugate-symmetric coefficient rows on
-    num_padded points over [-L, L); only the modes 0 ... N/2 are read."""
+    """Real samples of grid's half-spectrum rows on num_padded points over [-L, L)."""
     num = grid.num_points
     if num_padded < num or num_padded % 2 != 0:
         raise ValueError(f"num_padded must be even and >= {num}, got {num_padded}")
     half = num // 2
     out = np.zeros(coeffs.shape[:-1] + (num_padded // 2 + 1,), dtype=np.complex128)
-    out[..., :half] = coeffs[..., :half]
-    # the unpaired mode -N/2 enters as its conjugate +N/2 at half weight, or
-    # at full weight when +N/2 is the padded grid's own Nyquist mode
-    out[..., half] = (0.5 if num_padded > num else 1.0) * np.conj(coeffs[..., half])
+    out[..., : half + 1] = coeffs
+    if num_padded > num:
+        # on a wider grid the Nyquist entry stands for the two modes +-N/2,
+        # so +N/2 keeps half of it
+        out[..., half] *= 0.5
     return grid.idft(out, real=True)
 
 
 def truncated_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Coefficients, cut back to grid's band, of real sample rows on a padded
-    grid; conjugate-symmetric, with the band's unpaired Nyquist entry zero."""
+    """Half-spectrum, cut back to grid's band, of real sample rows on a
+    padded grid; the band's Nyquist entry is zero, since that one entry
+    cannot hold both of the padded modes +-N/2."""
     half = grid.num_points // 2
-    modes = grid.dft(samples, real=True)
-    out = np.empty(modes.shape[:-1] + (grid.num_points,), dtype=np.complex128)
-    out[..., :half] = modes[..., :half]
-    out[..., half] = 0.0
-    np.conj(modes[..., half - 1 : 0 : -1], out=out[..., half + 1 :])
-    return out
+    coeffs = grid.dft(samples, real=True)[..., : half + 1]
+    coeffs[..., half] = 0.0
+    return coeffs
 
 
 def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray:
@@ -298,7 +284,7 @@ def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid) ->
         coeffs = truncated_coeffs(prod, grid)
     if not np.all(np.isfinite(coeffs)):
         raise NonFiniteDataError("dealiased product: the product overflows")
-    return _real_samples(coeffs, grid)
+    return grid.idft(coeffs, real=True)
 
 
 def dealiased_product(fields: Sequence[Field]) -> Field:

@@ -78,7 +78,7 @@ class TestInvariants:
 class TestEstimateRadius:
     def test_synthetic_exponential_recovered_exactly(self):
         g = SpectralGrid(20.0, 512)
-        c = 2.3 * np.exp(-0.7 * np.abs(g.zeta)).astype(complex)
+        c = 2.3 * np.exp(-0.7 * g.rzeta).astype(complex)
         c[g.nyquist_index] = 0.0
         est = estimate_radius(SpectralField(g, c))
         assert not est.noise_floor_hit

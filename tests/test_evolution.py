@@ -11,6 +11,8 @@ import pytest
 from gkdvlab.evolution import (
     CoupledState,
     _RhsWorkspace,
+    _step_if_rk4,
+    _step_strang,
     NonContractionError,
     NumericalBlowupError,
     PicardConfig,
@@ -30,6 +32,7 @@ from gkdvlab.spectral import (
     SpectralGrid,
     forward_transform,
     inverse_transform,
+    padded_points,
 )
 
 
@@ -38,11 +41,9 @@ def bandlimited_state(grid, seed, bandwidth=5, amp=1.5):
 
     def one(s):
         r = np.random.default_rng(s)
-        c = np.zeros(grid.num_points, dtype=complex)
+        c = np.zeros(grid.num_points // 2 + 1, dtype=complex)
         for k in range(1, bandwidth + 1):
-            z = (r.standard_normal() + 1j * r.standard_normal()) * amp * 0.5**k
-            c[k] = z
-            c[-k] = np.conj(z)
+            c[k] = (r.standard_normal() + 1j * r.standard_normal()) * amp * 0.5**k
         return inverse_transform(SpectralField(grid, c))
 
     return CoupledState(0.0, one(seed), one(seed + 1000))
@@ -97,19 +98,26 @@ class TestFreePropagate:
         both = free_propagate(s, 0.8)
         assert np.max(np.abs(one.u.samples - both.u.samples)) < 1e-12
 
-    def test_nyquist_untouched(self):
+    @pytest.mark.parametrize("real", [False, True])
+    def test_nyquist_untouched(self, real):
         g = SpectralGrid(np.pi, 16)
-        phase = dispersive_phase(g, 2.3)
+        phase = dispersive_phase(g, 2.3, real=real)
+        assert phase.shape == ((9,) if real else (16,))
         assert phase[g.nyquist_index] == 1.0
         assert np.allclose(np.abs(phase), 1.0)
+
+    def test_half_phase_is_a_prefix_of_the_full_phase(self):
+        g = SpectralGrid(10.0, 64)
+        assert np.array_equal(dispersive_phase(g, 0.37, real=True),
+                              dispersive_phase(g, 0.37)[:33])
 
     def test_array_of_times_equals_scalar_calls(self):
         g = SpectralGrid(10.0, 256)
         times = (0.05 / 192) * np.arange(193)
-        rows = dispersive_phase(g, times)
-        assert rows.shape == (193, 256)
+        rows = dispersive_phase(g, times, real=True)
+        assert rows.shape == (193, 129)
         for j, t in enumerate(times):
-            assert np.array_equal(rows[j], dispersive_phase(g, float(t)))
+            assert np.array_equal(rows[j], dispersive_phase(g, float(t), real=True))
 
 
 class TestNonlinearRhs:
@@ -145,7 +153,7 @@ class TestNonlinearRhs:
             SpectralField(
                 g,
                 forward_transform(power).coeffs
-                * np.where(np.arange(256) == 0, 0.0, -1j * g.zeta),
+                * np.where(np.arange(129) == 0, 0.0, -1j * g.rzeta),
             )
         )
         # pointwise power is alias-free here only up to spectral decay
@@ -218,6 +226,85 @@ class TestStep:
         a = run_steps(s0, SolverConfig(p=1, dt=5e-4, scheme="if_rk4"), 20)
         b = run_steps(s0, SolverConfig(p=1, dt=5e-4, scheme="strang"), 20)
         assert np.max(np.abs(a.u.samples - b.u.samples)) < 1e-6
+
+
+def full_spectrum(half, grid):
+    """Every mode, in FFT order, of half-spectrum rows (..., N/2 + 1)."""
+    n = grid.num_points
+    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    out[..., : n // 2] = half[..., : n // 2]
+    out[..., n // 2] = np.conj(half[..., n // 2])  # +N/2 stored as -N/2
+    out[..., n // 2 + 1 :] = np.conj(half[..., n // 2 - 1 : 0 : -1])
+    return out
+
+
+def full_rhs(c, grid, p):
+    """The complex right-hand side on full spectra (2, N): zero-pad in FFT
+    order, keep .real of the complex inverse, transform the powers in
+    complex, keep the band with its Nyquist entry zeroed, times -i zeta."""
+    n, half = grid.num_points, grid.num_points // 2
+    m = padded_points(n, 2 * p + 1)
+
+    def padded(ck):
+        out = np.zeros(m, dtype=complex)
+        out[:half] = ck[:half]
+        out[m - half :] = ck[half:]
+        return grid.idft(out).real
+
+    u, v = padded(c[0]), padded(c[1])
+    out = np.empty_like(c)
+    for k, w in enumerate(((u * v) ** p * v, (u * v) ** p * u)):
+        wh = grid.dft(w)
+        band = np.concatenate((wh[:half], [0.0], wh[m - half + 1 :]))
+        out[k] = -1j * np.where(np.arange(n) == half, 0.0, grid.zeta) * band
+    return out
+
+
+class TestHalfSpectrumMarch:
+    """The half-spectrum steppers against the complex full-spectrum formulas:
+    every step operation is elementwise on conjugate-symmetric arrays, so the
+    modes 0 ... N/2 evolve alike."""
+
+    @staticmethod
+    def _march(scheme, p, num_steps=5, dt=2e-3):
+        g = SpectralGrid(10.0, 128)
+        s = bandlimited_state(g, 31, bandwidth=12, amp=0.8 if p == 1 else 0.6)
+        half = np.stack([forward_transform(s.u).coeffs, forward_transform(s.v).coeffs])
+        full = full_spectrum(half, g)
+        eh, e2h = (dispersive_phase(g, t, real=True) for t in (0.5 * dt, dt))
+        ef, e2f = (dispersive_phase(g, t) for t in (0.5 * dt, dt))
+        rhs = _RhsWorkspace(g, p)
+
+        def frhs(c):
+            return full_rhs(c, g, p)
+
+        for _ in range(num_steps):
+            if scheme == "if_rk4":
+                half = _step_if_rk4(half, dt, eh, e2h, rhs)
+                n1 = frhs(full)
+                n2 = frhs(ef * (full + 0.5 * dt * n1))
+                n3 = frhs(ef * full + 0.5 * dt * n2)
+                n4 = frhs(e2f * full + dt * ef * n3)
+                full = e2f * full + (dt / 6.0) * (e2f * n1 + 2.0 * ef * (n2 + n3) + n4)
+            else:
+                half = _step_strang(half, dt, eh, rhs)
+                c = ef * full
+                k1 = frhs(c)
+                k2 = frhs(c + 0.5 * dt * k1)
+                full = ef * (c + dt * k2)
+        return g, half, full
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("scheme", ["if_rk4", "strang"])
+    def test_agrees_with_full_spectrum_step(self, scheme, p):
+        g, half, full = self._march(scheme, p)
+        assert half.shape == (2, 65)
+        expect = full[:, :65].copy()
+        expect[:, 64] = np.conj(full[:, 64])  # the half-spectrum keeps +N/2
+        scale = np.max(np.abs(expect))
+        assert np.max(np.abs(half - expect)) <= 1e-14 * scale
+        # the full march stays conjugate-symmetric, so the half loses nothing
+        assert np.max(np.abs(full - full_spectrum(half, g))) <= 1e-14 * scale
 
 
 class TestReflection:
@@ -344,14 +431,14 @@ class TestPicard:
         rhs = _RhsWorkspace(g, 1)
         m, h = cfg.num_nodes, cfg.t_window / cfg.num_nodes
         c0 = np.stack([forward_transform(s0.u).coeffs, forward_transform(s0.v).coeffs])
-        free = np.stack([dispersive_phase(g, h * j) * c0 for j in range(m + 1)])
+        free = np.stack([dispersive_phase(g, h * j, real=True) * c0 for j in range(m + 1)])
         w_u = np.stack([rhs(free[j])[0] for j in range(m + 1)])
         expect_u = free[:, 0].copy()
         for j in range(1, m + 1):
-            acc = np.zeros(g.num_points, dtype=complex)
+            acc = np.zeros(g.num_points // 2 + 1, dtype=complex)
             for k in range(j + 1):
                 wt = 0.5 if k in (0, j) else 1.0
-                acc += wt * h * dispersive_phase(g, h * (j - k)) * w_u[k]
+                acc += wt * h * dispersive_phase(g, h * (j - k), real=True) * w_u[k]
             expect_u[j] += acc
         scale = np.max(np.abs(expect_u))
         assert np.max(np.abs(res.coeffs[0] - expect_u)) < 1e-10 * scale
@@ -373,6 +460,24 @@ class TestPicard:
             err = np.sqrt(np.sum((pic[0, j] - rec.snapshots[j][0]) ** 2) * g.dx)
             worst = max(worst, err)
         assert worst < 1e-6  # measured 1.04e-7
+
+    def test_first_difference_is_the_full_spectrum_sobolev_sum(self):
+        # diffs[0] is the H^s size of (first iterate - free flow), a sum over
+        # every mode; the half-spectrum entries 1 ... N/2 - 1 count twice
+        g = SpectralGrid(np.pi, 64)
+        s0 = bandlimited_state(g, 4, amp=1.0)
+        cfg = PicardConfig(
+            t_window=0.05, num_nodes=16, max_iters=2, contraction_tol=np.inf, diff_s=1.5
+        )
+        res = picard_solve(s0, cfg, p=1)
+        h = cfg.t_window / cfg.num_nodes
+        c0 = np.stack([forward_transform(s0.u).coeffs, forward_transform(s0.v).coeffs])
+        free = dispersive_phase(g, h * np.arange(17), real=True) * c0[:, None, :]
+        every = g.dft(g.idft(res.coeffs - free, real=True))  # (2, 17, N), FFT order
+        weight = (1.0 + np.abs(g.zeta)) ** (2.0 * cfg.diff_s)
+        expect = np.sqrt(np.sum(weight * np.abs(every) ** 2, axis=-1) * g.dzeta).max()
+        assert expect > 0.0
+        assert abs(res.diffs[0] - expect) <= 1e-13 * expect
 
     def test_samples_match_per_node_inverse(self):
         # one batched inverse of the node stack equals the per-node inverses

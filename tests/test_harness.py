@@ -29,9 +29,11 @@ from gkdvlab.harness import (
     read_csv,
     render_config,
     run,
+    soliton_profile,
     sweep,
     write_csv,
 )
+from gkdvlab.spectral import Field, differentiate, forward_transform, inverse_transform
 
 FAST = [
     "N=256", "dt=0.002", "t_end=0.2", "record_stride=20",
@@ -196,6 +198,23 @@ class TestInitialState:
         assert np.allclose(st.u.samples, want, atol=1e-14)
         assert np.array_equal(st.u.samples, st.v.samples)
 
+    def test_soliton_p1_is_the_sech_formula(self):
+        # the general profile keeps the p = 1 samples bit for bit
+        st = initial_state(fast_config("ic_speed=2.5", "ic_x0=-1"))
+        y = st.grid.x + 1.0
+        assert np.array_equal(st.u.samples, np.sqrt(2.0 * 2.5) / np.cosh(np.sqrt(2.5) * y))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_soliton_profile_solves_its_equation(self, p):
+        # u = v = Q(x - c t) needs -c Q + Q'' + Q^(2p+1) = 0
+        # N = 4096 resolves the strip of half-width pi / (2 p sqrt(c)) down to roundoff
+        st = initial_state(fast_config(f"p={p}", "ic_speed=1.5", "N=4096"))
+        q = st.u.samples
+        assert np.array_equal(q, soliton_profile(st.grid.x, 1.5, p))
+        q2 = inverse_transform(differentiate(forward_transform(Field(st.grid, q)), 2)).samples
+        residual = -1.5 * q + q2 + q ** (2 * p + 1)
+        assert np.max(np.abs(residual)) < 1e-9 * np.max(q)
+
     def test_sech_and_gaussian_params(self):
         st = initial_state(fast_config("ic=sech", "ic_amp=0.5", "ic_width=2"))
         assert abs(st.u.samples.max() - 0.5) < 1e-12
@@ -329,6 +348,13 @@ class TestRunSolitonTest:
         # coarse grid, short run: error small but resolution limited
         assert out["l2_error_u"] < 1e-3
         assert out["mass_u_rel_drift"] < 1e-10
+
+    def test_p2_soliton_is_exact(self, tmp_path):
+        # the default grid and step carry the p = 2 soliton to t = 0.5
+        run(apply_overrides(RunConfig(), ["kind=soliton-test", "p=2", "t_end=0.5"]), tmp_path)
+        out = json.loads((tmp_path / "soliton_test.json").read_text())
+        assert out["l2_error_u"] < 1e-4  # measured 3.5e-6
+        assert out["l2_error_v"] < 1e-4
 
 
 class TestRunPicardTest:

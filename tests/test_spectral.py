@@ -10,14 +10,12 @@ from gkdvlab.spectral import (
     Field,
     SpectralField,
     SpectralGrid,
-    _asymmetry,
     _axis_phase,
     dealiased_product,
     dealiased_product_rows,
     dft_axis,
     differentiate,
     forward_transform,
-    hermitian_symmetrize,
     idft_axis,
     inverse_transform,
     padded_samples,
@@ -33,7 +31,8 @@ def random_field(grid, seed, scale=1.0):
 
 
 def bandlimited_field(grid, seed, bandwidth):
-    """Real field with random spectrum supported on 0 < |k| <= bandwidth."""
+    """Real field with random spectrum supported on 0 < |k| <= bandwidth,
+    and its full spectrum in FFT order."""
     rng = np.random.default_rng(seed)
     c = np.zeros(grid.num_points, dtype=complex)
     c[0] = rng.standard_normal()
@@ -41,7 +40,8 @@ def bandlimited_field(grid, seed, bandwidth):
         z = rng.standard_normal() + 1j * rng.standard_normal()
         c[k] = z
         c[-k] = np.conj(z)
-    return inverse_transform(SpectralField(grid, c)), c
+    half = c[: grid.num_points // 2 + 1]
+    return inverse_transform(SpectralField(grid, half)), c
 
 
 class TestGrid:
@@ -72,6 +72,19 @@ class TestGrid:
             Field(g, np.zeros(7))
         with pytest.raises(ValueError):
             SpectralField(g, np.zeros(9, dtype=complex))
+        with pytest.raises(ValueError):  # a full spectrum is not a half-spectrum
+            SpectralField(g, np.zeros(8, dtype=complex))
+        assert SpectralField(g, np.zeros(5)).coeffs.shape == (5,)
+
+    def test_half_spectrum_wavenumbers_and_multiplicity(self):
+        g = SpectralGrid(3.0, 16)
+        assert np.array_equal(g.rzeta, g.dzeta * np.arange(9))
+        assert np.array_equal(g.rzeta[:8], g.zeta[:8])
+        assert g.rzeta[g.nyquist_index] == -g.zeta[g.nyquist_index]
+        assert np.array_equal(g.multiplicity, [1.0] + [2.0] * 7 + [1.0])
+        assert g.multiplicity.sum() == g.num_points
+        with pytest.raises(ValueError):
+            g.multiplicity[1] = 1.0
 
 
 class TestForwardTransform:
@@ -82,20 +95,25 @@ class TestForwardTransform:
         naive = np.array(
             [
                 (g.dx / SQRT_2PI) * np.sum(u.samples * np.exp(-1j * g.x * z))
-                for z in g.zeta
+                for z in g.rzeta
             ]
         )
         assert np.max(np.abs(c - naive)) <= 1e-12 * np.max(np.abs(c))
 
     def test_single_cosine_lands_on_two_bins(self):
+        # the half-spectrum holds +k1; the complex transform shows both bins
         g = SpectralGrid(np.pi, 64)
         amp, k1 = 0.7, 5
-        c = forward_transform(Field(g, amp * np.cos(k1 * g.x))).coeffs
-        n = g.num_points  # mode m sits at index m mod n
+        samples = amp * np.cos(k1 * g.x)
+        c = forward_transform(Field(g, samples)).coeffs
+        full = g.dft(samples)
+        n = g.num_points  # mode m sits at index m mod n of the full spectrum
         expected = amp * g.half_length / SQRT_2PI
         assert abs(abs(c[k1]) - expected) < 1e-12 * expected
-        assert abs(abs(c[n - k1]) - expected) < 1e-12 * expected
-        rest = np.abs(np.delete(c, [n - k1, k1]))
+        assert abs(abs(full[n - k1]) - expected) < 1e-12 * expected
+        rest = np.abs(np.delete(c, [k1]))
+        assert np.max(rest) < 1e-12 * expected
+        rest = np.abs(np.delete(full, [n - k1, k1]))
         assert np.max(rest) < 1e-12 * expected
 
     def test_constant_field_is_zero_mode_only(self):
@@ -108,7 +126,7 @@ class TestForwardTransform:
 
     def test_zero_mode_delta_is_constant_field(self):
         g = SpectralGrid(3.0, 32)
-        c = np.zeros(32, dtype=complex)
+        c = np.zeros(17, dtype=complex)
         c[0] = 2.5
         u = inverse_transform(SpectralField(g, c))
         expected = 2.5 * SQRT_2PI / (2 * g.half_length)
@@ -120,7 +138,8 @@ class TestForwardTransform:
         u = random_field(g, num)
         c = forward_transform(u).coeffs
         phys = np.sum(u.samples**2) * g.dx
-        spec = np.sum(np.abs(c) ** 2) * g.dzeta
+        # every mode: the modes 1 ... N/2 - 1 stand for their conjugates too
+        spec = np.sum(g.multiplicity * np.abs(c) ** 2) * g.dzeta
         assert abs(phys - spec) <= 1e-12 * phys
 
     @pytest.mark.parametrize("seed", range(5))
@@ -137,19 +156,12 @@ class TestForwardTransform:
         with pytest.raises(ValueError, match="non-finite"):
             forward_transform(bad)
 
-    @pytest.mark.parametrize("where,value", [(3, np.nan), (0, np.nan), (9, np.inf)])
+    @pytest.mark.parametrize("where,value", [(3, np.nan), (0, np.nan), (8, np.inf)])
     def test_inverse_rejects_nonfinite_coeffs(self, where, value):
         g = SpectralGrid(10.0, 16)
-        c = np.zeros(16, dtype=complex)
+        c = np.zeros(9, dtype=complex)
         c[where] = value
         with pytest.raises(NonFiniteDataError, match="non-finite"):
-            inverse_transform(SpectralField(g, c))
-
-    def test_inverse_rejects_asymmetric_coeffs(self):
-        g = SpectralGrid(1.0, 16)
-        c = np.zeros(16, dtype=complex)
-        c[9] = 1.0  # positive-zeta bin with no conjugate partner
-        with pytest.raises(ValueError, match="symmetry"):
             inverse_transform(SpectralField(g, c))
 
     def test_complex_samples_skips_check(self):
@@ -247,6 +259,9 @@ class TestDifferentiate:
         # only odd orders drop the unpaired Nyquist mode
         assert mult[g.nyquist_index] == (0.0 if order % 2 else expect[g.nyquist_index])
         assert expect[g.nyquist_index] != 0.0
+        # the half-spectrum symbol is the prefix: (i zeta)^order agrees at
+        # +-N/2 for even order, and odd orders are zero there
+        assert np.array_equal(g.derivative_symbol(order, real=True), mult[:9])
 
 
 class TestDealiasedProduct:
@@ -266,6 +281,7 @@ class TestDealiasedProduct:
                     acc += c1[k] * c2[l]
             oracle[m] = acc * g.dzeta / SQRT_2PI
         oracle[-half] = 0.0  # the Nyquist mode
+        oracle = oracle[: half + 1]  # the modes 0 ... N/2 of the half-spectrum
         assert np.max(np.abs(cp - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_triple_product_matches_pointwise_for_smooth_fields(self):
@@ -287,7 +303,8 @@ class TestDealiasedProduct:
         # cos(5x) cos(3x) = cos(2x)/2 + cos(8x)/2
         g = SpectralGrid(np.pi, 64)
         prod = dealiased_product([Field(g, np.cos(5 * g.x)), Field(g, np.cos(3 * g.x))])
-        c = forward_transform(prod).coeffs
+        c = g.dft(prod.samples)  # every mode, in FFT order
+        assert np.max(np.abs(forward_transform(prod).coeffs - c[:33])) < 1e-15
         expected = 0.5 * g.half_length / SQRT_2PI  # per-bin weight of cos/2
         for k in (2, 8):
             assert abs(abs(c[k]) - expected) < 1e-12
@@ -317,19 +334,20 @@ class TestDealiasedProduct:
             dealiased_product([])
 
     def test_pad_truncate_roundtrip(self):
-        # the real-to-complex round trip gives what the complex one gave:
-        # zero-pad in FFT order and keep .real of the inverse; transform,
-        # keep the band and zero its Nyquist entry.  The rows are conjugate-
-        # symmetric but for a complex Nyquist entry, which the complex
-        # inverse reads as mode -8 and the real one as its conjugate +8
+        # the half-spectrum round trip gives what the complex one gives:
+        # zero-pad the full spectrum in FFT order and keep .real of the
+        # inverse; transform, keep the band and zero its Nyquist entry.  The
+        # Nyquist entry +8 is complex; the complex layout holds its conjugate
+        # as mode -8, which the complex inverse reads on its own
         g = SpectralGrid(10.0, 16)
         rng = np.random.default_rng(0)
-        c = hermitian_symmetrize(g.dft(rng.standard_normal((3, 16))))
+        c = g.dft(rng.standard_normal((3, 16)), real=True)
         c[:, 8] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         for num_padded in (16, 24, 40):
             padded = np.zeros((3, num_padded), dtype=complex)
             padded[:, :8] = c[:, :8]
-            padded[:, -8:] = c[:, 8:]
+            padded[:, -7:] = np.conj(c[:, 7:0:-1])
+            padded[:, -8] = np.conj(c[:, 8])
             expect = g.idft(padded).real
             vals = padded_samples(c, g, num_padded)
             assert vals.shape == (3, num_padded) and np.isrealobj(vals)
@@ -337,13 +355,44 @@ class TestDealiasedProduct:
 
             w = rng.standard_normal((3, num_padded))
             full = g.dft(w)
-            expect = np.concatenate((full[:, :8], full[:, -8:]), axis=-1)
+            expect = full[:, :9].copy()
             expect[:, 8] = 0.0
             back = truncated_coeffs(w, g)
+            assert back.shape == (3, 9)
             assert np.max(np.abs(back - expect)) <= 1e-15 * np.max(np.abs(expect))
-            assert np.all(_asymmetry(back) == 0.0)
         with pytest.raises(ValueError, match="num_padded"):
             padded_samples(c, g, 12)
+
+    def test_product_rows_match_the_conjugate_symmetric_formula(self):
+        # the half-spectrum product against the conjugate-symmetric formula:
+        # full transform of each factor projected onto conjugate symmetry,
+        # padded samples from the modes 0 ... N/2 (the -N/2 entry read as its
+        # conjugate at half weight), the rfft band with the Nyquist entry
+        # zeroed, mirrored back to every mode and inverted in complex
+        g = SpectralGrid(10.0, 64)
+        rng = np.random.default_rng(11)
+        factors = [np.exp(-0.3 * g.x**2) * rng.standard_normal((64, 64)) for _ in range(3)]
+        num, half = 64, 32
+        num_padded = 128
+        prod = 1.0
+        for f in factors:
+            full = g.dft(f)
+            sym = np.empty_like(full)
+            sym[:, 0] = full[:, 0].real
+            sym[:, 1:] = 0.5 * (full[:, 1:] + np.conj(full[:, :0:-1]))
+            modes = np.zeros((64, num_padded // 2 + 1), dtype=complex)
+            modes[:, :half] = sym[:, :half]
+            modes[:, half] = 0.5 * np.conj(sym[:, half])
+            prod = prod * g.idft(modes, real=True)
+        band = g.dft(prod, real=True)
+        full = np.empty((64, num), dtype=complex)
+        full[:, :half] = band[:, :half]
+        full[:, half] = 0.0
+        full[:, half + 1 :] = np.conj(band[:, half - 1 : 0 : -1])
+        expect = g.idft(full).real
+        got = dealiased_product_rows(factors, g)
+        peak = np.max(np.abs(expect), axis=-1)
+        assert np.all(np.max(np.abs(got - expect), axis=-1) <= 1e-14 * peak)
 
 
 class TestGridTransforms:
