@@ -221,6 +221,7 @@ def _random_rows(
     draws[:, np.argsort(grid.zeta)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         c = _envelope_weights(grid, spec)[None, :] * draws
+        c[:, 1::2] *= -1.0  # odd modes (odd indices): keep each seed's draws relative to x = 0
         rows = grid.idft(c, axis=1).real
     if not np.all(np.isfinite(rows)):
         raise NonFiniteDataError(

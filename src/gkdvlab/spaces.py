@@ -117,16 +117,17 @@ class SpaceTimeSample:
 
 
 def xt_transform(sample: SpaceTimeSample) -> np.ndarray:
-    """Two-dimensional coefficients, eta along axis 0, zeta along axis 1."""
+    """Two-dimensional coefficients, eta along axis 0, zeta along axis 1; like
+    the x-transform, the time transform is taken from its window's left edge."""
     cx = sample.grid.dft(sample.values, axis=1)
-    return dft_axis(cx, sample.t1 - sample.t0, sample.t0, axis=0)
+    return dft_axis(cx, sample.t1 - sample.t0, axis=0)
 
 
 def xt_inverse(
     coeffs: np.ndarray, grid: SpectralGrid, t0: float, t1: float
 ) -> np.ndarray:
     """Inverse of :func:`xt_transform`; complex (num_times, num_points) values."""
-    return grid.idft(idft_axis(coeffs, t1 - t0, t0, axis=0), axis=1)
+    return grid.idft(idft_axis(coeffs, t1 - t0, axis=0), axis=1)
 
 
 def l2_rows(values: np.ndarray, cell: float) -> np.ndarray:

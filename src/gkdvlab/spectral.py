@@ -1,9 +1,13 @@
 """Periodic pseudospectral core on a uniform grid over [-L, L).
 
-Transforms follow the unitary-in-(2 pi) convention: the discrete coefficient
-at wavenumber zeta_k = (pi/L) k approximates (2 pi)^{-1/2} integral of
-u(x) e^{-i x zeta} dx, so sum |u_j|^2 dx == sum |C_k|^2 dzeta holds exactly
-over every mode (dzeta = pi/L).
+Transforms follow the unitary-in-(2 pi) convention, measured from the grid's
+left edge x = -L: the discrete coefficient at wavenumber zeta_k = (pi/L) k
+approximates (2 pi)^{-1/2} integral of u(x) e^{-i (x + L) zeta} dx, which is
+(-1)^k times the transform taken from x = 0.  So each coefficient is a
+scaled plain FFT: its modulus does not depend on the origin, and
+sum |u_j|^2 dx == sum |C_k|^2 dzeta holds exactly over every mode
+(dzeta = pi/L).  Steps, products and multipliers act mode by mode before an
+inverse transform, so no result depends on the phase.
 
 A real field keeps only its rfft half-spectrum, the modes 0 ... N/2: its
 negative modes are the conjugates of the positive ones, so reality holds by
@@ -12,9 +16,8 @@ every mode becomes a sum over the half-spectrum weighted by
 SpectralGrid.multiplicity, which counts the modes 1 ... N/2 - 1 twice.
 Complex samples (the space-time lab) keep every mode, in numpy's FFT order:
 mode m at index m mod N.  Only this module knows these layouts; callers
-select modes by their wavenumbers.  Transforms reuse a cached, read-only
-phase per (size, offset), so a call allocates no phase.  The grid owns the
-x-transform (span 2L, offset -L) as SpectralGrid.dft/idft.
+select modes by their wavenumbers.  The grid owns the x-transform (span 2L)
+as SpectralGrid.dft/idft.
 
 Derivative and product rules follow standard Fourier pseudospectral
 practice (see Trefethen, "Spectral Methods in MATLAB", ch. 3): the grid owns
@@ -26,7 +29,7 @@ result an exact spectral convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,35 +48,9 @@ def axis_freqs(num: int, span: float) -> np.ndarray:
     return (2.0 * np.pi / span) * np.fft.ifftshift(np.arange(num) - num // 2)
 
 
-@lru_cache(maxsize=32)
-def _axis_phase(num: int, offset_ratio: float,
-                real: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    # e^{-i x0 f_m} with x0 = offset_ratio * span / 2, and its conjugate; exact
-    # +-1 whenever the left edge sits an integer number of half-spans from the
-    # origin.  Over the modes in FFT order, or with real over 0 ... num/2, so
-    # the Nyquist entry carries the phase of +num/2.  Cached read-only: every
-    # transform of one (size, offset) shares them, and a run meets only a few.
-    m = np.arange(num // 2 + 1) if real else axis_freqs(num, 2.0 * np.pi)
-    if offset_ratio == round(offset_ratio):
-        g = int(round(offset_ratio))
-        phase = np.where(g * m % 2 == 0, 1.0 + 0.0j, -1.0 + 0.0j)
-    else:
-        phase = np.exp(-1j * np.pi * offset_ratio * m)
-    conj = np.conj(phase)
-    phase.flags.writeable = False
-    conj.flags.writeable = False
-    return phase, conj
-
-
-def _reshape_for(axis: int, ndim: int, vec: np.ndarray) -> np.ndarray:
-    shape = [1] * ndim
-    shape[axis] = vec.shape[0]
-    return vec.reshape(shape)
-
-
-def dft_axis(values: np.ndarray, span: float, offset: float, axis: int = -1,
+def dft_axis(values: np.ndarray, span: float, axis: int = -1,
              real: bool = False) -> np.ndarray:
-    """Normalized forward DFT along one axis of samples on [offset, offset+span).
+    """Normalized forward DFT along one axis of samples spaced span / num apart.
 
     With real, real samples on an even-sized axis map to the modes 0 ... num/2
     through rfft, on the same scale as the complex modes.
@@ -83,23 +60,19 @@ def dft_axis(values: np.ndarray, span: float, offset: float, axis: int = -1,
     if real and num % 2:
         raise ValueError(f"a real transform needs an even axis, got {num} points")
     scale = (span / num) / SQRT_2PI
-    phase, _ = _axis_phase(num, 2.0 * offset / span, real)
-    fft = np.fft.rfft if real else np.fft.fft
-    return scale * _reshape_for(axis, values.ndim, phase) * fft(values, axis=axis)
+    return scale * (np.fft.rfft if real else np.fft.fft)(values, axis=axis)
 
 
-def idft_axis(coeffs: np.ndarray, span: float, offset: float, axis: int = -1,
+def idft_axis(coeffs: np.ndarray, span: float, axis: int = -1,
               real: bool = False) -> np.ndarray:
     """Inverse of :func:`dft_axis`; complex samples, or with real, real
     samples on 2 (n - 1) points from the modes 0 ... n - 1 of the axis."""
     coeffs = np.asarray(coeffs)
     num = 2 * (coeffs.shape[axis] - 1) if real else coeffs.shape[axis]
     scale = (span / num) / SQRT_2PI
-    _, conj = _axis_phase(num, 2.0 * offset / span, real)
-    twisted = coeffs * _reshape_for(axis, coeffs.ndim, conj)
     if real:
-        return np.fft.irfft(twisted, num, axis=axis) / scale
-    return np.fft.ifft(twisted, axis=axis) / scale
+        return np.fft.irfft(coeffs, num, axis=axis) / scale
+    return np.fft.ifft(coeffs, axis=axis) / scale
 
 
 @dataclass(frozen=True)
@@ -158,12 +131,12 @@ class SpectralGrid:
 
     def dft(self, values: np.ndarray, axis: int = -1, real: bool = False) -> np.ndarray:
         """x-transform along axis; any length, padded too, spans [-L, L)."""
-        return dft_axis(values, 2.0 * self.half_length, -self.half_length, axis, real)
+        return dft_axis(values, 2.0 * self.half_length, axis, real)
 
     def idft(self, coeffs: np.ndarray, axis: int = -1, real: bool = False) -> np.ndarray:
         """Inverse of :meth:`dft`; complex samples with no reality check, or
         with real, real samples from the modes 0 ... num/2."""
-        return idft_axis(coeffs, 2.0 * self.half_length, -self.half_length, axis, real)
+        return idft_axis(coeffs, 2.0 * self.half_length, axis, real)
 
     def derivative_symbol(self, order: int, real: bool = False) -> np.ndarray:
         """Multiplier (i zeta)^order of d^order/dx^order over a full spectrum,

@@ -4,6 +4,7 @@ dt-halving self-convergence, and an O(M^2) direct quadrature for the first
 integral iterate."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gkdvlab.evolution import (
     reflect_state,
     simulate,
 )
+from gkdvlab.harness import RunConfig, initial_state
 from gkdvlab.spaces import NormParams, gevrey_norm
 from gkdvlab.spectral import (
     Field,
@@ -551,6 +553,40 @@ class TestSwapSymmetry:
         assert a.converged and a.iterations == b.iterations
         assert a.diffs == b.diffs
         assert np.array_equal(a.coeffs, b.coeffs[::-1])
+
+
+def _sha256(samples):
+    return hashlib.sha256(np.ascontiguousarray(samples, dtype="<f8").tobytes()).hexdigest()
+
+
+def _perturbed_sech(num_points, p):
+    return initial_state(
+        RunConfig(ic="perturbed_sech", half_length=10.0, num_points=num_points, p=p))
+
+
+class TestPinnedOutputs:
+    # sha256 of the bytes: no change of coefficient convention or layout may
+    # move a stepper or Picard result, not even by one rounding
+    @pytest.mark.parametrize("scheme, p, digest", [
+        ("if_rk4", 1, "438050fa6533d4e4068cdce6fa119099c9b6ea3ab32ff0d3b520737d534ae1b8"),
+        ("if_rk4", 2, "c57713e38ac504f5ff1f079cb1238570807e681da266026e0732d78e02654260"),
+        ("strang", 1, "260a0f30ed8392b1455c47cdd5c73ee507136fa92c889c9ffc69e864390fb400"),
+        ("strang", 2, "9b0f22a10064f8e68cd52690c066a149bd41e178f02bc0e3b7827961325de2e2"),
+    ])
+    def test_simulate_snapshot(self, scheme, p, digest):
+        cfg = SolverConfig(p=p, dt=2e-3, t_end=0.1, scheme=scheme, record_stride=50)
+        rec = simulate(_perturbed_sech(128, p), cfg)
+        assert rec.times == [0.0, 0.1]
+        assert _sha256(rec.snapshots[-1]) == digest
+
+    @pytest.mark.parametrize("p, digest", [
+        (1, "bbb0d66d0d7d25dacfa051b1b3948f87cacb32312793a524cc564de839af3d4c"),
+        (2, "f73a3291b49e9b31312e0f85ad60b247789ae292d105af08f9488785bff0255b"),
+    ])
+    def test_picard_samples(self, p, digest):
+        res = picard_solve(_perturbed_sech(64, p), PicardConfig(t_window=0.02, num_nodes=16), p)
+        assert res.converged
+        assert _sha256(res.samples()) == digest
 
 
 class TestConfigValidation:

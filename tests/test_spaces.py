@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gkdvlab import _kernels
-from gkdvlab.spectral import Field, SpectralGrid, dft_axis, forward_transform
+from gkdvlab.spectral import Field, SpectralGrid, forward_transform
 from gkdvlab.spaces import (
     CutoffProfile,
     NormParams,
@@ -214,7 +214,7 @@ class TestGevreyNorm:
         w = np.exp(0.3 * (1.0 + np.abs(g.zeta))) * (1.0 + np.abs(g.zeta)) ** 2.0
         expect = []
         for row in vals:
-            weighted = w * np.abs(dft_axis(row, 2.0 * g.half_length, -g.half_length))
+            weighted = w * np.abs(g.dft(row))
             peak = np.max(weighted)
             if peak == 0.0:
                 expect.append(0.0)
@@ -275,6 +275,20 @@ class TestBourgainNorm:
         with pytest.raises(ValueError, match="support"):
             bourgain_norm(s, NormParams(0.0, 0.0, 0.5), cutoff=None)
         check_window_support(np.zeros((4, 4)))  # all-zero sample passes
+
+    def test_shifted_window_keeps_the_norm_exactly(self):
+        # the norm weighs |w-hat| only, and the time transform is taken from
+        # the window's left edge: moving the window by a non-integer amount
+        # must not change a single bit
+        g = SpectralGrid(np.pi, 32)
+        rng = np.random.default_rng(11)
+        vals = rng.standard_normal((64, 32))
+        vals *= bump(np.linspace(-2.5, 2.5, 64, endpoint=False))[:, None]
+        s = SpaceTimeSample(g, -2.5, 2.5, vals)
+        moved = SpaceTimeSample(g, s.t0 + 0.37, s.t1 + 0.37, vals)
+        params = NormParams(0.3, 1.2, 0.55)
+        assert np.array_equal(np.abs(xt_transform(moved)), np.abs(xt_transform(s)))
+        assert bourgain_norm(moved, params, None) == bourgain_norm(s, params, None)
 
     def test_matches_low_level_weighted_l2(self):
         g = SpectralGrid(np.pi, 16)

@@ -10,7 +10,6 @@ from gkdvlab.spectral import (
     Field,
     SpectralField,
     SpectralGrid,
-    _axis_phase,
     dealiased_product,
     dealiased_product_rows,
     dft_axis,
@@ -94,7 +93,7 @@ class TestForwardTransform:
         c = forward_transform(u).coeffs
         naive = np.array(
             [
-                (g.dx / SQRT_2PI) * np.sum(u.samples * np.exp(-1j * g.x * z))
+                (g.dx / SQRT_2PI) * np.sum(u.samples * np.exp(-1j * (g.x + g.half_length) * z))
                 for z in g.rzeta
             ]
         )
@@ -397,7 +396,7 @@ class TestDealiasedProduct:
 
 class TestGridTransforms:
     # every x-transform goes through the grid; it must be exactly dft_axis /
-    # idft_axis on [-L, L), or snapshots and report hashes would move
+    # idft_axis over the span 2L, or snapshots and report hashes would move
     @pytest.mark.parametrize("shape, axis", [
         ((64,), -1), ((5, 64), 1), ((64, 5), 0), ((2, 3, 64), -1), ((5, 96), 1),
     ], ids=["row", "stack-axis1", "stack-axis0", "pair-stack", "padded"])
@@ -406,16 +405,15 @@ class TestGridTransforms:
         rng = np.random.default_rng(len(shape) + shape[axis])
         vals = rng.standard_normal(shape)
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        span, offset = 2.0 * g.half_length, -g.half_length
-        assert np.array_equal(g.dft(vals, axis=axis), dft_axis(vals, span, offset, axis=axis))
-        assert np.array_equal(g.idft(coeffs, axis=axis),
-                              idft_axis(coeffs, span, offset, axis=axis))
+        span = 2.0 * g.half_length
+        assert np.array_equal(g.dft(vals, axis=axis), dft_axis(vals, span, axis=axis))
+        assert np.array_equal(g.idft(coeffs, axis=axis), idft_axis(coeffs, span, axis=axis))
         # the real pair: samples to the modes 0 ... num/2 and back
         half = np.take(coeffs, np.arange(shape[axis] // 2 + 1), axis=axis)
         assert np.array_equal(g.dft(vals, axis=axis, real=True),
-                              dft_axis(vals, span, offset, axis=axis, real=True))
+                              dft_axis(vals, span, axis=axis, real=True))
         assert np.array_equal(g.idft(half, axis=axis, real=True),
-                              idft_axis(half, span, offset, axis=axis, real=True))
+                              idft_axis(half, span, axis=axis, real=True))
 
 
 class TestBatchedTransforms:
@@ -426,28 +424,28 @@ class TestBatchedTransforms:
     @pytest.mark.parametrize("rows", [3, 64, 193])
     def test_stack_equals_rows_exactly(self, num, rows):
         rng = np.random.default_rng(num + rows)
-        span, offset = 20.0, -10.0
+        span = 20.0
         vals = rng.standard_normal((rows, num))
         coeffs = rng.standard_normal((rows, num)) + 1j * rng.standard_normal((rows, num))
-        fwd = dft_axis(vals, span, offset)
-        inv = idft_axis(coeffs, span, offset)
+        fwd = dft_axis(vals, span)
+        inv = idft_axis(coeffs, span)
         for j in range(rows):
-            assert np.array_equal(fwd[j], dft_axis(vals[j], span, offset))
-            assert np.array_equal(inv[j], idft_axis(coeffs[j], span, offset))
+            assert np.array_equal(fwd[j], dft_axis(vals[j], span))
+            assert np.array_equal(inv[j], idft_axis(coeffs[j], span))
 
     @pytest.mark.parametrize("num", [64, 128, 192, 256, 512, 2048])
     @pytest.mark.parametrize("rows", [3, 64, 193])
     def test_real_stack_equals_rows_exactly(self, num, rows):
         rng = np.random.default_rng(num + rows)
-        span, offset = 20.0, -10.0
+        span = 20.0
         vals = rng.standard_normal((rows, num))
         shape = (rows, num // 2 + 1)
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        fwd = dft_axis(vals, span, offset, real=True)
-        inv = idft_axis(coeffs, span, offset, real=True)
+        fwd = dft_axis(vals, span, real=True)
+        inv = idft_axis(coeffs, span, real=True)
         for j in range(rows):
-            assert np.array_equal(fwd[j], dft_axis(vals[j], span, offset, real=True))
-            assert np.array_equal(inv[j], idft_axis(coeffs[j], span, offset, real=True))
+            assert np.array_equal(fwd[j], dft_axis(vals[j], span, real=True))
+            assert np.array_equal(inv[j], idft_axis(coeffs[j], span, real=True))
 
     def test_product_rows_equal_field_products(self):
         g = SpectralGrid(10.0, 64)
@@ -466,51 +464,26 @@ class TestBatchedTransforms:
             dealiased_product_rows([np.ones((4, 64)), bad], g)
 
 
-def _plain_phase(num, offset_ratio, real=False):
-    # the uncached phase formula, rebuilt on every call, over the FFT-order
-    # modes, or with real over the modes 0 ... num/2
-    m = np.arange(num // 2 + 1) if real else np.r_[0 : (num + 1) // 2, -(num // 2) : 0]
-    if offset_ratio == round(offset_ratio):
-        if int(round(offset_ratio)) % 2 == 0:
-            return np.ones(m.size, dtype=np.complex128)
-        return np.where(m % 2 == 0, 1.0 + 0.0j, -1.0 + 0.0j)
-    return np.exp(-1j * np.pi * offset_ratio * m)
+def _plain_dft(values, span, axis, real=False):
+    scale = (span / values.shape[axis]) / SQRT_2PI
+    return scale * (np.fft.rfft if real else np.fft.fft)(values, axis=axis)
 
 
-def _along(axis, ndim, vec):
-    shape = [1] * ndim
-    shape[axis] = vec.shape[0]
-    return vec.reshape(shape)
-
-
-def _plain_dft(values, span, offset, axis, real=False):
-    num = values.shape[axis]
-    scale = (span / num) / SQRT_2PI
-    phase = _along(axis, values.ndim, _plain_phase(num, 2.0 * offset / span, real))
-    return scale * phase * (np.fft.rfft if real else np.fft.fft)(values, axis=axis)
-
-
-def _plain_idft(coeffs, span, offset, axis, real=False):
+def _plain_idft(coeffs, span, axis, real=False):
     num = 2 * (coeffs.shape[axis] - 1) if real else coeffs.shape[axis]
     scale = (span / num) / SQRT_2PI
-    conj = _along(axis, coeffs.ndim, np.conj(_plain_phase(num, 2.0 * offset / span, real)))
     if real:
-        return np.fft.irfft(coeffs * conj, num, axis=axis) / scale
-    return np.fft.ifft(coeffs * conj, axis=axis) / scale
+        return np.fft.irfft(coeffs, num, axis=axis) / scale
+    return np.fft.ifft(coeffs, axis=axis) / scale
 
 
 class TestTransformPlan:
-    # the cached phase must reproduce the plain formula (fresh phase, plain
-    # np.fft) bit for bit, or snapshots and report hashes would move; odd
-    # sizes check the mode list of an odd axis
+    # every transform must be the plain scaled np.fft bit for bit, or
+    # snapshots and report hashes would move; odd sizes check an odd axis
     @pytest.mark.parametrize("num", [8, 9, 64, 2048])
-    @pytest.mark.parametrize(
-        "span, offset",
-        [(20.0, 0.0), (20.0, -10.0), (2.0, 0.3)],
-        ids=["even-ratio", "grid-edge", "time-window"],
-    )
+    @pytest.mark.parametrize("span", [20.0, 2.0], ids=["grid", "time-window"])
     @pytest.mark.parametrize("layout", ["row", "stack-axis0", "stack-axis-1"])
-    def test_bit_identical_to_plain_formula(self, num, span, offset, layout):
+    def test_bit_identical_to_plain_formula(self, num, span, layout):
         shape, axis = {
             "row": ((num,), -1),
             "stack-axis0": ((num, 5), 0),
@@ -519,19 +492,15 @@ class TestTransformPlan:
         rng = np.random.default_rng(num)
         vals = rng.standard_normal(shape)
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.array_equal(dft_axis(vals, span, offset, axis=axis),
-                              _plain_dft(vals, span, offset, axis))
-        assert np.array_equal(idft_axis(coeffs, span, offset, axis=axis),
-                              _plain_idft(coeffs, span, offset, axis))
+        assert np.array_equal(dft_axis(vals, span, axis=axis),
+                              _plain_dft(vals, span, axis))
+        assert np.array_equal(idft_axis(coeffs, span, axis=axis),
+                              _plain_idft(coeffs, span, axis))
 
     @pytest.mark.parametrize("num", [8, 64, 2048])
-    @pytest.mark.parametrize(
-        "span, offset",
-        [(20.0, 0.0), (20.0, -10.0), (2.0, 0.3)],
-        ids=["even-ratio", "grid-edge", "time-window"],
-    )
+    @pytest.mark.parametrize("span", [20.0, 2.0], ids=["grid", "time-window"])
     @pytest.mark.parametrize("layout", ["row", "stack-axis0", "stack-axis-1"])
-    def test_real_pair_bit_identical_to_plain_formula(self, num, span, offset, layout):
+    def test_real_pair_bit_identical_to_plain_formula(self, num, span, layout):
         shape, axis = {
             "row": ((num,), -1),
             "stack-axis0": ((num, 5), 0),
@@ -539,54 +508,76 @@ class TestTransformPlan:
         }[layout]
         rng = np.random.default_rng(num)
         vals = rng.standard_normal(shape)
-        fwd = dft_axis(vals, span, offset, axis=axis, real=True)
-        assert np.array_equal(fwd, _plain_dft(vals, span, offset, axis, real=True))
-        inv = idft_axis(fwd, span, offset, axis=axis, real=True)
-        assert np.array_equal(inv, _plain_idft(fwd, span, offset, axis, real=True))
+        fwd = dft_axis(vals, span, axis=axis, real=True)
+        assert np.array_equal(fwd, _plain_dft(vals, span, axis, real=True))
+        inv = idft_axis(fwd, span, axis=axis, real=True)
+        assert np.array_equal(inv, _plain_idft(fwd, span, axis, real=True))
         # against the complex pair: the modes 0 ... num/2 - 1 agree, and the
         # entry num/2 is mode +num/2, the conjugate of the complex entry -num/2
-        # (a different phase unless the offset is a whole number of half-spans)
-        full = _plain_dft(vals, span, offset, axis)
+        full = _plain_dft(vals, span, axis)
         expect = np.take(full, np.arange(num // 2 + 1), axis=axis)
         nyq = [slice(None)] * vals.ndim
         nyq[axis] = num // 2
         expect[tuple(nyq)] = np.conj(expect[tuple(nyq)])
         assert np.max(np.abs(fwd - expect)) <= 1e-15 * np.max(np.abs(expect))
-        back = _plain_idft(full, span, offset, axis).real
+        back = _plain_idft(full, span, axis).real
         assert np.max(np.abs(inv - back)) <= 1e-15 * np.max(np.abs(back))
+
+    # coefficients are measured from the first sample of the window
+    # [offset, offset + span): the direct quadrature from there matches them,
+    # and e^{-i offset zeta} turns them into the transform taken from x = 0
+    # (the sign (-1)^k on the grid [-L, L))
+    @staticmethod
+    def _check_origin(vals, coeffs, span, offset, modes):
+        num = vals.size
+        h = span / num
+        zeta = (2.0 * np.pi / span) * modes
+        x = offset + h * np.arange(num)
+        from_start = np.array([(h / SQRT_2PI) * np.sum(vals * np.exp(-1j * (x - offset) * z))
+                               for z in zeta])
+        from_zero = np.array([(h / SQRT_2PI) * np.sum(vals * np.exp(-1j * x * z))
+                              for z in zeta])
+        assert np.max(np.abs(coeffs - from_start)) <= 1e-12 * np.max(np.abs(from_start))
+        shifted = np.exp(-1j * offset * zeta) * coeffs
+        assert np.max(np.abs(shifted - from_zero)) <= 1e-12 * np.max(np.abs(from_zero))
+
+    @pytest.mark.parametrize("num", [8, 9, 64, 256])
+    @pytest.mark.parametrize(
+        "span, offset",
+        [(20.0, 0.0), (20.0, -10.0), (2.0, 0.3)],
+        ids=["even-ratio", "grid-edge", "time-window"],
+    )
+    def test_coefficients_are_taken_from_the_window_start(self, num, span, offset):
+        vals = np.random.default_rng(num).standard_normal(num)
+        modes = np.fft.fftfreq(num, 1.0 / num)
+        self._check_origin(vals, dft_axis(vals, span), span, offset, modes)
+
+    @pytest.mark.parametrize("num", [8, 64, 256])
+    @pytest.mark.parametrize(
+        "span, offset",
+        [(20.0, 0.0), (20.0, -10.0), (2.0, 0.3)],
+        ids=["even-ratio", "grid-edge", "time-window"],
+    )
+    def test_real_pair_is_taken_from_the_window_start(self, num, span, offset):
+        vals = np.random.default_rng(num).standard_normal(num)
+        modes = np.arange(num // 2 + 1)
+        self._check_origin(vals, dft_axis(vals, span, real=True), span, offset, modes)
 
     def test_real_pair_needs_an_even_axis(self):
         with pytest.raises(ValueError, match="even"):
-            dft_axis(np.ones(9), 20.0, -10.0, real=True)
+            dft_axis(np.ones(9), 20.0, real=True)
 
-    def test_cached_phase_is_read_only(self):
-        for arr in _axis_phase(64, 0.3) + _axis_phase(64, 0.3, True):
-            with pytest.raises(ValueError):
-                arr[0] = 2.0
-
-    def test_results_do_not_alias_the_cache(self):
-        span, offset = 2.0, 0.3
+    def test_results_do_not_alias_their_input(self):
+        span = 2.0
         rng = np.random.default_rng(1)
         vals = rng.standard_normal(64)
         for real in (False, True):
-            phase, conj = _axis_phase(64, 2.0 * offset / span, real)
-            fwd = dft_axis(vals, span, offset, real=real)
-            inv = idft_axis(fwd, span, offset, real=real)
-            for out in (fwd, inv):
-                assert not np.shares_memory(out, phase)
-                assert not np.shares_memory(out, conj)
+            fwd = dft_axis(vals, span, real=real)
+            inv = idft_axis(fwd, span, real=real)
+            assert not np.shares_memory(fwd, vals)
+            assert not np.shares_memory(inv, fwd)
             expect_fwd, expect_inv = fwd.copy(), inv.copy()
             fwd[:] = 7.0
             inv[:] = 7.0
-            assert np.array_equal(dft_axis(vals, span, offset, real=real), expect_fwd)
-            assert np.array_equal(idft_axis(expect_fwd, span, offset, real=real), expect_inv)
-
-    def test_moving_windows_keep_the_cache_bounded(self):
-        bound = _axis_phase.cache_info().maxsize
-        assert bound is not None
-        vals = np.ones((4, 16))
-        for k in range(200):
-            t0 = 0.3 + 0.01 * k
-            dft_axis(vals, 2.0, t0, axis=0)
-            dft_axis(vals, 2.0, t0, axis=0, real=True)
-        assert _axis_phase.cache_info().currsize <= bound
+            assert np.array_equal(dft_axis(vals, span, real=real), expect_fwd)
+            assert np.array_equal(idft_axis(expect_fwd, span, real=real), expect_inv)
