@@ -35,10 +35,9 @@ from .spaces import (
     bourgain_norm,
     gevrey_norm,
     gevrey_norm_rows,
-    gevrey_norm_slices,
     l2_rows,
     mixed_norm,
-    xt_transform,
+    xt_modulus,
 )
 from .spectral import (
     Field,
@@ -280,7 +279,7 @@ def free_wave_sample(
     g = u0.grid
     c0 = forward_transform(u0).coeffs
     times = -half_span + (2.0 * half_span / num_times) * np.arange(num_times)
-    rows = dispersive_phase(g, times, real=True) * c0[None, :]
+    rows = dispersive_phase(g, times) * c0[None, :]
     vals = g.idft(rows, axis=1, real=True)
     return SpaceTimeSample(g, -half_span, half_span, vals)
 
@@ -313,8 +312,8 @@ def time_cutoff_ratio(sample: SpaceTimeSample, params: NormParams, T: float) -> 
 
 
 def _duhamel_rows(coeffs: np.ndarray, grid: SpectralGrid, dt: float, j0: int) -> np.ndarray:
-    """Trapezoid accumulation of int_0^t e^{i zeta^3 (t-s)} w(s) ds per mode,
-    marching forward and backward from the t=0 row."""
+    """Trapezoid accumulation of int_0^t e^{i zeta^3 (t-s)} w(s) ds per mode
+    of the half-spectrum rows, marching forward and backward from the t=0 row."""
     phase = dispersive_phase(grid, dt)
     forward = _duhamel_cumulative(coeffs[j0:], phase, dt)
     backward = _duhamel_cumulative(coeffs[j0::-1], np.conj(phase), -dt)
@@ -338,11 +337,8 @@ def duhamel_ratio(
     times = sample.times
     j0 = int(np.argmin(np.abs(times)))
     _require(abs(times[j0]) <= 1e-9 * sample.dt, "time grid must contain t = 0")
-    integral = _duhamel_rows(g.dft(sample.values, axis=1), g, sample.dt, j0)
-    vals = g.idft(integral, axis=1)
-    if np.isrealobj(sample.values):
-        vals = vals.real
-    vals = vals * np.asarray(CutoffProfile(T)(times))[:, None]
+    integral = _duhamel_rows(g.dft(sample.values, axis=1, real=True), g, sample.dt, j0)
+    vals = g.idft(integral, axis=1, real=True) * np.asarray(CutoffProfile(T)(times))[:, None]
     lhs = bourgain_norm(SpaceTimeSample(g, sample.t0, sample.t1, vals), params, None)
     weak = NormParams(params.rho, params.s, b_prime)
     return _ratio(lhs, T * bourgain_norm(sample, weak, None))
@@ -399,7 +395,7 @@ def strichartz_ratio(
     power = -s if v.weight_power is None else v.weight_power
     smoothed = apply_spatial_weight(apply_dispersive_smoothing(sample, kappa), power)
     lhs = mixed_norm(smoothed, v.p_exp, v.q_exp)
-    rhs = float(l2_rows(np.abs(xt_transform(sample)).ravel(), sample.cell))
+    rhs = float(l2_rows(xt_modulus(sample).ravel(), sample.cell))
     return _ratio(lhs, rhs)
 
 
@@ -408,16 +404,9 @@ def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
     all time rows at once (each row is one spatial product)."""
     _require(len(samples) >= 1, "product_sample: need at least one factor")
     base = samples[0]
-    for s in samples[1:]:
-        same = (
-            s.grid == base.grid
-            and s.num_times == base.num_times
-            and s.t0 == base.t0
-            and s.t1 == base.t1
-        )
-        _require(same, "product_sample: samples must share grid and time window")
-        _require(np.isrealobj(s.values), "product_sample: factors must be real")
-    _require(np.isrealobj(base.values), "product_sample: factors must be real")
+    window = (base.grid, base.num_times, base.t0, base.t1)
+    same = all((s.grid, s.num_times, s.t0, s.t1) == window for s in samples[1:])
+    _require(same, "product_sample: samples must share grid and time window")
     rows = dealiased_product_rows([s.values for s in samples], base.grid)
     return SpaceTimeSample(base.grid, base.t0, base.t1, rows)
 
@@ -425,10 +414,8 @@ def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
 def derivative_sample(sample: SpaceTimeSample) -> SpaceTimeSample:
     """Spatial derivative, one multiplier pass over all time rows."""
     g = sample.grid
-    vals = g.idft(g.dft(sample.values, axis=1) * g.derivative_symbol(1), axis=1)
-    if np.isrealobj(sample.values):
-        vals = vals.real
-    return SpaceTimeSample(g, sample.t0, sample.t1, vals)
+    coeffs = g.dft(sample.values, axis=1, real=True) * g.derivative_symbol(1, real=True)
+    return SpaceTimeSample(g, sample.t0, sample.t1, g.idft(coeffs, axis=1, real=True))
 
 
 def multilinear_ratio(
@@ -607,7 +594,8 @@ def check_embedding(
 
     def member(sd: int) -> float:
         w = random_window_sample(grid, spec, num_times, sd)
-        return _ratio(float(np.max(gevrey_norm_slices(w, params))), bourgain_norm(w, params, None))
+        return _ratio(float(np.max(gevrey_norm_rows(w.values, grid, params))),
+                      bourgain_norm(w, params, None))
 
     return _ensemble("embedding", spec, params, grid, num_times, ensemble, member)
 

@@ -94,13 +94,11 @@ class SolverConfig:
             )
 
 
-def dispersive_phase(grid: SpectralGrid, t: float | np.ndarray,
-                     real: bool = False) -> np.ndarray:
-    """Multiplier e^{i zeta^3 t} of the free group, over the half-spectrum
-    with real, one row per entry of t (a scalar t gives one row); identity
-    on the unpaired Nyquist mode so real fields stay real."""
-    zeta = grid.rzeta if real else grid.zeta
-    phase = np.exp(1j * zeta**3 * np.asarray(t, dtype=np.float64)[..., None])
+def dispersive_phase(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
+    """Multiplier e^{i zeta^3 t} of the free group over the half-spectrum,
+    one row per entry of t (a scalar t gives one row); identity on the
+    unpaired Nyquist mode so real fields stay real."""
+    phase = np.exp(1j * grid.rzeta**3 * np.asarray(t, dtype=np.float64)[..., None])
     phase[..., grid.nyquist_index] = 1.0
     return phase
 
@@ -118,7 +116,7 @@ def _pair_fields(grid: SpectralGrid, c: np.ndarray) -> tuple[Field, Field]:
 
 def free_propagate(state: CoupledState, dt: float) -> CoupledState:
     """Exact solution of w_t + w_xxx = 0 over time dt."""
-    c = _pair_coeffs(state.u, state.v) * dispersive_phase(state.grid, dt, real=True)
+    c = _pair_coeffs(state.u, state.v) * dispersive_phase(state.grid, dt)
     return CoupledState(state.t + dt, *_pair_fields(state.grid, c))
 
 
@@ -214,8 +212,8 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
     record = TrajectoryRecord(grid=g, p=config.p)
 
     rhs = _RhsWorkspace(g, config.p)
-    half = dispersive_phase(g, 0.5 * config.dt, real=True)
-    full = dispersive_phase(g, config.dt, real=True)
+    half = dispersive_phase(g, 0.5 * config.dt)
+    full = dispersive_phase(g, config.dt)
     c = _pair_coeffs(initial.u, initial.v)
     baseline = max(
         float(np.max(np.abs(initial.u.samples))),
@@ -311,8 +309,8 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     times = initial.t + h * np.arange(m + 1)
     rhs = _RhsWorkspace(g, p)
     c0 = _pair_coeffs(initial.u, initial.v)
-    free = dispersive_phase(g, h * np.arange(m + 1), real=True) * c0[:, None, :]
-    phase_h = dispersive_phase(g, h, real=True)
+    free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
+    phase_h = dispersive_phase(g, h)
 
     # settle H^s weights once; differences measured in this norm, where each
     # half-spectrum entry counts with its multiplicity

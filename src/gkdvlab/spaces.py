@@ -2,11 +2,14 @@
 dispersively weighted space-time norms, smooth time cutoffs, and the
 Fourier-multiplier operators the estimate lab drives.
 
-Space-time samples live on a rectangle [-L, L) x [t0, t1), uniformly
+Real space-time samples live on a rectangle [-L, L) x [t0, t1), uniformly
 sampled in both directions, and are treated as biperiodic by the discrete
 transforms.  Dual variables: zeta for x, eta for t.  The dispersive weight
 is (1 + |eta - zeta^3|)^b, centered on the free-propagation curve
-eta = zeta^3.
+eta = zeta^3, and even under (eta, zeta) -> (-eta, -zeta).  So a sample
+keeps the rfft modes eta >= 0 in time, each row counted with its
+multiplicity; halving time, not x, gives the unpaired eta-Nyquist row the
+same weight as the full spectrum does.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .spectral import (
     Field,
     SpectralGrid,
     _forward_coeffs,
-    axis_freqs,
     dft_axis,
+    half_multiplicity,
     idft_axis,
 )
 
@@ -75,7 +78,7 @@ class CutoffProfile:
 
 @dataclass
 class SpaceTimeSample:
-    """Uniform samples w(t_j, x_i) on [t0, t1) x [-L, L), row per time."""
+    """Real uniform samples w(t_j, x_i) on [t0, t1) x [-L, L), row per time."""
 
     grid: SpectralGrid
     t0: float
@@ -85,9 +88,11 @@ class SpaceTimeSample:
     def __post_init__(self):
         if not self.t1 > self.t0:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
-        self.values = np.asarray(self.values)
-        if self.values.dtype.kind not in "fc":
-            self.values = self.values.astype(np.float64)
+        values = np.asarray(self.values)
+        if values.dtype.kind == "c" or values.ndim != 2:
+            raise ValueError("values must be a real 2-D array (time rows, grid points), "
+                             f"got {values.dtype} of shape {values.shape}")
+        self.values = values.astype(np.float64, copy=False)
         m, n = self.values.shape
         if n != self.grid.num_points:
             raise ValueError(f"values have {n} columns, grid has {self.grid.num_points}")
@@ -108,7 +113,13 @@ class SpaceTimeSample:
 
     @cached_property
     def eta(self) -> np.ndarray:
-        return axis_freqs(self.num_times, self.t1 - self.t0)
+        """Frequency of each row of :func:`xt_transform`: the modes 0 ... M/2."""
+        return (2.0 * np.pi / (self.t1 - self.t0)) * np.arange(self.num_times // 2 + 1)
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """Time modes each eta row stands for (2, or 1 for eta = 0 and eta_N)."""
+        return half_multiplicity(self.num_times)
 
     @property
     def cell(self) -> float:
@@ -117,17 +128,23 @@ class SpaceTimeSample:
 
 
 def xt_transform(sample: SpaceTimeSample) -> np.ndarray:
-    """Two-dimensional coefficients, eta along axis 0, zeta along axis 1; like
-    the x-transform, the time transform is taken from its window's left edge."""
-    cx = sample.grid.dft(sample.values, axis=1)
-    return dft_axis(cx, sample.t1 - sample.t0, axis=0)
+    """Coefficients (M/2 + 1, N): the rfft half-spectrum in time (rows sample.eta),
+    then the full x-transform (columns grid.zeta); like the x-transform, the
+    time transform is taken from its window's left edge."""
+    ct = dft_axis(sample.values, sample.t1 - sample.t0, axis=0, real=True)
+    return sample.grid.dft(ct, axis=1)
 
 
-def xt_inverse(
-    coeffs: np.ndarray, grid: SpectralGrid, t0: float, t1: float
-) -> np.ndarray:
-    """Inverse of :func:`xt_transform`; complex (num_times, num_points) values."""
-    return grid.idft(idft_axis(coeffs, t1 - t0, axis=0), axis=1)
+def xt_inverse(coeffs: np.ndarray, grid: SpectralGrid, t0: float, t1: float) -> np.ndarray:
+    """Inverse of :func:`xt_transform`: real (M, N) values from (M/2 + 1, N)
+    coefficients."""
+    return idft_axis(grid.idft(coeffs, axis=1), t1 - t0, axis=0, real=True)
+
+
+def xt_modulus(sample: SpaceTimeSample) -> np.ndarray:
+    """|xt_transform| with each eta row scaled by the square root of its
+    multiplicity, so a sum of squares over it runs over every mode."""
+    return np.abs(xt_transform(sample)) * np.sqrt(sample.multiplicity)[:, None]
 
 
 def l2_rows(values: np.ndarray, cell: float) -> np.ndarray:
@@ -171,14 +188,6 @@ def sobolev_norm(field: Field, s: float) -> float:
     return gevrey_norm(field, NormParams(0.0, s, 0.0))
 
 
-def gevrey_norm_slices(sample: SpaceTimeSample, params: NormParams) -> np.ndarray:
-    """Per-time-slice exponential norms; used for embedding checks."""
-    g = sample.grid
-    cx = np.abs(g.dft(sample.values, axis=1))
-    w = _kernels.gevrey_weight(g.zeta, params.rho, params.s)
-    return l2_rows(_apply_weights(cx, w, "gevrey_norm_slices", params), g.dzeta)
-
-
 def check_window_support(values: np.ndarray) -> None:
     """Error unless the first and last time rows stay within SUPPORT_TOL of
     the sample peak; discrete stand-in for 'supported strictly inside'."""
@@ -210,7 +219,7 @@ def bourgain_norm(
         vals = vals * np.asarray(cutoff(sample.times))[:, None]
     check_window_support(vals)
     windowed = SpaceTimeSample(sample.grid, sample.t0, sample.t1, vals)
-    coeffs = np.abs(xt_transform(windowed))
+    coeffs = xt_modulus(windowed)
     w = _kernels.bourgain_weight(
         sample.grid.zeta, windowed.eta, params.rho, params.s, params.b
     )
@@ -245,8 +254,6 @@ def mixed_norm(sample: SpaceTimeSample, p_exp: float, q_exp: float) -> float:
 
 def _multiplier_apply(sample: SpaceTimeSample, mult: np.ndarray) -> SpaceTimeSample:
     out = xt_inverse(xt_transform(sample) * mult, sample.grid, sample.t0, sample.t1)
-    if np.isrealobj(sample.values):
-        out = out.real
     return SpaceTimeSample(sample.grid, sample.t0, sample.t1, out)
 
 

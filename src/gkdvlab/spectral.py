@@ -14,10 +14,11 @@ negative modes are the conjugates of the positive ones, so reality holds by
 construction.  The last entry is the unpaired Nyquist mode +N/2.  A sum over
 every mode becomes a sum over the half-spectrum weighted by
 SpectralGrid.multiplicity, which counts the modes 1 ... N/2 - 1 twice.
-Complex samples (the space-time lab) keep every mode, in numpy's FFT order:
-mode m at index m mod N.  Only this module knows these layouts; callers
-select modes by their wavenumbers.  The grid owns the x-transform (span 2L)
-as SpectralGrid.dft/idft.
+Complex samples keep every mode, in numpy's FFT order: mode m at index
+m mod N.  A real space-time sample halves its time axis the same way and
+keeps every x mode (see spaces.xt_transform).  Only this module knows these
+layouts; callers select modes by their wavenumbers.  The grid owns the
+x-transform (span 2L) as SpectralGrid.dft/idft.
 
 Derivative and product rules follow standard Fourier pseudospectral
 practice (see Trefethen, "Spectral Methods in MATLAB", ch. 3): the grid owns
@@ -43,9 +44,14 @@ class NonFiniteDataError(ValueError):
     configuration error."""
 
 
-def axis_freqs(num: int, span: float) -> np.ndarray:
-    """Frequencies (2 pi / span) * m over the modes m in FFT order: 0, 1, ..., -1."""
-    return (2.0 * np.pi / span) * np.fft.ifftshift(np.arange(num) - num // 2)
+def half_multiplicity(num: int) -> np.ndarray:
+    """Modes each entry of the rfft half-spectrum of num points stands for:
+    2 for the conjugate pairs 1 ... num/2 - 1, 1 for the zero and the
+    Nyquist mode; read-only."""
+    count = np.full(num // 2 + 1, 2.0)
+    count[[0, -1]] = 1.0
+    count.flags.writeable = False
+    return count
 
 
 def dft_axis(values: np.ndarray, span: float, axis: int = -1,
@@ -103,7 +109,7 @@ class SpectralGrid:
     @cached_property
     def zeta(self) -> np.ndarray:
         """Wavenumber of each entry of a full spectrum; the non-negative ones ascend."""
-        return axis_freqs(self.num_points, 2.0 * self.half_length)
+        return self.dzeta * np.fft.ifftshift(np.arange(self.num_points) - self.num_points // 2)
 
     @cached_property
     def rzeta(self) -> np.ndarray:
@@ -112,12 +118,8 @@ class SpectralGrid:
 
     @cached_property
     def multiplicity(self) -> np.ndarray:
-        """Modes each half-spectrum entry stands for: 2 for the conjugate
-        pairs 1 ... N/2 - 1, 1 for the zero and the Nyquist mode."""
-        count = np.full(self.num_points // 2 + 1, 2.0)
-        count[[0, -1]] = 1.0
-        count.flags.writeable = False
-        return count
+        """Modes each half-spectrum entry stands for (:func:`half_multiplicity`)."""
+        return half_multiplicity(self.num_points)
 
     @property
     def nyquist_index(self) -> int:

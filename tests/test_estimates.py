@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from gkdvlab import estimates
+from gkdvlab import _kernels, estimates
 from gkdvlab.diagnostics import TrajectoryRecord
 from gkdvlab.estimates import (
     STRICHARTZ_VARIANTS,
@@ -43,7 +43,17 @@ from gkdvlab.estimates import (
 from gkdvlab.evolution import (
     CoupledState, SolverConfig, dispersive_phase, free_propagate, reflect_state, simulate,
 )
-from gkdvlab.spaces import NormParams, SpaceTimeSample, bourgain_norm, bump, xt_inverse
+from gkdvlab.spaces import (
+    CutoffProfile,
+    NormParams,
+    SpaceTimeSample,
+    apply_dispersive_smoothing,
+    apply_spatial_weight,
+    bourgain_norm,
+    bump,
+    mixed_norm,
+    xt_inverse,
+)
 from gkdvlab.spectral import (
     Field,
     NonFiniteDataError,
@@ -244,7 +254,7 @@ class TestTimeCutoff:
 class TestDuhamel:
     def test_recursion_matches_direct_quadrature(self):
         w = random_window_sample(GRID, SampleSpec(seed=61), num_times=32)
-        cw = GRID.dft(w.values, axis=1)
+        cw = GRID.dft(w.values, axis=1, real=True)
         times, h = w.times, w.dt
         j0 = int(np.argmin(np.abs(times)))
         direct = np.zeros_like(cw)
@@ -252,7 +262,7 @@ class TestDuhamel:
             if j == j0:
                 continue
             lo, hi = min(j0, j), max(j0, j)
-            acc = np.zeros(GRID.num_points, dtype=complex)
+            acc = np.zeros(GRID.num_points // 2 + 1, dtype=complex)
             for a in range(lo, hi):
                 acc += 0.5 * h * (
                     dispersive_phase(GRID, times[j] - times[a]) * cw[a]
@@ -290,22 +300,26 @@ class TestStrichartz:
         [("smooth_l4x_l2t", 0.5), ("maximal_l4x_linft", -2.0), ("maximal_linfx_linft", -2.0)],
     )
     def test_single_node_matches_multiplier(self, variant, power):
+        # a real mode lives on the bins (eta0, zeta0) and (-eta0, -zeta0),
+        # where both multipliers take one value, and the right-hand side is
+        # its L^2 norm (Parseval)
         kappa, s = 0.55, 2.0
         m_times = 64
-        f = np.zeros((m_times, GRID.num_points), dtype=complex)
+        f = np.zeros((m_times // 2 + 1, GRID.num_points), dtype=complex)
         m0, k0 = 5, 3
         f[m0, k0] = 1.0
         vals = xt_inverse(f, GRID, -2.5, 2.5)
         sample = SpaceTimeSample(GRID, -2.5, 2.5, vals)
-        assert np.ptp(np.abs(vals)) < 1e-14  # pure mode has constant modulus
-
+        span, two_l = 5.0, 2.0 * GRID.half_length
         eta0, zeta0 = sample.eta[m0], GRID.zeta[k0]
+        xx, tt = np.meshgrid(GRID.x - GRID.x[0], sample.times - sample.t0)
+        cosine = 4.0 * np.pi / (span * two_l) * np.cos(zeta0 * xx + eta0 * tt)
+        assert np.max(np.abs(vals - cosine)) < 1e-14  # a pure real mode
+
         v = STRICHARTZ_VARIANTS[variant]
         mult = (1.0 + abs(zeta0)) ** power * (1.0 + abs(eta0 - zeta0**3)) ** (-kappa)
-        span, two_l = 5.0, 2.0 * GRID.half_length
-        inner = mult * abs(vals[0, 0]) * (np.sqrt(span) if v.q_exp == 2.0 else 1.0)
-        outer = inner * (two_l**0.25 if v.p_exp == 4.0 else 1.0)
-        want = outer / np.sqrt(GRID.dzeta * 2.0 * np.pi / span)
+        l2 = np.sqrt(np.sum(vals**2) * GRID.dx * sample.dt)
+        want = mult * mixed_norm(sample, v.p_exp, v.q_exp) / l2
         got = strichartz_ratio(sample, variant, kappa, s)
         assert abs(got - want) < 1e-12 * want
 
@@ -347,6 +361,79 @@ class TestStrichartz:
             rep = check_strichartz(variant, SampleSpec(seed=73), ensemble=4)
             assert np.isfinite(rep.max_ratio) and rep.max_ratio > 0.0
             assert rep.estimate_id == f"strichartz:{variant}"
+
+
+class TestFullSpectrumOracle:
+    """The half-eta norms and multipliers against their complex full-spectrum
+    formulas: np.fft.fft2 coefficients with eta in FFT order, which labels
+    the eta-Nyquist row -eta_N, and ifft2(...).real back.  The lab samples
+    are white in time, so that row carries energy; labelling it -eta_N for
+    both signs of zeta, as halving x instead of time does, fails here."""
+
+    M = 64
+
+    def windowed(self):
+        return [random_window_sample(GRID, SampleSpec(seed=sd), self.M) for sd in (91, 92)]
+
+    def samples(self):
+        boxed = [random_boxed_sample(GRID, SampleSpec(seed=sd), self.M) for sd in (93, 94)]
+        return self.windowed() + boxed
+
+    @staticmethod
+    def full(sample):
+        """Full coefficients, their eta in FFT order, and the cell area."""
+        scale = sample.grid.dx * sample.dt / (2.0 * np.pi)
+        m, span = sample.num_times, sample.t1 - sample.t0
+        eta = (2.0 * np.pi / span) * np.fft.ifftshift(np.arange(m) - m // 2)
+        return scale * np.fft.fft2(sample.values), eta, sample.grid.dzeta * 2.0 * np.pi / span
+
+    def test_samples_carry_eta_nyquist_energy(self):
+        for w in self.samples():
+            energy = np.sum(np.abs(self.full(w)[0]) ** 2, axis=1)
+            assert energy[self.M // 2] > 0.5 * np.sum(energy) / self.M
+
+    @pytest.mark.parametrize("cutoff", [None, 1.0])
+    def test_bourgain_norm(self, cutoff):
+        psi = None if cutoff is None else CutoffProfile(cutoff)
+        for w in self.windowed():
+            vals = w.values if psi is None else w.values * np.asarray(psi(w.times))[:, None]
+            c, eta, cell = self.full(SpaceTimeSample(GRID, w.t0, w.t1, vals))
+            weight = _kernels.bourgain_weight(GRID.zeta, eta, PARAMS.rho, PARAMS.s, PARAMS.b)
+            want = np.sqrt(np.sum((weight * np.abs(c)) ** 2) * cell)
+            got = bourgain_norm(w, PARAMS, psi)
+            assert abs(got - want) < 1e-13 * want
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.55])
+    def test_dispersive_smoothing(self, kappa):
+        for w in self.samples():
+            eta = self.full(w)[1]
+            mult = _kernels.dispersive_factor(GRID.zeta, eta) ** (-kappa)
+            want = np.fft.ifft2(np.fft.fft2(w.values) * mult).real
+            got = apply_dispersive_smoothing(w, kappa).values
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("power", [-2.0, 0.5])
+    def test_spatial_weight(self, power):
+        for w in self.samples():
+            mult = (1.0 + np.abs(GRID.zeta))[None, :] ** power
+            want = np.fft.ifft2(np.fft.fft2(w.values) * mult).real
+            got = apply_spatial_weight(w, power).values
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("variant", list(STRICHARTZ_VARIANTS))
+    def test_strichartz_ratio(self, variant):
+        kappa, s = 0.55, 2.0
+        v = STRICHARTZ_VARIANTS[variant]
+        power = -s if v.weight_power is None else v.weight_power
+        for w in self.samples():
+            c, eta, cell = self.full(w)
+            mult = ((1.0 + np.abs(GRID.zeta))[None, :] ** power
+                    * _kernels.dispersive_factor(GRID.zeta, eta) ** (-kappa))
+            smoothed = np.fft.ifft2(np.fft.fft2(w.values) * mult).real
+            lhs = mixed_norm(SpaceTimeSample(GRID, w.t0, w.t1, smoothed), v.p_exp, v.q_exp)
+            want = lhs / np.sqrt(np.sum(np.abs(c) ** 2) * cell)
+            got = strichartz_ratio(w, variant, kappa, s)
+            assert abs(got - want) < 1e-13 * want
 
 
 class TestMultilinear:

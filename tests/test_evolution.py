@@ -100,26 +100,20 @@ class TestFreePropagate:
         both = free_propagate(s, 0.8)
         assert np.max(np.abs(one.u.samples - both.u.samples)) < 1e-12
 
-    @pytest.mark.parametrize("real", [False, True])
-    def test_nyquist_untouched(self, real):
+    def test_nyquist_untouched(self):
         g = SpectralGrid(np.pi, 16)
-        phase = dispersive_phase(g, 2.3, real=real)
-        assert phase.shape == ((9,) if real else (16,))
+        phase = dispersive_phase(g, 2.3)
+        assert phase.shape == (9,)
         assert phase[g.nyquist_index] == 1.0
         assert np.allclose(np.abs(phase), 1.0)
-
-    def test_half_phase_is_a_prefix_of_the_full_phase(self):
-        g = SpectralGrid(10.0, 64)
-        assert np.array_equal(dispersive_phase(g, 0.37, real=True),
-                              dispersive_phase(g, 0.37)[:33])
 
     def test_array_of_times_equals_scalar_calls(self):
         g = SpectralGrid(10.0, 256)
         times = (0.05 / 192) * np.arange(193)
-        rows = dispersive_phase(g, times, real=True)
+        rows = dispersive_phase(g, times)
         assert rows.shape == (193, 129)
         for j, t in enumerate(times):
-            assert np.array_equal(rows[j], dispersive_phase(g, float(t), real=True))
+            assert np.array_equal(rows[j], dispersive_phase(g, float(t)))
 
 
 class TestNonlinearRhs:
@@ -240,6 +234,14 @@ def full_spectrum(half, grid):
     return out
 
 
+def full_phase(grid, t):
+    """e^{i zeta^3 t} over a full spectrum in FFT order, identity on the
+    Nyquist mode."""
+    phase = np.exp(1j * grid.zeta**3 * t)
+    phase[grid.nyquist_index] = 1.0
+    return phase
+
+
 def full_rhs(c, grid, p):
     """The complex right-hand side on full spectra (2, N): zero-pad in FFT
     order, keep .real of the complex inverse, transform the powers in
@@ -273,8 +275,8 @@ class TestHalfSpectrumMarch:
         s = bandlimited_state(g, 31, bandwidth=12, amp=0.8 if p == 1 else 0.6)
         half = np.stack([forward_transform(s.u).coeffs, forward_transform(s.v).coeffs])
         full = full_spectrum(half, g)
-        eh, e2h = (dispersive_phase(g, t, real=True) for t in (0.5 * dt, dt))
-        ef, e2f = (dispersive_phase(g, t) for t in (0.5 * dt, dt))
+        eh, e2h = (dispersive_phase(g, t) for t in (0.5 * dt, dt))
+        ef, e2f = (full_phase(g, t) for t in (0.5 * dt, dt))
         rhs = _RhsWorkspace(g, p)
 
         def frhs(c):
@@ -433,14 +435,14 @@ class TestPicard:
         rhs = _RhsWorkspace(g, 1)
         m, h = cfg.num_nodes, cfg.t_window / cfg.num_nodes
         c0 = np.stack([forward_transform(s0.u).coeffs, forward_transform(s0.v).coeffs])
-        free = np.stack([dispersive_phase(g, h * j, real=True) * c0 for j in range(m + 1)])
+        free = np.stack([dispersive_phase(g, h * j) * c0 for j in range(m + 1)])
         w_u = np.stack([rhs(free[j])[0] for j in range(m + 1)])
         expect_u = free[:, 0].copy()
         for j in range(1, m + 1):
             acc = np.zeros(g.num_points // 2 + 1, dtype=complex)
             for k in range(j + 1):
                 wt = 0.5 if k in (0, j) else 1.0
-                acc += wt * h * dispersive_phase(g, h * (j - k), real=True) * w_u[k]
+                acc += wt * h * dispersive_phase(g, h * (j - k)) * w_u[k]
             expect_u[j] += acc
         scale = np.max(np.abs(expect_u))
         assert np.max(np.abs(res.coeffs[0] - expect_u)) < 1e-10 * scale
@@ -474,7 +476,7 @@ class TestPicard:
         res = picard_solve(s0, cfg, p=1)
         h = cfg.t_window / cfg.num_nodes
         c0 = np.stack([forward_transform(s0.u).coeffs, forward_transform(s0.v).coeffs])
-        free = dispersive_phase(g, h * np.arange(17), real=True) * c0[:, None, :]
+        free = dispersive_phase(g, h * np.arange(17)) * c0[:, None, :]
         every = g.dft(g.idft(res.coeffs - free, real=True))  # (2, 17, N), FFT order
         weight = (1.0 + np.abs(g.zeta)) ** (2.0 * cfg.diff_s)
         expect = np.sqrt(np.sum(weight * np.abs(every) ** 2, axis=-1) * g.dzeta).max()

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,11 @@ from gkdvlab.harness import (
     write_csv,
 )
 from gkdvlab.spectral import Field, differentiate, forward_transform, inverse_transform
+
+# ratios, max_seed and verdict of every report of
+# `estimate-lab --set ensemble=2 --set p=<p> --seed 1`, recorded while the
+# space-time samples still took complex full transforms
+LAB_PINS = Path(__file__).parent / "data" / "lab_ratios_ensemble2_seed1.json"
 
 FAST = [
     "N=256", "dt=0.002", "t_end=0.2", "record_stride=20",
@@ -384,6 +390,19 @@ class TestRunEstimateLab:
         assert np.isfinite(rep["max_ratio"]) and not rep["violation"]
         table = json.loads((tmp_path / "lemma_table.json").read_text())
         assert table["passed"] is True
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_ratios_match_pinned_values(self, tmp_path, p):
+        # pinned across commits: a change of coefficient layout may move a
+        # ratio by rounding only, and never a max_seed or a verdict
+        pinned = json.loads(LAB_PINS.read_text())[str(p)]
+        run(apply_overrides(RunConfig(), ["kind=estimate-lab", "ensemble=2", f"p={p}", "seed=1"]),
+            tmp_path)
+        assert sorted(f.name for f in tmp_path.glob("report_*.json")) == sorted(pinned)
+        for name, want in pinned.items():
+            got = json.loads((tmp_path / name).read_text())
+            assert (got["max_seed"], got["violation"]) == (want["max_seed"], want["violation"])
+            np.testing.assert_allclose(got["ratios"], want["ratios"], rtol=1e-13, atol=0.0)
 
 
 class TestSweep:

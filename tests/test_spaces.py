@@ -18,7 +18,6 @@ from gkdvlab.spaces import (
     check_window_support,
     gevrey_norm,
     gevrey_norm_rows,
-    gevrey_norm_slices,
     mixed_norm,
     sobolev_norm,
     xt_inverse,
@@ -93,6 +92,21 @@ class TestSpaceTimeSample:
         with pytest.raises(ValueError):
             SpaceTimeSample(g, 0.0, 1.0, np.zeros((8, 12)))
 
+    @pytest.mark.parametrize("values", [
+        np.zeros((8, 16), dtype=complex),  # complex, even with zero imaginary part
+        np.zeros(16),  # one row, not a (time, x) array
+        np.zeros((2, 8, 16)),
+    ], ids=["complex", "1-D", "3-D"])
+    def test_rejects_complex_or_non_2d_values(self, values):
+        g = SpectralGrid(np.pi, 16)
+        with pytest.raises(ValueError, match="real 2-D array"):
+            SpaceTimeSample(g, 0.0, 1.0, values)
+
+    def test_integer_values_become_float64(self):
+        g = SpectralGrid(np.pi, 16)
+        s = SpaceTimeSample(g, 0.0, 1.0, np.ones((8, 16), dtype=int))
+        assert s.values.dtype == np.float64
+
     def test_time_and_eta_grids(self):
         g = SpectralGrid(np.pi, 16)
         s = SpaceTimeSample(g, -1.0, 3.0, np.zeros((16, 16)))
@@ -100,7 +114,9 @@ class TestSpaceTimeSample:
         assert np.allclose(np.diff(s.times), 0.25)
         assert s.times[-1] == pytest.approx(2.75)
         deta = 2 * np.pi / 4.0
-        assert np.allclose(s.eta, deta * np.r_[0:8, -8:0])
+        assert np.allclose(s.eta, deta * np.r_[0:9])
+        assert np.array_equal(s.multiplicity, np.r_[1.0, [2.0] * 7, 1.0])
+        assert not s.multiplicity.flags.writeable
 
     def test_xt_roundtrip_and_parseval(self):
         g = SpectralGrid(2.0, 32)
@@ -108,11 +124,14 @@ class TestSpaceTimeSample:
         vals = rng.standard_normal((24, 32))
         s = SpaceTimeSample(g, -0.7, 1.3, vals)
         c = xt_transform(s)
+        assert c.shape == (13, 32)
         back = xt_inverse(c, g, s.t0, s.t1)
-        assert np.max(np.abs(back.real - vals)) < 1e-12 * np.max(np.abs(vals))
+        assert np.isrealobj(back)
+        assert np.max(np.abs(back - vals)) < 1e-12 * np.max(np.abs(vals))
         phys = np.sum(vals**2) * g.dx * s.dt
         deta = 2 * np.pi / (s.t1 - s.t0)
-        spec = np.sum(np.abs(c) ** 2) * g.dzeta * deta
+        # each eta row stands for its multiplicity of the full spectrum's rows
+        spec = np.sum(s.multiplicity[:, None] * np.abs(c) ** 2) * g.dzeta * deta
         assert abs(phys - spec) < 1e-12 * phys
 
     def test_traveling_mode_lands_on_dual_bins(self):
@@ -124,14 +143,15 @@ class TestSpaceTimeSample:
         xx, tt = np.meshgrid(g.x, times)
         s = SpaceTimeSample(g, -span / 2, span / 2, np.cos(2 * xx + 8 * tt))
         c = xt_transform(s)
+        assert c.shape == (m // 2 + 1, g.num_points)
         deta = 2 * np.pi / span  # = 4
-        l_plus = 2  # eta = +8
+        l_plus = 2  # eta = +8; its partner (-8, -2) is not in the half-eta spectrum
         k_plus = 2  # zeta = +2
+        assert s.eta[l_plus] == pytest.approx(8.0) and g.zeta[k_plus] == 2.0
         expect = 0.5 * (2 * g.half_length / SQRT_2PI) * (span / SQRT_2PI)
         assert np.isclose(abs(c[l_plus, k_plus]), expect, rtol=1e-10)
-        assert np.isclose(abs(c[m - l_plus, g.num_points - k_plus]), expect, rtol=1e-10)
         mask = np.ones_like(c, dtype=bool)
-        mask[l_plus, k_plus] = mask[m - l_plus, g.num_points - k_plus] = False
+        mask[l_plus, k_plus] = False
         assert np.max(np.abs(c[mask])) < 1e-10 * expect
 
 
@@ -205,24 +225,32 @@ class TestGevreyNorm:
             assert norms[i, j] == gevrey_norm(Field(g, rows[i, j]), params)
 
     def test_slices_equal_per_slice_loop(self):
-        # the loop gevrey_norm_slices replaced: one peak-scaled L^2 per row
+        # one peak-scaled L^2 per time slice, over the half-spectrum with each
+        # entry counted with its multiplicity; and, to rounding, over every mode
         g = SpectralGrid(10.0, 64)
         rng = np.random.default_rng(4)
         vals = rng.standard_normal((8, 64))
         vals[5] = 0.0
         params = NormParams(0.3, 2.0)
-        w = np.exp(0.3 * (1.0 + np.abs(g.zeta))) * (1.0 + np.abs(g.zeta)) ** 2.0
-        expect = []
-        for row in vals:
-            weighted = w * np.abs(g.dft(row))
-            peak = np.max(weighted)
-            if peak == 0.0:
-                expect.append(0.0)
-                continue
-            ratio = weighted / peak
-            expect.append(peak * np.sqrt(np.sum(ratio * ratio) * g.dzeta))
-        got = gevrey_norm_slices(SpaceTimeSample(g, -1.0, 1.0, vals), params)
-        assert np.array_equal(got, expect)
+
+        def loop(zeta, transform):
+            w = np.exp(0.3 * (1.0 + np.abs(zeta))) * (1.0 + np.abs(zeta)) ** 2.0
+            expect = []
+            for row in vals:
+                weighted = w * transform(row)
+                peak = np.max(weighted)
+                if peak == 0.0:
+                    expect.append(0.0)
+                    continue
+                ratio = weighted / peak
+                expect.append(peak * np.sqrt(np.sum(ratio * ratio) * g.dzeta))
+            return np.array(expect)
+
+        got = gevrey_norm_rows(vals, g, params)
+        half = loop(g.rzeta, lambda row: np.abs(g.dft(row, real=True)) * np.sqrt(g.multiplicity))
+        assert np.array_equal(got, half)
+        full = loop(g.zeta, lambda row: np.abs(g.dft(row)))
+        assert np.allclose(got, full, rtol=1e-13, atol=0.0)
 
 
 class TestBourgainNorm:
@@ -235,7 +263,7 @@ class TestBourgainNorm:
         s = SpaceTimeSample(g, -2.5, 2.5, vals)
         params = NormParams(0.2, 1.0, 0.0)
         total = bourgain_norm(s, params, cutoff=None)
-        slices = gevrey_norm_slices(s, params)
+        slices = gevrey_norm_rows(s.values, g, params)
         assert np.isclose(total**2, np.sum(slices**2) * s.dt, rtol=1e-10)
 
     def test_free_wave_rides_the_curve(self):
@@ -300,7 +328,8 @@ class TestBourgainNorm:
         wsamp = SpaceTimeSample(g, samp.t0, samp.t1, windowed)
         w = _kernels.bourgain_weight(g.zeta, wsamp.eta, 0.3, 1.2, 0.55)
         cell = g.dzeta * 2.0 * np.pi / (samp.t1 - samp.t0)
-        lo = np.sqrt(np.sum((w * np.abs(xt_transform(wsamp))) ** 2) * cell)
+        squares = (w * np.abs(xt_transform(wsamp))) ** 2
+        lo = np.sqrt(np.sum(wsamp.multiplicity[:, None] * squares) * cell)
         assert np.isclose(hi, lo, rtol=1e-12)
 
 
@@ -349,18 +378,20 @@ class TestMixedNorm:
 
 
 class TestMultipliers:
-    def exp_mode_sample(self, g, k, l, m=16, span=np.pi / 2):
-        # complex exponential living on exactly one (eta, zeta) bin: modes l, k
+    def cos_mode_sample(self, g, k, l, m=16, span=np.pi / 2):
+        # real cosine living on exactly the (eta, zeta) bins of the modes
+        # (l, k) and (-l, -k); the multipliers are even under (eta, zeta) ->
+        # (-eta, -zeta), so they scale it by one factor
         times = -span / 2 + span / m * np.arange(m)
         z = g.zeta[k]
         e = (2 * np.pi / span) * l
         xx, tt = np.meshgrid(g.x, times)
-        vals = np.exp(1j * (z * xx + e * tt))
+        vals = np.cos(z * xx + e * tt)
         return SpaceTimeSample(g, -span / 2, span / 2, vals), z, e
 
     def test_spatial_weight_exact_on_single_mode(self):
         g = SpectralGrid(np.pi, 16)
-        s, z, _ = self.exp_mode_sample(g, 3, 1)
+        s, z, _ = self.cos_mode_sample(g, 3, 1)
         out = apply_spatial_weight(s, -1.5)
         factor = (1.0 + abs(z)) ** -1.5
         assert np.allclose(out.values, factor * s.values, rtol=1e-10)
@@ -368,14 +399,14 @@ class TestMultipliers:
     def test_dispersive_smoothing_is_identity_on_curve(self):
         g = SpectralGrid(np.pi, 16)
         # zeta = 2 (k=2), eta = 8 needs l = 8/deta = 2
-        s, z, e = self.exp_mode_sample(g, 2, 2)
+        s, z, e = self.cos_mode_sample(g, 2, 2)
         assert e == pytest.approx(z**3)
         out = apply_dispersive_smoothing(s, 0.55)
         assert np.allclose(out.values, s.values, rtol=1e-10)
 
     def test_dispersive_smoothing_damps_off_curve(self):
         g = SpectralGrid(np.pi, 16)
-        s, z, e = self.exp_mode_sample(g, 2, -2)  # eta = -8, zeta = 2
+        s, z, e = self.cos_mode_sample(g, 2, -2)  # eta = -8, zeta = 2
         out = apply_dispersive_smoothing(s, 0.55)
         factor = (1.0 + abs(e - z**3)) ** -0.55
         assert np.allclose(out.values, factor * s.values, rtol=1e-10)
