@@ -12,12 +12,16 @@ BACKEND = "numpy"
 
 # ---------------------------------------------------------------------------
 # coupled power nonlinearity: given physical u, v return (u^p v^(p+1),
-# u^(p+1) v^p).  This is the inner loop of every RK stage.
+# u^(p+1) v^p).  This is the inner loop of every RK stage.  out, a pair of
+# arrays, takes the two products; out=(v, u) overwrites the factors, since
+# each is read last by the product written into it.
 
 
-def coupled_powers(u: np.ndarray, v: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def coupled_powers(
+    u: np.ndarray, v: np.ndarray, p: int, out: tuple = (None, None)
+) -> tuple[np.ndarray, np.ndarray]:
     base = (u * v) ** p
-    return base * v, base * u
+    return np.multiply(base, v, out=out[0]), np.multiply(base, u, out=out[1])
 
 
 # ---------------------------------------------------------------------------

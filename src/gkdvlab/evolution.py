@@ -14,6 +14,12 @@ The two components share their linear part, so the steppers and the solver
 hold the half-spectra (modes 0 ... N/2) of u and v as one array with the
 pair on the leading axis: (2, N/2 + 1) for a state, (2, num_nodes + 1,
 N/2 + 1) for a Picard node stack.
+
+The stepping loop allocates little: the right-hand side keeps its padded
+samples and padded half-spectrum per input shape and has the transforms and
+the power products write into them, and the steppers compute their stages in
+place.  Every operation keeps its operands and their order, so the results
+are those of the plain expressions bit for bit.
 """
 
 from __future__ import annotations
@@ -139,29 +145,42 @@ def reflect_state(state: CoupledState) -> CoupledState:
 
 class _RhsWorkspace:
     """Precomputed padding layout and derivative symbol for one (grid, p);
-    maps stacked pair half-spectra (2, ..., N/2 + 1) to the stacked RHS."""
+    maps stacked pair half-spectra (2, ..., N/2 + 1) to the stacked RHS.
+
+    Keeps, per input shape, the padded samples of both components and one
+    padded half-spectrum, which all four transforms and both products of a
+    call write into; each call returns a fresh array."""
 
     def __init__(self, grid: SpectralGrid, p: int):
         self.grid = grid
         self.p = p
         self.num_padded = padded_points(grid.num_points, 2 * p + 1)
         self.deriv = -grid.derivative_symbol(1, real=True)
+        self._buffers: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+    def _buffers_for(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(padded half-spectrum (..., M/2 + 1), padded samples (2, ..., M))."""
+        buffers = self._buffers.get(shape)
+        if buffers is None:
+            rows, m = shape[1:-1], self.num_padded
+            buffers = (np.empty(rows + (m // 2 + 1,), dtype=np.complex128),
+                       np.empty((2,) + rows + (m,)))
+            self._buffers[shape] = buffers
+        return buffers
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         # one inverse transform per component and one forward transform per
-        # product; the padded samples die with the call, and on a Picard node
-        # stack they are the largest arrays alive
-        powers = _kernels.coupled_powers(
-            padded_samples(c[0], self.grid, self.num_padded),
-            padded_samples(c[1], self.grid, self.num_padded),
-            self.p,
-        )
-        coeffs = [truncated_coeffs(w, self.grid) for w in powers]
-        # allocated once both transforms are done: allocated before them, a
-        # node-stack-sized output costs page faults on every Picard iterate
+        # product, each into the buffers; the products overwrite the samples,
+        # so the only padded-size arrays a call makes are the temporaries of
+        # coupled_powers' common factor
+        spectrum, samples = self._buffers_for(c.shape)
+        for k in range(2):
+            padded_samples(c[k], self.grid, self.num_padded, spectrum, samples[k])
+        powers = _kernels.coupled_powers(samples[0], samples[1], self.p,
+                                         out=(samples[1], samples[0]))
         out = np.empty_like(c)
-        for k, ck in enumerate(coeffs):
-            np.multiply(self.deriv, ck, out=out[k])
+        for k, w in enumerate(powers):
+            np.multiply(self.deriv, truncated_coeffs(w, self.grid, spectrum), out=out[k])
         return out
 
 
@@ -171,22 +190,50 @@ def nonlinear_rhs(state: CoupledState, p: int) -> tuple[Field, Field]:
     return _pair_fields(state.grid, rhs(_pair_coeffs(state.u, state.v)))
 
 
+# The steppers work in place on arrays of their own and leave c alone.  Each
+# product keeps its operand order, e * t and not t * e: numpy's complex
+# multiply is not bitwise commutative, so an order swap would move the last
+# bits of every result.
+
+
 def _step_if_rk4(c, dt, e, e2, rhs):
     """One integrating-factor RK4 step; e and e2 are the half- and full-step
-    phases."""
+    phases.  The stages are
+
+        n1 = rhs(c)
+        n2 = rhs(e * (c + dt/2 n1))
+        n3 = rhs(e * c + dt/2 n2)
+        n4 = rhs(e2 * c + dt e n3)
+
+    and the step returns e2 * c + dt/6 (e2 n1 + 2 e (n2 + n3) + n4)."""
+    e2c = e2 * c
     n1 = rhs(c)
-    n2 = rhs(e * (c + 0.5 * dt * n1))
-    n3 = rhs(e * c + 0.5 * dt * n2)
-    n4 = rhs(e2 * c + dt * e * n3)
-    return e2 * c + (dt / 6.0) * (e2 * n1 + 2.0 * e * (n2 + n3) + n4)
+    arg = np.multiply(0.5 * dt, n1)
+    np.add(c, arg, out=arg)
+    n2 = rhs(np.multiply(e, arg, out=arg))
+    np.multiply(e, c, out=arg)
+    n3 = rhs(np.add(arg, np.multiply(0.5 * dt, n2), out=arg))
+    np.multiply(dt * e, n3, out=arg)
+    n4 = rhs(np.add(e2c, arg, out=arg))
+    np.multiply(e2, n1, out=n1)
+    np.add(n2, n3, out=n2)
+    np.multiply(2.0 * e, n2, out=n2)
+    np.add(n1, n2, out=n1)
+    np.add(n1, n4, out=n1)
+    np.multiply(dt / 6.0, n1, out=n1)
+    return np.add(e2c, n1, out=e2c)
 
 
 def _step_strang(c, dt, e, rhs):
-    """Dispersive half-step e, midpoint nonlinear step, dispersive half-step."""
+    """Dispersive half-step e, midpoint nonlinear step, dispersive half-step:
+    c' = e * c, then e * (c' + dt rhs(c' + dt/2 rhs(c')))."""
     c = e * c
-    k1 = rhs(c)
-    k2 = rhs(c + 0.5 * dt * k1)
-    return e * (c + dt * k2)
+    k = rhs(c)
+    np.multiply(0.5 * dt, k, out=k)
+    k = rhs(np.add(c, k, out=k))
+    np.multiply(dt, k, out=k)
+    np.add(c, k, out=k)
+    return np.multiply(e, k, out=k)
 
 
 def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
@@ -238,7 +285,7 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
             )
         if n % config.record_stride == 0 or n == num_steps:
             u, v = _pair_fields(g, c)
-            sup = max(float(np.max(np.abs(u.samples))), float(np.max(np.abs(v.samples))))
+            sup = float(np.max(np.abs((u.samples, v.samples))))
             if sup > config.blowup_factor * baseline:
                 record.blow_up = True
                 raise NumericalBlowupError(

@@ -210,6 +210,8 @@ def bourgain_norm(
 ) -> float:
     """Space-time norm with weight e^{rho(1+|zeta|)} (1+|zeta|)^s
     (1+|eta - zeta^3|)^b, optionally after multiplying by a time cutoff.
+    The unpaired x-Nyquist column takes the RMS of its weights at +-zeta_N,
+    so the norm does not depend on which sign labels it.
 
     The (windowed) sample must vanish at both window edges; the biperiodic
     transform is meaningless otherwise.
@@ -220,10 +222,17 @@ def bourgain_norm(
     check_window_support(vals)
     windowed = SpaceTimeSample(sample.grid, sample.t0, sample.t1, vals)
     coeffs = xt_modulus(windowed)
+    # the x-Nyquist column of a real sample stands for the modes -zeta_N and
+    # +zeta_N alike, whose dispersive weights differ: weigh it by the RMS of
+    # the two, which splits its energy evenly between them
+    g = sample.grid
+    nyq = g.nyquist_index
     w = _kernels.bourgain_weight(
-        sample.grid.zeta, windowed.eta, params.rho, params.s, params.b
+        np.append(g.zeta, g.dzeta * nyq), windowed.eta, params.rho, params.s, params.b
     )
-    weighted = _apply_weights(coeffs, w, "bourgain_norm", params)
+    with np.errstate(over="ignore"):  # _apply_weights reports an overflow
+        w[:, nyq] = np.hypot(w[:, nyq], w[:, -1]) / np.sqrt(2.0)
+    weighted = _apply_weights(coeffs, w[:, :-1], "bourgain_norm", params)
     return float(l2_rows(weighted.ravel(), windowed.cell))
 
 

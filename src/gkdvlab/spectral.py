@@ -55,30 +55,38 @@ def half_multiplicity(num: int) -> np.ndarray:
 
 
 def dft_axis(values: np.ndarray, span: float, axis: int = -1,
-             real: bool = False) -> np.ndarray:
+             real: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized forward DFT along one axis of samples spaced span / num apart.
 
     With real, real samples on an even-sized axis map to the modes 0 ... num/2
-    through rfft, on the same scale as the complex modes.
+    through rfft, on the same scale as the complex modes.  With out, a
+    complex array of the result's shape, the coefficients are written there
+    and out is returned.
     """
     values = np.asarray(values)
     num = values.shape[axis]
     if real and num % 2:
         raise ValueError(f"a real transform needs an even axis, got {num} points")
     scale = (span / num) / SQRT_2PI
-    return scale * (np.fft.rfft if real else np.fft.fft)(values, axis=axis)
+    coeffs = (np.fft.rfft if real else np.fft.fft)(values, axis=axis, out=out)
+    return np.multiply(scale, coeffs, out=coeffs)
 
 
 def idft_axis(coeffs: np.ndarray, span: float, axis: int = -1,
-              real: bool = False) -> np.ndarray:
+              real: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of :func:`dft_axis`; complex samples, or with real, real
-    samples on 2 (n - 1) points from the modes 0 ... n - 1 of the axis."""
+    samples on 2 (n - 1) points from the modes 0 ... n - 1 of the axis.
+    With out, an array of the result's shape and dtype, the samples are
+    written there and out is returned."""
     coeffs = np.asarray(coeffs)
     num = 2 * (coeffs.shape[axis] - 1) if real else coeffs.shape[axis]
     scale = (span / num) / SQRT_2PI
     if real:
-        return np.fft.irfft(coeffs, num, axis=axis) / scale
-    return np.fft.ifft(coeffs, axis=axis) / scale
+        samples = np.fft.irfft(coeffs, num, axis=axis, out=out)
+    else:
+        samples = np.fft.ifft(coeffs, axis=axis, out=out)
+    samples /= scale
+    return samples
 
 
 @dataclass(frozen=True)
@@ -131,14 +139,16 @@ class SpectralGrid:
     def zeta_max(self) -> float:
         return self.dzeta * (self.num_points // 2 - 1)
 
-    def dft(self, values: np.ndarray, axis: int = -1, real: bool = False) -> np.ndarray:
+    def dft(self, values: np.ndarray, axis: int = -1, real: bool = False,
+            out: np.ndarray | None = None) -> np.ndarray:
         """x-transform along axis; any length, padded too, spans [-L, L)."""
-        return dft_axis(values, 2.0 * self.half_length, axis, real)
+        return dft_axis(values, 2.0 * self.half_length, axis, real, out)
 
-    def idft(self, coeffs: np.ndarray, axis: int = -1, real: bool = False) -> np.ndarray:
+    def idft(self, coeffs: np.ndarray, axis: int = -1, real: bool = False,
+             out: np.ndarray | None = None) -> np.ndarray:
         """Inverse of :meth:`dft`; complex samples with no reality check, or
         with real, real samples from the modes 0 ... num/2."""
-        return idft_axis(coeffs, 2.0 * self.half_length, axis, real)
+        return idft_axis(coeffs, 2.0 * self.half_length, axis, real, out)
 
     def derivative_symbol(self, order: int, real: bool = False) -> np.ndarray:
         """Multiplier (i zeta)^order of d^order/dx^order over a full spectrum,
@@ -222,27 +232,39 @@ def padded_points(num: int, count: int) -> int:
     return num_padded + (num_padded % 2)
 
 
-def padded_samples(coeffs: np.ndarray, grid: SpectralGrid, num_padded: int) -> np.ndarray:
-    """Real samples of grid's half-spectrum rows on num_padded points over [-L, L)."""
+def padded_samples(coeffs: np.ndarray, grid: SpectralGrid, num_padded: int,
+                   spectrum: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of grid's half-spectrum rows on num_padded points over [-L, L).
+
+    spectrum, a complex (..., num_padded/2 + 1) array, takes the padded
+    half-spectrum in place of a fresh one, and out, a real (..., num_padded)
+    array, the samples; the bits are the same either way.
+    """
     num = grid.num_points
     if num_padded < num or num_padded % 2 != 0:
         raise ValueError(f"num_padded must be even and >= {num}, got {num_padded}")
     half = num // 2
-    out = np.zeros(coeffs.shape[:-1] + (num_padded // 2 + 1,), dtype=np.complex128)
-    out[..., : half + 1] = coeffs
+    if spectrum is None:
+        spectrum = np.empty(coeffs.shape[:-1] + (num_padded // 2 + 1,), dtype=np.complex128)
+    spectrum[..., : half + 1] = coeffs
+    spectrum[..., half + 1:] = 0.0
     if num_padded > num:
         # on a wider grid the Nyquist entry stands for the two modes +-N/2,
         # so +N/2 keeps half of it
-        out[..., half] *= 0.5
-    return grid.idft(out, real=True)
+        spectrum[..., half] *= 0.5
+    return grid.idft(spectrum, real=True, out=out)
 
 
-def truncated_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+def truncated_coeffs(samples: np.ndarray, grid: SpectralGrid,
+                     spectrum: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum, cut back to grid's band, of real sample rows on a
     padded grid; the band's Nyquist entry is zero, since that one entry
-    cannot hold both of the padded modes +-N/2."""
+    cannot hold both of the padded modes +-N/2.  spectrum, a complex array
+    of the padded half-spectrum's shape, takes the transform in place of a
+    fresh one, and the result is a view into it."""
     half = grid.num_points // 2
-    coeffs = grid.dft(samples, real=True)[..., : half + 1]
+    coeffs = grid.dft(samples, real=True, out=spectrum)[..., : half + 1]
     coeffs[..., half] = 0.0
     return coeffs
 

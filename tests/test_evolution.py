@@ -35,6 +35,8 @@ from gkdvlab.spectral import (
     forward_transform,
     inverse_transform,
     padded_points,
+    padded_samples,
+    truncated_coeffs,
 )
 
 
@@ -309,6 +311,99 @@ class TestHalfSpectrumMarch:
         assert np.max(np.abs(half - expect)) <= 1e-14 * scale
         # the full march stays conjugate-symmetric, so the half loses nothing
         assert np.max(np.abs(full - full_spectrum(half, g))) <= 1e-14 * scale
+
+
+def reference_rhs(grid, p):
+    """The RHS as the expression it computes, on fresh arrays: padded
+    samples of each component, the coupled powers, the truncated band of
+    each times the derivative symbol."""
+    m = padded_points(grid.num_points, 2 * p + 1)
+    deriv = -grid.derivative_symbol(1, real=True)
+
+    def rhs(c):
+        u, v = padded_samples(c[0], grid, m), padded_samples(c[1], grid, m)
+        base = (u * v) ** p
+        return np.stack([deriv * truncated_coeffs(w, grid) for w in (base * v, base * u)])
+
+    return rhs
+
+
+def reference_if_rk4(c, dt, e, e2, rhs):
+    n1 = rhs(c)
+    n2 = rhs(e * (c + 0.5 * dt * n1))
+    n3 = rhs(e * c + 0.5 * dt * n2)
+    n4 = rhs(e2 * c + dt * e * n3)
+    return e2 * c + (dt / 6.0) * (e2 * n1 + 2.0 * e * (n2 + n3) + n4)
+
+
+def reference_strang(c, dt, e, rhs):
+    c = e * c
+    k1 = rhs(c)
+    k2 = rhs(c + 0.5 * dt * k1)
+    return e * (c + dt * k2)
+
+
+class TestInPlaceStepping:
+    """The RHS workspace and the in-place steppers against the plain
+    expressions on fresh arrays, bit for bit: the same operations in the same
+    order, on a state and on a Picard-like node stack."""
+
+    @staticmethod
+    def _pair_stack(g, p, nodes):
+        amp = 0.8 if p == 1 else 0.6
+        states = [bandlimited_state(g, 60 + j, bandwidth=12, amp=amp) for j in range(nodes)]
+        c = np.stack([[forward_transform(f).coeffs for f in (s.u, s.v)] for s in states], axis=1)
+        return c[:, 0] if nodes == 1 else c
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("nodes", [1, 5], ids=["state", "node-stack"])
+    @pytest.mark.parametrize("scheme", ["if_rk4", "strang"])
+    def test_steps_equal_the_expressions(self, scheme, nodes, p):
+        g = SpectralGrid(10.0, 128)
+        dt = 2e-3
+        e, e2 = dispersive_phase(g, 0.5 * dt), dispersive_phase(g, dt)
+        rhs, ref_rhs = _RhsWorkspace(g, p), reference_rhs(g, p)
+        got = want = self._pair_stack(g, p, nodes)
+        for _ in range(4):
+            before = got.copy()
+            if scheme == "if_rk4":
+                got = _step_if_rk4(got, dt, e, e2, rhs)
+                want = reference_if_rk4(want, dt, e, e2, ref_rhs)
+            else:
+                got = _step_strang(got, dt, e, rhs)
+                want = reference_strang(want, dt, e, ref_rhs)
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, before)
+        assert got.shape == ((2, 65) if nodes == 1 else (2, nodes, 65))
+
+    @pytest.mark.parametrize("scheme", ["if_rk4", "strang"])
+    def test_steps_leave_their_input_alone(self, scheme):
+        g = SpectralGrid(10.0, 64)
+        dt = 2e-3
+        e, e2 = dispersive_phase(g, 0.5 * dt), dispersive_phase(g, dt)
+        c = self._pair_stack(g, 1, 1)
+        keep = c.copy()
+        if scheme == "if_rk4":
+            _step_if_rk4(c, dt, e, e2, _RhsWorkspace(g, 1))
+        else:
+            _step_strang(c, dt, e, _RhsWorkspace(g, 1))
+        assert np.array_equal(c, keep)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_workspace_reused_across_shapes_equals_a_fresh_one(self, p):
+        g = SpectralGrid(20.0, 64)
+        rhs = _RhsWorkspace(g, p)
+        stack = self._pair_stack(g, p, 6)
+        inputs = [stack[:, 0], stack, stack[:, 2], stack[:, 1:4], stack[:, 3], stack]
+        results = [rhs(c) for c in inputs]
+        kept = [r.copy() for r in results]
+        for c, r, k in zip(inputs, results, kept):
+            # a later call leaves every earlier result as it was
+            assert np.array_equal(r, k)
+            assert np.array_equal(r, _RhsWorkspace(g, p)(c))
+            assert np.array_equal(r, reference_rhs(g, p)(c))
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(results)
+                       for b in results[i + 1:])
 
 
 class TestReflection:

@@ -18,6 +18,18 @@ def test_coupled_powers_backends_agree(p):
     assert np.allclose(b, direct_b, rtol=1e-13)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_coupled_powers_can_overwrite_their_factors(p):
+    # the RHS workspace has the products written over the padded samples
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal((3, 257))
+    v = rng.standard_normal((3, 257))
+    fresh = _kernels.coupled_powers(u, v, p)
+    a, b = _kernels.coupled_powers(u, v, p, out=(v, u))
+    assert a is v and b is u
+    assert np.array_equal(a, fresh[0]) and np.array_equal(b, fresh[1])
+
+
 def test_bourgain_weight_backends_agree():
     zeta = np.linspace(-8, 8, 33)
     eta = np.linspace(-30, 30, 24)

@@ -21,6 +21,7 @@ from gkdvlab.spaces import (
     mixed_norm,
     sobolev_norm,
     xt_inverse,
+    xt_modulus,
     xt_transform,
 )
 
@@ -295,6 +296,36 @@ class TestBourgainNorm:
             bourgain_norm(samp, NormParams(0.1, 1.0, b), psi) for b in (0.0, 0.3, 0.6)
         ]
         assert vals[0] < vals[1] < vals[2]
+
+    def test_x_nyquist_column_splits_evenly_between_its_labels(self):
+        # cos(8x) on 16 points is all x-Nyquist: the full spectrum holds it at
+        # -zeta_N only, while it stands for +-zeta_N alike, so the oracle
+        # splits that column's energy evenly between the two weights
+        g = SpectralGrid(np.pi, 16)
+        m, t0, t1 = 64, -2.5, 2.5
+        times = t0 + (t1 - t0) / m * np.arange(m)
+        rng = np.random.default_rng(4)
+        vals = bump(times)[:, None] * (rng.standard_normal(m)[:, None] * np.cos(8.0 * g.x)
+                                       + 0.3 * rng.standard_normal((m, 16)))
+        sample = SpaceTimeSample(g, t0, t1, vals)
+        params = NormParams(0.25, 2.0, 0.55)
+        c = sample.grid.dx * sample.dt / (2.0 * np.pi) * np.fft.fft2(vals)
+        eta = (2.0 * np.pi / (t1 - t0)) * np.fft.ifftshift(np.arange(m) - m // 2)
+        cell = g.dzeta * 2.0 * np.pi / (t1 - t0)
+        nyq = g.nyquist_index
+        signed = [g.zeta.copy(), g.zeta.copy()]
+        signed[1][nyq] *= -1.0  # +zeta_N
+        minus, plus = (_kernels.bourgain_weight(z, eta, params.rho, params.s, params.b) ** 2
+                       for z in signed)
+        want = np.sqrt(np.sum(0.5 * (minus + plus) * np.abs(c) ** 2) * cell)
+        got = bourgain_norm(sample, params)
+        assert abs(got - want) < 1e-13 * want
+        # the half-eta rows with that column at either single label miss by far more
+        modulus = xt_modulus(sample)
+        for z in signed:
+            w = _kernels.bourgain_weight(z, sample.eta, params.rho, params.s, params.b)
+            one_label = np.sqrt(np.sum((w * modulus) ** 2) * cell)
+            assert abs(one_label - want) > 1e-3 * want
 
     def test_support_violation_rejected(self):
         g = SpectralGrid(np.pi, 16)

@@ -581,3 +581,47 @@ class TestTransformPlan:
             inv[:] = 7.0
             assert np.array_equal(dft_axis(vals, span, real=real), expect_fwd)
             assert np.array_equal(idft_axis(expect_fwd, span, real=real), expect_inv)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("layout", ["row", "stack-axis0", "stack-axis-1"])
+    def test_out_is_filled_and_returned_with_the_same_bits(self, real, layout):
+        num, span = 64, 20.0
+        shape, axis = {
+            "row": ((num,), -1),
+            "stack-axis0": ((num, 5), 0),
+            "stack-axis-1": ((5, num), -1),
+        }[layout]
+        rng = np.random.default_rng(3)
+        vals = rng.standard_normal(shape)
+        fwd = _plain_dft(vals, span, axis, real=real)
+        out = np.full(fwd.shape, np.nan, dtype=complex)  # stale contents are overwritten
+        assert dft_axis(vals, span, axis=axis, real=real, out=out) is out
+        assert np.array_equal(out, fwd)
+        inv = _plain_idft(fwd, span, axis, real=real)
+        out = np.full(inv.shape, np.nan, dtype=inv.dtype)
+        assert idft_axis(fwd, span, axis=axis, real=real, out=out) is out
+        assert np.array_equal(out, inv)
+
+
+class TestPaddingBuffers:
+    # the RHS workspace pads and truncates through buffers it keeps; with
+    # them, padded_samples and truncated_coeffs give the fresh results bit
+    # for bit, whatever the buffers held before
+    @pytest.mark.parametrize("num_padded", [16, 24, 40])
+    @pytest.mark.parametrize("rows", [(), (3,), (2, 3)])
+    def test_buffers_give_the_fresh_results(self, num_padded, rows):
+        g = SpectralGrid(10.0, 16)
+        rng = np.random.default_rng(num_padded)
+        c = g.dft(rng.standard_normal(rows + (16,)), real=True)
+        c[..., 8] = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        spectrum = np.full(rows + (num_padded // 2 + 1,), 7.0 + 7.0j)
+        samples = np.full(rows + (num_padded,), 7.0)
+        got = padded_samples(c, g, num_padded, spectrum, samples)
+        assert got is samples
+        assert np.array_equal(got, padded_samples(c, g, num_padded))
+
+        w = rng.standard_normal(rows + (num_padded,))
+        spectrum[...] = 7.0 + 7.0j
+        back = truncated_coeffs(w, g, spectrum)
+        assert np.shares_memory(back, spectrum)
+        assert np.array_equal(back, truncated_coeffs(w, g))
