@@ -46,23 +46,3 @@ def bourgain_weight(
     with np.errstate(over="ignore"):
         return gevrey_weight(zeta, rho, s)[None, :] * dispersive_factor(zeta, eta) ** b
 
-
-# ---------------------------------------------------------------------------
-# Grid sweep for the triangle-split exponential inequality
-#   e^{rho(1+|z|)} <= e^{rho(1+|z1|)} e^{rho(1+|z-z2|)} e^{rho(1+|z2-z1|)}
-# over all (rho, z, z1, z2).  Returns the number of grid points violating it
-# (0 expected: |z| <= |z1| + |z-z2| + |z2-z1| plus 1 <= 3 spare ones).
-
-
-def triangle_split_failures(
-    rhos: np.ndarray, zetas: np.ndarray, z1s: np.ndarray, z2s: np.ndarray
-) -> int:
-    z = zetas[:, None, None]
-    z1 = z1s[None, :, None]
-    z2 = z2s[None, None, :]
-    lhs_arg = 1.0 + np.abs(z)
-    rhs_arg = (1.0 + np.abs(z1)) + (1.0 + np.abs(z - z2)) + (1.0 + np.abs(z2 - z1))
-    failures = 0
-    for rho in rhos:
-        failures += int(np.count_nonzero(rho * lhs_arg > rho * rhs_arg + 1e-12))
-    return failures

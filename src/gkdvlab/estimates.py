@@ -74,6 +74,7 @@ __all__ = [
     "random_window_sample",
     "strichartz_ratio",
     "time_cutoff_ratio",
+    "triangle_split_failures",
 ]
 
 ENVELOPES = ("flat", "gaussian", "exponential")
@@ -605,6 +606,46 @@ def check_embedding(
 # on any grid point is a bug, not noise.
 
 
+def triangle_split_failures(
+    rhos: np.ndarray, zetas: np.ndarray, z1s: np.ndarray, z2s: np.ndarray
+) -> int:
+    """Number of grid points (rho, z, z1, z2) that violate the triangle split
+
+        e^{rho(1+|z|)} <= e^{rho(1+|z1|)} e^{rho(1+|z-z2|)} e^{rho(1+|z2-z1|)},
+
+    tested on the exponents as rho a > rho b + 1e-12, with a = 1 + |z| and b
+    the sum of the three exponents on the right (0 expected: |z| <= |z1| +
+    |z-z2| + |z2-z1|, plus 1 <= 3 spare ones).
+
+    The test runs only on the points that can fail, and the count is that of
+    the test at every point.  Rounded multiplication is monotone: for
+    rho > 0, a <= b gives rho a <= rho b, and adding 1e-12 rounds to no less
+    than rho b, so only a point with a > b can fail.  For rho < 0 the
+    products swap order, so only a point with a < b can fail.  At rho = +-0
+    both products are +-0 or NaN, which never exceeds 1e-12, and a NaN
+    anywhere compares false.
+    """
+    rhos = np.asarray(rhos)
+    z = zetas[:, None, None]
+    z1 = z1s[None, :, None]
+    z2 = z2s[None, None, :]
+    lhs_arg = 1.0 + np.abs(z)
+    # (x + y) + w, rounded as the plain sum, without a second full-size temporary
+    rhs_arg = (1.0 + np.abs(z1)) + (1.0 + np.abs(z - z2))
+    rhs_arg += 1.0 + np.abs(z2 - z1)
+    failures = 0
+    for signed, can_fail in ((rhos > 0, np.greater), (rhos < 0, np.less)):
+        if not signed.any():
+            continue
+        mask = can_fail(lhs_arg, rhs_arg)
+        if not mask.any():
+            continue
+        a, b = np.broadcast_to(lhs_arg, mask.shape)[mask], rhs_arg[mask]
+        for rho in rhos[signed]:
+            failures += int(np.count_nonzero(rho * a > rho * b + 1e-12))
+    return failures
+
+
 def check_exponential_lemmas(
     rhos: np.ndarray | None = None,
     zetas: np.ndarray | None = None,
@@ -613,8 +654,6 @@ def check_exponential_lemmas(
 ) -> dict:
     """Sweep e^{rho(1+|z|)} <= e + sqrt(rho) e^{rho(1+|z|)} sqrt(1+|z|) and
     the three-factor triangle split over a dense parameter grid."""
-    from . import _kernels
-
     rhos = np.linspace(0.0, 2.0, 41) if rhos is None else np.asarray(rhos, dtype=np.float64)
     zetas = np.linspace(0.0, 100.0, 201) if zetas is None else np.asarray(zetas, dtype=np.float64)
     z1s = np.linspace(-100.0, 100.0, 41) if z1s is None else np.asarray(z1s, dtype=np.float64)
@@ -626,7 +665,7 @@ def check_exponential_lemmas(
     rhs = np.e + np.sqrt(rhos)[:, None] * lhs * np.sqrt(az)
     pointwise_failures = int(np.count_nonzero(lhs > rhs))
 
-    triangle_failures = int(_kernels.triangle_split_failures(rhos, zetas, z1s, z2s))
+    triangle_failures = triangle_split_failures(rhos, zetas, z1s, z2s)
     return {
         "pointwise_checked": int(lhs.size),
         "pointwise_failures": pointwise_failures,

@@ -15,11 +15,12 @@ hold the half-spectra (modes 0 ... N/2) of u and v as one array with the
 pair on the leading axis: (2, N/2 + 1) for a state, (2, num_nodes + 1,
 N/2 + 1) for a Picard node stack.
 
-The stepping loop allocates little: the right-hand side keeps its padded
-samples and padded half-spectrum per input shape and has the transforms and
-the power products write into them, and the steppers compute their stages in
-place.  Every operation keeps its operands and their order, so the results
-are those of the plain expressions bit for bit.
+The stepping loop allocates little: the right-hand side keeps, per input
+shape, the padded half-spectra and the padded samples of the pair, writes
+both bands at once and has the transforms and the power products write into
+them, and the steppers compute their stages in place.  Every operation keeps
+its operands and their order, so the results are those of the plain
+expressions bit for bit.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from .diagnostics import TrajectoryRecord
 from .spectral import (
     Field,
     SpectralGrid,
+    cut_band,
     forward_transform,
     inverse_transform,
     padded_points,
-    padded_samples,
-    truncated_coeffs,
+    write_padded_band,
     SpectralField,
     _real_samples,
 )
@@ -147,9 +148,12 @@ class _RhsWorkspace:
     """Precomputed padding layout and derivative symbol for one (grid, p);
     maps stacked pair half-spectra (2, ..., N/2 + 1) to the stacked RHS.
 
-    Keeps, per input shape, the padded samples of both components and one
-    padded half-spectrum, which all four transforms and both products of a
-    call write into; each call returns a fresh array."""
+    Keeps, per input shape, one padded half-spectrum (2, ..., M/2 + 1) and
+    the padded samples (2, ..., M) of the pair.  A call writes both bands
+    into the half-spectrum at once, inverts each component into its
+    samples, has the products overwrite the samples, transforms each
+    product back into the half-spectrum and returns the derivative of the
+    cut-back band as a fresh array."""
 
     def __init__(self, grid: SpectralGrid, p: int):
         self.grid = grid
@@ -159,29 +163,28 @@ class _RhsWorkspace:
         self._buffers: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def _buffers_for(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(padded half-spectrum (..., M/2 + 1), padded samples (2, ..., M))."""
+        """(padded half-spectra (2, ..., M/2 + 1), padded samples (2, ..., M))."""
         buffers = self._buffers.get(shape)
         if buffers is None:
-            rows, m = shape[1:-1], self.num_padded
-            buffers = (np.empty(rows + (m // 2 + 1,), dtype=np.complex128),
-                       np.empty((2,) + rows + (m,)))
+            lead, m = shape[:-1], self.num_padded
+            buffers = (np.empty(lead + (m // 2 + 1,), dtype=np.complex128),
+                       np.empty(lead + (m,)))
             self._buffers[shape] = buffers
         return buffers
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         # one inverse transform per component and one forward transform per
-        # product, each into the buffers; the products overwrite the samples,
-        # so the only padded-size arrays a call makes are the temporaries of
-        # coupled_powers' common factor
+        # product, each into the buffers; the only padded-size arrays a call
+        # makes are the temporaries of coupled_powers' common factor
         spectrum, samples = self._buffers_for(c.shape)
+        write_padded_band(spectrum, c, self.grid)
         for k in range(2):
-            padded_samples(c[k], self.grid, self.num_padded, spectrum, samples[k])
+            self.grid.idft(spectrum[k], real=True, out=samples[k])
         powers = _kernels.coupled_powers(samples[0], samples[1], self.p,
                                          out=(samples[1], samples[0]))
-        out = np.empty_like(c)
         for k, w in enumerate(powers):
-            np.multiply(self.deriv, truncated_coeffs(w, self.grid, spectrum), out=out[k])
-        return out
+            self.grid.dft(w, real=True, out=spectrum[k])
+        return np.multiply(self.deriv, cut_band(spectrum, self.grid))
 
 
 def nonlinear_rhs(state: CoupledState, p: int) -> tuple[Field, Field]:

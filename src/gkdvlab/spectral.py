@@ -232,41 +232,44 @@ def padded_points(num: int, count: int) -> int:
     return num_padded + (num_padded % 2)
 
 
-def padded_samples(coeffs: np.ndarray, grid: SpectralGrid, num_padded: int,
-                   spectrum: np.ndarray | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Real samples of grid's half-spectrum rows on num_padded points over [-L, L).
-
-    spectrum, a complex (..., num_padded/2 + 1) array, takes the padded
-    half-spectrum in place of a fresh one, and out, a real (..., num_padded)
-    array, the samples; the bits are the same either way.
-    """
-    num = grid.num_points
-    if num_padded < num or num_padded % 2 != 0:
-        raise ValueError(f"num_padded must be even and >= {num}, got {num_padded}")
-    half = num // 2
-    if spectrum is None:
-        spectrum = np.empty(coeffs.shape[:-1] + (num_padded // 2 + 1,), dtype=np.complex128)
+def write_padded_band(spectrum: np.ndarray, coeffs: np.ndarray,
+                      grid: SpectralGrid) -> np.ndarray:
+    """Write grid's half-spectrum rows coeffs (..., N/2 + 1) into the band
+    of spectrum, a complex padded half-spectrum (..., M/2 + 1) with M >= N,
+    and zero the rest of it; returns spectrum.  Any stack of rows, the pair
+    of the RHS too, goes in one call."""
+    half = grid.num_points // 2
     spectrum[..., : half + 1] = coeffs
     spectrum[..., half + 1:] = 0.0
-    if num_padded > num:
+    if spectrum.shape[-1] > half + 1:
         # on a wider grid the Nyquist entry stands for the two modes +-N/2,
         # so +N/2 keeps half of it
         spectrum[..., half] *= 0.5
-    return grid.idft(spectrum, real=True, out=out)
+    return spectrum
 
 
-def truncated_coeffs(samples: np.ndarray, grid: SpectralGrid,
-                     spectrum: np.ndarray | None = None) -> np.ndarray:
-    """Half-spectrum, cut back to grid's band, of real sample rows on a
-    padded grid; the band's Nyquist entry is zero, since that one entry
-    cannot hold both of the padded modes +-N/2.  spectrum, a complex array
-    of the padded half-spectrum's shape, takes the transform in place of a
-    fresh one, and the result is a view into it."""
-    half = grid.num_points // 2
-    coeffs = grid.dft(samples, real=True, out=spectrum)[..., : half + 1]
-    coeffs[..., half] = 0.0
+def cut_band(spectrum: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """View of grid's band, the modes 0 ... N/2, of padded half-spectrum rows
+    (..., M/2 + 1), with its Nyquist entry set to zero in place, since that
+    one entry cannot hold both of the padded modes +-N/2."""
+    coeffs = spectrum[..., : grid.num_points // 2 + 1]
+    coeffs[..., -1] = 0.0
     return coeffs
+
+
+def padded_samples(coeffs: np.ndarray, grid: SpectralGrid, num_padded: int) -> np.ndarray:
+    """Real samples of grid's half-spectrum rows on num_padded points over [-L, L)."""
+    num = grid.num_points
+    if num_padded < num or num_padded % 2 != 0:
+        raise ValueError(f"num_padded must be even and >= {num}, got {num_padded}")
+    spectrum = np.empty(coeffs.shape[:-1] + (num_padded // 2 + 1,), dtype=np.complex128)
+    return grid.idft(write_padded_band(spectrum, coeffs, grid), real=True)
+
+
+def truncated_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Half-spectrum, cut back to grid's band (:func:`cut_band`), of real
+    sample rows on a padded grid."""
+    return cut_band(grid.dft(samples, real=True), grid)
 
 
 def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray:

@@ -39,6 +39,7 @@ from gkdvlab.estimates import (
     random_window_sample,
     strichartz_ratio,
     time_cutoff_ratio,
+    triangle_split_failures,
 )
 from gkdvlab.evolution import (
     CoupledState, SolverConfig, dispersive_phase, free_propagate, reflect_state, simulate,
@@ -535,6 +536,96 @@ class TestMultilinear:
         assert rep.max_ratio == max(rep.ratios)
         assert rep.max_ratio >= max(rep.extra.values()) * (1.0 - 1e-15)
         assert np.isfinite(rep.max_ratio)
+
+
+def test_triangle_split_holds_on_grid():
+    rhos = np.array([0.0, 0.1, 0.5, 1.0, 2.0])
+    zetas = np.linspace(-50, 50, 41)
+    z1s = np.linspace(-60, 60, 31)
+    z2s = np.linspace(-60, 60, 31)
+    assert triangle_split_failures(rhos, zetas, z1s, z2s) == 0
+
+
+def test_triangle_split_counter_actually_counts():
+    # negative rho flips the inequality everywhere, so every grid point
+    # must be reported; guards against a counter that always returns 0
+    rhos = np.array([-1.0])
+    zetas = np.linspace(-5, 5, 7)
+    z1s = np.linspace(-5, 5, 5)
+    z2s = np.linspace(-5, 5, 3)
+    expect = 7 * 5 * 3
+    assert triangle_split_failures(rhos, zetas, z1s, z2s) == expect
+
+
+def per_rho_sweep(rhos, zetas, z1s, z2s):
+    """The triangle-split test at every grid point, one rho at a time."""
+    z = zetas[:, None, None]
+    z1 = z1s[None, :, None]
+    z2 = z2s[None, None, :]
+    lhs_arg = 1.0 + np.abs(z)
+    rhs_arg = (1.0 + np.abs(z1)) + (1.0 + np.abs(z - z2)) + (1.0 + np.abs(z2 - z1))
+    failures = 0
+    for rho in rhos:
+        failures += int(np.count_nonzero(rho * lhs_arg > rho * rhs_arg + 1e-12))
+    return failures
+
+
+class TestTriangleSplitSweep:
+    """The sweep tests only the points that can fail; its count equals the
+    test at every point on any grid."""
+
+    SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+    @pytest.fixture(autouse=True)
+    def _non_finite_quietly(self):
+        # inf - inf and 0 * inf are part of the input here
+        with np.errstate(invalid="ignore"):
+            yield
+
+    @classmethod
+    def _grid(cls, rng, size):
+        # about half the entries in [-1e18, -1e16]: where z <= z2 <= z1 < 0
+        # the split is an equality, and rounding can put 1 + |z| above the
+        # sum of the three exponents; a few entries are zeros or non-finite
+        vals = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-2.0, 18.0, size)
+        huge = rng.random(size) < 0.5
+        vals[huge] = -rng.uniform(1e16, 1e18, int(huge.sum()))
+        special = rng.random(size) < 0.1
+        vals[special] = rng.choice(cls.SPECIAL, int(special.sum()))
+        return vals
+
+    def test_equals_the_per_rho_sweep_on_random_grids(self):
+        rng = np.random.default_rng(2005)
+        positive_failures = 0
+        for _ in range(40):
+            rhos = np.concatenate((rng.standard_normal(5), self.SPECIAL, [1e-14, -1e-14]))
+            rng.shuffle(rhos)
+            grids = [self._grid(rng, n) for n in rng.integers(1, 12, 3)]
+            assert triangle_split_failures(rhos, *grids) == per_rho_sweep(rhos, *grids)
+            positive = rhos[rhos > 0]
+            want = per_rho_sweep(positive, *grids)
+            assert triangle_split_failures(positive, *grids) == want
+            positive_failures += want
+        # rounding made some points fail at rho > 0, so that branch was tested
+        assert positive_failures > 0
+
+    @pytest.mark.parametrize("rhos", [[], [0.0], [-0.0], [np.nan], [np.inf], [-np.inf],
+                                      [-2.0, -0.0, 0.0, 2.0]])
+    def test_special_rhos(self, rhos):
+        rhos = np.array(rhos, dtype=np.float64)
+        zetas = np.array([0.0, 1.0, np.inf, np.nan, -3.0])
+        z1s = np.array([-np.inf, 0.5, -0.0])
+        z2s = np.array([2.0, np.nan, 1e17])
+        assert triangle_split_failures(rhos, zetas, z1s, z2s) == per_rho_sweep(
+            rhos, zetas, z1s, z2s)
+
+    def test_default_lemma_grid(self):
+        rhos = np.linspace(0.0, 2.0, 41)
+        grids = (np.linspace(0.0, 100.0, 201), np.linspace(-100.0, 100.0, 41),
+                 np.linspace(-100.0, 100.0, 41))
+        assert triangle_split_failures(rhos, *grids) == per_rho_sweep(rhos, *grids) == 0
+        flipped = -rhos[1:]
+        assert triangle_split_failures(flipped, *grids) == per_rho_sweep(flipped, *grids)
 
 
 class TestExponentialLemmas:

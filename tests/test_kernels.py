@@ -41,22 +41,3 @@ def test_bourgain_weight_backends_agree():
         expect = np.exp(0.3 * az) * az**1.5 * (1.0 + abs(eta[l] - zeta[k] ** 3)) ** 0.55
         assert np.isclose(w[l, k], expect, rtol=1e-13)
 
-
-def test_triangle_split_holds_on_grid():
-    rhos = np.array([0.0, 0.1, 0.5, 1.0, 2.0])
-    zetas = np.linspace(-50, 50, 41)
-    z1s = np.linspace(-60, 60, 31)
-    z2s = np.linspace(-60, 60, 31)
-    assert _kernels.triangle_split_failures(rhos, zetas, z1s, z2s) == 0
-
-
-def test_triangle_split_counter_actually_counts():
-    # negative rho flips the inequality everywhere, so every grid point
-    # must be reported; guards against a counter that always returns 0
-    rhos = np.array([-1.0])
-    zetas = np.linspace(-5, 5, 7)
-    z1s = np.linspace(-5, 5, 5)
-    z2s = np.linspace(-5, 5, 3)
-    expect = 7 * 5 * 3
-    assert _kernels.triangle_split_failures(rhos, zetas, z1s, z2s) == expect
-
