@@ -14,13 +14,17 @@ BACKEND = "numpy"
 # coupled power nonlinearity: given physical u, v return (u^p v^(p+1),
 # u^(p+1) v^p).  This is the inner loop of every RK stage.  out, a pair of
 # arrays, takes the two products; out=(v, u) overwrites the factors, since
-# each is read last by the product written into it.
+# each is read last by the product written into it.  The common factor is
+# raised in place, and not at all for p = 1, where (u v)^1 would only copy
+# it: the values are those of (u * v) ** p.
 
 
 def coupled_powers(
     u: np.ndarray, v: np.ndarray, p: int, out: tuple = (None, None)
 ) -> tuple[np.ndarray, np.ndarray]:
-    base = (u * v) ** p
+    base = u * v
+    if p > 1:
+        base **= p
     return np.multiply(base, v, out=out[0]), np.multiply(base, u, out=out[1])
 
 

@@ -15,12 +15,16 @@ hold the half-spectra (modes 0 ... N/2) of u and v as one array with the
 pair on the leading axis: (2, N/2 + 1) for a state, (2, num_nodes + 1,
 N/2 + 1) for a Picard node stack.
 
-The stepping loop allocates little: the right-hand side keeps, per input
-shape, the padded half-spectra and the padded samples of the pair, writes
+The stepping loop allocates little and builds what it can once: the
+right-hand side keeps, per input shape, the padded half-spectra and the
+padded samples of the pair with their band views and component rows, writes
 both bands at once and has the transforms and the power products write into
-them, and the steppers compute their stages in place.  Every operation keeps
-its operands and their order, so the results are those of the plain
-expressions bit for bit.
+them; a run builds the stage phases of its scheme and enters its
+floating-point error state once, and the steppers compute their stages in
+place.  The Picard pass builds the trapezoid forcing of every node at once
+and leaves only the recurrence of the group property node by node, on
+node-major views.  Every operation keeps its operands and their order, so
+the results are those of the plain expressions bit for bit.
 """
 
 from __future__ import annotations
@@ -34,13 +38,14 @@ from .diagnostics import TrajectoryRecord
 from .spectral import (
     Field,
     SpectralGrid,
-    cut_band,
-    forward_transform,
-    inverse_transform,
-    padded_points,
-    write_padded_band,
+    PaddedBand,
     SpectralField,
     _real_samples,
+    dft_axis,
+    forward_transform,
+    idft_axis,
+    inverse_transform,
+    padded_points,
 )
 
 
@@ -148,27 +153,32 @@ class _RhsWorkspace:
     """Precomputed padding layout and derivative symbol for one (grid, p);
     maps stacked pair half-spectra (2, ..., N/2 + 1) to the stacked RHS.
 
-    Keeps, per input shape, one padded half-spectrum (2, ..., M/2 + 1) and
-    the padded samples (2, ..., M) of the pair.  A call writes both bands
-    into the half-spectrum at once, inverts each component into its
-    samples, has the products overwrite the samples, transforms each
-    product back into the half-spectrum and returns the derivative of the
-    cut-back band as a fresh array."""
+    Keeps, per input shape, one padded half-spectrum (2, ..., M/2 + 1), the
+    padded samples (2, ..., M) of the pair, the band views of the spectrum
+    and the component rows of both, so a call makes no view and no lookup
+    beyond its shape.  A call writes both bands into the half-spectrum at
+    once, inverts each component into its samples, has the products
+    overwrite the samples, transforms each product back into the
+    half-spectrum and returns the derivative of the cut-back band as a
+    fresh array."""
 
     def __init__(self, grid: SpectralGrid, p: int):
         self.grid = grid
         self.p = p
         self.num_padded = padded_points(grid.num_points, 2 * p + 1)
+        self.span = 2.0 * grid.half_length
         self.deriv = -grid.derivative_symbol(1, real=True)
-        self._buffers: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._buffers: dict[tuple[int, ...], tuple] = {}
 
-    def _buffers_for(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(padded half-spectra (2, ..., M/2 + 1), padded samples (2, ..., M))."""
+    def _buffers_for(self, shape: tuple[int, ...]) -> tuple:
+        """(band views of the padded half-spectra, their component rows,
+        the component rows of the padded samples)."""
         buffers = self._buffers.get(shape)
         if buffers is None:
             lead, m = shape[:-1], self.num_padded
-            buffers = (np.empty(lead + (m // 2 + 1,), dtype=np.complex128),
-                       np.empty(lead + (m,)))
+            spectrum = np.empty(lead + (m // 2 + 1,), dtype=np.complex128)
+            samples = np.empty(lead + (m,))
+            buffers = (PaddedBand(spectrum, self.grid), tuple(spectrum), tuple(samples))
             self._buffers[shape] = buffers
         return buffers
 
@@ -176,15 +186,14 @@ class _RhsWorkspace:
         # one inverse transform per component and one forward transform per
         # product, each into the buffers; the only padded-size arrays a call
         # makes are the temporaries of coupled_powers' common factor
-        spectrum, samples = self._buffers_for(c.shape)
-        write_padded_band(spectrum, c, self.grid)
-        for k in range(2):
-            self.grid.idft(spectrum[k], real=True, out=samples[k])
-        powers = _kernels.coupled_powers(samples[0], samples[1], self.p,
-                                         out=(samples[1], samples[0]))
-        for k, w in enumerate(powers):
-            self.grid.dft(w, real=True, out=spectrum[k])
-        return np.multiply(self.deriv, cut_band(spectrum, self.grid))
+        band, spectra, (u, v) = self._buffers_for(c.shape)
+        band.write(c)
+        idft_axis(spectra[0], self.span, real=True, out=u)
+        idft_axis(spectra[1], self.span, real=True, out=v)
+        powers = _kernels.coupled_powers(u, v, self.p, out=(v, u))
+        dft_axis(powers[0], self.span, real=True, out=spectra[0])
+        dft_axis(powers[1], self.span, real=True, out=spectra[1])
+        return np.multiply(self.deriv, band.cut())
 
 
 def nonlinear_rhs(state: CoupledState, p: int) -> tuple[Field, Field]:
@@ -199,9 +208,16 @@ def nonlinear_rhs(state: CoupledState, p: int) -> tuple[Field, Field]:
 # bits of every result.
 
 
-def _step_if_rk4(c, dt, e, e2, rhs):
-    """One integrating-factor RK4 step; e and e2 are the half- and full-step
-    phases.  The stages are
+def _if_rk4_phases(dt, e, e2):
+    """The phases of an IF-RK4 step of size dt, built once per run: e and e2
+    are the half- and full-step phases, and the step also takes dt e and
+    2 e."""
+    return e, e2, dt * e, 2.0 * e
+
+
+def _step_if_rk4(c, dt, phases, rhs):
+    """One integrating-factor RK4 step; phases is :func:`_if_rk4_phases`
+    of dt.  The stages are
 
         n1 = rhs(c)
         n2 = rhs(e * (c + dt/2 n1))
@@ -209,6 +225,7 @@ def _step_if_rk4(c, dt, e, e2, rhs):
         n4 = rhs(e2 * c + dt e n3)
 
     and the step returns e2 * c + dt/6 (e2 n1 + 2 e (n2 + n3) + n4)."""
+    e, e2, dt_e, two_e = phases
     e2c = e2 * c
     n1 = rhs(c)
     arg = np.multiply(0.5 * dt, n1)
@@ -216,11 +233,11 @@ def _step_if_rk4(c, dt, e, e2, rhs):
     n2 = rhs(np.multiply(e, arg, out=arg))
     np.multiply(e, c, out=arg)
     n3 = rhs(np.add(arg, np.multiply(0.5 * dt, n2), out=arg))
-    np.multiply(dt * e, n3, out=arg)
+    np.multiply(dt_e, n3, out=arg)
     n4 = rhs(np.add(e2c, arg, out=arg))
     np.multiply(e2, n1, out=n1)
     np.add(n2, n3, out=n2)
-    np.multiply(2.0 * e, n2, out=n2)
+    np.multiply(two_e, n2, out=n2)
     np.add(n1, n2, out=n1)
     np.add(n1, n4, out=n1)
     np.multiply(dt / 6.0, n1, out=n1)
@@ -262,8 +279,17 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
     record = TrajectoryRecord(grid=g, p=config.p)
 
     rhs = _RhsWorkspace(g, config.p)
-    half = dispersive_phase(g, 0.5 * config.dt)
-    full = dispersive_phase(g, config.dt)
+    dt = config.dt
+    half = dispersive_phase(g, 0.5 * dt)
+    if config.scheme == "if_rk4":
+        phases = _if_rk4_phases(dt, half, dispersive_phase(g, dt))
+
+        def step(c):
+            return _step_if_rk4(c, dt, phases, rhs)
+    else:
+        def step(c):
+            return _step_strang(c, dt, half, rhs)
+
     c = _pair_coeffs(initial.u, initial.v)
     baseline = max(
         float(np.max(np.abs(initial.u.samples))),
@@ -272,31 +298,29 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
     )
     record.record(initial.t, initial.u, initial.v)
 
-    for n in range(1, num_steps + 1):
-        t = initial.t + n * config.dt
-        # overflow inside a diverging step is expected; the finite check below
-        # turns it into the typed error instead of a warning cascade
-        with np.errstate(over="ignore", invalid="ignore"):
-            if config.scheme == "if_rk4":
-                c = _step_if_rk4(c, config.dt, half, full, rhs)
-            else:
-                c = _step_strang(c, config.dt, half, rhs)
-        if not np.all(np.isfinite(c)):
-            record.blow_up = True
-            raise NumericalBlowupError(
-                f"blow-up at t = {t:.6g}: non-finite spectrum", record
-            )
-        if n % config.record_stride == 0 or n == num_steps:
-            u, v = _pair_fields(g, c)
-            sup = float(np.max(np.abs((u.samples, v.samples))))
-            if sup > config.blowup_factor * baseline:
+    # overflow inside a diverging step is expected; the finite check below
+    # turns it into the typed error instead of a warning cascade
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, num_steps + 1):
+            t = initial.t + n * dt
+            c = step(c)
+            if not np.isfinite(c).all():
                 record.blow_up = True
                 raise NumericalBlowupError(
-                    f"sup-norm grew by {sup / baseline:.3e} (limit "
-                    f"{config.blowup_factor:.1e}) at t = {t:.6g}",
-                    record,
+                    f"blow-up at t = {t:.6g}: non-finite spectrum", record
                 )
-            record.record(t, u, v)
+            if n % config.record_stride == 0 or n == num_steps:
+                u, v = _pair_fields(g, c)
+                # per component; np.maximum, unlike max, passes a NaN on
+                sup = float(np.maximum(np.abs(u.samples).max(), np.abs(v.samples).max()))
+                if sup > config.blowup_factor * baseline:
+                    record.blow_up = True
+                    raise NumericalBlowupError(
+                        f"sup-norm grew by {sup / baseline:.3e} (limit "
+                        f"{config.blowup_factor:.1e}) at t = {t:.6g}",
+                        record,
+                    )
+                record.record(t, u, v)
     return record
 
 
@@ -336,11 +360,25 @@ class PicardResult:
 
 def _duhamel_cumulative(w: np.ndarray, phase_h: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid quadrature of  integral_0^{t_j} e^{i zeta^3 (t_j - s)} w(s) ds
-    for all nodes t_j (axis -2 of w), accumulated with the group property."""
-    out = np.zeros(w.shape, dtype=np.complex128)
-    for j in range(1, w.shape[-2]):
-        out[..., j, :] = phase_h * out[..., j - 1, :] + 0.5 * h * (
-            phase_h * w[..., j - 1, :] + w[..., j, :])
+    for all nodes t_j (axis -2 of w), accumulated with the group property:
+
+        out[0] = 0,  out[j] = phase_h out[j-1] + h/2 (phase_h w[j-1] + w[j]).
+
+    The forcing, the second term, is built for all nodes at once in rows
+    1 ... of the result; the recurrence then runs over node-major views of
+    it with one preallocated temporary, two in-place operations per node.
+    Each operation keeps the operands and the order of the formula, so the
+    result is that of evaluating it node by node, bit for bit."""
+    out = np.empty(w.shape, dtype=np.complex128)
+    out[..., 0, :] = 0.0
+    forcing = out[..., 1:, :]
+    np.multiply(phase_h, w[..., :-1, :], out=forcing)
+    np.add(forcing, w[..., 1:, :], out=forcing)
+    np.multiply(0.5 * h, forcing, out=forcing)
+    nodes = np.moveaxis(out, -2, 0)
+    carried = np.empty(nodes.shape[1:], dtype=np.complex128)
+    for prev, cur in zip(nodes[:-1], nodes[1:]):
+        np.add(np.multiply(phase_h, prev, out=carried), cur, out=cur)
     return out
 
 
@@ -372,7 +410,8 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     rising = 0
     for it in range(1, config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            new = free + _duhamel_cumulative(rhs(cur), phase_h, h)
+            new = _duhamel_cumulative(rhs(cur), phase_h, h)
+            np.add(free, new, out=new)
             # sup over components and nodes of the H^s successive difference;
             # squared in place, since fresh node-stack-sized temporaries cost
             # page faults on every iterate

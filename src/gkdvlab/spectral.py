@@ -232,29 +232,36 @@ def padded_points(num: int, count: int) -> int:
     return num_padded + (num_padded % 2)
 
 
-def write_padded_band(spectrum: np.ndarray, coeffs: np.ndarray,
-                      grid: SpectralGrid) -> np.ndarray:
-    """Write grid's half-spectrum rows coeffs (..., N/2 + 1) into the band
-    of spectrum, a complex padded half-spectrum (..., M/2 + 1) with M >= N,
-    and zero the rest of it; returns spectrum.  Any stack of rows, the pair
-    of the RHS too, goes in one call."""
-    half = grid.num_points // 2
-    spectrum[..., : half + 1] = coeffs
-    spectrum[..., half + 1:] = 0.0
-    if spectrum.shape[-1] > half + 1:
-        # on a wider grid the Nyquist entry stands for the two modes +-N/2,
-        # so +N/2 keeps half of it
-        spectrum[..., half] *= 0.5
-    return spectrum
+class PaddedBand:
+    """grid's band, the modes 0 ... N/2, of a complex padded half-spectrum
+    spectrum (..., M/2 + 1) with M >= N, as views made once: a buffer that
+    is padded and cut again and again keeps one of these."""
 
+    def __init__(self, spectrum: np.ndarray, grid: SpectralGrid):
+        half = grid.num_points // 2
+        self.spectrum = spectrum
+        self.band = spectrum[..., : half + 1]
+        self._tail = spectrum[..., half + 1:]
+        self._nyquist = spectrum[..., half]
+        self._wider = spectrum.shape[-1] > half + 1
 
-def cut_band(spectrum: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """View of grid's band, the modes 0 ... N/2, of padded half-spectrum rows
-    (..., M/2 + 1), with its Nyquist entry set to zero in place, since that
-    one entry cannot hold both of the padded modes +-N/2."""
-    coeffs = spectrum[..., : grid.num_points // 2 + 1]
-    coeffs[..., -1] = 0.0
-    return coeffs
+    def write(self, coeffs: np.ndarray) -> np.ndarray:
+        """Write grid's half-spectrum rows coeffs (..., N/2 + 1) into the
+        band and zero the rest of the spectrum; returns the spectrum.  Any
+        stack of rows, the pair of the RHS too, goes in one call."""
+        self.band[...] = coeffs
+        self._tail[...] = 0.0
+        if self._wider:
+            # on a wider grid the Nyquist entry stands for the two modes
+            # +-N/2, so +N/2 keeps half of it
+            self._nyquist *= 0.5
+        return self.spectrum
+
+    def cut(self) -> np.ndarray:
+        """The band, with its Nyquist entry set to zero in place, since that
+        one entry cannot hold both of the padded modes +-N/2."""
+        self._nyquist[...] = 0.0
+        return self.band
 
 
 def padded_samples(coeffs: np.ndarray, grid: SpectralGrid, num_padded: int) -> np.ndarray:
@@ -263,13 +270,13 @@ def padded_samples(coeffs: np.ndarray, grid: SpectralGrid, num_padded: int) -> n
     if num_padded < num or num_padded % 2 != 0:
         raise ValueError(f"num_padded must be even and >= {num}, got {num_padded}")
     spectrum = np.empty(coeffs.shape[:-1] + (num_padded // 2 + 1,), dtype=np.complex128)
-    return grid.idft(write_padded_band(spectrum, coeffs, grid), real=True)
+    return grid.idft(PaddedBand(spectrum, grid).write(coeffs), real=True)
 
 
 def truncated_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Half-spectrum, cut back to grid's band (:func:`cut_band`), of real
-    sample rows on a padded grid."""
-    return cut_band(grid.dft(samples, real=True), grid)
+    """Half-spectrum, cut back to grid's band (:meth:`PaddedBand.cut`), of
+    real sample rows on a padded grid."""
+    return PaddedBand(grid.dft(samples, real=True), grid).cut()
 
 
 def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray:

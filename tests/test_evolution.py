@@ -11,7 +11,9 @@ import pytest
 
 from gkdvlab.evolution import (
     CoupledState,
+    _duhamel_cumulative,
     _RhsWorkspace,
+    _if_rk4_phases,
     _step_if_rk4,
     _step_strang,
     NonContractionError,
@@ -280,13 +282,14 @@ class TestHalfSpectrumMarch:
         eh, e2h = (dispersive_phase(g, t) for t in (0.5 * dt, dt))
         ef, e2f = (full_phase(g, t) for t in (0.5 * dt, dt))
         rhs = _RhsWorkspace(g, p)
+        phases = _if_rk4_phases(dt, eh, e2h)
 
         def frhs(c):
             return full_rhs(c, g, p)
 
         for _ in range(num_steps):
             if scheme == "if_rk4":
-                half = _step_if_rk4(half, dt, eh, e2h, rhs)
+                half = _step_if_rk4(half, dt, phases, rhs)
                 n1 = frhs(full)
                 n2 = frhs(ef * (full + 0.5 * dt * n1))
                 n3 = frhs(ef * full + 0.5 * dt * n2)
@@ -363,11 +366,12 @@ class TestInPlaceStepping:
         dt = 2e-3
         e, e2 = dispersive_phase(g, 0.5 * dt), dispersive_phase(g, dt)
         rhs, ref_rhs = _RhsWorkspace(g, p), reference_rhs(g, p)
+        phases = _if_rk4_phases(dt, e, e2)
         got = want = self._pair_stack(g, p, nodes)
         for _ in range(4):
             before = got.copy()
             if scheme == "if_rk4":
-                got = _step_if_rk4(got, dt, e, e2, rhs)
+                got = _step_if_rk4(got, dt, phases, rhs)
                 want = reference_if_rk4(want, dt, e, e2, ref_rhs)
             else:
                 got = _step_strang(got, dt, e, rhs)
@@ -384,7 +388,7 @@ class TestInPlaceStepping:
         c = self._pair_stack(g, 1, 1)
         keep = c.copy()
         if scheme == "if_rk4":
-            _step_if_rk4(c, dt, e, e2, _RhsWorkspace(g, 1))
+            _step_if_rk4(c, dt, _if_rk4_phases(dt, e, e2), _RhsWorkspace(g, 1))
         else:
             _step_strang(c, dt, e, _RhsWorkspace(g, 1))
         assert np.array_equal(c, keep)
@@ -467,13 +471,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match="whole number"):
             simulate(s, SolverConfig(p=1, dt=0.3, t_end=1.0))
 
-    def test_instability_raises_with_partial_record(self):
+    @pytest.mark.parametrize("scheme", ["if_rk4", "strang"])
+    def test_instability_raises_with_partial_record(self, scheme):
+        # warnings are errors in this suite, so no overflow of the diverging
+        # steps may escape the run's error state
         g = SpectralGrid(np.pi, 128)
         big = Field(g, 5.0 * np.sin(g.x))
         with pytest.raises(NumericalBlowupError) as info:
             simulate(
                 CoupledState(0.0, big, big),
-                SolverConfig(p=1, dt=0.05, t_end=5.0, record_stride=5),
+                SolverConfig(p=1, dt=0.05, t_end=5.0, record_stride=5, scheme=scheme),
             )
         rec = info.value.record
         assert rec is not None and rec.blow_up
@@ -619,6 +626,52 @@ class TestPicard:
             )
             firsts.append(res.contraction_factors[0])
         assert firsts[0] < firsts[1] < firsts[2]
+
+
+def per_node_duhamel(w, phase_h, h):
+    """The Duhamel accumulation as a loop over nodes, one expression each."""
+    out = np.zeros(w.shape, dtype=np.complex128)
+    for j in range(1, w.shape[-2]):
+        out[..., j, :] = phase_h * out[..., j - 1, :] + 0.5 * h * (
+            phase_h * w[..., j - 1, :] + w[..., j, :])
+    return out
+
+
+class TestDuhamelCumulative:
+    """The node-major recurrence against the per-node expression, bit for
+    bit: the same operands in the same order at every node."""
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    @staticmethod
+    def _forcing(shape, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("nodes", [1, 2, 193])
+    @pytest.mark.parametrize("pair", [True, False], ids=["node-stack", "rows"])
+    def test_equals_the_per_node_loop(self, nodes, pair):
+        g = SpectralGrid(20.0, 64)
+        h = 0.025 / 192
+        w = self._forcing(((2,) if pair else ()) + (nodes, 33), nodes)
+        phase_h = dispersive_phase(g, h)
+        got = _duhamel_cumulative(w, phase_h, h)
+        assert got.shape == w.shape
+        assert np.array_equal(self._bits(got), self._bits(per_node_duhamel(w, phase_h, h)))
+
+    def test_backward_march_on_a_reversed_view(self):
+        # the lab marches back from a row j0 with the conjugate phase, a
+        # negative step and a negative-stride view of its rows
+        g = SpectralGrid(np.pi, 32)
+        h, j0 = 0.05, 11
+        coeffs = self._forcing((24, 17), 7)
+        phase = np.conj(dispersive_phase(g, h))
+        rows = coeffs[j0::-1]
+        assert rows.strides[0] < 0
+        got = _duhamel_cumulative(rows, phase, -h)
+        assert np.array_equal(self._bits(got), self._bits(per_node_duhamel(rows, phase, -h)))
 
 
 class TestSwapSymmetry:

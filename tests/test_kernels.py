@@ -30,6 +30,22 @@ def test_coupled_powers_can_overwrite_their_factors(p):
     assert np.array_equal(a, fresh[0]) and np.array_equal(b, fresh[1])
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("overwrite", [False, True])
+def test_coupled_powers_equal_the_expression(p, overwrite):
+    # bit for bit: p = 1 skips the power, p = 2 takes numpy's square and
+    # p = 3 the generic power
+    rng = np.random.default_rng(13)
+    u = rng.standard_normal((2, 257))
+    v = rng.standard_normal((2, 257))
+    base = (u * v) ** p
+    expect = (base * v, base * u)
+    out = (v, u) if overwrite else (None, None)
+    got = _kernels.coupled_powers(u, v, p, out=out)
+    for a, b in zip(got, expect):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_bourgain_weight_backends_agree():
     zeta = np.linspace(-8, 8, 33)
     eta = np.linspace(-30, 30, 24)

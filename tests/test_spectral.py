@@ -8,9 +8,9 @@ import pytest
 from gkdvlab.spectral import (
     NonFiniteDataError,
     Field,
+    PaddedBand,
     SpectralField,
     SpectralGrid,
-    cut_band,
     dealiased_product,
     dealiased_product_rows,
     dft_axis,
@@ -20,7 +20,6 @@ from gkdvlab.spectral import (
     inverse_transform,
     padded_samples,
     truncated_coeffs,
-    write_padded_band,
 )
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -607,10 +606,10 @@ class TestTransformPlan:
 
 class TestPaddingBuffers:
     # the RHS workspace pads and truncates the pair through one buffer it
-    # keeps: write_padded_band fills the band of both components at once,
-    # whatever the buffer held before, and cut_band cuts the forward
+    # keeps: PaddedBand.write fills the band of both components at once,
+    # whatever the buffer held before, and PaddedBand.cut cuts the forward
     # transforms back in place; per component they give padded_samples and
-    # truncated_coeffs bit for bit
+    # truncated_coeffs bit for bit, and the views made once serve every call
     @pytest.mark.parametrize("num_padded", [16, 24, 40])
     @pytest.mark.parametrize("rows", [(), (3,), (2, 3)])
     def test_buffers_give_the_fresh_results(self, num_padded, rows):
@@ -620,17 +619,19 @@ class TestPaddingBuffers:
         c = g.dft(rng.standard_normal(pair + (16,)), real=True)
         c[..., 8] = rng.standard_normal(pair) + 1j * rng.standard_normal(pair)
         spectrum = np.full(pair + (num_padded // 2 + 1,), 7.0 + 7.0j)
-        assert write_padded_band(spectrum, c, g) is spectrum
-        for k in range(2):
-            samples = np.full(rows + (num_padded,), 7.0)
-            g.idft(spectrum[k], real=True, out=samples)
-            assert np.array_equal(samples, padded_samples(c[k], g, num_padded))
+        band = PaddedBand(spectrum, g)
+        for _ in range(2):
+            assert band.write(c) is spectrum
+            for k in range(2):
+                samples = np.full(rows + (num_padded,), 7.0)
+                g.idft(spectrum[k], real=True, out=samples)
+                assert np.array_equal(samples, padded_samples(c[k], g, num_padded))
 
-        w = rng.standard_normal(pair + (num_padded,))
-        spectrum[...] = 7.0 + 7.0j
-        for k in range(2):
-            g.dft(w[k], real=True, out=spectrum[k])
-        back = cut_band(spectrum, g)
-        assert back.shape == pair + (9,) and np.shares_memory(back, spectrum)
-        for k in range(2):
-            assert np.array_equal(back[k], truncated_coeffs(w[k], g))
+            w = rng.standard_normal(pair + (num_padded,))
+            spectrum[...] = 7.0 + 7.0j
+            for k in range(2):
+                g.dft(w[k], real=True, out=spectrum[k])
+            back = band.cut()
+            assert back.shape == pair + (9,) and np.shares_memory(back, spectrum)
+            for k in range(2):
+                assert np.array_equal(back[k], truncated_coeffs(w[k], g))
