@@ -50,6 +50,8 @@ def invariants(state: "CoupledState", p: int) -> InvariantSet:
     """Masses, combined L^2 energy, and the Hamiltonian
     1/2 (||u_x||^2 + ||v_x||^2) - (p+1)^{-1} integral(u^{p+1} v^{p+1})."""
     u, v = state.u, state.v
+    if u.samples.ndim != 1:
+        raise ValueError("invariants take one pair of fields, not stacked rows")
     g = u.grid
     mass_u = float(np.sum(u.samples) * g.dx)
     mass_v = float(np.sum(v.samples) * g.dx)
@@ -109,6 +111,8 @@ def estimate_radius(f: Field | SpectralField) -> RadiusEstimate:
     fitting.
     """
     sf = f if isinstance(f, SpectralField) else forward_transform(f)
+    if sf.coeffs.ndim != 1:
+        raise ValueError("estimate_radius fits one field, not stacked rows")
     g = sf.grid
     # the modes 1 ... N/2 - 1; the unpaired Nyquist mode stays out
     amp = np.abs(sf.coeffs[1 : g.nyquist_index])
@@ -167,9 +171,10 @@ class TrajectoryRecord:
     snapshots: list[np.ndarray] = dc_field(default_factory=list)
     blow_up: bool = False
 
-    def record(self, t: float, u: Field, v: Field) -> None:
+    def record(self, t: float, samples: np.ndarray) -> None:
+        """Append time t and the (2, N) samples of the pair, kept as given."""
         self.times.append(float(t))
-        self.snapshots.append(np.stack([u.samples, v.samples]))
+        self.snapshots.append(samples)
 
     def fields_at(self, i: int) -> tuple[Field, Field]:
         u, v = self.snapshots[i]

@@ -5,7 +5,8 @@ sides of one inequality with its unknown constant stripped, and reports the
 worst LHS/RHS ratio together with the seed that produced it.  A bounded,
 ensemble-stable max ratio is evidence that the inequality holds with a finite
 constant at this resolution; it proves nothing.  Constants are recorded,
-never asserted.
+never asserted.  Every check but apriori evaluates its members in batches
+on a leading member axis, one array program per batch.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from .spaces import (
     CutoffProfile,
     NormParams,
     SpaceTimeSample,
+    _float_or_batch,
     apply_dispersive_smoothing,
     apply_spatial_weight,
     bourgain_norm,
     gevrey_norm,
     gevrey_norm_rows,
-    l2_rows,
     mixed_norm,
+    sample_l2,
     xt_modulus,
 )
 from .spectral import (
@@ -83,6 +85,10 @@ ENVELOPES = ("flat", "gaussian", "exponential")
 # cutoff window [-2T, 2T], fall on multiples of APRIORI_DT * APRIORI_STRIDE
 APRIORI_DT = 0.02
 APRIORI_STRIDE = 10
+
+# members per batch of an ensemble check, which bounds a batch's memory
+# (multilinear at p = 2 stacks ten samples per member); no ratio depends on it
+MEMBER_CHUNK = 16
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -154,7 +160,6 @@ def _fold(
     extra: dict | None = None,
 ) -> EstimateReport:
     ratios = [float(r) for r in ratios]
-    _require(len(ratios) >= 1, f"{estimate_id}: empty ensemble")
     arr = np.asarray(ratios)
     bad = not (np.all(np.isfinite(arr)) and np.all(arr >= 0.0))
     imax = int(np.nanargmax(arr)) if np.any(np.isfinite(arr)) else 0
@@ -170,12 +175,14 @@ def _fold(
     )
 
 
-def _ratio(num: float, den: float) -> float:
-    if den == 0.0:
-        if num == 0.0:
-            return 0.0
-        raise ZeroDivisionError(f"nonzero numerator {num} against zero denominator")
-    return float(num) / float(den)
+def _ratio(num, den) -> float | np.ndarray:
+    """num / den, member by member for arrays; 0 where both vanish."""
+    num, den = np.asarray(num, dtype=np.float64), np.asarray(den, dtype=np.float64)
+    bad = np.ravel((den == 0.0) & (num != 0.0))
+    if bad.any():
+        raise ZeroDivisionError(
+            f"nonzero numerator {np.ravel(num)[np.argmax(bad)]} against zero denominator")
+    return _float_or_batch(np.divide(num, den, out=np.zeros_like(num), where=den != 0.0))
 
 
 LAB_GRID = SpectralGrid(10.0, 64)
@@ -207,37 +214,43 @@ def _envelope_weights(grid: SpectralGrid, spec: SampleSpec) -> np.ndarray:
     return spec.amplitude * w
 
 
-def random_field(grid: SpectralGrid, spec: SampleSpec, seed: int | None = None) -> Field:
-    """Envelope-shaped random real field; seed defaults to spec.seed."""
-    return Field(grid, _random_rows(grid, spec, 1, seed)[0])
+def random_field(
+    grid: SpectralGrid, spec: SampleSpec, seed: int | Sequence[int] | None = None
+) -> Field:
+    """Envelope-shaped random real field; seed defaults to spec.seed, and a
+    sequence of seeds gives one row per seed."""
+    return Field(grid, _random_rows(grid, spec, 1, seed)[..., 0, :])
 
 
 def _random_rows(
-    grid: SpectralGrid, spec: SampleSpec, num_times: int, seed: int | None
+    grid: SpectralGrid, spec: SampleSpec, num_times: int, seed: int | Sequence[int] | None
 ) -> np.ndarray:
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
-    shape = (num_times, grid.num_points)
-    draws = np.empty(shape, dtype=np.complex128)
-    draws[:, np.argsort(grid.zeta)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Rows (num_times, N) from one generator; a sequence of seeds gives a
+    batch (len(seeds), num_times, N), member i from its own generator.  A
+    member's real and imaginary draws come from one call, in that order."""
+    seeds = np.atleast_1d(spec.seed if seed is None else seed)
+    c = np.empty((seeds.size, num_times, grid.num_points), dtype=np.complex128)
+    order = np.argsort(grid.zeta)
+    for member, sd in zip(c, seeds):
+        draws = np.random.default_rng(sd).standard_normal((2,) + member.shape)
+        member.real[:, order] = draws[0]
+        member.imag[:, order] = draws[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _envelope_weights(grid, spec)[None, :] * draws
-        c[:, 1::2] *= -1.0  # odd modes (odd indices): keep each seed's draws relative to x = 0
-        rows = grid.idft(c, axis=1).real
+        c *= _envelope_weights(grid, spec)
+        c[..., 1::2] *= -1.0  # odd modes (odd indices): keep each seed's draws relative to x = 0
+        rows = grid.idft(c, axis=-1).real
     if not np.all(np.isfinite(rows)):
         raise NonFiniteDataError(
             f"random samples are not finite: amplitude {spec.amplitude:g} is too large"
         )
-    return rows
+    return rows if np.ndim(seed) else rows[0]
 
 
-def random_window_sample(
-    grid: SpectralGrid,
-    spec: SampleSpec,
-    num_times: int = 64,
-    seed: int | None = None,
-    half_span: float | None = None,
-) -> SpaceTimeSample:
-    """Random real sample, white in time, cut off by psi(t / window_scale).
+def random_window_sample(grid: SpectralGrid, spec: SampleSpec, num_times: int = 64,
+                         seed: int | Sequence[int] | None = None,
+                         half_span: float | None = None) -> SpaceTimeSample:
+    """Random real sample, white in time, cut off by psi(t / window_scale);
+    a sequence of seeds gives a batch, one member per seed.
 
     The window is [-half_span, half_span); the default 2.5 * window_scale
     leaves the edge rows exactly zero, which the space-time norms require.
@@ -254,44 +267,38 @@ def random_window_sample(
     return SpaceTimeSample(grid, -span, span, vals)
 
 
-def random_boxed_sample(
-    grid: SpectralGrid,
-    spec: SampleSpec,
-    num_times: int = 64,
-    half_span: float = 2.5,
-    seed: int | None = None,
-) -> SpaceTimeSample:
+def random_boxed_sample(grid: SpectralGrid, spec: SampleSpec, num_times: int = 64,
+                        half_span: float = 2.5,
+                        seed: int | Sequence[int] | None = None) -> SpaceTimeSample:
     """Random real sample with no time cutoff (for the mixed-norm checks,
-    which have no support precondition)."""
+    which have no support precondition); seeds as for random_window_sample."""
     vals = _random_rows(grid, spec, num_times, seed)
     return SpaceTimeSample(grid, -half_span, half_span, vals)
 
 
 # ---------------------------------------------------------------------------
-# Per-sample ratios.  The check_* drivers below only fold these over seeds;
-# tests aim oracles at the ratios directly.
+# Per-sample ratios.  Each takes one sample (a float ratio) or a batch on a
+# leading member axis (one ratio per member, each as if computed alone); the
+# check_* drivers below only fold them over seeds, and tests aim oracles at
+# them directly.
 
 
 def free_wave_sample(
     u0: Field, num_times: int = 64, half_span: float = 2.5
 ) -> SpaceTimeSample:
     """Free evolution of u0 sampled on [-half_span, half_span); each mode
-    carries its exact phase e^{i zeta^3 t}, no time stepping involved."""
+    carries its exact phase e^{i zeta^3 t}, no time stepping involved.  Rows
+    of u0 give a batch, one member per row."""
     g = u0.grid
     c0 = forward_transform(u0).coeffs
     times = -half_span + (2.0 * half_span / num_times) * np.arange(num_times)
-    rows = dispersive_phase(g, times) * c0[None, :]
-    vals = g.idft(rows, axis=1, real=True)
+    rows = dispersive_phase(g, times) * c0[..., None, :]
+    vals = g.idft(rows, axis=-1, real=True)
     return SpaceTimeSample(g, -half_span, half_span, vals)
 
 
-def linear_free_ratio(
-    u0: Field,
-    params: NormParams,
-    T: float,
-    num_times: int = 64,
-    half_span: float = 2.5,
-) -> float:
+def linear_free_ratio(u0: Field, params: NormParams, T: float, num_times: int = 64,
+                      half_span: float = 2.5) -> float | np.ndarray:
     """Windowed free wave in the dispersive norm against sqrt(T) times the
     exponential norm of the data.  The cutoff is the unscaled psi, so T only
     enters the denominator."""
@@ -303,7 +310,7 @@ def linear_free_ratio(
     return _ratio(lhs, np.sqrt(T) * gevrey_norm(u0, params))
 
 
-def time_cutoff_ratio(sample: SpaceTimeSample, params: NormParams, T: float) -> float:
+def time_cutoff_ratio(sample: SpaceTimeSample, params: NormParams, T: float) -> float | np.ndarray:
     """Dispersive norm of psi_T times the sample against the norm of the
     sample itself."""
     _require(params.b > 0.5, f"need b > 1/2, got {params.b}")
@@ -314,16 +321,16 @@ def time_cutoff_ratio(sample: SpaceTimeSample, params: NormParams, T: float) -> 
 
 def _duhamel_rows(coeffs: np.ndarray, grid: SpectralGrid, dt: float, j0: int) -> np.ndarray:
     """Trapezoid accumulation of int_0^t e^{i zeta^3 (t-s)} w(s) ds per mode
-    of the half-spectrum rows, marching forward and backward from the t=0 row."""
+    of the half-spectrum rows (..., M, N/2+1), marching both ways from row j0."""
     phase = dispersive_phase(grid, dt)
-    forward = _duhamel_cumulative(coeffs[j0:], phase, dt)
-    backward = _duhamel_cumulative(coeffs[j0::-1], np.conj(phase), -dt)
-    return np.concatenate([backward[::-1], forward[1:]])
+    forward = _duhamel_cumulative(coeffs[..., j0:, :], phase, dt)
+    backward = _duhamel_cumulative(coeffs[..., j0::-1, :], np.conj(phase), -dt)
+    return np.concatenate([backward[..., ::-1, :], forward[..., 1:, :]], axis=-2)
 
 
 def duhamel_ratio(
     sample: SpaceTimeSample, params: NormParams, b_prime: float, T: float
-) -> float:
+) -> float | np.ndarray:
     """Windowed Duhamel integral of the sample, measured with exponent b,
     against T times the sample measured with the weaker exponent b'."""
     _require(params.b > 0.5, f"need b > 1/2, got {params.b}")
@@ -338,8 +345,8 @@ def duhamel_ratio(
     times = sample.times
     j0 = int(np.argmin(np.abs(times)))
     _require(abs(times[j0]) <= 1e-9 * sample.dt, "time grid must contain t = 0")
-    integral = _duhamel_rows(g.dft(sample.values, axis=1, real=True), g, sample.dt, j0)
-    vals = g.idft(integral, axis=1, real=True) * np.asarray(CutoffProfile(T)(times))[:, None]
+    integral = _duhamel_rows(g.dft(sample.values, axis=-1, real=True), g, sample.dt, j0)
+    vals = g.idft(integral, axis=-1, real=True) * np.asarray(CutoffProfile(T)(times))[:, None]
     lhs = bourgain_norm(SpaceTimeSample(g, sample.t0, sample.t1, vals), params, None)
     weak = NormParams(params.rho, params.s, b_prime)
     return _ratio(lhs, T * bourgain_norm(sample, weak, None))
@@ -389,24 +396,24 @@ def _strichartz_variant(variant: str, kappa: float, s: float) -> StrichartzVaria
 
 def strichartz_ratio(
     sample: SpaceTimeSample, variant: str, kappa: float = 0.55, s: float = 2.0
-) -> float:
+) -> float | np.ndarray:
     """Mixed norm of the weighted, dispersively smoothed sample against the
     plain L^2 size of its space-time spectrum."""
     v = _strichartz_variant(variant, kappa, s)
     power = -s if v.weight_power is None else v.weight_power
     smoothed = apply_spatial_weight(apply_dispersive_smoothing(sample, kappa), power)
     lhs = mixed_norm(smoothed, v.p_exp, v.q_exp)
-    rhs = float(l2_rows(xt_modulus(sample).ravel(), sample.cell))
-    return _ratio(lhs, rhs)
+    return _ratio(lhs, sample_l2(xt_modulus(sample), sample.cell))
 
 
 def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
-    """Dealiased pointwise product of samples sharing both grids, taken on
-    all time rows at once (each row is one spatial product)."""
+    """Dealiased pointwise product of samples sharing both grids and their
+    shape, taken on all time rows (and members) at once: each row is one
+    spatial product."""
     _require(len(samples) >= 1, "product_sample: need at least one factor")
     base = samples[0]
-    window = (base.grid, base.num_times, base.t0, base.t1)
-    same = all((s.grid, s.num_times, s.t0, s.t1) == window for s in samples[1:])
+    window = (base.grid, base.values.shape, base.t0, base.t1)
+    same = all((s.grid, s.values.shape, s.t0, s.t1) == window for s in samples[1:])
     _require(same, "product_sample: samples must share grid and time window")
     rows = dealiased_product_rows([s.values for s in samples], base.grid)
     return SpaceTimeSample(base.grid, base.t0, base.t1, rows)
@@ -415,13 +422,13 @@ def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
 def derivative_sample(sample: SpaceTimeSample) -> SpaceTimeSample:
     """Spatial derivative, one multiplier pass over all time rows."""
     g = sample.grid
-    coeffs = g.dft(sample.values, axis=1, real=True) * g.derivative_symbol(1, real=True)
-    return SpaceTimeSample(g, sample.t0, sample.t1, g.idft(coeffs, axis=1, real=True))
+    coeffs = g.dft(sample.values, axis=-1, real=True) * g.derivative_symbol(1, real=True)
+    return SpaceTimeSample(g, sample.t0, sample.t1, g.idft(coeffs, axis=-1, real=True))
 
 
 def multilinear_ratio(
     factors: Sequence[SpaceTimeSample], params: NormParams, b_prime: float
-) -> float:
+) -> float | np.ndarray:
     """Derivative of the dealiased product in the b' norm against the product
     of the factors' b norms."""
     _require(params.b > 0.5, f"need b > 1/2, got {params.b}")
@@ -444,9 +451,9 @@ def multilinear_ratio(
 # nest: a longer run's ratios start with the shorter run's, bit for bit.
 
 
-def _base_params(
-    spec: SampleSpec, params: NormParams | None, grid: SpectralGrid, num_times: int
-) -> dict:
+def _base_params(spec: SampleSpec, params: NormParams | None, grid: SpectralGrid,
+                 num_times: int, **info) -> dict:
+    """The recorded parameters of a check; info joins them last."""
     out = {
         "master_seed": spec.seed,
         "bandwidth": spec.bandwidth,
@@ -460,17 +467,26 @@ def _base_params(
     }
     if params is not None:
         out.update({"rho": params.rho, "s": params.s, "b": params.b})
-    return out
+    return {**out, **info}
+
+
+def _member_ratios(estimate_id: str, spec: SampleSpec, ensemble: int,
+                   ratios: Callable[[list[int]], np.ndarray]) -> tuple[list[int], np.ndarray]:
+    """The seeds spec.seed + i and ratios(batch) over them, MEMBER_CHUNK
+    seeds per batch, joined along the member axis."""
+    _require(ensemble >= 1, f"{estimate_id}: empty ensemble")
+    seeds = [spec.seed + i for i in range(ensemble)]
+    batches = range(0, ensemble, MEMBER_CHUNK)
+    return seeds, np.concatenate([ratios(seeds[i : i + MEMBER_CHUNK]) for i in batches])
 
 
 def _ensemble(estimate_id: str, spec: SampleSpec, params: NormParams | None,
               grid: SpectralGrid, num_times: int, ensemble: int,
-              member: Callable[[int], float], **info) -> EstimateReport:
-    """Fold member(seed) over the seeds spec.seed + i; info joins the recorded parameters."""
-    seeds = [spec.seed + i for i in range(ensemble)]
-    ratios = [member(sd) for sd in seeds]
-    recorded = {**_base_params(spec, params, grid, num_times), **info}
-    return _fold(estimate_id, seeds, ratios, recorded)
+              ratios: Callable[[list[int]], np.ndarray], **info) -> EstimateReport:
+    """Fold ratios(seeds), one ratio per seed of a batch, over the seeds
+    spec.seed + i; info joins the recorded parameters."""
+    seeds, values = _member_ratios(estimate_id, spec, ensemble, ratios)
+    return _fold(estimate_id, seeds, values, _base_params(spec, params, grid, num_times, **info))
 
 
 def check_linear_free(
@@ -484,10 +500,10 @@ def check_linear_free(
     """Windowed free waves from random data: dispersive norm against
     sqrt(T) times the data norm."""
 
-    def member(sd: int) -> float:
-        return linear_free_ratio(random_field(grid, spec, sd), params, T, num_times)
+    def ratios(seeds: list[int]) -> np.ndarray:
+        return linear_free_ratio(random_field(grid, spec, seeds), params, T, num_times)
 
-    return _ensemble("linear_free", spec, params, grid, num_times, ensemble, member, T=T)
+    return _ensemble("linear_free", spec, params, grid, num_times, ensemble, ratios, T=T)
 
 
 def check_time_cutoff(
@@ -500,10 +516,10 @@ def check_time_cutoff(
 ) -> EstimateReport:
     """Stability of the dispersive norm under multiplication by psi_T."""
 
-    def member(sd: int) -> float:
-        return time_cutoff_ratio(random_window_sample(grid, spec, num_times, sd), params, T)
+    def ratios(seeds: list[int]) -> np.ndarray:
+        return time_cutoff_ratio(random_window_sample(grid, spec, num_times, seeds), params, T)
 
-    return _ensemble("time_cutoff", spec, params, grid, num_times, ensemble, member, T=T)
+    return _ensemble("time_cutoff", spec, params, grid, num_times, ensemble, ratios, T=T)
 
 
 def check_duhamel(
@@ -518,11 +534,11 @@ def check_duhamel(
     """Windowed Duhamel integral against T times the forcing in the b' norm."""
     span = 2.5 * max(T, spec.window_scale)
 
-    def member(sd: int) -> float:
-        sample = random_window_sample(grid, spec, num_times, sd, half_span=span)
-        return duhamel_ratio(sample, params, b_prime, T)
+    def ratios(seeds: list[int]) -> np.ndarray:
+        batch = random_window_sample(grid, spec, num_times, seeds, half_span=span)
+        return duhamel_ratio(batch, params, b_prime, T)
 
-    return _ensemble("duhamel", spec, params, grid, num_times, ensemble, member,
+    return _ensemble("duhamel", spec, params, grid, num_times, ensemble, ratios,
                      T=T, b_prime=b_prime, half_span=span)
 
 
@@ -539,11 +555,11 @@ def check_strichartz(
     """One mixed-norm bound over an ensemble of boxed random samples."""
     _strichartz_variant(variant, kappa, s)  # fail fast before sampling
 
-    def member(sd: int) -> float:
-        sample = random_boxed_sample(grid, spec, num_times, half_span, sd)
-        return strichartz_ratio(sample, variant, kappa, s)
+    def ratios(seeds: list[int]) -> np.ndarray:
+        batch = random_boxed_sample(grid, spec, num_times, half_span, seeds)
+        return strichartz_ratio(batch, variant, kappa, s)
 
-    return _ensemble(f"strichartz:{variant}", spec, None, grid, num_times, ensemble, member,
+    return _ensemble(f"strichartz:{variant}", spec, None, grid, num_times, ensemble, ratios,
                      variant=variant, kappa=kappa, s=s, half_span=half_span)
 
 
@@ -565,21 +581,25 @@ def check_multilinear(
     mirror offset by 500000.
     """
     _require(isinstance(p, (int, np.integer)) and p >= 1, f"p must be a positive int, got {p}")
-    splits = []  # (first, mirror) ratio of each member
+    count = 2 * p + 1
+    estimate_id = f"multilinear:p={p}"
 
-    def member(sd: int) -> float:
-        def factors(offset: int) -> list[SpaceTimeSample]:
-            seeds = range(sd * 1009 + offset, sd * 1009 + offset + 2 * p + 1)
-            return [random_window_sample(grid, spec, num_times, k) for k in seeds]
+    def split_ratios(seeds: list[int]) -> np.ndarray:
+        """(members, 2): the ratio of each member's first and mirror split."""
+        factor_seeds = [sd * 1009 + offset + k
+                        for sd in seeds for offset in (0, 500000) for k in range(count)]
+        batch = random_window_sample(grid, spec, num_times, factor_seeds)
+        vals = batch.values.reshape(-1, count, num_times, grid.num_points)
+        factors = [SpaceTimeSample(grid, batch.t0, batch.t1, vals[:, k]) for k in range(count)]
+        return multilinear_ratio(factors, params, b_prime).reshape(-1, 2)
 
-        splits.append([multilinear_ratio(factors(o), params, b_prime) for o in (0, 500000)])
-        return max(splits[-1])
-
-    report = _ensemble(f"multilinear:p={p}", spec, params, grid, num_times, ensemble, member,
-                       p=p, b_prime=b_prime)
-    first, mirror = np.max(splits, axis=0)
-    extra = {"max_ratio_first_split": float(first), "max_ratio_mirror_split": float(mirror)}
-    return dataclasses.replace(report, extra=extra)
+    seeds, splits = _member_ratios(estimate_id, spec, ensemble, split_ratios)
+    first, mirror = splits.T
+    recorded = _base_params(spec, params, grid, num_times, p=p, b_prime=b_prime)
+    extra = {"max_ratio_first_split": float(np.max(first)),
+             "max_ratio_mirror_split": float(np.max(mirror))}
+    # the worse split, and the first one when they tie or the mirror is NaN
+    return _fold(estimate_id, seeds, np.where(mirror > first, mirror, first), recorded, extra)
 
 
 def check_embedding(
@@ -593,12 +613,12 @@ def check_embedding(
     norm; the b > 1/2 embedding constant, observed empirically."""
     _require(params.b > 0.5, f"need b > 1/2, got {params.b}")
 
-    def member(sd: int) -> float:
-        w = random_window_sample(grid, spec, num_times, sd)
-        return _ratio(float(np.max(gevrey_norm_rows(w.values, grid, params))),
+    def ratios(seeds: list[int]) -> np.ndarray:
+        w = random_window_sample(grid, spec, num_times, seeds)
+        return _ratio(np.max(gevrey_norm_rows(w.values, grid, params), axis=-1),
                       bourgain_norm(w, params, None))
 
-    return _ensemble("embedding", spec, params, grid, num_times, ensemble, member)
+    return _ensemble("embedding", spec, params, grid, num_times, ensemble, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +720,8 @@ def bidirectional_record(
     return merged
 
 
-def _windowed_pair_sample(
-    record: TrajectoryRecord, T: float
-) -> tuple[SpaceTimeSample, SpaceTimeSample]:
+def _windowed_pair_sample(record: TrajectoryRecord, T: float) -> SpaceTimeSample:
+    """The record times psi_T, with the pair (u, v) on the member axis."""
     times = np.asarray(record.times)
     _require(len(record) >= 5, f"need at least 5 record times, got {len(record)}")
     steps = np.diff(times)
@@ -724,11 +743,9 @@ def _windowed_pair_sample(
     # makes the edge rows vanish as the transform requires
     n_pad = max(1, int(np.ceil(0.5 * T / h)))
     n_right = n_pad + (rows.shape[0] + 2 * n_pad) % 2
-    u_all, v_all = np.pad(rows.transpose(1, 0, 2), ((0, 0), (n_pad, n_right), (0, 0)))
+    pair = np.pad(rows.transpose(1, 0, 2), ((0, 0), (n_pad, n_right), (0, 0)))
     t0 = float(times[keep][0]) - n_pad * h
-    t1 = t0 + u_all.shape[0] * h
-    g = record.grid
-    return SpaceTimeSample(g, t0, t1, u_all), SpaceTimeSample(g, t0, t1, v_all)
+    return SpaceTimeSample(record.grid, t0, t0 + pair.shape[1] * h, pair)
 
 
 def _pair_sup(record: TrajectoryRecord, T: float, params: NormParams) -> float:
@@ -751,30 +768,24 @@ def check_apriori(
     _require(params.s > 1.5, f"need s > 3/2, got {params.s}")
     _require(T >= 1.0, f"need T >= 1, got {T}")
     _require(isinstance(p, (int, np.integer)) and p >= 1, f"p must be a positive int, got {p}")
-    su, sv = _windowed_pair_sample(traj, T)
+    pair = _windowed_pair_sample(traj, T)
     power = 2 * p + 1
 
     plain = NormParams(0.0, params.s, params.b)
-    lhs0 = float(np.hypot(bourgain_norm(su, plain, None), bourgain_norm(sv, plain, None)))
+    lhs0 = float(np.hypot(*bourgain_norm(pair, plain, None)))
     lam = _pair_sup(traj, T, NormParams(0.0, params.s + 1.0, 0.0))
     r0 = _ratio(lhs0, np.sqrt(T) * (1.0 + lam) ** power)
 
     if params.rho > 0.0:
-        lhs1 = float(np.hypot(bourgain_norm(su, params, None), bourgain_norm(sv, params, None)))
+        lhs1 = float(np.hypot(*bourgain_norm(pair, params, None)))
         kap = _pair_sup(traj, T, NormParams(params.rho, params.s + 1.0, 0.0))
         r1 = _ratio(lhs1, np.sqrt(T) * (1.0 + kap) ** power)
     else:
         kap = lam
         r1 = r0
 
-    info = {
-        "rho": params.rho,
-        "s": params.s,
-        "b": params.b,
-        "T": T,
-        "p": p,
-        "record_times": len(traj),
-    }
+    info = {"rho": params.rho, "s": params.s, "b": params.b, "T": T, "p": p,
+            "record_times": len(traj)}
     extra = {
         "ratio_derivative_scale": r0,
         "ratio_exponential_scale": r1,
@@ -799,10 +810,12 @@ def check_apriori_ensemble(
     """
     cfg = SolverConfig(p=p, dt=APRIORI_DT, t_end=2.0 * T, record_stride=APRIORI_STRIDE)
 
-    def member(sd: int) -> float:
-        u, v = random_field(grid, spec, sd), random_field(grid, spec, sd + 7919)
-        state = CoupledState(0.0, u, v)
-        return check_apriori(bidirectional_record(state, cfg, 2.0 * T), params, T, p).max_ratio
+    def ratios(seeds: list[int]) -> list[float]:
+        us = random_field(grid, spec, seeds).samples
+        vs = random_field(grid, spec, [sd + 7919 for sd in seeds]).samples
+        states = (CoupledState(0.0, Field(grid, u), Field(grid, v)) for u, v in zip(us, vs))
+        return [check_apriori(bidirectional_record(st, cfg, 2.0 * T), params, T, p).max_ratio
+                for st in states]
 
-    return _ensemble("apriori", spec, params, grid, 0, ensemble, member,
+    return _ensemble("apriori", spec, params, grid, 0, ensemble, ratios,
                      T=T, p=p, dt=APRIORI_DT, record_stride=APRIORI_STRIDE)

@@ -9,7 +9,9 @@ is (1 + |eta - zeta^3|)^b, centered on the free-propagation curve
 eta = zeta^3, and even under (eta, zeta) -> (-eta, -zeta).  So a sample
 keeps the rfft modes eta >= 0 in time, each row counted with its
 multiplicity; halving time, not x, gives the unpaired eta-Nyquist row the
-same weight as the full spectrum does.
+same weight as the full spectrum does.  A sample may stack a batch on a
+leading member axis; every transform, norm and multiplier here then acts on
+each member alone, and gives it the bits it would get on its own.
 """
 
 from __future__ import annotations
@@ -76,9 +78,15 @@ class CutoffProfile:
         return bump(np.asarray(t, dtype=np.float64) / self.scale)
 
 
+def _float_or_batch(x) -> float | np.ndarray:
+    """One sample's 0-d result as a float; a batch's results as they are."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 @dataclass
 class SpaceTimeSample:
-    """Real uniform samples w(t_j, x_i) on [t0, t1) x [-L, L), row per time."""
+    """Real uniform samples w(t_j, x_i) on [t0, t1) x [-L, L), row per time,
+    (M, N); or a batch (members, M, N) of such samples on one window."""
 
     grid: SpectralGrid
     t0: float
@@ -89,11 +97,12 @@ class SpaceTimeSample:
         if not self.t1 > self.t0:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         values = np.asarray(self.values)
-        if values.dtype.kind == "c" or values.ndim != 2:
+        if values.dtype.kind == "c" or values.ndim not in (2, 3):
             raise ValueError("values must be a real 2-D array (time rows, grid points), "
+                             "or a stack of them on one leading member axis, "
                              f"got {values.dtype} of shape {values.shape}")
         self.values = values.astype(np.float64, copy=False)
-        m, n = self.values.shape
+        m, n = self.values.shape[-2:]
         if n != self.grid.num_points:
             raise ValueError(f"values have {n} columns, grid has {self.grid.num_points}")
         if m < 8 or m % 2 != 0:
@@ -101,7 +110,7 @@ class SpaceTimeSample:
 
     @property
     def num_times(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def dt(self) -> float:
@@ -128,17 +137,17 @@ class SpaceTimeSample:
 
 
 def xt_transform(sample: SpaceTimeSample) -> np.ndarray:
-    """Coefficients (M/2 + 1, N): the rfft half-spectrum in time (rows sample.eta),
-    then the full x-transform (columns grid.zeta); like the x-transform, the
-    time transform is taken from its window's left edge."""
-    ct = dft_axis(sample.values, sample.t1 - sample.t0, axis=0, real=True)
-    return sample.grid.dft(ct, axis=1)
+    """Coefficients (..., M/2 + 1, N): the rfft half-spectrum in time (rows
+    sample.eta), then the full x-transform (columns grid.zeta); like the
+    x-transform, the time transform is taken from its window's left edge."""
+    ct = dft_axis(sample.values, sample.t1 - sample.t0, axis=-2, real=True)
+    return sample.grid.dft(ct, axis=-1)
 
 
 def xt_inverse(coeffs: np.ndarray, grid: SpectralGrid, t0: float, t1: float) -> np.ndarray:
-    """Inverse of :func:`xt_transform`: real (M, N) values from (M/2 + 1, N)
-    coefficients."""
-    return idft_axis(grid.idft(coeffs, axis=1), t1 - t0, axis=0, real=True)
+    """Inverse of :func:`xt_transform`: real (..., M, N) values from
+    (..., M/2 + 1, N) coefficients."""
+    return idft_axis(grid.idft(coeffs, axis=-1), t1 - t0, axis=-2, real=True)
 
 
 def xt_modulus(sample: SpaceTimeSample) -> np.ndarray:
@@ -153,6 +162,12 @@ def l2_rows(values: np.ndarray, cell: float) -> np.ndarray:
     peak = np.max(values, axis=-1, keepdims=True)
     ratio = values / np.where(peak == 0.0, 1.0, peak)
     return peak[..., 0] * np.sqrt(np.sum(ratio * ratio, axis=-1) * cell)
+
+
+def sample_l2(values: np.ndarray, cell: float) -> float | np.ndarray:
+    """l2_rows of each nonnegative (M, N) sample of (..., M, N), flattened on
+    its own, so a member's sum is the same in any batch."""
+    return _float_or_batch(l2_rows(values.reshape(values.shape[:-2] + (-1,)), cell))
 
 
 def _apply_weights(
@@ -178,27 +193,28 @@ def gevrey_norm_rows(samples: np.ndarray, grid: SpectralGrid, params: NormParams
     return l2_rows(_apply_weights(c, w, "gevrey_norm", params), grid.dzeta)
 
 
-def gevrey_norm(field: Field, params: NormParams) -> float:
-    """L^2-based norm with weight e^{rho (1+|zeta|)} (1+|zeta|)^s."""
-    return float(gevrey_norm_rows(field.samples, field.grid, params))
+def gevrey_norm(field: Field, params: NormParams) -> float | np.ndarray:
+    """L^2-based norm with weight e^{rho (1+|zeta|)} (1+|zeta|)^s, per row."""
+    return _float_or_batch(gevrey_norm_rows(field.samples, field.grid, params))
 
 
-def sobolev_norm(field: Field, s: float) -> float:
+def sobolev_norm(field: Field, s: float) -> float | np.ndarray:
     """H^s norm via the (1+|zeta|)^s weight (rho = 0 exponential norm)."""
     return gevrey_norm(field, NormParams(0.0, s, 0.0))
 
 
 def check_window_support(values: np.ndarray) -> None:
-    """Error unless the first and last time rows stay within SUPPORT_TOL of
-    the sample peak; discrete stand-in for 'supported strictly inside'."""
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        return
-    edge = max(float(np.max(np.abs(values[0]))), float(np.max(np.abs(values[-1]))))
-    if edge > SUPPORT_TOL * scale:
+    """Error unless, in each sample (..., M, N), the first and last time rows
+    stay within SUPPORT_TOL of the sample's peak; discrete stand-in for
+    'supported strictly inside'.  The message names the first failing one."""
+    scale = np.ravel(np.max(np.abs(values), axis=(-2, -1)))
+    edge = np.ravel(np.max(np.abs(values[..., [0, -1], :]), axis=(-2, -1)))
+    bad = edge > SUPPORT_TOL * scale  # false for an all-zero sample
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ValueError(
             f"sample not supported inside the time window: edge/peak = "
-            f"{edge / scale:.3e} > {SUPPORT_TOL:.1e}; widen the window or "
+            f"{edge[i] / scale[i]:.3e} > {SUPPORT_TOL:.1e}; widen the window or "
             "shrink the cutoff scale"
         )
 
@@ -207,14 +223,14 @@ def bourgain_norm(
     sample: SpaceTimeSample,
     params: NormParams,
     cutoff: CutoffProfile | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Space-time norm with weight e^{rho(1+|zeta|)} (1+|zeta|)^s
     (1+|eta - zeta^3|)^b, optionally after multiplying by a time cutoff.
     The unpaired x-Nyquist column takes the RMS of its weights at +-zeta_N,
     so the norm does not depend on which sign labels it.
 
     The (windowed) sample must vanish at both window edges; the biperiodic
-    transform is meaningless otherwise.
+    transform is meaningless otherwise.  A batch builds the weight table once.
     """
     vals = sample.values
     if cutoff is not None:
@@ -233,7 +249,7 @@ def bourgain_norm(
     with np.errstate(over="ignore"):  # _apply_weights reports an overflow
         w[:, nyq] = np.hypot(w[:, nyq], w[:, -1]) / np.sqrt(2.0)
     weighted = _apply_weights(coeffs, w[:, :-1], "bourgain_norm", params)
-    return float(l2_rows(weighted.ravel(), windowed.cell))
+    return sample_l2(weighted, windowed.cell)
 
 
 _ALLOWED_EXPONENTS = (2.0, 4.0, np.inf)
@@ -251,14 +267,14 @@ def _axis_lp(values_abs: np.ndarray, exponent: float, cell: float, axis: int) ->
     return peak * np.sqrt(l2_rows(unit * unit, cell))
 
 
-def mixed_norm(sample: SpaceTimeSample, p_exp: float, q_exp: float) -> float:
+def mixed_norm(sample: SpaceTimeSample, p_exp: float, q_exp: float) -> float | np.ndarray:
     """L^p_x L^q_t norm: inner integral in t, outer in x; p, q in {2, 4, inf}."""
     p_exp, q_exp = float(p_exp), float(q_exp)
     if p_exp not in _ALLOWED_EXPONENTS or q_exp not in _ALLOWED_EXPONENTS:
         raise ValueError(f"exponents must be in {{2, 4, inf}}, got ({p_exp}, {q_exp})")
-    inner = _axis_lp(np.abs(sample.values), q_exp, sample.dt, axis=0)
-    outer = _axis_lp(inner, p_exp, sample.grid.dx, axis=0)
-    return float(outer)
+    inner = _axis_lp(np.abs(sample.values), q_exp, sample.dt, axis=-2)
+    outer = _axis_lp(inner, p_exp, sample.grid.dx, axis=-1)
+    return _float_or_batch(outer)
 
 
 def _multiplier_apply(sample: SpaceTimeSample, mult: np.ndarray) -> SpaceTimeSample:

@@ -162,23 +162,25 @@ class SpectralGrid:
 
 @dataclass
 class Field:
-    """Real-valued samples on a SpectralGrid."""
+    """Real-valued samples on a SpectralGrid: one row (N,), or rows (..., N)
+    on leading axes where a function says it takes them."""
 
     grid: SpectralGrid
     samples: np.ndarray
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.shape != (self.grid.num_points,):
+        if self.samples.shape[-1:] != (self.grid.num_points,):
             raise ValueError(
                 f"samples shape {self.samples.shape} does not match grid "
-                f"({self.grid.num_points},)"
+                f"(..., {self.grid.num_points})"
             )
 
 
 @dataclass
 class SpectralField:
-    """Half-spectrum of a real field on a SpectralGrid, modes 0 ... N/2."""
+    """Half-spectrum of a real field on a SpectralGrid, modes 0 ... N/2; rows
+    (..., N/2 + 1) on leading axes as for Field."""
 
     grid: SpectralGrid
     coeffs: np.ndarray
@@ -186,9 +188,9 @@ class SpectralField:
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         modes = self.grid.num_points // 2 + 1
-        if self.coeffs.shape != (modes,):
+        if self.coeffs.shape[-1:] != (modes,):
             raise ValueError(
-                f"coeffs shape {self.coeffs.shape} does not match grid ({modes},)"
+                f"coeffs shape {self.coeffs.shape} does not match grid (..., {modes})"
             )
 
 
@@ -201,7 +203,7 @@ def _forward_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 
 def forward_transform(field: Field) -> SpectralField:
-    """Samples -> half-spectrum; rejects non-finite input."""
+    """Samples -> half-spectrum, row by row; rejects non-finite input."""
     return SpectralField(field.grid, _forward_coeffs(field.samples, field.grid))
 
 
@@ -214,7 +216,7 @@ def _real_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 
 def inverse_transform(sf: SpectralField) -> Field:
-    """Half-spectrum -> real samples; rejects non-finite input."""
+    """Half-spectrum -> real samples, row by row; rejects non-finite input."""
     return Field(sf.grid, _real_samples(sf.coeffs, sf.grid))
 
 

@@ -75,6 +75,17 @@ class TestInvariants:
         assert abs(last.hamiltonian - first.hamiltonian) < 1e-8
 
 
+def test_one_field_functions_reject_stacked_rows():
+    # fields may hold stacked rows for the batched lab; a radius fit or the
+    # invariants of one state must not silently run over them
+    g = SpectralGrid(5.0, 64)
+    rows = Field(g, np.zeros((2, 64)))
+    with pytest.raises(ValueError, match="stacked rows"):
+        estimate_radius(rows)
+    with pytest.raises(ValueError, match="stacked rows"):
+        invariants(CoupledState(0.0, rows, rows), p=1)
+
+
 class TestEstimateRadius:
     def test_synthetic_exponential_recovered_exactly(self):
         g = SpectralGrid(20.0, 512)

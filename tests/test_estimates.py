@@ -52,6 +52,7 @@ from gkdvlab.spaces import (
     apply_spatial_weight,
     bourgain_norm,
     bump,
+    gevrey_norm_rows,
     mixed_norm,
     xt_inverse,
 )
@@ -187,6 +188,103 @@ class TestReportPlumbing:
         assert a.max_ratio == b.max_ratio
         assert a.ratios == b.ratios
         assert a.max_seed == b.max_seed
+
+
+def _every_check():
+    """Each of the eleven lab checks as a function of the ensemble size."""
+    spec = SampleSpec(seed=101)
+    small = SampleSpec(seed=101, amplitude=0.05, bandwidth=3.0)
+    checks = {
+        "linear_free": lambda n: check_linear_free(spec, PARAMS, 1.0, ensemble=n),
+        "time_cutoff": lambda n: check_time_cutoff(spec, PARAMS, 1.0, ensemble=n),
+        "duhamel": lambda n: check_duhamel(spec, PARAMS, 1.0, ensemble=n),
+        "multilinear": lambda n: check_multilinear(2, PARAMS, spec, ensemble=n),
+        "embedding": lambda n: check_embedding(spec, PARAMS, ensemble=n),
+        "apriori": lambda n: check_apriori_ensemble(small, PARAMS, 1.0, ensemble=n),
+    }
+    for v in STRICHARTZ_VARIANTS:
+        checks[f"strichartz:{v}"] = lambda n, v=v: check_strichartz(v, spec, ensemble=n)
+    return checks
+
+
+EVERY_CHECK = _every_check()
+
+
+class TestMemberBatches:
+    """Every check but apriori evaluates its members in batches of
+    estimates.MEMBER_CHUNK on a leading member axis; a member's ratio must
+    be the one it gets alone, in any batch."""
+
+    SEEDS = [5, 17, 940]
+
+    @pytest.mark.parametrize("name", sorted(EVERY_CHECK))
+    def test_ensembles_nest_across_batch_boundaries(self, name, monkeypatch):
+        default = EVERY_CHECK[name](7)
+        monkeypatch.setattr(estimates, "MEMBER_CHUNK", 2)  # batches of 2, 2, 2, 1
+        short, long = EVERY_CHECK[name](3), EVERY_CHECK[name](7)
+        assert long.ratios[:3] == short.ratios
+        assert long.ratios == default.ratios
+        assert long.extra == default.extra and long.max_seed == default.max_seed
+
+    def test_batched_draws_are_the_single_draws(self):
+        spec = SampleSpec(seed=0)
+        batch = random_window_sample(GRID, spec, 16, self.SEEDS)
+        boxed = random_boxed_sample(GRID, spec, 16, 2.5, self.SEEDS)
+        fields = random_field(GRID, spec, self.SEEDS)
+        assert batch.values.shape == boxed.values.shape == (3, 16, GRID.num_points)
+        for i, sd in enumerate(self.SEEDS):
+            assert np.array_equal(batch.values[i], random_window_sample(GRID, spec, 16, sd).values)
+            assert np.array_equal(boxed.values[i], random_boxed_sample(GRID, spec, 16, 2.5, sd).values)
+            assert np.array_equal(fields.samples[i], random_field(GRID, spec, sd).samples)
+
+    def test_batch_gives_each_member_its_single_sample_ratio(self):
+        spec = SampleSpec(seed=0)
+
+        def window(seed):
+            return random_window_sample(GRID, spec, 64, seed)
+
+        def boxed(seed):
+            return random_boxed_sample(GRID, spec, 64, 2.5, seed)
+
+        def factors(seed):  # three factors per member, from seeds 10 * seed + k
+            return [random_window_sample(GRID, spec, 48, np.multiply(seed, 10) + k)
+                    for k in range(3)]
+
+        cases = {
+            "linear_free": (lambda sd: random_field(GRID, spec, sd),
+                            lambda u: linear_free_ratio(u, PARAMS, 1.0)),
+            "time_cutoff": (window, lambda w: time_cutoff_ratio(w, PARAMS, 1.0)),
+            "duhamel": (window, lambda w: duhamel_ratio(w, PARAMS, -0.3, 1.0)),
+            "multilinear": (factors, lambda f: multilinear_ratio(f, PARAMS, -0.3)),
+            **{v: (boxed, lambda w, v=v: strichartz_ratio(w, v)) for v in STRICHARTZ_VARIANTS},
+        }
+        for name, (draw, ratio) in cases.items():
+            batch = ratio(draw(self.SEEDS))
+            assert isinstance(batch, np.ndarray) and batch.shape == (3,), name
+            for i, sd in enumerate(self.SEEDS):
+                single = ratio(draw(sd))
+                assert isinstance(single, float), name
+                assert batch[i] == single, name
+
+    @pytest.mark.parametrize("seed", [0, 3, 77])
+    def test_batch_of_one_equals_the_per_sample_ratio(self, seed):
+        spec = SampleSpec(seed=seed)
+        w = random_window_sample(GRID, spec, 64)
+        emb = float(np.max(gevrey_norm_rows(w.values, GRID, PARAMS))) / bourgain_norm(w, PARAMS)
+        assert check_embedding(spec, PARAMS, ensemble=1).ratios == (emb,)
+        assert check_time_cutoff(spec, PARAMS, 1.0, ensemble=1).ratios == (
+            time_cutoff_ratio(w, PARAMS, 1.0),)
+        assert check_linear_free(spec, PARAMS, 1.0, ensemble=1).ratios == (
+            linear_free_ratio(random_field(GRID, spec), PARAMS, 1.0),)
+        boxed = random_boxed_sample(GRID, spec, 64)
+        assert check_strichartz("maximal_l4x_linft", spec, ensemble=1).ratios == (
+            strichartz_ratio(boxed, "maximal_l4x_linft"),)
+
+    def test_ratio_of_a_batch(self):
+        got = estimates._ratio(np.array([0.0, 3.0, 1.0]), np.array([0.0, 4.0, 8.0]))
+        assert got.tolist() == [0.0, 0.75, 0.125]
+        with pytest.raises(ZeroDivisionError, match="nonzero numerator 2.0"):
+            estimates._ratio(np.array([0.0, 2.0]), np.array([0.0, 0.0]))
 
 
 class TestLinearFree:
@@ -529,6 +627,10 @@ class TestMultilinear:
         other = SpaceTimeSample(GRID, -3.0, 3.0, np.zeros((48, GRID.num_points)))
         with pytest.raises(ValueError, match="share"):
             product_sample([factors[0], other])
+        # a batch does not broadcast against one sample
+        batch = SpaceTimeSample(GRID, factors[1].t0, factors[1].t1, factors[1].values[None])
+        with pytest.raises(ValueError, match="share"):
+            product_sample([factors[0], batch])
 
     def test_check_reports_both_splits(self):
         rep = check_multilinear(1, PARAMS, SampleSpec(seed=82), ensemble=3)
@@ -659,7 +761,7 @@ class TestExponentialLemmas:
 def _manual_record(states, p=1):
     rec = TrajectoryRecord(GRID, p)
     for st in states:
-        rec.record(st.t, st.u, st.v)
+        rec.record(st.t, np.stack([st.u.samples, st.v.samples]))
     return rec
 
 

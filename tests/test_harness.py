@@ -631,6 +631,15 @@ class TestDeterminism:
                      "report_apriori.json", "lemma_table.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_every_lab_file_byte_identical(self, tmp_path):
+        # the member batches of every check, apriori's runs and the lemma table
+        cfg = apply_overrides(RunConfig(), ["kind=estimate-lab", "ensemble=3", "p=2"])
+        m1 = run(cfg, tmp_path / "a")
+        m2 = run(cfg, tmp_path / "b")
+        assert len(m1.outputs) == 12 and m1.outputs == m2.outputs
+        for name in m1.outputs:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_different_seed_changes_reports(self, tmp_path):
         c1 = apply_overrides(RunConfig(), ["kind=estimate-lab", "ensemble=2"])
         c2 = dataclasses.replace(c1, seed=1)

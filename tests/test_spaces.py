@@ -96,12 +96,29 @@ class TestSpaceTimeSample:
     @pytest.mark.parametrize("values", [
         np.zeros((8, 16), dtype=complex),  # complex, even with zero imaginary part
         np.zeros(16),  # one row, not a (time, x) array
-        np.zeros((2, 8, 16)),
-    ], ids=["complex", "1-D", "3-D"])
+        np.zeros((2, 2, 8, 16)),  # one leading member axis at most
+    ], ids=["complex", "1-D", "4-D"])
     def test_rejects_complex_or_non_2d_values(self, values):
         g = SpectralGrid(np.pi, 16)
         with pytest.raises(ValueError, match="real 2-D array"):
             SpaceTimeSample(g, 0.0, 1.0, values)
+
+    def test_batch_on_a_leading_member_axis(self):
+        # each member's transforms and norms are those it gets alone
+        g = SpectralGrid(np.pi, 16)
+        vals = np.random.default_rng(4).standard_normal((3, 16, 16))
+        vals *= bump(np.linspace(-2.5, 2.5, 16, endpoint=False))[:, None]
+        batch = SpaceTimeSample(g, -2.5, 2.5, vals)
+        assert (batch.num_times, batch.eta.size) == (16, 9)
+        params = NormParams(0.25, 2.0, 0.55)
+        norms = bourgain_norm(batch, params)
+        mixed = mixed_norm(batch, 4.0, 2.0)
+        assert norms.shape == mixed.shape == (3,)
+        for i in range(3):
+            one = SpaceTimeSample(g, -2.5, 2.5, vals[i])
+            assert np.array_equal(xt_transform(batch)[i], xt_transform(one))
+            assert norms[i] == bourgain_norm(one, params)
+            assert mixed[i] == mixed_norm(one, 4.0, 2.0)
 
     def test_integer_values_become_float64(self):
         g = SpectralGrid(np.pi, 16)
@@ -334,6 +351,12 @@ class TestBourgainNorm:
         with pytest.raises(ValueError, match="support"):
             bourgain_norm(s, NormParams(0.0, 0.0, 0.5), cutoff=None)
         check_window_support(np.zeros((4, 4)))  # all-zero sample passes
+        # in a batch, the first failing member is named
+        batch = np.zeros((3, 4, 4))
+        batch[1, 0, 0], batch[1, 1, 0] = 1.0, 4.0
+        batch[2, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="edge/peak = 2.500e-01"):
+            check_window_support(batch)
 
     def test_shifted_window_keeps_the_norm_exactly(self):
         # the norm weighs |w-hat| only, and the time transform is taken from

@@ -75,6 +75,16 @@ class TestGrid:
         with pytest.raises(ValueError):  # a full spectrum is not a half-spectrum
             SpectralField(g, np.zeros(8, dtype=complex))
         assert SpectralField(g, np.zeros(5)).coeffs.shape == (5,)
+        # stacked rows are fields too, transformed row by row
+        rows = np.random.default_rng(2).standard_normal((3, 8))
+        coeffs = forward_transform(Field(g, rows)).coeffs
+        assert coeffs.shape == (3, 5)
+        for row, c in zip(rows, coeffs):
+            assert np.array_equal(c, forward_transform(Field(g, row)).coeffs)
+        assert np.array_equal(inverse_transform(SpectralField(g, coeffs)).samples[1],
+                              inverse_transform(SpectralField(g, coeffs[1])).samples)
+        with pytest.raises(ValueError):
+            Field(g, np.zeros((3, 7)))
 
     def test_half_spectrum_wavenumbers_and_multiplicity(self):
         g = SpectralGrid(3.0, 16)

@@ -23,7 +23,7 @@ COMMANDS = [
      "--set", "record_stride=4"],
     ["picard-test", "--set", "N=64", "--set", "picard_nodes=8",
      "--set", "t_window=0.004", "--set", "max_iters=4"],
-    ["estimate-lab", "--set", "ensemble=1", "--set", "lab_M=16"],
+    ["estimate-lab", "--set", "ensemble=2", "--set", "lab_M=16"],
 ]
 
 # two traced passes per command; layer_metrics raises SelfCheckError on a
