@@ -42,7 +42,6 @@ from .evolution import (
     PicardConfig,
     PicardResult,
     SolverConfig,
-    free_propagate,
     picard_solve,
     simulate,
 )
@@ -63,14 +62,12 @@ from .spaces import (
     bourgain_norm,
     gevrey_norm,
     mixed_norm,
-    sobolev_norm,
 )
 from .spectral import (
     Field,
     SpectralField,
     SpectralGrid,
     dealiased_product,
-    differentiate,
     forward_transform,
     inverse_transform,
 )
@@ -111,12 +108,10 @@ __all__ = [
     "check_strichartz",
     "check_time_cutoff",
     "dealiased_product",
-    "differentiate",
     "estimate_radius",
     "evaluate_analytic_extension",
     "fit_decay_exponent",
     "forward_transform",
-    "free_propagate",
     "gevrey_norm",
     "inverse_transform",
     "invariants",
@@ -128,7 +123,6 @@ __all__ = [
     "render_config",
     "run",
     "simulate",
-    "sobolev_norm",
     "sweep",
     "track_radius",
 ]

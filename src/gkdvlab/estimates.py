@@ -32,8 +32,7 @@ from .spaces import (
     NormParams,
     SpaceTimeSample,
     _float_or_batch,
-    apply_dispersive_smoothing,
-    apply_spatial_weight,
+    apply_smoothing_weight,
     bourgain_norm,
     gevrey_norm,
     gevrey_norm_rows,
@@ -401,8 +400,7 @@ def strichartz_ratio(
     plain L^2 size of its space-time spectrum."""
     v = _strichartz_variant(variant, kappa, s)
     power = -s if v.weight_power is None else v.weight_power
-    smoothed = apply_spatial_weight(apply_dispersive_smoothing(sample, kappa), power)
-    lhs = mixed_norm(smoothed, v.p_exp, v.q_exp)
+    lhs = mixed_norm(apply_smoothing_weight(sample, kappa, power), v.p_exp, v.q_exp)
     return _ratio(lhs, sample_l2(xt_modulus(sample), sample.cell))
 
 

@@ -16,12 +16,12 @@ pair on the leading axis: (2, N/2 + 1) for a state, (2, num_nodes + 1,
 N/2 + 1) for a Picard node stack.
 
 The stepping loop allocates little and builds what it can once: the
-right-hand side keeps, per input shape, the padded half-spectra and the
-padded samples of the pair with their band views and component rows, writes
-both bands at once and has the transforms and the power products write into
-them; a run builds the stage phases of its scheme and enters its
-floating-point error state once, and the steppers compute their stages in
-place.  The Picard pass builds the trapezoid forcing of every node at once
+right-hand side is built for one input shape and keeps the padded
+half-spectra and the padded samples of the pair with their band views and
+component rows, writes both bands at once and has the transforms and the
+power products write into them; a run builds the stage phases of its scheme
+and enters its floating-point error state once, and the steppers compute
+their stages in place.  The Picard pass builds the trapezoid forcing of every node at once
 and leaves only the recurrence of the group property node by node, on
 node-major views.  Every operation keeps its operands and their order, so
 the results are those of the plain expressions bit for bit.
@@ -120,18 +120,6 @@ def _pair_coeffs(u: Field, v: Field) -> np.ndarray:
     return np.stack([forward_transform(u).coeffs, forward_transform(v).coeffs])
 
 
-def _pair_fields(grid: SpectralGrid, c: np.ndarray) -> tuple[Field, Field]:
-    """Real fields of a stacked (2, N/2 + 1) half-spectrum pair, in one inverse."""
-    u, v = inverse_transform(SpectralField(grid, c)).samples
-    return Field(grid, u), Field(grid, v)
-
-
-def free_propagate(state: CoupledState, dt: float) -> CoupledState:
-    """Exact solution of w_t + w_xxx = 0 over time dt."""
-    c = _pair_coeffs(state.u, state.v) * dispersive_phase(state.grid, dt)
-    return CoupledState(state.t + dt, *_pair_fields(state.grid, c))
-
-
 def reflect_samples(s: np.ndarray) -> np.ndarray:
     """Spatial reflection x -> -x of sample rows (..., N) on the periodic
     grid (exact, on-node): node x_j goes to x_{-j mod N}."""
@@ -151,55 +139,39 @@ def reflect_state(state: CoupledState) -> CoupledState:
 
 class _RhsWorkspace:
     """Precomputed padding layout and derivative symbol for one (grid, p);
-    maps stacked pair half-spectra (2, ..., N/2 + 1) to the stacked RHS.
+    maps stacked pair half-spectra of one shape (2, ..., N/2 + 1), given
+    when it is built, to the stacked RHS.
 
-    Keeps, per input shape, one padded half-spectrum (2, ..., M/2 + 1), the
-    padded samples (2, ..., M) of the pair, the band views of the spectrum
-    and the component rows of both, so a call makes no view and no lookup
-    beyond its shape.  A call writes both bands into the half-spectrum at
-    once, inverts each component into its samples, has the products
-    overwrite the samples, transforms each product back into the
-    half-spectrum and returns the derivative of the cut-back band as a
-    fresh array."""
+    Keeps one padded half-spectrum (2, ..., M/2 + 1), the padded samples
+    (2, ..., M) of the pair, the band views of the spectrum and the
+    component rows of both, so a call makes no view.  A call writes both
+    bands into the half-spectrum at once, inverts each component into its
+    samples, has the products overwrite the samples, transforms each
+    product back into the half-spectrum and returns the derivative of the
+    cut-back band as a fresh array."""
 
-    def __init__(self, grid: SpectralGrid, p: int):
-        self.grid = grid
+    def __init__(self, grid: SpectralGrid, p: int, shape: tuple[int, ...]):
         self.p = p
-        self.num_padded = padded_points(grid.num_points, 2 * p + 1)
         self.span = 2.0 * grid.half_length
         self.deriv = -grid.derivative_symbol(1, real=True)
-        self._buffers: dict[tuple[int, ...], tuple] = {}
-
-    def _buffers_for(self, shape: tuple[int, ...]) -> tuple:
-        """(band views of the padded half-spectra, their component rows,
-        the component rows of the padded samples)."""
-        buffers = self._buffers.get(shape)
-        if buffers is None:
-            lead, m = shape[:-1], self.num_padded
-            spectrum = np.empty(lead + (m // 2 + 1,), dtype=np.complex128)
-            samples = np.empty(lead + (m,))
-            buffers = (PaddedBand(spectrum, self.grid), tuple(spectrum), tuple(samples))
-            self._buffers[shape] = buffers
-        return buffers
+        m = padded_points(grid.num_points, 2 * p + 1)
+        spectrum = np.empty(shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
+        self.band = PaddedBand(spectrum, grid)
+        self.spectra = tuple(spectrum)
+        self.samples = tuple(np.empty(shape[:-1] + (m,)))
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         # one inverse transform per component and one forward transform per
         # product, each into the buffers; the only padded-size arrays a call
         # makes are the temporaries of coupled_powers' common factor
-        band, spectra, (u, v) = self._buffers_for(c.shape)
-        band.write(c)
+        spectra, (u, v) = self.spectra, self.samples
+        self.band.write(c)
         idft_axis(spectra[0], self.span, real=True, out=u)
         idft_axis(spectra[1], self.span, real=True, out=v)
         powers = _kernels.coupled_powers(u, v, self.p, out=(v, u))
         dft_axis(powers[0], self.span, real=True, out=spectra[0])
         dft_axis(powers[1], self.span, real=True, out=spectra[1])
-        return np.multiply(self.deriv, band.cut())
-
-
-def nonlinear_rhs(state: CoupledState, p: int) -> tuple[Field, Field]:
-    """-(u^p v^(p+1))_x and -(u^(p+1) v^p)_x, dealiased."""
-    rhs = _RhsWorkspace(state.grid, p)
-    return _pair_fields(state.grid, rhs(_pair_coeffs(state.u, state.v)))
+        return np.multiply(self.deriv, self.band.cut())
 
 
 # The steppers work in place on arrays of their own and leave c alone.  Each
@@ -278,7 +250,8 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
 
     record = TrajectoryRecord(grid=g, p=config.p)
 
-    rhs = _RhsWorkspace(g, config.p)
+    c = _pair_coeffs(initial.u, initial.v)
+    rhs = _RhsWorkspace(g, config.p, c.shape)
     dt = config.dt
     half = dispersive_phase(g, 0.5 * dt)
     if config.scheme == "if_rk4":
@@ -290,7 +263,6 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
         def step(c):
             return _step_strang(c, dt, half, rhs)
 
-    c = _pair_coeffs(initial.u, initial.v)
     samples = np.stack([initial.u.samples, initial.v.samples])
     baseline = max(float(np.max(np.abs(samples))), 1e-300)
     record.record(initial.t, samples)
@@ -392,9 +364,9 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     m = config.num_nodes
     h = config.t_window / m
     times = initial.t + h * np.arange(m + 1)
-    rhs = _RhsWorkspace(g, p)
     c0 = _pair_coeffs(initial.u, initial.v)
     free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
+    rhs = _RhsWorkspace(g, p, free.shape)
     phase_h = dispersive_phase(g, h)
 
     # settle H^s weights once; differences measured in this norm, where each

@@ -1,6 +1,6 @@
 """Weighted-norm machinery: exponential (Gevrey-type) norms in space,
-dispersively weighted space-time norms, smooth time cutoffs, and the
-Fourier-multiplier operators the estimate lab drives.
+dispersively weighted space-time norms, smooth time cutoffs, and the one
+space-time Fourier multiplier of the lab's Strichartz checks.
 
 Real space-time samples live on a rectangle [-L, L) x [t0, t1), uniformly
 sampled in both directions, and are treated as biperiodic by the discrete
@@ -198,11 +198,6 @@ def gevrey_norm(field: Field, params: NormParams) -> float | np.ndarray:
     return _float_or_batch(gevrey_norm_rows(field.samples, field.grid, params))
 
 
-def sobolev_norm(field: Field, s: float) -> float | np.ndarray:
-    """H^s norm via the (1+|zeta|)^s weight (rho = 0 exponential norm)."""
-    return gevrey_norm(field, NormParams(0.0, s, 0.0))
-
-
 def check_window_support(values: np.ndarray) -> None:
     """Error unless, in each sample (..., M, N), the first and last time rows
     stay within SUPPORT_TOL of the sample's peak; discrete stand-in for
@@ -277,18 +272,13 @@ def mixed_norm(sample: SpaceTimeSample, p_exp: float, q_exp: float) -> float | n
     return _float_or_batch(outer)
 
 
-def _multiplier_apply(sample: SpaceTimeSample, mult: np.ndarray) -> SpaceTimeSample:
-    out = xt_inverse(xt_transform(sample) * mult, sample.grid, sample.t0, sample.t1)
-    return SpaceTimeSample(sample.grid, sample.t0, sample.t1, out)
-
-
-def apply_spatial_weight(sample: SpaceTimeSample, power: float) -> SpaceTimeSample:
-    """Multiplier (1 + |zeta|)^power."""
-    mult = (1.0 + np.abs(sample.grid.zeta))[None, :] ** power
-    return _multiplier_apply(sample, mult)
-
-
-def apply_dispersive_smoothing(sample: SpaceTimeSample, kappa: float) -> SpaceTimeSample:
-    """Multiplier (1 + |eta - zeta^3|)^(-kappa)."""
-    mult = _kernels.dispersive_factor(sample.grid.zeta, sample.eta) ** (-kappa)
-    return _multiplier_apply(sample, mult)
+def apply_smoothing_weight(
+    sample: SpaceTimeSample, kappa: float, power: float
+) -> SpaceTimeSample:
+    """Multiplier (1 + |eta - zeta^3|)^(-kappa) (1 + |zeta|)^power, in one
+    round trip through the space-time transform."""
+    g = sample.grid
+    mult = (_kernels.dispersive_factor(g.zeta, sample.eta) ** (-kappa)
+            * (1.0 + np.abs(g.zeta)) ** power)
+    out = xt_inverse(xt_transform(sample) * mult, g, sample.t0, sample.t1)
+    return SpaceTimeSample(g, sample.t0, sample.t1, out)

@@ -220,13 +220,6 @@ def inverse_transform(sf: SpectralField) -> Field:
     return Field(sf.grid, _real_samples(sf.coeffs, sf.grid))
 
 
-def differentiate(sf: SpectralField, order: int = 1) -> SpectralField:
-    """Spectral d^order/dx^order for order in {1, 2, 3}."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2, or 3, got {order}")
-    return SpectralField(sf.grid, sf.coeffs * sf.grid.derivative_symbol(order, real=True))
-
-
 def padded_points(num: int, count: int) -> int:
     """Padded grid size that makes a count-fold product of num-point fields
     alias-free: ratio (count + 1) / 2, rounded up to an even size."""

@@ -42,16 +42,16 @@ from gkdvlab.estimates import (
     triangle_split_failures,
 )
 from gkdvlab.evolution import (
-    CoupledState, SolverConfig, dispersive_phase, free_propagate, reflect_state, simulate,
+    CoupledState, SolverConfig, dispersive_phase, reflect_state, simulate,
 )
 from gkdvlab.spaces import (
     CutoffProfile,
     NormParams,
     SpaceTimeSample,
-    apply_dispersive_smoothing,
-    apply_spatial_weight,
+    apply_smoothing_weight,
     bourgain_norm,
     bump,
+    gevrey_norm,
     gevrey_norm_rows,
     mixed_norm,
     xt_inverse,
@@ -59,10 +59,22 @@ from gkdvlab.spaces import (
 from gkdvlab.spectral import (
     Field,
     NonFiniteDataError,
+    SpectralField,
     SpectralGrid,
     dealiased_product,
     forward_transform,
+    inverse_transform,
 )
+
+
+def free_flow(state, t):
+    """The exact free group of w_t + w_xxx = 0 over time t: the phase
+    e^{i zeta^3 t} on each component's half-spectrum."""
+    g = state.grid
+    u, v = (inverse_transform(SpectralField(g, forward_transform(f).coeffs * dispersive_phase(g, t)))
+            for f in (state.u, state.v))
+    return CoupledState(state.t + t, u, v)
+
 
 GRID = SpectralGrid(10.0, 64)
 PARAMS = NormParams(0.25, 2.0, 0.55)
@@ -502,21 +514,16 @@ class TestFullSpectrumOracle:
             got = bourgain_norm(w, PARAMS, psi)
             assert abs(got - want) < 1e-13 * want
 
-    @pytest.mark.parametrize("kappa", [0.3, 0.55])
-    def test_dispersive_smoothing(self, kappa):
+    @pytest.mark.parametrize("kappa, power",
+                             [(0.3, 0.0), (0.55, 0.0), (0.0, -2.0), (0.0, 0.5), (0.55, -2.0)])
+    def test_smoothing_weight(self, kappa, power):
+        # kappa = 0 or power = 0 leaves one factor alone
         for w in self.samples():
             eta = self.full(w)[1]
-            mult = _kernels.dispersive_factor(GRID.zeta, eta) ** (-kappa)
+            mult = ((1.0 + np.abs(GRID.zeta))[None, :] ** power
+                    * _kernels.dispersive_factor(GRID.zeta, eta) ** (-kappa))
             want = np.fft.ifft2(np.fft.fft2(w.values) * mult).real
-            got = apply_dispersive_smoothing(w, kappa).values
-            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("power", [-2.0, 0.5])
-    def test_spatial_weight(self, power):
-        for w in self.samples():
-            mult = (1.0 + np.abs(GRID.zeta))[None, :] ** power
-            want = np.fft.ifft2(np.fft.fft2(w.values) * mult).real
-            got = apply_spatial_weight(w, power).values
+            got = apply_smoothing_weight(w, kappa, power).values
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("variant", list(STRICHARTZ_VARIANTS))
@@ -769,10 +776,7 @@ class TestApriori:
     def _free_record(self, amplitude=1.0):
         spec = SampleSpec(seed=91, amplitude=amplitude, bandwidth=3.0)
         st0 = CoupledState(0.0, random_field(GRID, spec, 91), random_field(GRID, spec, 92))
-        states = [
-            dataclasses.replace(free_propagate(st0, t), t=t)
-            for t in np.linspace(-2.0, 2.0, 17)
-        ]
+        states = [free_flow(st0, t) for t in np.linspace(-2.0, 2.0, 17)]
         return st0, _manual_record(states)
 
     def test_zero_trajectory_ratio_zero(self):
@@ -786,9 +790,8 @@ class TestApriori:
     def test_free_evolution_sup_is_conserved(self):
         st0, rec = self._free_record()
         rep = check_apriori(rec, PARAMS, 1.0)
-        from gkdvlab.spaces import sobolev_norm
-
-        want = np.hypot(sobolev_norm(st0.u, 3.0), sobolev_norm(st0.v, 3.0))
+        h3 = NormParams(0.0, 3.0)
+        want = np.hypot(gevrey_norm(st0.u, h3), gevrey_norm(st0.v, h3))
         assert abs(rep.extra["sup_derivative"] - want) < 1e-9 * want
         assert np.isfinite(rep.max_ratio) and rep.max_ratio > 0.0
         assert rep.max_ratio == max(rep.ratios)
@@ -803,10 +806,7 @@ class TestApriori:
     def test_forward_only_coverage_rejected(self):
         spec = SampleSpec(seed=93, bandwidth=3.0)
         st0 = CoupledState(0.0, random_field(GRID, spec), random_field(GRID, spec, 94))
-        states = [
-            dataclasses.replace(free_propagate(st0, t), t=t)
-            for t in np.linspace(0.0, 2.0, 9)
-        ]
+        states = [free_flow(st0, t) for t in np.linspace(0.0, 2.0, 9)]
         with pytest.raises(ValueError, match="reflection"):
             check_apriori(_manual_record(states), PARAMS, 1.0)
 

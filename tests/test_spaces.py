@@ -11,15 +11,13 @@ from gkdvlab.spaces import (
     CutoffProfile,
     NormParams,
     SpaceTimeSample,
-    apply_dispersive_smoothing,
-    apply_spatial_weight,
+    apply_smoothing_weight,
     bourgain_norm,
     bump,
     check_window_support,
     gevrey_norm,
     gevrey_norm_rows,
     mixed_norm,
-    sobolev_norm,
     xt_inverse,
     xt_modulus,
     xt_transform,
@@ -208,11 +206,6 @@ class TestGevreyNorm:
         n10 = gevrey_norm(u, NormParams(0.3, 0.0))
         n11 = gevrey_norm(u, NormParams(0.3, 1.0))
         assert n00 < n10 < n11
-
-    def test_sobolev_is_rho_zero(self):
-        g = SpectralGrid(10.0, 256)
-        u = Field(g, np.exp(-g.x**2) * np.sin(g.x))
-        assert sobolev_norm(u, 2.0) == gevrey_norm(u, NormParams(0.0, 2.0))
 
     def test_overflow_guard(self):
         g = SpectralGrid(40.0, 1024)
@@ -443,25 +436,25 @@ class TestMultipliers:
         vals = np.cos(z * xx + e * tt)
         return SpaceTimeSample(g, -span / 2, span / 2, vals), z, e
 
-    def test_spatial_weight_exact_on_single_mode(self):
+    def test_weight_exact_on_single_mode(self):
         g = SpectralGrid(np.pi, 16)
-        s, z, _ = self.cos_mode_sample(g, 3, 1)
-        out = apply_spatial_weight(s, -1.5)
-        factor = (1.0 + abs(z)) ** -1.5
+        s, z, e = self.cos_mode_sample(g, 3, 1)
+        out = apply_smoothing_weight(s, 0.55, -1.5)
+        factor = (1.0 + abs(e - z**3)) ** -0.55 * (1.0 + abs(z)) ** -1.5
         assert np.allclose(out.values, factor * s.values, rtol=1e-10)
 
-    def test_dispersive_smoothing_is_identity_on_curve(self):
+    def test_smoothing_is_identity_on_curve(self):
         g = SpectralGrid(np.pi, 16)
         # zeta = 2 (k=2), eta = 8 needs l = 8/deta = 2
         s, z, e = self.cos_mode_sample(g, 2, 2)
         assert e == pytest.approx(z**3)
-        out = apply_dispersive_smoothing(s, 0.55)
+        out = apply_smoothing_weight(s, 0.55, 0.0)
         assert np.allclose(out.values, s.values, rtol=1e-10)
 
-    def test_dispersive_smoothing_damps_off_curve(self):
+    def test_smoothing_damps_off_curve(self):
         g = SpectralGrid(np.pi, 16)
         s, z, e = self.cos_mode_sample(g, 2, -2)  # eta = -8, zeta = 2
-        out = apply_dispersive_smoothing(s, 0.55)
+        out = apply_smoothing_weight(s, 0.55, 0.0)
         factor = (1.0 + abs(e - z**3)) ** -0.55
         assert np.allclose(out.values, factor * s.values, rtol=1e-10)
 
@@ -469,5 +462,5 @@ class TestMultipliers:
         g = SpectralGrid(np.pi, 16)
         rng = np.random.default_rng(2)
         s = SpaceTimeSample(g, 0.0, 1.0, rng.standard_normal((16, 16)))
-        out = apply_spatial_weight(s, 0.5)
+        out = apply_smoothing_weight(s, 0.55, 0.5)
         assert np.isrealobj(out.values)

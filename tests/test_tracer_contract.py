@@ -6,7 +6,10 @@ right-hand side, one right-hand side per ``coupled_powers`` call and four per
 IF-RK4 step, and that count metrics repeat from pass to pass.  A change that
 adds a transform under the stepping loop breaks those identities and makes
 the traced benchmark fail; this test runs the tracer on one small command of
-each benchmark kind so the test suite fails first.  It reads ``perfbench/``
+each benchmark kind so the test suite fails first.  It also checks the traced
+IF-RK4 step count of each command, as ``perfbench/run.py`` checks the steps
+of each workload: a change that folds ``simulate`` calls together must keep
+counting every member's steps.  It reads ``perfbench/``
 and changes nothing there, and it runs in a subprocess because the tracer
 rebinds functions in every ``gkdvlab`` module.
 """
@@ -26,8 +29,14 @@ COMMANDS = [
     ["estimate-lab", "--set", "ensemble=2", "--set", "lab_M=16"],
 ]
 
+# traced evolution.steps of one pass of each command: 10 steps of 0.01 to
+# t = 0.1; the reference stepper of picard-test, one step per node; and two
+# 100-step apriori runs (forward and reflected) per lab member
+STEPS = [10, 8, 400]
+
 # two traced passes per command; layer_metrics raises SelfCheckError on a
-# broken identity or a count that differs between the two passes
+# broken identity or a count that differs between the two passes; the last
+# line printed lists the steps of each command
 SCRIPT = r"""
 import json, sys, tempfile
 from types import SimpleNamespace
@@ -41,13 +50,17 @@ with open(root + "/BENCHMARK.json", encoding="utf-8") as fh:
     exact = {m["name"] for m in json.load(fh)["per_layer"] if m["unit"] == "count"}
 spans = tracer.Tracer()
 spans.install()
+steps = []
 with tempfile.TemporaryDirectory() as tmp:
     for i, argv in enumerate(commands):
         for k in range(2):
             code = spans.run_pass(lambda: cli.main(argv + ["--out", f"{tmp}/{i}-{k}"]))
             if code != 0:
                 sys.exit(f"{argv} exited with {code}")
-        tracer.layer_metrics(SimpleNamespace(spans=spans.spans, passes=spans.passes[-2:]), exact)
+        metrics = tracer.layer_metrics(
+            SimpleNamespace(spans=spans.spans, passes=spans.passes[-2:]), exact)
+        steps.append(metrics["evolution.steps"])
+print(json.dumps(steps))
 """
 
 
@@ -57,3 +70,4 @@ def test_traced_passes_keep_the_tracer_identities():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert res.returncode == 0, res.stderr[-4000:]
+    assert json.loads(res.stdout.splitlines()[-1]) == STEPS
