@@ -39,6 +39,7 @@ from .spaces import (
     mixed_norm,
     sample_l2,
     xt_modulus,
+    xt_transform,
 )
 from .spectral import (
     Field,
@@ -400,8 +401,9 @@ def strichartz_ratio(
     plain L^2 size of its space-time spectrum."""
     v = _strichartz_variant(variant, kappa, s)
     power = -s if v.weight_power is None else v.weight_power
-    lhs = mixed_norm(apply_smoothing_weight(sample, kappa, power), v.p_exp, v.q_exp)
-    return _ratio(lhs, sample_l2(xt_modulus(sample), sample.cell))
+    coeffs = xt_transform(sample)  # one transform serves both sides
+    lhs = mixed_norm(apply_smoothing_weight(sample, coeffs, kappa, power), v.p_exp, v.q_exp)
+    return _ratio(lhs, sample_l2(xt_modulus(sample, coeffs), sample.cell))
 
 
 def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
@@ -642,25 +644,30 @@ def triangle_split_failures(
     products swap order, so only a point with a < b can fail.  At rho = +-0
     both products are +-0 or NaN, which never exceeds 1e-12, and a NaN
     anywhere compares false.
+
+    The grid is swept one z1 value at a time, so the largest arrays alive
+    are (z, z2) planes and not the full (z, z1, z2) grid.
     """
     rhos = np.asarray(rhos)
-    z = zetas[:, None, None]
-    z1 = z1s[None, :, None]
-    z2 = z2s[None, None, :]
+    signs = [(rhos[signed], can_fail)
+             for signed, can_fail in ((rhos > 0, np.greater), (rhos < 0, np.less))
+             if signed.any()]
+    if not signs:
+        return 0
+    z = zetas[:, None]
     lhs_arg = 1.0 + np.abs(z)
-    # (x + y) + w, rounded as the plain sum, without a second full-size temporary
-    rhs_arg = (1.0 + np.abs(z1)) + (1.0 + np.abs(z - z2))
-    rhs_arg += 1.0 + np.abs(z2 - z1)
     failures = 0
-    for signed, can_fail in ((rhos > 0, np.greater), (rhos < 0, np.less)):
-        if not signed.any():
-            continue
-        mask = can_fail(lhs_arg, rhs_arg)
-        if not mask.any():
-            continue
-        a, b = np.broadcast_to(lhs_arg, mask.shape)[mask], rhs_arg[mask]
-        for rho in rhos[signed]:
-            failures += int(np.count_nonzero(rho * a > rho * b + 1e-12))
+    for z1 in z1s:
+        # (x + y) + w, rounded as the plain sum, without a second plane temporary
+        rhs_arg = (1.0 + np.abs(z1)) + (1.0 + np.abs(z - z2s))
+        rhs_arg += 1.0 + np.abs(z2s - z1)
+        for signed_rhos, can_fail in signs:
+            mask = can_fail(lhs_arg, rhs_arg)
+            if not mask.any():
+                continue
+            a, b = np.broadcast_to(lhs_arg, mask.shape)[mask], rhs_arg[mask]
+            for rho in signed_rhos:
+                failures += int(np.count_nonzero(rho * a > rho * b + 1e-12))
     return failures
 
 

@@ -150,10 +150,11 @@ def xt_inverse(coeffs: np.ndarray, grid: SpectralGrid, t0: float, t1: float) -> 
     return idft_axis(grid.idft(coeffs, axis=-1), t1 - t0, axis=-2, real=True)
 
 
-def xt_modulus(sample: SpaceTimeSample) -> np.ndarray:
-    """|xt_transform| with each eta row scaled by the square root of its
-    multiplicity, so a sum of squares over it runs over every mode."""
-    return np.abs(xt_transform(sample)) * np.sqrt(sample.multiplicity)[:, None]
+def xt_modulus(sample: SpaceTimeSample, coeffs: np.ndarray) -> np.ndarray:
+    """|coeffs|, the sample's :func:`xt_transform`, with each eta row scaled
+    by the square root of its multiplicity, so a sum of squares over it runs
+    over every mode."""
+    return np.abs(coeffs) * np.sqrt(sample.multiplicity)[:, None]
 
 
 def l2_rows(values: np.ndarray, cell: float) -> np.ndarray:
@@ -232,7 +233,7 @@ def bourgain_norm(
         vals = vals * np.asarray(cutoff(sample.times))[:, None]
     check_window_support(vals)
     windowed = SpaceTimeSample(sample.grid, sample.t0, sample.t1, vals)
-    coeffs = xt_modulus(windowed)
+    coeffs = xt_modulus(windowed, xt_transform(windowed))
     # the x-Nyquist column of a real sample stands for the modes -zeta_N and
     # +zeta_N alike, whose dispersive weights differ: weigh it by the RMS of
     # the two, which splits its energy evenly between them
@@ -273,12 +274,13 @@ def mixed_norm(sample: SpaceTimeSample, p_exp: float, q_exp: float) -> float | n
 
 
 def apply_smoothing_weight(
-    sample: SpaceTimeSample, kappa: float, power: float
+    sample: SpaceTimeSample, coeffs: np.ndarray, kappa: float, power: float
 ) -> SpaceTimeSample:
-    """Multiplier (1 + |eta - zeta^3|)^(-kappa) (1 + |zeta|)^power, in one
-    round trip through the space-time transform."""
+    """Multiplier (1 + |eta - zeta^3|)^(-kappa) (1 + |zeta|)^power applied
+    to the sample through coeffs, its :func:`xt_transform`, which is left
+    alone; one inverse transform."""
     g = sample.grid
     mult = (_kernels.dispersive_factor(g.zeta, sample.eta) ** (-kappa)
             * (1.0 + np.abs(g.zeta)) ** power)
-    out = xt_inverse(xt_transform(sample) * mult, g, sample.t0, sample.t1)
+    out = xt_inverse(coeffs * mult, g, sample.t0, sample.t1)
     return SpaceTimeSample(g, sample.t0, sample.t1, out)

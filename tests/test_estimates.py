@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from gkdvlab import _kernels, estimates
+from gkdvlab import _kernels, estimates, spaces
 from gkdvlab.diagnostics import TrajectoryRecord
 from gkdvlab.estimates import (
     STRICHARTZ_VARIANTS,
@@ -55,6 +55,7 @@ from gkdvlab.spaces import (
     gevrey_norm_rows,
     mixed_norm,
     xt_inverse,
+    xt_transform,
 )
 from gkdvlab.spectral import (
     Field,
@@ -460,6 +461,22 @@ class TestStrichartz:
             strichartz_ratio(sample, "smooth_l6x_l2t", 0.55, 2.0)
 
     @pytest.mark.parametrize("variant", list(STRICHARTZ_VARIANTS))
+    def test_both_sides_share_one_transform(self, variant, monkeypatch):
+        # the weighted side and the L^2 side read one space-time transform
+        sample = random_boxed_sample(GRID, SampleSpec(seed=75), num_times=32)
+        want = strichartz_ratio(sample, variant)
+        calls = []
+
+        def counted(sample):
+            calls.append(sample)
+            return xt_transform(sample)
+
+        monkeypatch.setattr(estimates, "xt_transform", counted)
+        monkeypatch.setattr(spaces, "xt_transform", counted)
+        assert strichartz_ratio(sample, variant) == want
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("variant", list(STRICHARTZ_VARIANTS))
     def test_ratio_is_scale_invariant(self, variant):
         # both sides are norms of the sample; a large amplitude must not overflow
         sample = random_boxed_sample(GRID, SampleSpec(seed=74), num_times=32)
@@ -523,7 +540,7 @@ class TestFullSpectrumOracle:
             mult = ((1.0 + np.abs(GRID.zeta))[None, :] ** power
                     * _kernels.dispersive_factor(GRID.zeta, eta) ** (-kappa))
             want = np.fft.ifft2(np.fft.fft2(w.values) * mult).real
-            got = apply_smoothing_weight(w, kappa, power).values
+            got = apply_smoothing_weight(w, xt_transform(w), kappa, power).values
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("variant", list(STRICHARTZ_VARIANTS))

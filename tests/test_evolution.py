@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gkdvlab.evolution import (
+    NODE_BLOCK,
     CoupledState,
     _duhamel_cumulative,
     _RhsWorkspace,
@@ -749,6 +750,57 @@ class TestPinnedOutputs:
         res = picard_solve(_perturbed_sech(64, p), PicardConfig(t_window=0.02, num_nodes=16), p)
         assert res.converged
         assert _sha256(res.samples()) == digest
+
+
+def whole_stack_picard(initial, config, p):
+    """picard_solve with one workspace over the whole node stack and fresh
+    node-stack temporaries at the iterate update: (coeffs, diffs,
+    contraction_factors) of a run that converges."""
+    g = initial.grid
+    m = config.num_nodes
+    h = config.t_window / m
+    c0 = np.stack([forward_transform(initial.u).coeffs, forward_transform(initial.v).coeffs])
+    free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
+    rhs = _RhsWorkspace(g, p, free.shape)
+    phase_h = dispersive_phase(g, h)
+    weight = (1.0 + g.rzeta) ** config.diff_s
+    cell = g.multiplicity * g.dzeta
+    cur, diffs, factors = free, [], []
+    for _ in range(config.max_iters):
+        new = _duhamel_cumulative(rhs(cur), phase_h, h)
+        np.add(free, new, out=new)
+        delta = np.abs(new - cur)
+        delta *= weight
+        delta *= delta
+        diffs.append(float(np.sqrt(delta @ cell).max()))
+        if len(diffs) >= 2:
+            factors.append(diffs[-1] / diffs[-2])
+        cur = new
+        if diffs[-1] <= config.contraction_tol:
+            return cur, diffs, factors
+    raise AssertionError("the whole-stack iteration did not converge")
+
+
+class TestNodeBlocks:
+    """The RHS in node blocks and the reused iterate buffers give the bits of
+    the whole-stack iteration, whatever the node count's remainder."""
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("num_nodes", [16, NODE_BLOCK - 1, NODE_BLOCK + 8, 192],
+                             ids=["below-block", "one-block", "block-and-rest", "workload"])
+    def test_equals_the_whole_stack_iteration(self, num_nodes, p):
+        s0 = _perturbed_sech(64, p)
+        cfg = PicardConfig(t_window=0.02, num_nodes=num_nodes)
+        res = picard_solve(s0, cfg, p)
+        coeffs, diffs, factors = whole_stack_picard(s0, cfg, p)
+        assert res.converged and res.iterations == len(diffs)
+        assert np.array_equal(self._bits(res.coeffs), self._bits(coeffs))
+        assert np.array_equal(self._bits(res.diffs), self._bits(diffs))
+        assert np.array_equal(self._bits(res.contraction_factors), self._bits(factors))
 
 
 class TestConfigValidation:

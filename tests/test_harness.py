@@ -375,6 +375,20 @@ class TestRunPicardTest:
         assert out["sup_l2_diff_vs_stepper"] < 1e-4
         assert out["num_nodes"] == 64
 
+    def test_output_is_pinned(self, tmp_path):
+        # the distance to the stepper and the contraction factors, exactly as
+        # written before picard-test formed the distance in place
+        cfg = apply_overrides(RunConfig(), ["kind=picard-test", "N=64", "picard_nodes=16"])
+        run(cfg, tmp_path)
+        out = json.loads((tmp_path / "picard_test.json").read_text())
+        assert out["iterations"] == 8
+        assert out["sup_l2_diff_vs_stepper"] == 1.3636203315611254e-06
+        assert out["contraction_factors"] == [
+            0.05764746417090925, 0.04101760895033241, 0.02737935673369951,
+            0.024765716242260597, 0.018498364492123737, 0.01798898096052822,
+            0.014155199507174717,
+        ]
+
 
 class TestRunEstimateLab:
     def test_inventory_and_reports(self, tmp_path):

@@ -331,7 +331,7 @@ class TestBourgainNorm:
         got = bourgain_norm(sample, params)
         assert abs(got - want) < 1e-13 * want
         # the half-eta rows with that column at either single label miss by far more
-        modulus = xt_modulus(sample)
+        modulus = xt_modulus(sample, xt_transform(sample))
         for z in signed:
             w = _kernels.bourgain_weight(z, sample.eta, params.rho, params.s, params.b)
             one_label = np.sqrt(np.sum((w * modulus) ** 2) * cell)
@@ -439,7 +439,7 @@ class TestMultipliers:
     def test_weight_exact_on_single_mode(self):
         g = SpectralGrid(np.pi, 16)
         s, z, e = self.cos_mode_sample(g, 3, 1)
-        out = apply_smoothing_weight(s, 0.55, -1.5)
+        out = apply_smoothing_weight(s, xt_transform(s), 0.55, -1.5)
         factor = (1.0 + abs(e - z**3)) ** -0.55 * (1.0 + abs(z)) ** -1.5
         assert np.allclose(out.values, factor * s.values, rtol=1e-10)
 
@@ -448,13 +448,13 @@ class TestMultipliers:
         # zeta = 2 (k=2), eta = 8 needs l = 8/deta = 2
         s, z, e = self.cos_mode_sample(g, 2, 2)
         assert e == pytest.approx(z**3)
-        out = apply_smoothing_weight(s, 0.55, 0.0)
+        out = apply_smoothing_weight(s, xt_transform(s), 0.55, 0.0)
         assert np.allclose(out.values, s.values, rtol=1e-10)
 
     def test_smoothing_damps_off_curve(self):
         g = SpectralGrid(np.pi, 16)
         s, z, e = self.cos_mode_sample(g, 2, -2)  # eta = -8, zeta = 2
-        out = apply_smoothing_weight(s, 0.55, 0.0)
+        out = apply_smoothing_weight(s, xt_transform(s), 0.55, 0.0)
         factor = (1.0 + abs(e - z**3)) ** -0.55
         assert np.allclose(out.values, factor * s.values, rtol=1e-10)
 
@@ -462,5 +462,5 @@ class TestMultipliers:
         g = SpectralGrid(np.pi, 16)
         rng = np.random.default_rng(2)
         s = SpaceTimeSample(g, 0.0, 1.0, rng.standard_normal((16, 16)))
-        out = apply_smoothing_weight(s, 0.55, 0.5)
+        out = apply_smoothing_weight(s, xt_transform(s), 0.55, 0.5)
         assert np.isrealobj(out.values)
