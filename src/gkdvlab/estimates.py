@@ -100,11 +100,13 @@ def _require(cond: bool, msg: str) -> None:
 class SampleSpec:
     """Recipe for one reproducible family of random samples.
 
-    The envelope shapes the standard deviation of the complex Gaussian
-    coefficients inside |zeta| <= bandwidth; outside they are zero.  Time
-    profiles are white per node and then multiplied by the smooth cutoff
-    psi(t / window_scale), so every generated sample vanishes identically
-    for |t| >= 2 * window_scale.
+    The envelope w shapes the coefficients inside |zeta| <= bandwidth;
+    outside they are zero.  Each half-spectrum coefficient C_k of a sample
+    row is Gaussian with E|C_k|^2 = w_k^2: real and imaginary parts of
+    variance w_k^2 / 2 for k >= 1, and a real zero mode of variance w_0^2.
+    Time profiles are white per node and then multiplied by the smooth
+    cutoff psi(t / window_scale), so every generated sample vanishes
+    identically for |t| >= 2 * window_scale.
     """
 
     seed: int
@@ -189,10 +191,13 @@ LAB_GRID = SpectralGrid(10.0, 64)
 
 
 # ---------------------------------------------------------------------------
-# Sample generators.  Reality comes from taking the real part of the inverse
-# transform of unconstrained complex Gaussians, which is distributionally the
-# same as symmetrizing the coefficients and keeps the draw order trivial: a
-# row's draws go to its wavenumbers in ascending order, whatever the layout.
+# Sample generators.  A row is the real inverse of a half-spectrum drawn only
+# on the in-band modes 0 ... K, so it is real by construction.  Its law is
+# that of the real part of the inverse of unconstrained complex Gaussians
+# c_k of standard deviation w_k: that real part has the half-spectrum
+# (c_k + conj c_{-k}) / 2, whose real and imaginary parts each have variance
+# w_k^2 / 2 for k >= 1, and the zero mode Re c_0.  Draws go to the in-band
+# wavenumbers in ascending order, relative to x = 0, whatever the layout.
 
 
 def _envelope_weights(grid: SpectralGrid, spec: SampleSpec) -> np.ndarray:
@@ -217,28 +222,48 @@ def _envelope_weights(grid: SpectralGrid, spec: SampleSpec) -> np.ndarray:
 def random_field(
     grid: SpectralGrid, spec: SampleSpec, seed: int | Sequence[int] | None = None
 ) -> Field:
-    """Envelope-shaped random real field; seed defaults to spec.seed, and a
-    sequence of seeds gives one row per seed."""
+    """Envelope-shaped random real field (the law of :class:`SampleSpec`,
+    drawn by :func:`_random_half_spectrum`); seed defaults to spec.seed, and
+    a sequence of seeds gives one row per seed."""
     return Field(grid, _random_rows(grid, spec, 1, seed)[..., 0, :])
+
+
+def _random_half_spectrum(
+    grid: SpectralGrid, spec: SampleSpec, num_times: int, seeds: np.ndarray
+) -> np.ndarray:
+    """Half-spectra (len(seeds), num_times, N/2 + 1) of the random rows,
+    exactly zero above the band and at Nyquist.
+
+    Member i draws (2, num_times, K + 1) normals from its own generator,
+    real parts then imaginary, for the in-band modes 0 ... K in ascending
+    order.  Mode k >= 1 is scaled by w_k / sqrt(2) and the zero mode is
+    w_0 times its real draw, times (-1)^k so the draws are relative to x = 0.
+    """
+    weights = _envelope_weights(grid, spec)
+    keep = int(np.count_nonzero(grid.rzeta <= spec.bandwidth))
+    scale = weights[:keep] / np.sqrt(2.0)  # full-spectrum order: modes 0 ... K first
+    scale[0] = weights[0]
+    scale[1::2] *= -1.0
+    draws = np.empty((seeds.size, 2, num_times, keep))
+    for member, sd in zip(draws, seeds):
+        np.random.default_rng(sd).standard_normal(out=member)
+    draws *= scale
+    draws[:, 1, :, 0] = 0.0
+    coeffs = np.zeros((seeds.size, num_times, grid.num_points // 2 + 1), dtype=np.complex128)
+    coeffs.real[..., :keep] = draws[:, 0]
+    coeffs.imag[..., :keep] = draws[:, 1]
+    return coeffs
 
 
 def _random_rows(
     grid: SpectralGrid, spec: SampleSpec, num_times: int, seed: int | Sequence[int] | None
 ) -> np.ndarray:
     """Rows (num_times, N) from one generator; a sequence of seeds gives a
-    batch (len(seeds), num_times, N), member i from its own generator.  A
-    member's real and imaginary draws come from one call, in that order."""
+    batch (len(seeds), num_times, N), member i from its own generator.  One
+    real inverse of :func:`_random_half_spectrum`."""
     seeds = np.atleast_1d(spec.seed if seed is None else seed)
-    c = np.empty((seeds.size, num_times, grid.num_points), dtype=np.complex128)
-    order = np.argsort(grid.zeta)
-    for member, sd in zip(c, seeds):
-        draws = np.random.default_rng(sd).standard_normal((2,) + member.shape)
-        member.real[:, order] = draws[0]
-        member.imag[:, order] = draws[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        c *= _envelope_weights(grid, spec)
-        c[..., 1::2] *= -1.0  # odd modes (odd indices): keep each seed's draws relative to x = 0
-        rows = grid.idft(c, axis=-1).real
+        rows = grid.idft(_random_half_spectrum(grid, spec, num_times, seeds), real=True)
     if not np.all(np.isfinite(rows)):
         raise NonFiniteDataError(
             f"random samples are not finite: amplitude {spec.amplitude:g} is too large"

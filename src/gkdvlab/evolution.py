@@ -360,7 +360,8 @@ class PicardResult:
         return _real_samples(self.coeffs, self.grid)
 
 
-def _duhamel_cumulative(w: np.ndarray, phase_h: np.ndarray, h: float) -> np.ndarray:
+def _duhamel_cumulative(w: np.ndarray, phase_h: np.ndarray, h: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Trapezoid quadrature of  integral_0^{t_j} e^{i zeta^3 (t_j - s)} w(s) ds
     for all nodes t_j (axis -2 of w), accumulated with the group property:
 
@@ -370,8 +371,11 @@ def _duhamel_cumulative(w: np.ndarray, phase_h: np.ndarray, h: float) -> np.ndar
     1 ... of the result; the recurrence then runs over node-major views of
     it with one preallocated temporary, two in-place operations per node.
     Each operation keeps the operands and the order of the formula, so the
-    result is that of evaluating it node by node, bit for bit."""
-    out = np.empty(w.shape, dtype=np.complex128)
+    result is that of evaluating it node by node, bit for bit.  With out, a
+    complex array of w's shape that does not overlap w, the result is
+    written there and out is returned."""
+    if out is None:
+        out = np.empty(w.shape, dtype=np.complex128)
     out[..., 0, :] = 0.0
     forcing = out[..., 1:, :]
     np.multiply(phase_h, w[..., :-1, :], out=forcing)
@@ -389,12 +393,12 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     starting from the free solution; stop when the sup-over-nodes H^s
     successive difference falls below contraction_tol.
 
-    The RHS runs per block of NODE_BLOCK nodes.  Besides the free solution
-    and the current iterate, two node-stack arrays stay alive across
-    iterates: the complex RHS array, which takes the successive difference
-    once the Duhamel sum has read it, and the real modulus of that
-    difference; the Duhamel sum is the only node-stack array an iterate
-    allocates, and it becomes the next iterate.
+    The RHS runs per block of NODE_BLOCK nodes.  Besides the free solution,
+    four node-stack arrays stay alive across iterates: the complex RHS
+    array, which takes the successive difference once the Duhamel sum has
+    read it, the real modulus of that difference, and two buffers that take
+    the iterates in turn, so an iterate allocates no node-stack array.  The
+    free solution, the first iterate, is never written.
 
     Three consecutive non-decreasing differences raise NonContractionError:
     the window is too long for the contraction regime.  A non-finite
@@ -417,11 +421,12 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     cell = g.multiplicity * g.dzeta
 
     cur = free
+    iterates = (np.empty_like(free), np.empty_like(free))
     result = PicardResult(g, times, cur)
     rising = 0
     for it in range(1, config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            new = _duhamel_cumulative(rhs(cur, forcing), phase_h, h)
+            new = _duhamel_cumulative(rhs(cur, forcing), phase_h, h, out=iterates[it % 2])
             np.add(free, new, out=new)
             # sup over components and nodes of the H^s successive difference,
             # formed in the RHS array, which the sum has read, and squared in

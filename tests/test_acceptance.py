@@ -180,7 +180,7 @@ def test_estimate_lab_boundedness():
     assert table["passed"]
     assert table["pointwise_failures"] == 0
     assert table["triangle_failures"] == 0
-    assert time.monotonic() - t0 < 900.0  # measured 37-53 s on a loaded 2-core box
+    assert time.monotonic() - t0 < 900.0  # measured 33-44 s on a loaded 2-core box
 
 
 def test_determinism_and_plumbing(tmp_path):

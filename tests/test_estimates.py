@@ -108,10 +108,10 @@ class TestGenerators:
         # the draws go to the wavenumbers in ascending order, so no change of
         # coefficient layout may redraw the lab ensembles; sha256 of the bytes
         s = random_field(estimates.LAB_GRID, SampleSpec(seed=3)).samples
-        assert list(s[:4]) == [-0.2870302120299404, -0.11774528021027474,
-                               -0.012283494183952645, -0.0028295134709597084]
+        assert list(s[:4]) == [0.43361360014777617, 0.5332406915445411,
+                               0.7498276986999528, 0.9634919158035145]
         digest = hashlib.sha256(s.astype("<f8").tobytes()).hexdigest()
-        assert digest == "7644e70a6894bacd2cbc0dda4b36b93b037d4ed083458f3a350af99daa3da4a5"
+        assert digest == "51c6668030ce2ab111c18d3f34605342bcb4f62523a4d93410f3bf2e5ae828cd"
 
     def test_field_real_and_reproducible(self):
         spec = SampleSpec(seed=21)
@@ -121,11 +121,17 @@ class TestGenerators:
         assert np.array_equal(a.samples, b.samples)
 
     def test_field_band_limited(self):
+        # exact zeros hold for the half-spectrum the sampler builds; the
+        # sample's own forward transform, Nyquist included, holds them up to
+        # rounding
         spec = SampleSpec(seed=22, bandwidth=3.0)
-        c = forward_transform(random_field(GRID, spec)).coeffs
         outside = GRID.rzeta > 3.0
+        built = estimates._random_half_spectrum(GRID, spec, 1, np.array([22]))[0, 0]
+        assert np.all(built[outside] == 0.0)
+        assert built[GRID.nyquist_index] == 0.0
+        c = forward_transform(random_field(GRID, spec)).coeffs
+        assert outside[GRID.nyquist_index]
         assert np.max(np.abs(c[outside])) < 1e-14
-        assert c[GRID.nyquist_index] == 0.0
 
     def test_amplitude_scales_samples_linearly(self):
         base = random_field(GRID, SampleSpec(seed=23, amplitude=1.0))
@@ -171,6 +177,65 @@ class TestGenerators:
         w = random_boxed_sample(GRID, SampleSpec(seed=27), num_times=32)
         assert np.max(np.abs(w.values[0])) > 0.0
         assert np.max(np.abs(w.values[-1])) > 0.0
+
+
+def full_spectrum_real_rows(grid, spec, num_times, seeds):
+    """Independently coded sampler of the same law: N complex Gaussians per
+    row in ascending wavenumber order, enveloped, phased relative to x = 0,
+    and the real part of a full complex inverse."""
+    c = np.empty((len(seeds), num_times, grid.num_points), dtype=np.complex128)
+    order = np.argsort(grid.zeta)
+    for member, sd in zip(c, seeds):
+        draws = np.random.default_rng(sd).standard_normal((2,) + member.shape)
+        member.real[:, order] = draws[0]
+        member.imag[:, order] = draws[1]
+    c *= estimates._envelope_weights(grid, spec)
+    c[..., 1::2] *= -1.0
+    return grid.idft(c, axis=-1).real
+
+
+class TestSamplerLaw:
+    SPEC = SampleSpec(seed=40)  # exponential envelope on |zeta| <= 4: modes 0 ... 12
+
+    @pytest.mark.parametrize("sampler", [estimates._random_rows, full_spectrum_real_rows])
+    def test_per_mode_variance_matches_closed_form(self, sampler):
+        # E|C_k|^2 = w_k^2 on every mode, the zero mode included.  Over 32000
+        # rows |C_k|^2 / w_k^2 averages an exponential (a chi-square with one
+        # degree of freedom at k = 0), so 4% is beyond five standard errors
+        seeds, rows = 2000, 16
+        power = np.zeros(GRID.num_points // 2 + 1)
+        for first in range(0, seeds, 250):
+            samples = sampler(GRID, self.SPEC, rows, list(range(first, first + 250)))
+            power += np.sum(np.abs(GRID.dft(samples, real=True)) ** 2, axis=(0, 1))
+        power /= seeds * rows
+        w2 = estimates._envelope_weights(GRID, self.SPEC)[: GRID.num_points // 2 + 1] ** 2
+        band = GRID.rzeta <= self.SPEC.bandwidth
+        assert np.count_nonzero(band) == 13
+        np.testing.assert_allclose(power[band], w2[band], rtol=0.04, atol=0.0)
+        assert np.all(power[~band] < 1e-25)
+
+    @pytest.mark.parametrize("num_times", [1, 64])
+    def test_member_is_its_seed_drawn_alone(self, num_times):
+        seeds = [self.SPEC.seed + i for i in range(5)]
+        batch = estimates._random_rows(GRID, self.SPEC, num_times, seeds)
+        assert batch.shape == (5, num_times, GRID.num_points)
+        for i, sd in enumerate(seeds):
+            assert np.array_equal(batch[i], estimates._random_rows(GRID, self.SPEC, num_times, sd))
+
+    def test_draws_land_in_ascending_in_band_modes(self):
+        # flat envelope: mode k holds its draws times (-1)^k / sqrt(2), the
+        # zero mode its real draw alone
+        spec = SampleSpec(seed=9, envelope="flat")
+        keep = 13
+        built = estimates._random_half_spectrum(GRID, spec, 3, np.array([9]))[0]
+        draws = np.random.default_rng(9).standard_normal((2, 3, keep))
+        k = np.arange(keep)
+        unscale = np.where(k == 0, 1.0, np.sqrt(2.0)) * (-1.0) ** k
+        np.testing.assert_allclose(built.real[:, :keep] * unscale, draws[0], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(built.imag[:, 1:keep] * unscale[1:], draws[1][:, 1:],
+                                   rtol=1e-15, atol=0.0)
+        assert np.all(built.imag[:, 0] == 0.0)
+        assert np.all(built[:, keep:] == 0.0)
 
 
 class TestReportPlumbing:

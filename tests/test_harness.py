@@ -37,8 +37,8 @@ from gkdvlab.harness import (
 from gkdvlab.spectral import Field, SpectralField, forward_transform, inverse_transform
 
 # ratios, max_seed and verdict of every report of
-# `estimate-lab --set ensemble=2 --set p=<p> --seed 1`, recorded while the
-# space-time samples still took complex full transforms
+# `estimate-lab --set ensemble=2 --set p=<p> --seed 1`, recorded with the
+# in-band half-spectrum sampler
 LAB_PINS = Path(__file__).parent / "data" / "lab_ratios_ensemble2_seed1.json"
 
 FAST = [
