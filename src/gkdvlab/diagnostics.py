@@ -2,6 +2,10 @@
 quantities, spectral-decay radius estimation, decay-law fitting, and
 numerical continuation of a field off the real axis.
 
+A pair (u, v) is one Field whose samples are (2, N), u first, as in the
+evolution module; a trajectory record keeps one such (2, N) snapshot per
+record time.
+
 The radius estimator reads the exponential decay rate of |u_hat| by linear
 regression of -log|u_hat| against zeta over an automatically chosen window:
 above the coefficient noise floor, below the dealiasing band, starting
@@ -12,7 +16,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,9 +26,6 @@ from .spectral import (
     dealiased_product,
     forward_transform,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .evolution import CoupledState
 
 # fit and warning thresholds; the docstrings that use them give their roles
 NOISE_FACTOR = 1e3
@@ -46,23 +46,23 @@ class InvariantSet:
     hamiltonian: float
 
 
-def invariants(state: "CoupledState", p: int) -> InvariantSet:
+def invariants(pair: Field, p: int) -> InvariantSet:
     """Masses, combined L^2 energy, and the Hamiltonian
-    1/2 (||u_x||^2 + ||v_x||^2) - (p+1)^{-1} integral(u^{p+1} v^{p+1})."""
-    u, v = state.u, state.v
-    if u.samples.ndim != 1:
-        raise ValueError("invariants take one pair of fields, not stacked rows")
-    g = u.grid
-    mass_u = float(np.sum(u.samples) * g.dx)
-    mass_v = float(np.sum(v.samples) * g.dx)
-    l2 = 0.5 * float(np.sum(u.samples**2 + v.samples**2) * g.dx)
-    cu = forward_transform(u).coeffs
-    cv = forward_transform(v).coeffs
+    1/2 (||u_x||^2 + ||v_x||^2) - (p+1)^{-1} integral(u^{p+1} v^{p+1}) of the
+    pair, samples (2, N)."""
+    if pair.samples.shape[:-1] != (2,):
+        raise ValueError("invariants take one pair of fields (2, N), not stacked rows")
+    g = pair.grid
+    u, v = pair.samples
+    mass_u = float(np.sum(u) * g.dx)
+    mass_v = float(np.sum(v) * g.dx)
+    l2 = 0.5 * float(np.sum(u**2 + v**2) * g.dx)
+    cu, cv = forward_transform(pair).coeffs
     # a sum over every mode: each half-spectrum entry counts with its multiplicity
     grad = float(
         np.sum(g.multiplicity * g.rzeta**2 * (np.abs(cu) ** 2 + np.abs(cv) ** 2)) * g.dzeta
     )
-    coupling = dealiased_product([u] * (p + 1) + [v] * (p + 1))
+    coupling = dealiased_product([Field(g, u)] * (p + 1) + [Field(g, v)] * (p + 1))
     mixed = float(np.sum(coupling.samples) * g.dx)
     return InvariantSet(mass_u, mass_v, l2, 0.5 * grad - mixed / (p + 1))
 
@@ -176,24 +176,22 @@ class TrajectoryRecord:
         self.times.append(float(t))
         self.snapshots.append(samples)
 
-    def fields_at(self, i: int) -> tuple[Field, Field]:
-        u, v = self.snapshots[i]
-        return Field(self.grid, u), Field(self.grid, v)
-
     def __len__(self) -> int:
         return len(self.times)
 
+    def samples(self) -> np.ndarray:
+        """Every snapshot, pair-first: (2, records, N), like
+        PicardResult.samples()."""
+        return np.stack(self.snapshots, axis=1)
+
     def invariant_sets(self) -> list[InvariantSet]:
         """Conserved functionals at each record time."""
-        from .evolution import CoupledState  # deferred, avoids import cycle
-
-        return [invariants(CoupledState(t, *self.fields_at(i)), self.p)
-                for i, t in enumerate(self.times)]
+        return [invariants(Field(self.grid, snap), self.p) for snap in self.snapshots]
 
     def radii(self) -> tuple[list[RadiusEstimate], list[RadiusEstimate]]:
         """Fitted radius of u and of v at each record time."""
-        pairs = [self.fields_at(i) for i in range(len(self))]
-        return [estimate_radius(u) for u, _ in pairs], [estimate_radius(v) for _, v in pairs]
+        return tuple([estimate_radius(Field(self.grid, row)) for row in rows]
+                     for rows in self.samples())
 
 
 def track_radius(record: TrajectoryRecord) -> tuple[np.ndarray, list[RadiusEstimate]]:

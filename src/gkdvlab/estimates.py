@@ -24,7 +24,6 @@ from .evolution import (
     _duhamel_cumulative,
     dispersive_phase,
     reflect_samples,
-    reflect_state,
     simulate,
 )
 from .spaces import (
@@ -85,6 +84,13 @@ ENVELOPES = ("flat", "gaussian", "exponential")
 # cutoff window [-2T, 2T], fall on multiples of APRIORI_DT * APRIORI_STRIDE
 APRIORI_DT = 0.02
 APRIORI_STRIDE = 10
+
+# time window [-HALF_SPAN, HALF_SPAN) of the free waves and the boxed samples:
+# slack around the support [-2, 2] of the unscaled cutoff psi
+HALF_SPAN = 2.5
+
+# smoothing exponent of the Strichartz checks, above every variant's floor
+STRICHARTZ_KAPPA = 0.55
 
 # members per batch of an ensemble check, which bounds a batch's memory
 # (multilinear at p = 2 stacks ten samples per member); no ratio depends on it
@@ -293,12 +299,12 @@ def random_window_sample(grid: SpectralGrid, spec: SampleSpec, num_times: int = 
 
 
 def random_boxed_sample(grid: SpectralGrid, spec: SampleSpec, num_times: int = 64,
-                        half_span: float = 2.5,
                         seed: int | Sequence[int] | None = None) -> SpaceTimeSample:
-    """Random real sample with no time cutoff (for the mixed-norm checks,
-    which have no support precondition); seeds as for random_window_sample."""
+    """Random real sample on [-HALF_SPAN, HALF_SPAN) with no time cutoff (for
+    the mixed-norm checks, which have no support precondition); seeds as for
+    random_window_sample."""
     vals = _random_rows(grid, spec, num_times, seed)
-    return SpaceTimeSample(grid, -half_span, half_span, vals)
+    return SpaceTimeSample(grid, -HALF_SPAN, HALF_SPAN, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -308,29 +314,26 @@ def random_boxed_sample(grid: SpectralGrid, spec: SampleSpec, num_times: int = 6
 # them directly.
 
 
-def free_wave_sample(
-    u0: Field, num_times: int = 64, half_span: float = 2.5
-) -> SpaceTimeSample:
-    """Free evolution of u0 sampled on [-half_span, half_span); each mode
+def free_wave_sample(u0: Field, num_times: int = 64) -> SpaceTimeSample:
+    """Free evolution of u0 sampled on [-HALF_SPAN, HALF_SPAN); each mode
     carries its exact phase e^{i zeta^3 t}, no time stepping involved.  Rows
     of u0 give a batch, one member per row."""
     g = u0.grid
     c0 = forward_transform(u0).coeffs
-    times = -half_span + (2.0 * half_span / num_times) * np.arange(num_times)
+    times = -HALF_SPAN + (2.0 * HALF_SPAN / num_times) * np.arange(num_times)
     rows = dispersive_phase(g, times) * c0[..., None, :]
     vals = g.idft(rows, axis=-1, real=True)
-    return SpaceTimeSample(g, -half_span, half_span, vals)
+    return SpaceTimeSample(g, -HALF_SPAN, HALF_SPAN, vals)
 
 
-def linear_free_ratio(u0: Field, params: NormParams, T: float, num_times: int = 64,
-                      half_span: float = 2.5) -> float | np.ndarray:
+def linear_free_ratio(u0: Field, params: NormParams, T: float,
+                      num_times: int = 64) -> float | np.ndarray:
     """Windowed free wave in the dispersive norm against sqrt(T) times the
     exponential norm of the data.  The cutoff is the unscaled psi, so T only
     enters the denominator."""
     _require(params.b > 0.5, f"need b > 1/2, got {params.b}")
     _require(T >= 1.0, f"need T >= 1, got {T}")
-    _require(half_span >= 2.5, f"half_span {half_span} too small for the cutoff support")
-    sample = free_wave_sample(u0, num_times, half_span)
+    sample = free_wave_sample(u0, num_times)
     lhs = bourgain_norm(sample, params, CutoffProfile(1.0))
     return _ratio(lhs, np.sqrt(T) * gevrey_norm(u0, params))
 
@@ -420,7 +423,7 @@ def _strichartz_variant(variant: str, kappa: float, s: float) -> StrichartzVaria
 
 
 def strichartz_ratio(
-    sample: SpaceTimeSample, variant: str, kappa: float = 0.55, s: float = 2.0
+    sample: SpaceTimeSample, variant: str, kappa: float = STRICHARTZ_KAPPA, s: float = 2.0
 ) -> float | np.ndarray:
     """Mixed norm of the weighted, dispersively smoothed sample against the
     plain L^2 size of its space-time spectrum."""
@@ -570,22 +573,21 @@ def check_duhamel(
 def check_strichartz(
     variant: str,
     spec: SampleSpec,
-    kappa: float = 0.55,
     s: float = 2.0,
     grid: SpectralGrid = LAB_GRID,
     num_times: int = 64,
-    half_span: float = 2.5,
     ensemble: int = 50,
 ) -> EstimateReport:
-    """One mixed-norm bound over an ensemble of boxed random samples."""
-    _strichartz_variant(variant, kappa, s)  # fail fast before sampling
+    """One mixed-norm bound at kappa = STRICHARTZ_KAPPA over an ensemble of
+    boxed random samples."""
+    _strichartz_variant(variant, STRICHARTZ_KAPPA, s)  # fail fast before sampling
 
     def ratios(seeds: list[int]) -> np.ndarray:
-        batch = random_boxed_sample(grid, spec, num_times, half_span, seeds)
-        return strichartz_ratio(batch, variant, kappa, s)
+        batch = random_boxed_sample(grid, spec, num_times, seeds)
+        return strichartz_ratio(batch, variant, STRICHARTZ_KAPPA, s)
 
     return _ensemble(f"strichartz:{variant}", spec, None, grid, num_times, ensemble, ratios,
-                     variant=variant, kappa=kappa, s=s, half_span=half_span)
+                     variant=variant, kappa=STRICHARTZ_KAPPA, s=s, half_span=HALF_SPAN)
 
 
 def check_multilinear(
@@ -742,7 +744,8 @@ def bidirectional_record(
     _require(t_half > 0.0, f"t_half must be positive, got {t_half}")
     cfg = dataclasses.replace(config, t_end=initial.t + t_half)
     fwd = simulate(initial, cfg)
-    back = simulate(reflect_state(initial), cfg)
+    reflected = Field(initial.grid, reflect_samples(initial.pair.samples))
+    back = simulate(CoupledState(initial.t, reflected), cfg)
     merged = TrajectoryRecord(initial.grid, config.p)
     # back in time; [:0:-1] skips the duplicate t0 entry
     merged.times = [2.0 * initial.t - t for t in back.times[:0:-1]] + fwd.times
@@ -768,12 +771,12 @@ def _windowed_pair_sample(record: TrajectoryRecord, T: float) -> SpaceTimeSample
     )
     keep = np.abs(times) <= 2.0 * T + tol
     psi = np.asarray(CutoffProfile(T)(times[keep]))
-    rows = psi[:, None, None] * np.asarray(record.snapshots)[keep]  # (rows, 2, N)
+    rows = psi[:, None] * record.samples()[:, keep]  # (2, rows, N)
     # pad with exact zeros past the cutoff support; keeps spacing uniform and
     # makes the edge rows vanish as the transform requires
     n_pad = max(1, int(np.ceil(0.5 * T / h)))
-    n_right = n_pad + (rows.shape[0] + 2 * n_pad) % 2
-    pair = np.pad(rows.transpose(1, 0, 2), ((0, 0), (n_pad, n_right), (0, 0)))
+    n_right = n_pad + (rows.shape[1] + 2 * n_pad) % 2
+    pair = np.pad(rows, ((0, 0), (n_pad, n_right), (0, 0)))
     t0 = float(times[keep][0]) - n_pad * h
     return SpaceTimeSample(record.grid, t0, t0 + pair.shape[1] * h, pair)
 
@@ -781,8 +784,8 @@ def _windowed_pair_sample(record: TrajectoryRecord, T: float) -> SpaceTimeSample
 def _pair_sup(record: TrajectoryRecord, T: float, params: NormParams) -> float:
     times = np.asarray(record.times)
     inside = (times >= -1e-9) & (times <= 2.0 * T + 1e-9)
-    norms = gevrey_norm_rows(np.asarray(record.snapshots)[inside], record.grid, params)
-    return float(np.max(np.hypot(norms[:, 0], norms[:, 1]), initial=0.0))
+    norms = gevrey_norm_rows(record.samples()[:, inside], record.grid, params)
+    return float(np.max(np.hypot(*norms), initial=0.0))
 
 
 def check_apriori(
@@ -843,7 +846,7 @@ def check_apriori_ensemble(
     def ratios(seeds: list[int]) -> list[float]:
         us = random_field(grid, spec, seeds).samples
         vs = random_field(grid, spec, [sd + 7919 for sd in seeds]).samples
-        states = (CoupledState(0.0, Field(grid, u), Field(grid, v)) for u, v in zip(us, vs))
+        states = (CoupledState(0.0, Field(grid, [u, v])) for u, v in zip(us, vs))
         return [check_apriori(bidirectional_record(st, cfg, 2.0 * T), params, T, p).max_ratio
                 for st in states]
 

@@ -10,10 +10,10 @@ half-step around a midpoint-rule nonlinear step.  Also a fixed-point
 (successive substitution) solver for the integral form of the equations on
 a short window, with per-iteration contraction factors.
 
-The two components share their linear part, so the steppers and the solver
-hold the half-spectra (modes 0 ... N/2) of u and v as one array with the
-pair on the leading axis: (2, N/2 + 1) for a state, (2, num_nodes + 1,
-N/2 + 1) for a Picard node stack.
+The two components share their linear part, so the pair is one array with
+u and v on the leading axis throughout: samples (2, N) in a CoupledState
+and in each record snapshot, half-spectra (modes 0 ... N/2) (2, N/2 + 1) in
+the steppers and (2, num_nodes + 1, N/2 + 1) for a Picard node stack.
 
 The stepping loop allocates little and builds what it can once: the
 right-hand side is built for one input shape and keeps the padded
@@ -67,19 +67,20 @@ class NonContractionError(RuntimeError):
 
 @dataclass
 class CoupledState:
-    """Solution pair at one instant."""
+    """Solution pair at one instant: one Field whose samples are (2, ..., N),
+    u in row 0 and v in row 1."""
 
     t: float
-    u: Field
-    v: Field
+    pair: Field
 
     def __post_init__(self):
-        if self.u.grid != self.v.grid:
-            raise ValueError("u and v live on different grids")
+        shape = self.pair.samples.shape
+        if len(shape) < 2 or shape[0] != 2:
+            raise ValueError(f"the pair needs samples (2, ..., N), got {shape}")
 
     @property
     def grid(self) -> SpectralGrid:
-        return self.u.grid
+        return self.pair.grid
 
 
 SCHEMES = ("if_rk4", "strang")
@@ -118,26 +119,15 @@ def dispersive_phase(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
     return phase
 
 
-def _pair_coeffs(u: Field, v: Field) -> np.ndarray:
-    """Half-spectra of the pair, stacked (2, N/2 + 1)."""
-    return np.stack([forward_transform(u).coeffs, forward_transform(v).coeffs])
-
-
 def reflect_samples(s: np.ndarray) -> np.ndarray:
     """Spatial reflection x -> -x of sample rows (..., N) on the periodic
-    grid (exact, on-node): node x_j goes to x_{-j mod N}."""
-    return np.roll(s[..., ::-1], 1, axis=-1)
-
-
-def reflect_state(state: CoupledState) -> CoupledState:
-    """Spatial reflection x -> -x of the pair.
+    grid (exact, on-node): node x_j goes to x_{-j mod N}.
 
     The system is invariant under (t, x) -> (-t, -x), so evolving reflected
     data forward and reflecting back integrates backward in time without a
     negative dt.
     """
-    u, v = reflect_samples(np.stack([state.u.samples, state.v.samples]))
-    return CoupledState(state.t, Field(state.grid, u), Field(state.grid, v))
+    return np.roll(s[..., ::-1], 1, axis=-1)
 
 
 class _RhsWorkspace:
@@ -283,7 +273,7 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
 
     record = TrajectoryRecord(grid=g, p=config.p)
 
-    c = _pair_coeffs(initial.u, initial.v)
+    c = forward_transform(initial.pair).coeffs
     rhs = _RhsWorkspace(g, config.p, c.shape)
     dt = config.dt
     half = dispersive_phase(g, 0.5 * dt)
@@ -296,7 +286,7 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
         def step(c):
             return _step_strang(c, dt, half, rhs)
 
-    samples = np.stack([initial.u.samples, initial.v.samples])
+    samples = initial.pair.samples.copy()  # a record never aliases the caller's data
     baseline = max(float(np.max(np.abs(samples))), 1e-300)
     record.record(initial.t, samples)
 
@@ -360,8 +350,7 @@ class PicardResult:
         return _real_samples(self.coeffs, self.grid)
 
 
-def _duhamel_cumulative(w: np.ndarray, phase_h: np.ndarray, h: float,
-                        out: np.ndarray | None = None) -> np.ndarray:
+def _duhamel_cumulative(w: np.ndarray, phase_h: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid quadrature of  integral_0^{t_j} e^{i zeta^3 (t_j - s)} w(s) ds
     for all nodes t_j (axis -2 of w), accumulated with the group property:
 
@@ -371,11 +360,8 @@ def _duhamel_cumulative(w: np.ndarray, phase_h: np.ndarray, h: float,
     1 ... of the result; the recurrence then runs over node-major views of
     it with one preallocated temporary, two in-place operations per node.
     Each operation keeps the operands and the order of the formula, so the
-    result is that of evaluating it node by node, bit for bit.  With out, a
-    complex array of w's shape that does not overlap w, the result is
-    written there and out is returned."""
-    if out is None:
-        out = np.empty(w.shape, dtype=np.complex128)
+    result is that of evaluating it node by node, bit for bit."""
+    out = np.empty(w.shape, dtype=np.complex128)
     out[..., 0, :] = 0.0
     forcing = out[..., 1:, :]
     np.multiply(phase_h, w[..., :-1, :], out=forcing)
@@ -393,12 +379,12 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     starting from the free solution; stop when the sup-over-nodes H^s
     successive difference falls below contraction_tol.
 
-    The RHS runs per block of NODE_BLOCK nodes.  Besides the free solution,
-    four node-stack arrays stay alive across iterates: the complex RHS
-    array, which takes the successive difference once the Duhamel sum has
-    read it, the real modulus of that difference, and two buffers that take
-    the iterates in turn, so an iterate allocates no node-stack array.  The
-    free solution, the first iterate, is never written.
+    The RHS runs per block of NODE_BLOCK nodes.  Besides the free solution
+    and the current iterate, two node-stack arrays stay alive across
+    iterates: the complex RHS array, which takes the successive difference
+    once the Duhamel sum has read it, and the real modulus of that
+    difference; the Duhamel sum is the only node-stack array an iterate
+    allocates, and it becomes the next iterate.
 
     Three consecutive non-decreasing differences raise NonContractionError:
     the window is too long for the contraction regime.  A non-finite
@@ -408,7 +394,7 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     m = config.num_nodes
     h = config.t_window / m
     times = initial.t + h * np.arange(m + 1)
-    c0 = _pair_coeffs(initial.u, initial.v)
+    c0 = forward_transform(initial.pair).coeffs
     free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
     rhs = _node_block_rhs(g, p, free.shape)
     forcing = np.empty_like(free)
@@ -421,12 +407,11 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     cell = g.multiplicity * g.dzeta
 
     cur = free
-    iterates = (np.empty_like(free), np.empty_like(free))
     result = PicardResult(g, times, cur)
     rising = 0
     for it in range(1, config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            new = _duhamel_cumulative(rhs(cur, forcing), phase_h, h, out=iterates[it % 2])
+            new = _duhamel_cumulative(rhs(cur, forcing), phase_h, h)
             np.add(free, new, out=new)
             # sup over components and nodes of the H^s successive difference,
             # formed in the RHS array, which the sum has read, and squared in

@@ -53,7 +53,7 @@ BOX = 20.0 * np.pi
 
 def _sech_pair(grid, amp, width=1.0, x0=0.0):
     w = amp / np.cosh(width * (grid.x - x0))
-    return CoupledState(0.0, Field(grid, w), Field(grid, w.copy()))
+    return CoupledState(0.0, Field(grid, [w, w]))
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +73,9 @@ def test_soliton_fidelity(soliton_run):
     g = rec.grid
     shift = ((g.x - 5.0 + g.half_length) % (2.0 * g.half_length)) - g.half_length
     exact = np.sqrt(2.0) / np.cosh(shift)
-    uf, vf = rec.fields_at(len(rec) - 1)
-    err_u = np.sqrt(np.sum((uf.samples - exact) ** 2) * g.dx)
-    err_v = np.sqrt(np.sum((vf.samples - exact) ** 2) * g.dx)
+    uf, vf = rec.samples()[:, len(rec) - 1]
+    err_u = np.sqrt(np.sum((uf - exact) ** 2) * g.dx)
+    err_v = np.sqrt(np.sum((vf - exact) ** 2) * g.dx)
     assert err_u < 1e-4  # measured 9.9e-10
     assert err_v < 1e-4
     assert wall < 60.0  # measured ~2 s on a loaded 2-core box
@@ -114,7 +114,7 @@ def test_decay_law_consistency():
     # 2 p^2 + 6 p + 1 + 0.5 = 9.5 (faster decay would break the lower bound)
     g = SpectralGrid(BOX, 1024)
     prof = 0.5 * np.exp(-((g.x / 5.0) ** 2))
-    st = CoupledState(0.0, Field(g, prof), Field(g, prof.copy()))
+    st = CoupledState(0.0, Field(g, [prof, prof]))
     cfg = SolverConfig(p=1, dt=1e-3, t_end=20.0, record_stride=200)
     t0 = time.monotonic()
     rec = simulate(st, cfg)
@@ -138,12 +138,12 @@ def test_picard_contraction():
     assert res.converged
     assert all(f < 0.5 for f in res.contraction_factors[1:])  # measured <= 0.255
     ref = simulate(st, SolverConfig(p=1, dt=0.05 / nodes, t_end=0.05, record_stride=1))
-    pic = res.samples()
+    pic, refs = res.samples(), ref.samples()
     sup = 0.0
     for j in range(nodes + 1):
-        uref, vref = ref.fields_at(j)
-        du = np.sum((pic[0, j] - uref.samples) ** 2)
-        dv = np.sum((pic[1, j] - vref.samples) ** 2)
+        uref, vref = refs[:, j]
+        du = np.sum((pic[0, j] - uref) ** 2)
+        dv = np.sum((pic[1, j] - vref) ** 2)
         sup = max(sup, float(np.sqrt((du + dv) * g.dx)))
     assert sup < 1e-6  # measured 2.7e-7 at 384 nodes
     with pytest.raises(NonContractionError):

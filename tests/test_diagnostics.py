@@ -36,14 +36,13 @@ def free_flow(state, t):
     """The exact free group of w_t + w_xxx = 0 over time t: the phase
     e^{i zeta^3 t} on each component's half-spectrum."""
     g = state.grid
-    u, v = (inverse_transform(SpectralField(g, forward_transform(f).coeffs * dispersive_phase(g, t)))
-            for f in (state.u, state.v))
-    return CoupledState(state.t + t, u, v)
+    c = forward_transform(state.pair).coeffs * dispersive_phase(g, t)
+    return CoupledState(state.t + t, inverse_transform(SpectralField(g, c)))
 
 
 def soliton_state(grid, c=1.0, x0=0.0):
     w = np.sqrt(2.0 * c) / np.cosh(np.sqrt(c) * (grid.x - x0))
-    return CoupledState(0.0, Field(grid, w), Field(grid, w.copy()))
+    return CoupledState(0.0, Field(grid, [w, w]))
 
 
 class TestInvariants:
@@ -51,7 +50,7 @@ class TestInvariants:
         # u = v = sqrt(2) sech(x): mass = sqrt(2) pi, combined L2 = 4,
         # energy = 4/3 - 8/3 = -4/3
         g = SpectralGrid(30.0, 1024)
-        inv = invariants(soliton_state(g), p=1)
+        inv = invariants(soliton_state(g).pair, p=1)
         assert abs(inv.mass_u - np.sqrt(2.0) * np.pi) < 1e-11
         assert abs(inv.mass_v - np.sqrt(2.0) * np.pi) < 1e-11
         assert abs(inv.l2 - 4.0) < 1e-12
@@ -59,19 +58,18 @@ class TestInvariants:
 
     def test_zero_state(self):
         g = SpectralGrid(5.0, 64)
-        z = Field(g, np.zeros(64))
-        inv = invariants(CoupledState(0.0, z, z), p=1)
+        z = np.zeros(64)
+        inv = invariants(Field(g, [z, z]), p=1)
         assert inv.mass_u == inv.mass_v == inv.l2 == inv.hamiltonian == 0.0
 
     def test_free_flow_preserves_linear_invariants_only(self):
         g = SpectralGrid(20.0, 512)
         s = CoupledState(
             0.0,
-            Field(g, 1.2 / np.cosh(g.x - 2.0)),
-            Field(g, 0.8 / np.cosh(g.x + 1.0) ** 2),
+            Field(g, [1.2 / np.cosh(g.x - 2.0), 0.8 / np.cosh(g.x + 1.0) ** 2]),
         )
-        a = invariants(s, p=1)
-        b = invariants(free_flow(s, 0.5), p=1)
+        a = invariants(s.pair, p=1)
+        b = invariants(free_flow(s, 0.5).pair, p=1)
         assert abs(b.mass_u - a.mass_u) < 1e-12
         assert abs(b.mass_v - a.mass_v) < 1e-12
         assert abs(b.l2 - a.l2) < 1e-12 * a.l2
@@ -98,7 +96,7 @@ def test_one_field_functions_reject_stacked_rows():
     with pytest.raises(ValueError, match="stacked rows"):
         estimate_radius(rows)
     with pytest.raises(ValueError, match="stacked rows"):
-        invariants(CoupledState(0.0, rows, rows), p=1)
+        invariants(Field(g, [rows.samples, rows.samples]), p=1)
 
 
 class TestEstimateRadius:
@@ -133,8 +131,8 @@ class TestEstimateRadius:
     def test_free_flow_invariant(self):
         g = SpectralGrid(20.0, 1024)
         s = soliton_state(g)
-        a = estimate_radius(s.u)
-        b = estimate_radius(free_flow(s, 1.3).u)
+        a = estimate_radius(Field(g, s.pair.samples[0]))
+        b = estimate_radius(Field(g, free_flow(s, 1.3).pair.samples[0]))
         assert abs(a.rho - b.rho) < 1e-10
 
     def test_white_noise_hits_floor(self):
@@ -218,8 +216,8 @@ class TestTrajectoryTracking:
             assert abs(j.rho - np.pi / 2.0) < 0.05 * np.pi / 2.0
         ok, _ = radius_nonincreasing(joints)
         assert ok
-        u0, v0 = rec.fields_at(0)
-        assert np.max(np.abs(u0.samples - np.sqrt(2.0) / np.cosh(g.x))) < 1e-14
+        u0 = rec.samples()[0, 0]
+        assert np.max(np.abs(u0 - np.sqrt(2.0) / np.cosh(g.x))) < 1e-14
         assert len(rec.invariant_sets()) == len(rec) == 3
 
     def test_derived_diagnostics_equal_direct_calls(self, tmp_path):
@@ -235,9 +233,10 @@ class TestTrajectoryTracking:
         header, data = read_csv(tmp_path / "trajectory.csv")
         hs_u, hs_v = (data[:, header.index(c)] for c in ("hs_u", "hs_v"))
         assert header == list(TRAJECTORY_COLUMNS) and len(rec) == 5
-        for i, t in enumerate(rec.times):
-            u, v = rec.fields_at(i)
-            assert invs[i] == invariants(CoupledState(t, u, v), p=2)
+        for i in range(len(rec)):
+            pair = Field(g, rec.samples()[:, i])
+            u, v = Field(g, pair.samples[0]), Field(g, pair.samples[1])
+            assert invs[i] == invariants(pair, p=2)
             assert radius_u[i] == estimate_radius(u)
             assert radius_v[i] == estimate_radius(v)
             assert hs_u[i] == gevrey_norm(u, NormParams(0.0, 1.5))

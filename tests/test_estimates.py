@@ -42,7 +42,7 @@ from gkdvlab.estimates import (
     triangle_split_failures,
 )
 from gkdvlab.evolution import (
-    CoupledState, SolverConfig, dispersive_phase, reflect_state, simulate,
+    CoupledState, SolverConfig, dispersive_phase, reflect_samples, simulate,
 )
 from gkdvlab.spaces import (
     CutoffProfile,
@@ -72,9 +72,8 @@ def free_flow(state, t):
     """The exact free group of w_t + w_xxx = 0 over time t: the phase
     e^{i zeta^3 t} on each component's half-spectrum."""
     g = state.grid
-    u, v = (inverse_transform(SpectralField(g, forward_transform(f).coeffs * dispersive_phase(g, t)))
-            for f in (state.u, state.v))
-    return CoupledState(state.t + t, u, v)
+    c = forward_transform(state.pair).coeffs * dispersive_phase(g, t)
+    return CoupledState(state.t + t, inverse_transform(SpectralField(g, c)))
 
 
 GRID = SpectralGrid(10.0, 64)
@@ -307,12 +306,12 @@ class TestMemberBatches:
     def test_batched_draws_are_the_single_draws(self):
         spec = SampleSpec(seed=0)
         batch = random_window_sample(GRID, spec, 16, self.SEEDS)
-        boxed = random_boxed_sample(GRID, spec, 16, 2.5, self.SEEDS)
+        boxed = random_boxed_sample(GRID, spec, 16, self.SEEDS)
         fields = random_field(GRID, spec, self.SEEDS)
         assert batch.values.shape == boxed.values.shape == (3, 16, GRID.num_points)
         for i, sd in enumerate(self.SEEDS):
             assert np.array_equal(batch.values[i], random_window_sample(GRID, spec, 16, sd).values)
-            assert np.array_equal(boxed.values[i], random_boxed_sample(GRID, spec, 16, 2.5, sd).values)
+            assert np.array_equal(boxed.values[i], random_boxed_sample(GRID, spec, 16, sd).values)
             assert np.array_equal(fields.samples[i], random_field(GRID, spec, sd).samples)
 
     def test_batch_gives_each_member_its_single_sample_ratio(self):
@@ -322,7 +321,7 @@ class TestMemberBatches:
             return random_window_sample(GRID, spec, 64, seed)
 
         def boxed(seed):
-            return random_boxed_sample(GRID, spec, 64, 2.5, seed)
+            return random_boxed_sample(GRID, spec, 64, seed)
 
         def factors(seed):  # three factors per member, from seeds 10 * seed + k
             return [random_window_sample(GRID, spec, 48, np.multiply(seed, 10) + k)
@@ -850,20 +849,20 @@ class TestExponentialLemmas:
 def _manual_record(states, p=1):
     rec = TrajectoryRecord(GRID, p)
     for st in states:
-        rec.record(st.t, np.stack([st.u.samples, st.v.samples]))
+        rec.record(st.t, st.pair.samples)
     return rec
 
 
 class TestApriori:
     def _free_record(self, amplitude=1.0):
         spec = SampleSpec(seed=91, amplitude=amplitude, bandwidth=3.0)
-        st0 = CoupledState(0.0, random_field(GRID, spec, 91), random_field(GRID, spec, 92))
+        st0 = CoupledState(0.0, random_field(GRID, spec, [91, 92]))
         states = [free_flow(st0, t) for t in np.linspace(-2.0, 2.0, 17)]
         return st0, _manual_record(states)
 
     def test_zero_trajectory_ratio_zero(self):
-        zero = Field(GRID, np.zeros(GRID.num_points))
-        states = [CoupledState(t, zero, zero) for t in np.linspace(-2.0, 2.0, 17)]
+        zero = Field(GRID, np.zeros((2, GRID.num_points)))
+        states = [CoupledState(t, zero) for t in np.linspace(-2.0, 2.0, 17)]
         rep = check_apriori(_manual_record(states), PARAMS, 1.0)
         assert rep.max_ratio == 0.0
         assert rep.extra["ratio_derivative_scale"] == 0.0
@@ -873,7 +872,7 @@ class TestApriori:
         st0, rec = self._free_record()
         rep = check_apriori(rec, PARAMS, 1.0)
         h3 = NormParams(0.0, 3.0)
-        want = np.hypot(gevrey_norm(st0.u, h3), gevrey_norm(st0.v, h3))
+        want = np.hypot(*gevrey_norm(st0.pair, h3))
         assert abs(rep.extra["sup_derivative"] - want) < 1e-9 * want
         assert np.isfinite(rep.max_ratio) and rep.max_ratio > 0.0
         assert rep.max_ratio == max(rep.ratios)
@@ -887,7 +886,7 @@ class TestApriori:
 
     def test_forward_only_coverage_rejected(self):
         spec = SampleSpec(seed=93, bandwidth=3.0)
-        st0 = CoupledState(0.0, random_field(GRID, spec), random_field(GRID, spec, 94))
+        st0 = CoupledState(0.0, random_field(GRID, spec, [93, 94]))
         states = [free_flow(st0, t) for t in np.linspace(0.0, 2.0, 9)]
         with pytest.raises(ValueError, match="reflection"):
             check_apriori(_manual_record(states), PARAMS, 1.0)
@@ -911,7 +910,7 @@ class TestApriori:
 class TestBidirectional:
     def _setup(self):
         spec = SampleSpec(seed=3, amplitude=0.05, bandwidth=3.0)
-        state = CoupledState(0.0, random_field(GRID, spec, 77), random_field(GRID, spec, 78))
+        state = CoupledState(0.0, random_field(GRID, spec, [77, 78]))
         cfg = SolverConfig(p=1, dt=0.02, t_end=2.0, record_stride=10)
         return state, cfg
 
@@ -922,34 +921,34 @@ class TestBidirectional:
         assert times[0] == -2.0 and times[-1] == 2.0
         assert np.allclose(np.diff(times), 0.2, rtol=0.0, atol=1e-12)
         i0 = int(np.argmin(np.abs(times)))
-        u0, v0 = rec.fields_at(i0)
-        assert np.array_equal(u0.samples, state.u.samples)
-        assert np.array_equal(v0.samples, state.v.samples)
+        u0, v0 = rec.samples()[:, i0]
+        assert np.array_equal(u0, state.pair.samples[0])
+        assert np.array_equal(v0, state.pair.samples[1])
 
     def test_backward_half_rejoins_forward_flow(self):
         # integrate the recorded t=-2 state forward; it must land on the data
         state, cfg = self._setup()
         rec = bidirectional_record(state, cfg, 2.0)
-        um, vm = rec.fields_at(0)
-        rec2 = simulate(CoupledState(-2.0, um, vm), dataclasses.replace(cfg, t_end=0.0))
-        uf, vf = rec2.fields_at(len(rec2) - 1)
-        assert np.max(np.abs(uf.samples - state.u.samples)) < 1e-9
-        assert np.max(np.abs(vf.samples - state.v.samples)) < 1e-9
+        start = Field(GRID, rec.samples()[:, 0])
+        rec2 = simulate(CoupledState(-2.0, start), dataclasses.replace(cfg, t_end=0.0))
+        uf, vf = rec2.samples()[:, len(rec2) - 1]
+        assert np.max(np.abs(uf - state.pair.samples[0])) < 1e-9
+        assert np.max(np.abs(vf - state.pair.samples[1])) < 1e-9
 
     def test_backward_half_is_reflected_back_run(self):
-        # the gathered backward half equals reflect_state applied per
+        # the gathered backward half equals reflect_samples applied per
         # snapshot to the run of the reflected data, bit for bit
         state, cfg = self._setup()
         rec = bidirectional_record(state, cfg, 2.0)
-        back = simulate(reflect_state(state), cfg)
+        back = simulate(CoupledState(0.0, Field(GRID, reflect_samples(state.pair.samples))), cfg)
         k = len(back) - 1
         assert len(rec) == 2 * k + 1
         for i in range(k):
-            mirrored = reflect_state(CoupledState(0.0, *back.fields_at(k - i)))
-            u, v = rec.fields_at(i)
+            mirrored = reflect_samples(back.samples()[:, k - i])
+            u, v = rec.samples()[:, i]
             assert rec.times[i] == -back.times[k - i]
-            assert np.array_equal(u.samples, mirrored.u.samples)
-            assert np.array_equal(v.samples, mirrored.v.samples)
+            assert np.array_equal(u, mirrored[0])
+            assert np.array_equal(v, mirrored[1])
 
     def test_ensemble_driver_nests(self):
         spec = SampleSpec(seed=7, amplitude=0.05, bandwidth=3.0)

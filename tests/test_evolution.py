@@ -24,7 +24,6 @@ from gkdvlab.evolution import (
     dispersive_phase,
     picard_solve,
     reflect_samples,
-    reflect_state,
     simulate,
 )
 from gkdvlab.harness import RunConfig, initial_state
@@ -49,23 +48,22 @@ def bandlimited_state(grid, seed, bandwidth=5, amp=1.5):
         c = np.zeros(grid.num_points // 2 + 1, dtype=complex)
         for k in range(1, bandwidth + 1):
             c[k] = (r.standard_normal() + 1j * r.standard_normal()) * amp * 0.5**k
-        return inverse_transform(SpectralField(grid, c))
+        return inverse_transform(SpectralField(grid, c)).samples
 
-    return CoupledState(0.0, one(seed), one(seed + 1000))
+    return CoupledState(0.0, Field(grid, [one(seed), one(seed + 1000)]))
 
 
 def free_flow(state, t):
     """The exact free group of w_t + w_xxx = 0 over time t: the phase
     e^{i zeta^3 t} on each component's half-spectrum."""
     g = state.grid
-    u, v = (inverse_transform(SpectralField(g, forward_transform(f).coeffs * dispersive_phase(g, t)))
-            for f in (state.u, state.v))
-    return CoupledState(state.t + t, u, v)
+    c = forward_transform(state.pair).coeffs * dispersive_phase(g, t)
+    return CoupledState(state.t + t, inverse_transform(SpectralField(g, c)))
 
 
 def pair_rhs(state, p):
     """The workspace RHS of a state's pair, as real samples (2, N)."""
-    c = np.stack([forward_transform(state.u).coeffs, forward_transform(state.v).coeffs])
+    c = forward_transform(state.pair).coeffs
     out = _RhsWorkspace(state.grid, p, c.shape)(c)
     return inverse_transform(SpectralField(state.grid, out)).samples
 
@@ -78,8 +76,7 @@ def run_steps(state, config, num_steps):
             config, t_end=state.t + num_steps * config.dt, record_stride=num_steps
         ),
     )
-    u, v = rec.fields_at(-1)
-    return CoupledState(rec.times[-1], u, v)
+    return CoupledState(rec.times[-1], Field(rec.grid, rec.snapshots[-1]))
 
 
 class TestFreeGroup:
@@ -87,19 +84,19 @@ class TestFreeGroup:
         g = SpectralGrid(10.0, 128)
         s = bandlimited_state(g, 3)
         out = free_flow(s, 0.0)
-        scale = np.max(np.abs(s.u.samples))
-        assert np.max(np.abs(out.u.samples - s.u.samples)) < 1e-14 * scale
+        scale = np.max(np.abs(s.pair.samples[0]))
+        assert np.max(np.abs(out.pair.samples[0] - s.pair.samples[0])) < 1e-14 * scale
         assert out.t == s.t
 
     def test_single_mode_phase(self):
         # w = cos(k x + k^3 t) solves w_t + w_xxx = 0
         g = SpectralGrid(np.pi, 64)
         k, t = 3, 0.37
-        s = CoupledState(0.0, Field(g, np.cos(k * g.x)), Field(g, np.zeros(64)))
+        s = CoupledState(0.0, Field(g, [np.cos(k * g.x), np.zeros(64)]))
         out = free_flow(s, t)
         exact = np.cos(k * g.x + k**3 * t)
-        assert np.max(np.abs(out.u.samples - exact)) < 1e-12
-        assert np.max(np.abs(out.v.samples)) < 1e-14
+        assert np.max(np.abs(out.pair.samples[0] - exact)) < 1e-12
+        assert np.max(np.abs(out.pair.samples[1])) < 1e-14
         assert out.t == pytest.approx(t)
 
     def test_weighted_norms_preserved(self):
@@ -108,8 +105,8 @@ class TestFreeGroup:
         g = SpectralGrid(10.0, 256)
         s = bandlimited_state(g, 7)
         params = NormParams(0.4, 2.0, 0.0)
-        before = gevrey_norm(s.u, params)
-        after = gevrey_norm(free_flow(s, 1.7).u, params)
+        before = gevrey_norm(Field(g, s.pair.samples[0]), params)
+        after = gevrey_norm(Field(g, free_flow(s, 1.7).pair.samples[0]), params)
         assert abs(after - before) < 1e-12 * before
 
     def test_group_property(self):
@@ -117,7 +114,7 @@ class TestFreeGroup:
         s = bandlimited_state(g, 11)
         one = free_flow(free_flow(s, 0.3), 0.5)
         both = free_flow(s, 0.8)
-        assert np.max(np.abs(one.u.samples - both.u.samples)) < 1e-12
+        assert np.max(np.abs(one.pair.samples[0] - both.pair.samples[0])) < 1e-12
 
     def test_nyquist_untouched(self):
         g = SpectralGrid(np.pi, 16)
@@ -138,8 +135,8 @@ class TestFreeGroup:
 class TestRhsWorkspace:
     def test_zero_state(self):
         g = SpectralGrid(np.pi, 64)
-        z = Field(g, np.zeros(64))
-        ru, rv = pair_rhs(CoupledState(0.0, z, z), p=1)
+        z = np.zeros(64)
+        ru, rv = pair_rhs(CoupledState(0.0, Field(g, [z, z])), p=1)
         assert np.max(np.abs(ru)) == 0.0
         assert np.max(np.abs(rv)) == 0.0
 
@@ -148,7 +145,7 @@ class TestRhsWorkspace:
         #   -(u v^2)_x = sin(x)/4 - 3 sin(3x)/4
         #   -(u^2 v)_x = -cos(x)/4 - 3 cos(3x)/4
         g = SpectralGrid(np.pi, 64)
-        s = CoupledState(0.0, Field(g, np.cos(g.x)), Field(g, np.sin(g.x)))
+        s = CoupledState(0.0, Field(g, [np.cos(g.x), np.sin(g.x)]))
         ru, rv = pair_rhs(s, p=1)
         eu = 0.25 * np.sin(g.x) - 0.75 * np.sin(3 * g.x)
         ev = -0.25 * np.cos(g.x) - 0.75 * np.cos(3 * g.x)
@@ -159,11 +156,11 @@ class TestRhsWorkspace:
     def test_equal_components_reduce_to_single_equation(self, p):
         # u = v = w makes both components -(w^(2p+1))_x
         g = SpectralGrid(np.pi, 256)
-        w = Field(g, 0.9 * np.exp(np.sin(g.x)) - 1.0)
-        s = CoupledState(0.0, w, w)
+        w = 0.9 * np.exp(np.sin(g.x)) - 1.0
+        s = CoupledState(0.0, Field(g, [w, w]))
         ru, rv = pair_rhs(s, p=p)
         assert np.array_equal(ru, rv)
-        power = Field(g, w.samples ** (2 * p + 1))
+        power = Field(g, w ** (2 * p + 1))
         expect = inverse_transform(
             SpectralField(
                 g,
@@ -179,7 +176,7 @@ class TestRhsWorkspace:
         # picard_solve evaluates all nodes in one call
         g = SpectralGrid(20.0, 256)
         nodes = [bandlimited_state(g, 40 + j) for j in range(7)]
-        c = np.stack([[forward_transform(f).coeffs for f in (s.u, s.v)] for s in nodes], axis=1)
+        c = np.stack([forward_transform(s.pair).coeffs for s in nodes], axis=1)
         w = _RhsWorkspace(g, p, c.shape)(c)
         rhs = _RhsWorkspace(g, p, c[:, 0].shape)
         for j in range(len(nodes)):
@@ -197,18 +194,18 @@ class TestRhsWorkspace:
 class TestStep:
     def test_zero_state_stays_zero(self):
         g = SpectralGrid(np.pi, 64)
-        z = Field(g, np.zeros(64))
-        out = run_steps(CoupledState(0.0, z, z), SolverConfig(p=1, dt=0.01), 1)
-        assert np.max(np.abs(out.u.samples)) == 0.0
+        z = np.zeros(64)
+        out = run_steps(CoupledState(0.0, Field(g, [z, z])), SolverConfig(p=1, dt=0.01), 1)
+        assert np.max(np.abs(out.pair.samples[0])) == 0.0
         assert out.t == pytest.approx(0.01)
 
     @pytest.mark.parametrize("scheme", ["if_rk4", "strang"])
     def test_equal_components_stay_equal(self, scheme):
         g = SpectralGrid(10.0, 128)
-        w = Field(g, 1.0 / np.cosh(g.x))
-        st = CoupledState(0.0, w, Field(g, w.samples.copy()))
+        w = 1.0 / np.cosh(g.x)
+        st = CoupledState(0.0, Field(g, [w, w]))
         st = run_steps(st, SolverConfig(p=1, dt=1e-3, scheme=scheme), 50)
-        assert np.max(np.abs(st.u.samples - st.v.samples)) < 1e-10
+        assert np.max(np.abs(st.pair.samples[0] - st.pair.samples[1])) < 1e-10
 
     @staticmethod
     def _observed_order(scheme):
@@ -218,7 +215,7 @@ class TestStep:
 
         def run(dt, t_end=0.064):
             cfg = SolverConfig(p=1, dt=dt, scheme=scheme)
-            return run_steps(s0, cfg, int(round(t_end / dt))).u.samples
+            return run_steps(s0, cfg, int(round(t_end / dt))).pair.samples[0]
 
         ref = run(0.000125)
         coarse = np.max(np.abs(run(0.004) - ref))
@@ -235,11 +232,11 @@ class TestStep:
 
     def test_schemes_agree_at_small_dt(self):
         g = SpectralGrid(10.0, 128)
-        w = Field(g, 1.0 / np.cosh(g.x))
-        s0 = CoupledState(0.0, w, w)
+        w = 1.0 / np.cosh(g.x)
+        s0 = CoupledState(0.0, Field(g, [w, w]))
         a = run_steps(s0, SolverConfig(p=1, dt=5e-4, scheme="if_rk4"), 20)
         b = run_steps(s0, SolverConfig(p=1, dt=5e-4, scheme="strang"), 20)
-        assert np.max(np.abs(a.u.samples - b.u.samples)) < 1e-6
+        assert np.max(np.abs(a.pair.samples[0] - b.pair.samples[0])) < 1e-6
 
 
 def full_spectrum(half, grid):
@@ -291,7 +288,7 @@ class TestHalfSpectrumMarch:
     def _march(scheme, p, num_steps=5, dt=2e-3):
         g = SpectralGrid(10.0, 128)
         s = bandlimited_state(g, 31, bandwidth=12, amp=0.8 if p == 1 else 0.6)
-        half = np.stack([forward_transform(s.u).coeffs, forward_transform(s.v).coeffs])
+        half = forward_transform(s.pair).coeffs
         full = full_spectrum(half, g)
         eh, e2h = (dispersive_phase(g, t) for t in (0.5 * dt, dt))
         ef, e2f = (full_phase(g, t) for t in (0.5 * dt, dt))
@@ -369,7 +366,7 @@ class TestInPlaceStepping:
     def _pair_stack(g, p, nodes):
         amp = 0.8 if p == 1 else 0.6
         states = [bandlimited_state(g, 60 + j, bandwidth=12, amp=amp) for j in range(nodes)]
-        c = np.stack([[forward_transform(f).coeffs for f in (s.u, s.v)] for s in states], axis=1)
+        c = np.stack([forward_transform(s.pair).coeffs for s in states], axis=1)
         return c[:, 0] if nodes == 1 else c
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -426,31 +423,30 @@ class TestInPlaceStepping:
 class TestReflection:
     def test_reflect_is_on_node_flip(self):
         g = SpectralGrid(4.0, 16)
-        f = Field(g, np.exp(g.x / 3.0))
-        r = reflect_state(CoupledState(0.0, f, f)).u
+        f = np.exp(g.x / 3.0)
+        r = reflect_samples(f)
         # node x_j maps to -x_j, which is on the grid for j != 0
         for j in range(16):
             xi = g.x[j]
             src = np.argmin(np.abs(g.x - (-xi))) if -xi < g.half_length else 0
-            assert r.samples[j] == f.samples[src]
+            assert r[j] == f[src]
 
     def test_double_reflection_is_identity(self):
         g = SpectralGrid(3.0, 32)
         s = bandlimited_state(g, 9)
-        back = reflect_state(reflect_state(s))
-        assert np.array_equal(back.u.samples, s.u.samples)
-        assert np.array_equal(back.v.samples, s.v.samples)
+        back = reflect_samples(reflect_samples(s.pair.samples))
+        assert np.array_equal(back, s.pair.samples)
 
     def test_block_reflection_matches_per_state(self):
         # a (k, 2, N) block of pairs reflects row by row, bit for bit
         g = SpectralGrid(3.0, 32)
         states = [bandlimited_state(g, sd) for sd in range(4)]
-        block = np.stack([np.stack([s.u.samples, s.v.samples]) for s in states])
+        block = np.stack([s.pair.samples for s in states])
         out = reflect_samples(block)
         for row, s in zip(out, states):
-            r = reflect_state(s)
-            assert np.array_equal(row[0], r.u.samples)
-            assert np.array_equal(row[1], r.v.samples)
+            r = reflect_samples(s.pair.samples)
+            assert np.array_equal(row[0], r[0])
+            assert np.array_equal(row[1], r[1])
 
     def test_backward_integration_round_trip(self):
         # (t,x) -> (-t,-x) symmetry: forward-evolving the reflected final
@@ -458,14 +454,17 @@ class TestReflection:
         g = SpectralGrid(20.0, 256)
         s0 = CoupledState(
             0.0,
-            Field(g, 1.2 / np.cosh(g.x - 2.0)),
-            Field(g, 0.8 / np.cosh(g.x + 1.0) ** 2),
+            Field(g, [1.2 / np.cosh(g.x - 2.0), 0.8 / np.cosh(g.x + 1.0) ** 2]),
         )
         cfg = SolverConfig(p=1, dt=1e-3)
-        st = reflect_state(run_steps(s0, cfg, 200))
-        st = reflect_state(run_steps(st, cfg, 200))
-        assert np.max(np.abs(st.u.samples - s0.u.samples)) < 1e-10
-        assert np.max(np.abs(st.v.samples - s0.v.samples)) < 1e-10
+
+        def reflected(st):
+            return CoupledState(st.t, Field(g, reflect_samples(st.pair.samples)))
+
+        st = reflected(run_steps(s0, cfg, 200))
+        st = reflected(run_steps(st, cfg, 200))
+        assert np.max(np.abs(st.pair.samples[0] - s0.pair.samples[0])) < 1e-10
+        assert np.max(np.abs(st.pair.samples[1] - s0.pair.samples[1])) < 1e-10
 
 
 class TestSimulate:
@@ -489,10 +488,10 @@ class TestSimulate:
         # warnings are errors in this suite, so no overflow of the diverging
         # steps may escape the run's error state
         g = SpectralGrid(np.pi, 128)
-        big = Field(g, 5.0 * np.sin(g.x))
+        big = 5.0 * np.sin(g.x)
         with pytest.raises(NumericalBlowupError) as info:
             simulate(
-                CoupledState(0.0, big, big),
+                CoupledState(0.0, Field(g, [big, big])),
                 SolverConfig(p=1, dt=0.05, t_end=5.0, record_stride=5, scheme=scheme),
             )
         rec = info.value.record
@@ -503,8 +502,8 @@ class TestSimulate:
         # a weak pulse run back 0.1 under the free group refocuses by t = 0.1;
         # its sup-norm grows 1.6x, past a factor of 1.2
         g = SpectralGrid(10.0, 64)
-        w = Field(g, 0.3 * np.exp(-4.0 * g.x**2))
-        s = free_flow(CoupledState(0.1, w, w), -0.1)
+        w = 0.3 * np.exp(-4.0 * g.x**2)
+        s = free_flow(CoupledState(0.1, Field(g, [w, w])), -0.1)
         with pytest.raises(NumericalBlowupError, match="sup-norm") as info:
             simulate(
                 s,
@@ -518,8 +517,8 @@ class TestSimulate:
     def test_recording_only_reads_the_state(self, scheme):
         # the final snapshot must not depend on how often the loop records
         g = SpectralGrid(20.0 * np.pi, 256)
-        w = Field(g, np.sqrt(2.0) / np.cosh(g.x))
-        s0 = CoupledState(0.0, w, w)
+        w = np.sqrt(2.0) / np.cosh(g.x)
+        s0 = CoupledState(0.0, Field(g, [w, w]))
         every = simulate(s0, SolverConfig(dt=1e-3, t_end=0.04, scheme=scheme, record_stride=1))
         once = simulate(s0, SolverConfig(dt=1e-3, t_end=0.04, scheme=scheme, record_stride=40))
         assert len(every) == 41 and len(once) == 2
@@ -529,8 +528,8 @@ class TestSimulate:
 class TestPicard:
     def test_zero_data_converges_immediately(self):
         g = SpectralGrid(np.pi, 64)
-        z = Field(g, np.zeros(64))
-        res = picard_solve(CoupledState(0.0, z, z), PicardConfig(), p=1)
+        z = np.zeros(64)
+        res = picard_solve(CoupledState(0.0, Field(g, [z, z])), PicardConfig(), p=1)
         assert res.converged
         assert res.iterations == 1
         assert res.diffs[0] == 0.0
@@ -549,7 +548,7 @@ class TestPicard:
 
         rhs = _RhsWorkspace(g, 1, (2, g.num_points // 2 + 1))
         m, h = cfg.num_nodes, cfg.t_window / cfg.num_nodes
-        c0 = np.stack([forward_transform(s0.u).coeffs, forward_transform(s0.v).coeffs])
+        c0 = forward_transform(s0.pair).coeffs
         free = np.stack([dispersive_phase(g, h * j) * c0 for j in range(m + 1)])
         w_u = np.stack([rhs(free[j])[0] for j in range(m + 1)])
         expect_u = free[:, 0].copy()
@@ -564,8 +563,8 @@ class TestPicard:
 
     def test_contracts_on_short_window_and_matches_stepper(self):
         g = SpectralGrid(20.0, 256)
-        w = Field(g, 1.0 / np.cosh(g.x))
-        s0 = CoupledState(0.0, w, w)
+        w = 1.0 / np.cosh(g.x)
+        s0 = CoupledState(0.0, Field(g, [w, w]))
         res = picard_solve(
             s0, PicardConfig(t_window=0.1, num_nodes=512, max_iters=30), p=1
         )
@@ -576,7 +575,7 @@ class TestPicard:
         pic = res.samples()
         worst = 0.0
         for j in range(1, 513):
-            err = np.sqrt(np.sum((pic[0, j] - rec.snapshots[j][0]) ** 2) * g.dx)
+            err = np.sqrt(np.sum((pic[0, j] - rec.samples()[0, j]) ** 2) * g.dx)
             worst = max(worst, err)
         assert worst < 1e-6  # measured 1.04e-7
 
@@ -590,7 +589,7 @@ class TestPicard:
         )
         res = picard_solve(s0, cfg, p=1)
         h = cfg.t_window / cfg.num_nodes
-        c0 = np.stack([forward_transform(s0.u).coeffs, forward_transform(s0.v).coeffs])
+        c0 = forward_transform(s0.pair).coeffs
         free = dispersive_phase(g, h * np.arange(17)) * c0[:, None, :]
         every = g.dft(g.idft(res.coeffs - free, real=True))  # (2, 17, N), FFT order
         weight = (1.0 + np.abs(g.zeta)) ** (2.0 * cfg.diff_s)
@@ -601,8 +600,7 @@ class TestPicard:
     def test_samples_match_per_node_inverse(self):
         # one batched inverse of the node stack equals the per-node inverses
         g = SpectralGrid(20.0, 128)
-        w = Field(g, 1.0 / np.cosh(g.x))
-        s0 = CoupledState(0.0, w, Field(g, 0.5 / np.cosh(g.x - 1.0)))
+        s0 = CoupledState(0.0, Field(g, [1.0 / np.cosh(g.x), 0.5 / np.cosh(g.x - 1.0)]))
         res = picard_solve(s0, PicardConfig(num_nodes=16), p=1)
         pic = res.samples()
         assert pic.shape == (2, 17, 128)
@@ -611,27 +609,39 @@ class TestPicard:
                 node = inverse_transform(SpectralField(g, res.coeffs[k, j])).samples
                 assert np.array_equal(pic[k, j], node)
 
+    def test_reference_record_samples_are_pair_first(self):
+        # the picard-test reference stepper records every node; its record
+        # reads pair-first like the Picard node stack, the snapshots bit for bit
+        nodes, t_window = 40, 0.01
+        s0 = initial_state(RunConfig(num_points=64, p=2))
+        res = picard_solve(s0, PicardConfig(t_window=t_window, num_nodes=nodes), p=2)
+        ref = simulate(s0, SolverConfig(p=2, dt=t_window / nodes, t_end=t_window,
+                                        record_stride=1))
+        samples = ref.samples()
+        assert samples.shape == res.samples().shape == (2, nodes + 1, 64)
+        assert samples.tobytes() == np.stack(ref.snapshots, axis=1).tobytes()
+
     def test_nonfinite_difference_raises_at_first_iterate(self):
         # a sech pair of amplitude 1e300 overflows the first iterate
         g = SpectralGrid(20.0, 64)
-        w = Field(g, 1e300 / np.cosh(g.x))
+        w = 1e300 / np.cosh(g.x)
         with pytest.raises(NumericalBlowupError, match="iterate 1: non-finite"):
-            picard_solve(CoupledState(0.0, w, w), PicardConfig(max_iters=25), p=1)
+            picard_solve(CoupledState(0.0, Field(g, [w, w])), PicardConfig(max_iters=25), p=1)
 
     def test_long_window_raises(self):
         g = SpectralGrid(20.0, 128)
-        w = Field(g, 1.0 / np.cosh(g.x))
+        w = 1.0 / np.cosh(g.x)
         with pytest.raises(NonContractionError, match="t_window"):
             picard_solve(
-                CoupledState(0.0, w, w),
+                CoupledState(0.0, Field(g, [w, w])),
                 PicardConfig(t_window=5.0, num_nodes=64, max_iters=25),
                 p=1,
             )
 
     def test_factors_grow_with_window(self):
         g = SpectralGrid(20.0, 128)
-        w = Field(g, 1.0 / np.cosh(g.x))
-        s0 = CoupledState(0.0, w, w)
+        w = 1.0 / np.cosh(g.x)
+        s0 = CoupledState(0.0, Field(g, [w, w]))
         firsts = []
         for t_window in (0.02, 0.08, 0.32):
             res = picard_solve(
@@ -695,7 +705,7 @@ class TestSwapSymmetry:
     def _pair(p):
         g = SpectralGrid(10.0, 128)
         s = bandlimited_state(g, 21, amp=0.6 if p == 1 else 0.4)
-        return s, CoupledState(s.t, s.v, s.u)
+        return s, CoupledState(s.t, Field(g, s.pair.samples[::-1]))
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("scheme", ["if_rk4", "strang"])
@@ -759,7 +769,7 @@ def whole_stack_picard(initial, config, p):
     g = initial.grid
     m = config.num_nodes
     h = config.t_window / m
-    c0 = np.stack([forward_transform(initial.u).coeffs, forward_transform(initial.v).coeffs])
+    c0 = forward_transform(initial.pair).coeffs
     free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
     rhs = _RhsWorkspace(g, p, free.shape)
     phase_h = dispersive_phase(g, h)
@@ -830,8 +840,10 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 PicardConfig(**kwargs)
 
-    def test_state_grid_mismatch(self):
-        a = Field(SpectralGrid(1.0, 16), np.zeros(16))
-        b = Field(SpectralGrid(2.0, 16), np.zeros(16))
-        with pytest.raises(ValueError, match="grid"):
-            CoupledState(0.0, a, b)
+    @pytest.mark.parametrize("shape", [(16,), (3, 16), (1, 16)])
+    def test_state_rejects_anything_but_a_pair(self, shape):
+        # one Field holds the pair, u first: a single row or a leading
+        # axis other than 2 is no pair
+        g = SpectralGrid(1.0, 16)
+        with pytest.raises(ValueError, match=r"\(2, \.\.\., N\)"):
+            CoupledState(0.0, Field(g, np.zeros(shape)))

@@ -1,9 +1,15 @@
 """Every name a module exports resolves, so a deletion cannot leave an
-export behind."""
+export behind; and the package's modules import one another without a
+cycle."""
 
+import ast
+import graphlib
 import importlib
+from pathlib import Path
 
 import pytest
+
+import gkdvlab
 
 
 @pytest.mark.parametrize("module", ["gkdvlab", "gkdvlab.estimates", "gkdvlab.harness"])
@@ -11,3 +17,29 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def _relative_imports(path: Path, modules: set[str]) -> set[str]:
+    """The package modules path imports relatively anywhere in its source:
+    at module level, inside functions and under TYPE_CHECKING alike."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        if node.module is not None:
+            found.add(node.module.split(".")[0])
+        else:  # from . import name: an edge only where name is a module
+            found.update(alias.name for alias in node.names if alias.name in modules)
+    return found & modules
+
+
+def test_module_imports_are_acyclic():
+    root = Path(gkdvlab.__file__).parent
+    paths = {p.stem: p for p in root.glob("*.py") if p.stem != "__init__"}
+    graph = {name: _relative_imports(path, set(paths)) for name, path in paths.items()}
+    assert "spectral" in graph["evolution"]  # the parse sees the imports
+    try:
+        order = list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    assert sorted(order) == sorted(paths)

@@ -201,21 +201,21 @@ class TestInitialState:
         st = initial_state(fast_config("ic_speed=4", "ic_x0=3"))
         g = st.grid
         want = np.sqrt(8.0) / np.cosh(2.0 * (g.x - 3.0))
-        assert np.allclose(st.u.samples, want, atol=1e-14)
-        assert np.array_equal(st.u.samples, st.v.samples)
+        assert np.allclose(st.pair.samples[0], want, atol=1e-14)
+        assert np.array_equal(st.pair.samples[0], st.pair.samples[1])
 
     def test_soliton_p1_is_the_sech_formula(self):
         # the general profile keeps the p = 1 samples bit for bit
         st = initial_state(fast_config("ic_speed=2.5", "ic_x0=-1"))
         y = st.grid.x + 1.0
-        assert np.array_equal(st.u.samples, np.sqrt(2.0 * 2.5) / np.cosh(np.sqrt(2.5) * y))
+        assert np.array_equal(st.pair.samples[0], np.sqrt(2.0 * 2.5) / np.cosh(np.sqrt(2.5) * y))
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_soliton_profile_solves_its_equation(self, p):
         # u = v = Q(x - c t) needs -c Q + Q'' + Q^(2p+1) = 0
         # N = 4096 resolves the strip of half-width pi / (2 p sqrt(c)) down to roundoff
         st = initial_state(fast_config(f"p={p}", "ic_speed=1.5", "N=4096"))
-        q = st.u.samples
+        q = st.pair.samples[0]
         assert np.array_equal(q, soliton_profile(st.grid.x, 1.5, p))
         c = forward_transform(Field(st.grid, q)).coeffs * st.grid.derivative_symbol(2, real=True)
         q2 = inverse_transform(SpectralField(st.grid, c)).samples
@@ -224,21 +224,21 @@ class TestInitialState:
 
     def test_sech_and_gaussian_params(self):
         st = initial_state(fast_config("ic=sech", "ic_amp=0.5", "ic_width=2"))
-        assert abs(st.u.samples.max() - 0.5) < 1e-12
+        assert abs(st.pair.samples[0].max() - 0.5) < 1e-12
         st = initial_state(fast_config("ic=gaussian", "ic_amp=0.25"))
-        assert abs(st.u.samples.max() - 0.25) < 1e-12
+        assert abs(st.pair.samples[0].max() - 0.25) < 1e-12
 
     def test_perturbed_components_differ(self):
         st = initial_state(fast_config("ic=perturbed_sech"))
-        assert not np.array_equal(st.u.samples, st.v.samples)
+        assert not np.array_equal(st.pair.samples[0], st.pair.samples[1])
         # eps = 0 collapses back to the plain profile
         st0 = initial_state(fast_config("ic=perturbed_sech", "ic_eps=0"))
-        assert np.array_equal(st0.u.samples, st0.v.samples)
+        assert np.array_equal(st0.pair.samples[0], st0.pair.samples[1])
 
     def test_deterministic(self):
         a = initial_state(fast_config("ic=perturbed_sech"))
         b = initial_state(fast_config("ic=perturbed_sech"))
-        assert np.array_equal(a.u.samples, b.u.samples)
+        assert np.array_equal(a.pair.samples[0], b.pair.samples[0])
 
 
 class TestCsv:
