@@ -100,6 +100,13 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, floa
     return slope, intercept, r_squared, stderr
 
 
+def _first_run(mask: np.ndarray, run: int) -> int | None:
+    """First index i with mask[i : i + run] all True, or None."""
+    total = np.concatenate(([0], np.cumsum(mask)))
+    hits = np.flatnonzero(total[run:] - total[:-run] == run)
+    return int(hits[0]) if hits.size else None
+
+
 def estimate_radius(f: Field | SpectralField) -> RadiusEstimate:
     """Fit -log|u_hat(zeta)| ~ rho * zeta on the positive-zeta side.
 
@@ -124,13 +131,7 @@ def estimate_radius(f: Field | SpectralField) -> RadiusEstimate:
     threshold = NOISE_FACTOR * floor
     usable = (amp > threshold) & (zeta <= DEALIAS_FRAC * g.zeta_max) & (amp > 0.0)
 
-    dec = amp[1:] < amp[:-1]
-    lo = None
-    run = MONOTONE_RUN - 1
-    for i in range(amp.size - run):
-        if np.all(dec[i : i + run]):
-            lo = i
-            break
+    lo = _first_run(amp[1:] < amp[:-1], MONOTONE_RUN - 1)
     if lo is None:
         return RadiusEstimate.floor_hit()
     usable[:lo] = False
@@ -189,9 +190,10 @@ class TrajectoryRecord:
         return [invariants(Field(self.grid, snap), self.p) for snap in self.snapshots]
 
     def radii(self) -> tuple[list[RadiusEstimate], list[RadiusEstimate]]:
-        """Fitted radius of u and of v at each record time."""
-        return tuple([estimate_radius(Field(self.grid, row)) for row in rows]
-                     for rows in self.samples())
+        """Fitted radius of u and of v at each record time; one transform."""
+        coeffs = forward_transform(Field(self.grid, self.samples())).coeffs
+        return tuple([estimate_radius(SpectralField(self.grid, row)) for row in rows]
+                     for rows in coeffs)
 
 
 def track_radius(record: TrajectoryRecord) -> tuple[np.ndarray, list[RadiusEstimate]]:
@@ -261,9 +263,11 @@ def evaluate_analytic_extension(
     band_limit: float | None = None,
 ) -> Field:
     """|d^order/dx^order f(x + i y)| via the multiplier (i zeta)^order
-    e^{-y zeta}.  Warns when |y| reaches the fitted radius minus
-    ANALYTICITY_MARGIN (0.05); values there are dominated by the spectral
-    tail and untrustworthy.
+    e^{-y zeta} on the half-spectrum c of f: e^{-y zeta} = cosh(y zeta) -
+    sinh(y zeta), so irfft(c cosh(y zeta)) is the real part and
+    irfft(i c sinh(y zeta)) the imaginary part.  Warns when |y| reaches the
+    fitted radius minus ANALYTICITY_MARGIN (0.05); values there are
+    dominated by the spectral tail and untrustworthy.
 
     e^{|y| zeta} amplifies the coefficient roundoff floor into garbage, so
     for y != 0 the spectrum is cut where it settles onto the floor (first
@@ -274,7 +278,8 @@ def evaluate_analytic_extension(
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     g = f.grid
-    est = estimate_radius(f)
+    sf = forward_transform(f)
+    est = estimate_radius(sf)
     if not est.noise_floor_hit and abs(y) >= est.rho - ANALYTICITY_MARGIN:
         warnings.warn(
             f"|y| = {abs(y):.4g} is within {ANALYTICITY_MARGIN} of the fitted radius "
@@ -282,34 +287,30 @@ def evaluate_analytic_extension(
             AnalyticityMarginWarning,
             stacklevel=2,
         )
-    c = g.dft(f.samples)  # every mode: e^{-y zeta} is not even in zeta
+    c = sf.coeffs
     if band_limit is not None:
-        c[np.abs(g.zeta) > band_limit] = 0.0
+        c[g.rzeta > band_limit] = 0.0
     elif y != 0.0:
         amp = np.abs(c)
-        floor = float(np.median(amp[np.abs(g.zeta) >= 0.9 * g.zeta_max]))
+        floor = float(np.median(amp[g.rzeta >= 0.9 * g.zeta_max]))
         threshold = 10.0 * floor
-        side = g.zeta >= 0.0  # |c| is even in zeta
-        below = amp[side] <= threshold
-        cut = g.zeta_max
-        run = 8
-        for i in range(below.size - run + 1):
-            if np.all(below[i : i + run]):
-                cut = g.zeta[side][i]
-                break
+        lo = _first_run(amp[: g.nyquist_index] <= threshold, 8)
+        cut = g.zeta_max if lo is None else g.rzeta[lo]
         if threshold > 0.0:
             # never keep bins where amplified floor junk could outgrow the
             # leading coefficients (box-truncation tails live up there);
             # the 256 budgets constructive alignment across the kept band
             cut = min(cut, np.log(np.max(amp) / (256.0 * threshold)) / abs(y))
-        c[(np.abs(g.zeta) >= cut) | (amp <= threshold)] = 0.0
-    kept = np.abs(g.zeta)[np.abs(c) > 0.0]
+        c[(g.rzeta >= cut) | (amp <= threshold)] = 0.0
+    kept = g.rzeta[c != 0.0]
     top = float(kept.max()) if kept.size else 0.0
     if abs(y) * (top + 1.0) > 700.0:
         raise OverflowError(
             f"|y| = {abs(y)} overflows e^(|y| zeta) over the kept band "
             f"|zeta| <= {top:.4g}"
         )
-    exponent = np.where(np.abs(c) > 0.0, -y * g.zeta, 0.0)
-    mult = g.derivative_symbol(order) * np.exp(exponent)
-    return Field(g, np.abs(g.idft(c * mult)))
+    # a zeroed mode keeps exponent 0, so it never meets an overflowing cosh
+    yz = np.where(c != 0.0, y * g.rzeta, 0.0)
+    c *= g.derivative_symbol(order)
+    return Field(g, np.hypot(g.idft(c * np.cosh(yz), real=True),
+                             g.idft(1j * c * np.sinh(yz), real=True)))

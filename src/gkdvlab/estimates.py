@@ -85,8 +85,8 @@ ENVELOPES = ("flat", "gaussian", "exponential")
 APRIORI_DT = 0.02
 APRIORI_STRIDE = 10
 
-# time window [-HALF_SPAN, HALF_SPAN) of the free waves and the boxed samples:
-# slack around the support [-2, 2] of the unscaled cutoff psi
+# time window [-HALF_SPAN, HALF_SPAN) of the free waves and the random samples:
+# slack around the support [-2, 2] of the cutoff psi
 HALF_SPAN = 2.5
 
 # smoothing exponent of the Strichartz checks, above every variant's floor
@@ -111,15 +111,14 @@ class SampleSpec:
     row is Gaussian with E|C_k|^2 = w_k^2: real and imaginary parts of
     variance w_k^2 / 2 for k >= 1, and a real zero mode of variance w_0^2.
     Time profiles are white per node and then multiplied by the smooth
-    cutoff psi(t / window_scale), so every generated sample vanishes
-    identically for |t| >= 2 * window_scale.
+    cutoff psi(t), so every generated sample vanishes identically for
+    |t| >= 2.
     """
 
     seed: int
     bandwidth: float = 4.0
     envelope: str = "exponential"
     rho0: float = 0.5
-    window_scale: float = 1.0
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -129,8 +128,6 @@ class SampleSpec:
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         if not (np.isfinite(self.rho0) and self.rho0 >= 0.0):
             raise ValueError(f"rho0 must be >= 0, got {self.rho0}")
-        if not (np.isfinite(self.window_scale) and self.window_scale > 0.0):
-            raise ValueError(f"window_scale must be positive, got {self.window_scale}")
         if not (np.isfinite(self.amplitude) and self.amplitude > 0.0):
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
 
@@ -207,21 +204,20 @@ LAB_GRID = SpectralGrid(10.0, 64)
 
 
 def _envelope_weights(grid: SpectralGrid, spec: SampleSpec) -> np.ndarray:
+    """Weights w_0 ... w_K of the in-band modes zeta_k <= bandwidth < Nyquist."""
     cut = (2.0 / 3.0) * grid.zeta_max
     _require(
         spec.bandwidth <= cut,
         f"bandwidth {spec.bandwidth} exceeds the dealias cutoff {cut:.4g} of this grid",
     )
-    az = np.abs(grid.zeta)
+    zeta = grid.rzeta[grid.rzeta <= spec.bandwidth]
     if spec.envelope == "flat":
-        w = np.ones_like(az)
+        w = np.ones_like(zeta)
     elif spec.envelope == "gaussian":
         # band edge sits at two standard deviations
-        w = np.exp(-((2.0 * az / spec.bandwidth) ** 2) / 2.0)
+        w = np.exp(-((2.0 * zeta / spec.bandwidth) ** 2) / 2.0)
     else:
-        w = np.exp(-spec.rho0 * az)
-    w = np.where(az <= spec.bandwidth, w, 0.0)
-    w[grid.nyquist_index] = 0.0
+        w = np.exp(-spec.rho0 * zeta)
     return spec.amplitude * w
 
 
@@ -246,8 +242,8 @@ def _random_half_spectrum(
     w_0 times its real draw, times (-1)^k so the draws are relative to x = 0.
     """
     weights = _envelope_weights(grid, spec)
-    keep = int(np.count_nonzero(grid.rzeta <= spec.bandwidth))
-    scale = weights[:keep] / np.sqrt(2.0)  # full-spectrum order: modes 0 ... K first
+    keep = weights.size
+    scale = weights / np.sqrt(2.0)
     scale[0] = weights[0]
     scale[1::2] *= -1.0
     draws = np.empty((seeds.size, 2, num_times, keep))
@@ -280,21 +276,18 @@ def _random_rows(
 def random_window_sample(grid: SpectralGrid, spec: SampleSpec, num_times: int = 64,
                          seed: int | Sequence[int] | None = None,
                          half_span: float | None = None) -> SpaceTimeSample:
-    """Random real sample, white in time, cut off by psi(t / window_scale);
-    a sequence of seeds gives a batch, one member per seed.
+    """Random real sample, white in time, cut off by psi(t); a sequence of
+    seeds gives a batch, one member per seed.
 
-    The window is [-half_span, half_span); the default 2.5 * window_scale
+    The window is [-half_span, half_span); the default HALF_SPAN (2.5)
     leaves the edge rows exactly zero, which the space-time norms require.
     """
-    span = 2.5 * spec.window_scale if half_span is None else float(half_span)
-    _require(
-        span >= 2.5 * spec.window_scale,
-        f"half_span {span} leaves no slack around the cutoff support "
-        f"[-{2 * spec.window_scale}, {2 * spec.window_scale}]",
-    )
+    span = HALF_SPAN if half_span is None else float(half_span)
+    _require(span >= HALF_SPAN,
+             f"half_span {span} leaves no slack around the cutoff support [-2, 2]")
     vals = _random_rows(grid, spec, num_times, seed)
     times = -span + (2.0 * span / num_times) * np.arange(num_times)
-    vals *= np.asarray(CutoffProfile(spec.window_scale)(times))[:, None]
+    vals *= np.asarray(CutoffProfile()(times))[:, None]
     return SpaceTimeSample(grid, -span, span, vals)
 
 
@@ -450,7 +443,7 @@ def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
 def derivative_sample(sample: SpaceTimeSample) -> SpaceTimeSample:
     """Spatial derivative, one multiplier pass over all time rows."""
     g = sample.grid
-    coeffs = g.dft(sample.values, axis=-1, real=True) * g.derivative_symbol(1, real=True)
+    coeffs = g.dft(sample.values, axis=-1, real=True) * g.derivative_symbol(1)
     return SpaceTimeSample(g, sample.t0, sample.t1, g.idft(coeffs, axis=-1, real=True))
 
 
@@ -487,7 +480,7 @@ def _base_params(spec: SampleSpec, params: NormParams | None, grid: SpectralGrid
         "bandwidth": spec.bandwidth,
         "envelope": spec.envelope,
         "rho0": spec.rho0,
-        "window_scale": spec.window_scale,
+        "window_scale": 1.0,  # the cutoff is psi(t), unscaled
         "amplitude": spec.amplitude,
         "half_length": grid.half_length,
         "num_points": grid.num_points,
@@ -560,7 +553,7 @@ def check_duhamel(
     ensemble: int = 50,
 ) -> EstimateReport:
     """Windowed Duhamel integral against T times the forcing in the b' norm."""
-    span = 2.5 * max(T, spec.window_scale)
+    span = HALF_SPAN * max(T, 1.0)
 
     def ratios(seeds: list[int]) -> np.ndarray:
         batch = random_window_sample(grid, spec, num_times, seeds, half_span=span)

@@ -146,7 +146,7 @@ class _RhsWorkspace:
     def __init__(self, grid: SpectralGrid, p: int, shape: tuple[int, ...]):
         self.p = p
         self.span = 2.0 * grid.half_length
-        self.deriv = -grid.derivative_symbol(1, real=True)
+        self.deriv = -grid.derivative_symbol(1)
         m = padded_points(grid.num_points, 2 * p + 1)
         spectrum = np.empty(shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
         self.band = PaddedBand(spectrum, grid)

@@ -14,11 +14,11 @@ negative modes are the conjugates of the positive ones, so reality holds by
 construction.  The last entry is the unpaired Nyquist mode +N/2.  A sum over
 every mode becomes a sum over the half-spectrum weighted by
 SpectralGrid.multiplicity, which counts the modes 1 ... N/2 - 1 twice.
-Complex samples keep every mode, in numpy's FFT order: mode m at index
-m mod N.  A real space-time sample halves its time axis the same way and
-keeps every x mode (see spaces.xt_transform).  Only this module knows these
-layouts; callers select modes by their wavenumbers.  The grid owns the
-x-transform (span 2L) as SpectralGrid.dft/idft.
+Every 1-D field lives on this half-spectrum.  A full spectrum, every mode
+in numpy's FFT order (mode m at index m mod N), is only the x axis of a
+real space-time sample, which halves its time axis (spaces.xt_transform).
+Only this module knows these layouts; callers select modes by their
+wavenumbers.  The grid owns the x-transform (span 2L) as SpectralGrid.dft/idft.
 
 Derivative and product rules follow standard Fourier pseudospectral
 practice (see Trefethen, "Spectral Methods in MATLAB", ch. 3): the grid owns
@@ -116,7 +116,7 @@ class SpectralGrid:
 
     @cached_property
     def zeta(self) -> np.ndarray:
-        """Wavenumber of each entry of a full spectrum; the non-negative ones ascend."""
+        """Full-spectrum wavenumbers (the space-time x axis); non-negative ones ascend."""
         return self.dzeta * np.fft.ifftshift(np.arange(self.num_points) - self.num_points // 2)
 
     @cached_property
@@ -148,11 +148,11 @@ class SpectralGrid:
         with real, real samples from the modes 0 ... num/2."""
         return idft_axis(coeffs, 2.0 * self.half_length, axis, real)
 
-    def derivative_symbol(self, order: int, real: bool = False) -> np.ndarray:
-        """Multiplier (i zeta)^order of d^order/dx^order over a full spectrum,
-        or with real over the half-spectrum; zero on the unpaired Nyquist
-        mode for odd order, which has no odd derivative."""
-        mult = (1j * (self.rzeta if real else self.zeta)) ** order
+    def derivative_symbol(self, order: int) -> np.ndarray:
+        """Multiplier (i zeta)^order of d^order/dx^order over the
+        half-spectrum; zero on the unpaired Nyquist mode for odd order, which
+        has no odd derivative."""
+        mult = (1j * self.rzeta) ** order
         if order % 2 == 1:
             mult[self.nyquist_index] = 0.0
         return mult
@@ -276,10 +276,12 @@ def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid) ->
     """Pointwise product of real sample arrays (..., N) on grid, dealiased by
     zero-padding; leading axes are independent rows."""
     num_padded = padded_points(grid.num_points, len(factors))
-    prod = None
+    prod = last = None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         for samples in factors:
-            vals = padded_samples(_forward_coeffs(samples, grid), grid, num_padded)
+            if samples is not last:  # a factor repeated in a row is padded once
+                last = samples
+                vals = padded_samples(_forward_coeffs(samples, grid), grid, num_padded)
             prod = vals if prod is None else prod * vals
         coeffs = truncated_coeffs(prod, grid)
     if not np.all(np.isfinite(coeffs)):

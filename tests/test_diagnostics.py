@@ -1,13 +1,14 @@
 """Observable and estimator tests.  Oracles: closed-form soliton
 functionals, synthetic spectra with known decay rates, the sech transform
 rate pi/(2k), power laws fed to the decay fit, and the closed-form strip
-continuation of sech and single cosines."""
+continuation of sech, single cosines and trigonometric polynomials."""
 
 import warnings
 
 import numpy as np
 import pytest
 
+from gkdvlab import diagnostics, spectral
 from gkdvlab.diagnostics import (
     AnalyticityMarginWarning,
     DecayFit,
@@ -75,6 +76,26 @@ class TestInvariants:
         assert abs(b.l2 - a.l2) < 1e-12 * a.l2
         # the coupling term is not a symbol in zeta, so H moves
         assert abs(b.hamiltonian - a.hamiltonian) > 1e-4
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_coupling_transforms_each_component_once(self, p, monkeypatch):
+        # one transform of the pair, then one padded copy of u and one of v
+        # serve all 2p + 2 factors of u^(p+1) v^(p+1), bit for bit as if each
+        # factor were a separate array
+        g = SpectralGrid(20.0, 256)
+        pair = Field(g, [1.2 / np.cosh(g.x - 2.0), 0.8 / np.cosh(g.x + 1.0) ** 2])
+        calls = []
+        forward = spectral._forward_coeffs
+        monkeypatch.setattr(spectral, "_forward_coeffs",
+                            lambda *args: calls.append(args) or forward(*args))
+        inv = invariants(pair, p)
+        assert len(calls) <= 3
+
+        def separate(fields):
+            return spectral.dealiased_product([Field(g, f.samples.copy()) for f in fields])
+
+        monkeypatch.setattr(diagnostics, "dealiased_product", separate)
+        assert invariants(pair, p).hamiltonian == inv.hamiltonian
 
     def test_conserved_along_the_nonlinear_flow(self):
         g = SpectralGrid(20.0, 256)
@@ -318,6 +339,22 @@ class TestAnalyticExtension:
             evaluate_analytic_extension(f, y, order=1, band_limit=k + 0.5).samples
         )
         assert abs(d1 - k * np.cosh(k * y)) < 1e-12
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("y", [0.3, -0.3])
+    def test_trig_polynomial_closed_form(self, order, y):
+        # f = a0 + sum a_j cos(k_j x + phi_j) continues to the same sum at
+        # x + i y, and d^n/dx^n adds n pi / 2 to each phase.  Several modes
+        # with phases make |F| depend on both the cosh (real) and the sinh
+        # (imaginary) part of every mode, so it is compared point by point
+        g = SpectralGrid(np.pi, 64)
+        a0, modes = 0.4, [(1, 1.0, 0.3), (2, -0.6, 1.1), (5, 0.35, -2.0), (9, 0.2, 0.7)]
+        f = Field(g, a0 + sum(a * np.cos(k * g.x + ph) for k, a, ph in modes))
+        z = g.x + 1j * y
+        exact = (a0 if order == 0 else 0.0) + sum(
+            a * k**order * np.cos(k * z + ph + order * np.pi / 2) for k, a, ph in modes)
+        got = evaluate_analytic_extension(f, y, order=order, band_limit=9.5).samples
+        np.testing.assert_allclose(got, np.abs(exact), rtol=1e-12, atol=0.0)
 
     def test_margin_warning(self):
         g = SpectralGrid(20.0, 1024)

@@ -88,7 +88,6 @@ class TestSampleSpec:
             {"bandwidth": 0.0},
             {"bandwidth": np.inf},
             {"rho0": -1.0},
-            {"window_scale": 0.0},
             {"amplitude": 0.0},
         ],
     )
@@ -153,16 +152,16 @@ class TestGenerators:
 
     def test_gaussian_envelope_edge_and_support(self):
         # the band edge sits at two standard deviations: weight amplitude e^-2
-        edge = float(GRID.zeta[10])
+        # the table holds the in-band modes 0 ... 10 only
+        edge = float(GRID.rzeta[10])
         spec = SampleSpec(seed=0, envelope="gaussian", bandwidth=edge, amplitude=1.5)
         w = estimates._envelope_weights(GRID, spec)
-        az = np.abs(GRID.zeta)
-        assert np.all(w[az == edge] == 1.5 * np.exp(-2.0))
-        assert np.all(w[az > edge] == 0.0)
-        assert w[az == 0.0] == 1.5
+        assert w.shape == (11,)
+        assert w[10] == 1.5 * np.exp(-2.0)
+        assert w[0] == 1.5
 
     def test_window_sample_vanishes_outside_cutoff_support(self):
-        spec = SampleSpec(seed=25, window_scale=1.0)
+        spec = SampleSpec(seed=25)
         w = random_window_sample(GRID, spec, num_times=64)
         outside = np.abs(w.times) >= 2.0
         assert np.max(np.abs(w.values[outside])) == 0.0
@@ -179,16 +178,19 @@ class TestGenerators:
 
 
 def full_spectrum_real_rows(grid, spec, num_times, seeds):
-    """Independently coded sampler of the same law: N complex Gaussians per
-    row in ascending wavenumber order, enveloped, phased relative to x = 0,
-    and the real part of a full complex inverse."""
+    """Independently coded sampler of the same law for an exponential
+    envelope: N complex Gaussians per row in ascending wavenumber order,
+    enveloped over the full spectrum, phased relative to x = 0, and the real
+    part of a full complex inverse."""
+    assert spec.envelope == "exponential"
     c = np.empty((len(seeds), num_times, grid.num_points), dtype=np.complex128)
     order = np.argsort(grid.zeta)
     for member, sd in zip(c, seeds):
         draws = np.random.default_rng(sd).standard_normal((2,) + member.shape)
         member.real[:, order] = draws[0]
         member.imag[:, order] = draws[1]
-    c *= estimates._envelope_weights(grid, spec)
+    az = np.abs(grid.zeta)
+    c *= spec.amplitude * np.where(az <= spec.bandwidth, np.exp(-spec.rho0 * az), 0.0)
     c[..., 1::2] *= -1.0
     return grid.idft(c, axis=-1).real
 
@@ -207,7 +209,7 @@ class TestSamplerLaw:
             samples = sampler(GRID, self.SPEC, rows, list(range(first, first + 250)))
             power += np.sum(np.abs(GRID.dft(samples, real=True)) ** 2, axis=(0, 1))
         power /= seeds * rows
-        w2 = estimates._envelope_weights(GRID, self.SPEC)[: GRID.num_points // 2 + 1] ** 2
+        w2 = np.exp(-self.SPEC.rho0 * GRID.rzeta) ** 2  # w_k = e^{-rho0 zeta_k}
         band = GRID.rzeta <= self.SPEC.bandwidth
         assert np.count_nonzero(band) == 13
         np.testing.assert_allclose(power[band], w2[band], rtol=0.04, atol=0.0)

@@ -332,7 +332,7 @@ def reference_rhs(grid, p):
     samples of each component, the coupled powers, the truncated band of
     each times the derivative symbol."""
     m = padded_points(grid.num_points, 2 * p + 1)
-    deriv = -grid.derivative_symbol(1, real=True)
+    deriv = -grid.derivative_symbol(1)
 
     def rhs(c):
         u, v = padded_samples(c[0], grid, m), padded_samples(c[1], grid, m)

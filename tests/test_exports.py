@@ -1,6 +1,7 @@
 """Every name a module exports resolves, so a deletion cannot leave an
-export behind; and the package's modules import one another without a
-cycle."""
+export behind; the package's modules import one another without a cycle;
+and a full spectrum of a 1-D field is built nowhere outside the modules
+that own the layouts."""
 
 import ast
 import graphlib
@@ -43,3 +44,18 @@ def test_module_imports_are_acyclic():
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
     assert sorted(order) == sorted(paths)
+
+
+def test_only_the_layout_modules_read_full_spectrum_wavenumbers():
+    # grid.zeta orders every mode of a full spectrum: spectral owns it, and
+    # spaces reads it as the x axis of the space-time transform; every other
+    # module works on the half-spectrum (grid.rzeta)
+    root = Path(gkdvlab.__file__).parent
+    readers = {
+        path.stem
+        for path in root.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "zeta"
+    }
+    assert "spaces" in readers  # the parse sees the reads
+    assert readers <= {"spectral", "spaces"}
