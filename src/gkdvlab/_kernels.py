@@ -1,6 +1,7 @@
 """Hot numerical kernels, in plain numpy.
 
-FFT work is deliberately not here; np.fft dominates those paths.
+FFT work is deliberately not here; the pocketfft calls of spectral dominate
+those paths.
 """
 
 from __future__ import annotations

@@ -20,6 +20,14 @@ real space-time sample, which halves its time axis (spaces.xt_transform).
 Only this module knows these layouts; callers select modes by their
 wavenumbers.  The grid owns the x-transform (span 2L) as SpectralGrid.dft/idft.
 
+Every transform is one call of a pocketfft gufunc that np.fft itself calls
+(numpy.fft._pocketfft_umath, which numpy 2.0, the floor in pyproject.toml,
+introduced), with np.fft's normalization factor (1 forward; 1 / num inverse,
+which is np.fft's reciprocal(num) in double precision), np.fft's check of
+out and np.fft's result dtype: the same bits as np.fft, without the
+wrapper's few microseconds of Python per call, which the small transforms
+of every time step would otherwise pay.
+
 Derivative and product rules follow standard Fourier pseudospectral
 practice (see Trefethen, "Spectral Methods in MATLAB", ch. 3): the grid owns
 the derivative symbol (i zeta)^k, zero on the Nyquist mode for odd k, and
@@ -34,6 +42,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -54,37 +63,66 @@ def half_multiplicity(num: int) -> np.ndarray:
     return count
 
 
+def _new_out(values: np.ndarray, axis: int, num_out: int, real: bool = False) -> np.ndarray:
+    """np.fft's result array for a transform of values to num_out points
+    along axis: real with real, else complex."""
+    shape = list(values.shape)
+    shape[axis] = num_out
+    dtype = np.result_type(values.real.dtype, 1.0) if real else np.result_type(values.dtype, 1j)
+    return np.empty_like(values, shape=tuple(shape), dtype=dtype)
+
+
 def dft_axis(values: np.ndarray, span: float, axis: int = -1,
              real: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized forward DFT along one axis of samples spaced span / num apart.
 
-    With real, real samples on an even-sized axis map to the modes 0 ... num/2
-    through rfft, on the same scale as the complex modes.  With out, a
+    The gufunc of np.fft.fft, or with real of np.fft.rfft, with np.fft's
+    factor 1: with real, real samples on an even-sized axis map to the modes
+    0 ... num/2, on the same scale as the complex modes.  With out, a
     complex array of the result's shape, the coefficients are written there
-    and out is returned.
+    and out is returned; an out of another shape raises ValueError, as in
+    np.fft.
     """
     values = np.asarray(values)
     num = values.shape[axis]
-    if real and num % 2:
-        raise ValueError(f"a real transform needs an even axis, got {num} points")
     scale = (span / num) / SQRT_2PI
-    coeffs = (np.fft.rfft if real else np.fft.fft)(values, axis=axis, out=out)
+    if real:
+        if num % 2:
+            raise ValueError(f"a real transform needs an even axis, got {num} points")
+        gufunc, num_out = _pocketfft.rfft_n_even, num // 2 + 1
+    else:
+        gufunc, num_out = _pocketfft.fft, num
+    if out is None:
+        out = _new_out(values, axis, num_out)
+    elif out.ndim != values.ndim or out.shape[axis] != num_out:
+        raise ValueError("output array has wrong shape.")
+    if axis == -1 or axis == values.ndim - 1:
+        coeffs = gufunc(values, 1, out=(out,))
+    else:
+        coeffs = gufunc(values, 1, axes=[(axis,), (), (axis,)], out=(out,))
     return np.multiply(scale, coeffs, out=coeffs)
 
 
 def idft_axis(coeffs: np.ndarray, span: float, axis: int = -1,
               real: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of :func:`dft_axis`; complex samples, or with real, real
-    samples on 2 (n - 1) points from the modes 0 ... n - 1 of the axis.
-    With out, an array of the result's shape and dtype, the samples are
-    written there and out is returned."""
+    """Inverse of :func:`dft_axis`: the gufunc of np.fft.ifft, complex
+    samples, or with real of np.fft.irfft, real samples on 2 (n - 1) points
+    from the modes 0 ... n - 1 of the axis; np.fft's factor 1 / num either
+    way.  With out, an array of the result's shape and dtype, the samples
+    are written there and out is returned; an out of another shape raises
+    ValueError, as in np.fft."""
     coeffs = np.asarray(coeffs)
     num = 2 * (coeffs.shape[axis] - 1) if real else coeffs.shape[axis]
     scale = (span / num) / SQRT_2PI
-    if real:
-        samples = np.fft.irfft(coeffs, num, axis=axis, out=out)
+    gufunc = _pocketfft.irfft if real else _pocketfft.ifft
+    if out is None:
+        out = _new_out(coeffs, axis, num, real)
+    elif out.ndim != coeffs.ndim or out.shape[axis] != num:
+        raise ValueError("output array has wrong shape.")
+    if axis == -1 or axis == coeffs.ndim - 1:
+        samples = gufunc(coeffs, 1.0 / num, out=(out,))
     else:
-        samples = np.fft.ifft(coeffs, axis=axis, out=out)
+        samples = gufunc(coeffs, 1.0 / num, axes=[(axis,), (), (axis,)], out=(out,))
     samples /= scale
     return samples
 

@@ -1,7 +1,7 @@
 """Every name a module exports resolves, so a deletion cannot leave an
 export behind; the package's modules import one another without a cycle;
-and a full spectrum of a 1-D field is built nowhere outside the modules
-that own the layouts."""
+a full spectrum of a 1-D field is built nowhere outside the modules that
+own the layouts; and only spectral touches numpy.fft."""
 
 import ast
 import graphlib
@@ -59,3 +59,29 @@ def test_only_the_layout_modules_read_full_spectrum_wavenumbers():
     }
     assert "spaces" in readers  # the parse sees the reads
     assert readers <= {"spectral", "spaces"}
+
+
+def _uses_numpy_fft(node: ast.AST) -> bool:
+    """node reads np.fft or imports numpy.fft or one of its modules."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "fft" and isinstance(node.value, ast.Name)
+                and node.value.id in {"np", "numpy"})
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.fft") for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module is not None:
+        return node.module.startswith("numpy.fft") or (
+            node.module == "numpy" and any(alias.name == "fft" for alias in node.names))
+    return False
+
+
+def test_only_spectral_uses_numpy_fft():
+    # every transform is a traced dft_axis / idft_axis call, and the private
+    # pocketfft gufuncs those call are imported in one place
+    root = Path(gkdvlab.__file__).parent
+    users = {
+        path.stem
+        for path in root.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _uses_numpy_fft(node)
+    }
+    assert users == {"spectral"}  # the parse sees spectral's import

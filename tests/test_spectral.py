@@ -607,6 +607,100 @@ class TestTransformPlan:
         assert idft_axis(fwd, span, axis=axis, real=real, out=out) is out
         assert np.array_equal(out, inv)
 
+    # the transforms call np.fft's gufuncs without its wrapper, so the
+    # wrapper's check of out is theirs to keep: the bare gufunc would fill a
+    # core axis one short without a word
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("wrong", ["one-short", "axis-missing"])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_a_wrong_shaped_out_is_rejected(self, real, wrong, axis):
+        num, span = 8, 20.0
+        vals = np.random.default_rng(4).standard_normal((3, num) if axis == -1 else (num, 3))
+        fwd = _plain_dft(vals, span, axis, real=real)
+        inv = _plain_idft(fwd, span, axis, real=real)
+        for transform, arg, result in ((dft_axis, vals, fwd), (idft_axis, fwd, inv)):
+            shape = list(result.shape)
+            if wrong == "one-short":
+                shape[axis] -= 1
+            else:
+                del shape[1 + axis]  # the axis that is not transformed
+            out = np.zeros(shape, dtype=result.dtype)
+            with pytest.raises(ValueError, match="wrong shape"):
+                transform(arg, span, axis=axis, real=real, out=out)
+            assert not np.any(out)
+
+    @pytest.mark.parametrize("num", [64, 96])
+    def test_rhs_rows_and_picard_blocks_equal_the_plain_formula(self, num):
+        # the RHS transforms one component at a time into row views of its
+        # pair buffers; picard_solve does the same on node blocks
+        span = 20.0
+        rng = np.random.default_rng(num)
+        for rows in [(), (32,)]:
+            samples = rng.standard_normal((2,) + rows + (num,))
+            spectra = np.full((2,) + rows + (num // 2 + 1,), np.nan + 0j)
+            back = np.full(samples.shape, np.nan)
+            for row, spectrum, row_back in zip(samples, spectra, back):
+                assert dft_axis(row, span, real=True, out=spectrum) is spectrum
+                assert np.array_equal(spectrum, _plain_dft(row, span, -1, real=True))
+                assert idft_axis(spectrum, span, real=True, out=row_back) is row_back
+                assert np.array_equal(row_back, _plain_idft(spectrum, span, -1, real=True))
+            assert np.array_equal(dft_axis(samples, span, real=True),
+                                  _plain_dft(samples, span, -1, real=True))
+            assert np.array_equal(idft_axis(spectra, span, real=True),
+                                  _plain_idft(spectra, span, -1, real=True))
+
+    def test_space_time_stack_equals_the_plain_formula(self):
+        # spaces.xt_transform: the real time transform along axis -2 of a
+        # (members, R, N) stack, then every x mode along axis -1; xt_inverse
+        # inverts the x axis on the complex path
+        rows, num, window, span = 16, 32, 2.0, 20.0
+        vals = np.random.default_rng(5).standard_normal((2, rows, num))
+        ct = dft_axis(vals, window, axis=-2, real=True)
+        assert np.array_equal(ct, _plain_dft(vals, window, -2, real=True))
+        coeffs = dft_axis(ct, span, axis=-1)
+        assert np.array_equal(coeffs, _plain_dft(ct, span, -1))
+        x_inv = idft_axis(coeffs, span, axis=-1)
+        assert np.array_equal(x_inv, _plain_idft(coeffs, span, -1))
+        assert np.array_equal(idft_axis(x_inv, window, axis=-2, real=True),
+                              _plain_idft(x_inv, window, -2, real=True))
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("view", ["reversed-rows", "strided"])
+    def test_views_equal_the_plain_formula(self, real, view):
+        span = 20.0
+        rng = np.random.default_rng(6)
+        vals = rng.standard_normal((3, 128))
+        vals = vals[::-1] if view == "reversed-rows" else vals[:, ::2]
+        fwd = dft_axis(vals, span, real=real)
+        assert np.array_equal(fwd, _plain_dft(vals, span, -1, real=real))
+        spectrum = _plain_dft(rng.standard_normal((3, 128)), span, -1, real=real)
+        spectrum = spectrum[::-1] if view == "reversed-rows" else spectrum[:, ::2]
+        assert np.array_equal(idft_axis(spectrum, span, real=real),
+                              _plain_idft(spectrum, span, -1, real=real))
+        for axis in (0, -1):
+            assert np.array_equal(dft_axis(vals, span, axis=axis),
+                                  _plain_dft(vals, span, axis))
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_integer_input_equals_the_plain_formula(self, real):
+        span = 20.0
+        vals = np.arange(16) % 5 - 2
+        assert np.array_equal(dft_axis(vals, span, real=real),
+                              _plain_dft(vals, span, -1, real=real))
+        coeffs = np.arange(9) % 4 - 1
+        assert np.array_equal(idft_axis(coeffs, span, real=real),
+                              _plain_idft(coeffs, span, -1, real=real))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, np.complex64,
+                                       np.complex128])
+    def test_new_results_have_the_np_fft_dtypes(self, dtype):
+        vals = (np.arange(16) % 3).astype(dtype)
+        assert dft_axis(vals, 2.0).dtype == np.fft.fft(vals).dtype
+        assert idft_axis(vals, 2.0).dtype == np.fft.ifft(vals).dtype
+        assert idft_axis(vals[:9], 2.0, real=True).dtype == np.fft.irfft(vals[:9]).dtype
+        if not np.iscomplexobj(vals):
+            assert dft_axis(vals, 2.0, real=True).dtype == np.fft.rfft(vals).dtype
+
 
 class TestPaddingBuffers:
     # the RHS workspace pads and truncates the pair through one buffer it
