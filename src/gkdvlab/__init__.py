@@ -65,7 +65,6 @@ from .spaces import (
 )
 from .spectral import (
     Field,
-    SpectralField,
     SpectralGrid,
     dealiased_product,
     forward_transform,
@@ -94,7 +93,6 @@ __all__ = [
     "SampleSpec",
     "SolverConfig",
     "SpaceTimeSample",
-    "SpectralField",
     "SpectralGrid",
     "TrajectoryRecord",
     "bourgain_norm",

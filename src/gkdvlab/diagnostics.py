@@ -19,13 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .spectral import (
-    Field,
-    SpectralField,
-    SpectralGrid,
-    dealiased_product,
-    forward_transform,
-)
+from .spectral import Field, SpectralGrid, dealiased_product, forward_transform
 
 # fit and warning thresholds; the docstrings that use them give their roles
 NOISE_FACTOR = 1e3
@@ -57,13 +51,13 @@ def invariants(pair: Field, p: int) -> InvariantSet:
     mass_u = float(np.sum(u) * g.dx)
     mass_v = float(np.sum(v) * g.dx)
     l2 = 0.5 * float(np.sum(u**2 + v**2) * g.dx)
-    cu, cv = forward_transform(pair).coeffs
+    cu, cv = forward_transform(pair.samples, g)
     # a sum over every mode: each half-spectrum entry counts with its multiplicity
     grad = float(
         np.sum(g.multiplicity * g.rzeta**2 * (np.abs(cu) ** 2 + np.abs(cv) ** 2)) * g.dzeta
     )
-    coupling = dealiased_product([Field(g, u)] * (p + 1) + [Field(g, v)] * (p + 1))
-    mixed = float(np.sum(coupling.samples) * g.dx)
+    coupling = dealiased_product([u] * (p + 1) + [v] * (p + 1), g)
+    mixed = float(np.sum(coupling) * g.dx)
     return InvariantSet(mass_u, mass_v, l2, 0.5 * grad - mixed / (p + 1))
 
 
@@ -107,8 +101,10 @@ def _first_run(mask: np.ndarray, run: int) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def estimate_radius(f: Field | SpectralField) -> RadiusEstimate:
-    """Fit -log|u_hat(zeta)| ~ rho * zeta on the positive-zeta side.
+def estimate_radius(coeffs: np.ndarray, grid: SpectralGrid) -> RadiusEstimate:
+    """Fit -log|u_hat(zeta)| ~ rho * zeta to one half-spectrum coeffs,
+    shape (N/2 + 1,), of grid; stacked rows or another length raise
+    ValueError.
 
     The window keeps coefficients above NOISE_FACTOR (1e3) times the noise
     floor (median magnitude over the top 10% of zeta), below DEALIAS_FRAC
@@ -117,19 +113,18 @@ def estimate_radius(f: Field | SpectralField) -> RadiusEstimate:
     MIN_FIT_POINTS (8) usable points flags the noise floor instead of
     fitting.
     """
-    sf = f if isinstance(f, SpectralField) else forward_transform(f)
-    if sf.coeffs.ndim != 1:
-        raise ValueError("estimate_radius fits one field, not stacked rows")
-    g = sf.grid
+    if np.shape(coeffs) != (grid.nyquist_index + 1,):
+        raise ValueError(f"estimate_radius fits one half-spectrum ({grid.nyquist_index + 1},), "
+                         f"not stacked rows or another length: {np.shape(coeffs)}")
     # the modes 1 ... N/2 - 1; the unpaired Nyquist mode stays out
-    amp = np.abs(sf.coeffs[1 : g.nyquist_index])
-    zeta = g.rzeta[1 : g.nyquist_index]
+    amp = np.abs(coeffs[1 : grid.nyquist_index])
+    zeta = grid.rzeta[1 : grid.nyquist_index]
     if amp.size < MIN_FIT_POINTS or not np.any(amp > 0):
         return RadiusEstimate.floor_hit()
 
     floor = float(np.median(amp[zeta >= 0.9 * zeta[-1]]))
     threshold = NOISE_FACTOR * floor
-    usable = (amp > threshold) & (zeta <= DEALIAS_FRAC * g.zeta_max) & (amp > 0.0)
+    usable = (amp > threshold) & (zeta <= DEALIAS_FRAC * grid.zeta_max) & (amp > 0.0)
 
     lo = _first_run(amp[1:] < amp[:-1], MONOTONE_RUN - 1)
     if lo is None:
@@ -191,9 +186,8 @@ class TrajectoryRecord:
 
     def radii(self) -> tuple[list[RadiusEstimate], list[RadiusEstimate]]:
         """Fitted radius of u and of v at each record time; one transform."""
-        coeffs = forward_transform(Field(self.grid, self.samples())).coeffs
-        return tuple([estimate_radius(SpectralField(self.grid, row)) for row in rows]
-                     for rows in coeffs)
+        coeffs = forward_transform(self.samples(), self.grid)
+        return tuple([estimate_radius(row, self.grid) for row in rows] for rows in coeffs)
 
 
 def track_radius(record: TrajectoryRecord) -> tuple[np.ndarray, list[RadiusEstimate]]:
@@ -278,8 +272,8 @@ def evaluate_analytic_extension(
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     g = f.grid
-    sf = forward_transform(f)
-    est = estimate_radius(sf)
+    c = forward_transform(f.samples, g)
+    est = estimate_radius(c, g)
     if not est.noise_floor_hit and abs(y) >= est.rho - ANALYTICITY_MARGIN:
         warnings.warn(
             f"|y| = {abs(y):.4g} is within {ANALYTICITY_MARGIN} of the fitted radius "
@@ -287,7 +281,6 @@ def evaluate_analytic_extension(
             AnalyticityMarginWarning,
             stacklevel=2,
         )
-    c = sf.coeffs
     if band_limit is not None:
         c[g.rzeta > band_limit] = 0.0
     elif y != 0.0:

@@ -34,7 +34,6 @@ from .spaces import (
     apply_smoothing_weight,
     bourgain_norm,
     gevrey_norm,
-    gevrey_norm_rows,
     mixed_norm,
     sample_l2,
     xt_modulus,
@@ -44,7 +43,7 @@ from .spectral import (
     Field,
     NonFiniteDataError,
     SpectralGrid,
-    dealiased_product_rows,
+    dealiased_product,
     forward_transform,
 )
 
@@ -312,7 +311,7 @@ def free_wave_sample(u0: Field, num_times: int = 64) -> SpaceTimeSample:
     carries its exact phase e^{i zeta^3 t}, no time stepping involved.  Rows
     of u0 give a batch, one member per row."""
     g = u0.grid
-    c0 = forward_transform(u0).coeffs
+    c0 = forward_transform(u0.samples, g)
     times = -HALF_SPAN + (2.0 * HALF_SPAN / num_times) * np.arange(num_times)
     rows = dispersive_phase(g, times) * c0[..., None, :]
     vals = g.idft(rows, axis=-1, real=True)
@@ -328,7 +327,7 @@ def linear_free_ratio(u0: Field, params: NormParams, T: float,
     _require(T >= 1.0, f"need T >= 1, got {T}")
     sample = free_wave_sample(u0, num_times)
     lhs = bourgain_norm(sample, params, CutoffProfile(1.0))
-    return _ratio(lhs, np.sqrt(T) * gevrey_norm(u0, params))
+    return _ratio(lhs, np.sqrt(T) * gevrey_norm(u0.samples, u0.grid, params))
 
 
 def time_cutoff_ratio(sample: SpaceTimeSample, params: NormParams, T: float) -> float | np.ndarray:
@@ -436,7 +435,7 @@ def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
     window = (base.grid, base.values.shape, base.t0, base.t1)
     same = all((s.grid, s.values.shape, s.t0, s.t1) == window for s in samples[1:])
     _require(same, "product_sample: samples must share grid and time window")
-    rows = dealiased_product_rows([s.values for s in samples], base.grid)
+    rows = dealiased_product([s.values for s in samples], base.grid)
     return SpaceTimeSample(base.grid, base.t0, base.t1, rows)
 
 
@@ -635,7 +634,7 @@ def check_embedding(
 
     def ratios(seeds: list[int]) -> np.ndarray:
         w = random_window_sample(grid, spec, num_times, seeds)
-        return _ratio(np.max(gevrey_norm_rows(w.values, grid, params), axis=-1),
+        return _ratio(np.max(gevrey_norm(w.values, grid, params), axis=-1),
                       bourgain_norm(w, params, None))
 
     return _ensemble("embedding", spec, params, grid, num_times, ensemble, ratios)
@@ -777,7 +776,7 @@ def _windowed_pair_sample(record: TrajectoryRecord, T: float) -> SpaceTimeSample
 def _pair_sup(record: TrajectoryRecord, T: float, params: NormParams) -> float:
     times = np.asarray(record.times)
     inside = (times >= -1e-9) & (times <= 2.0 * T + 1e-9)
-    norms = gevrey_norm_rows(record.samples()[:, inside], record.grid, params)
+    norms = gevrey_norm(record.samples()[:, inside], record.grid, params)
     return float(np.max(np.hypot(*norms), initial=0.0))
 
 

@@ -42,8 +42,6 @@ from .spectral import (
     Field,
     SpectralGrid,
     PaddedBand,
-    SpectralField,
-    _real_samples,
     dft_axis,
     forward_transform,
     idft_axis,
@@ -273,7 +271,7 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
 
     record = TrajectoryRecord(grid=g, p=config.p)
 
-    c = forward_transform(initial.pair).coeffs
+    c = forward_transform(initial.pair.samples, g)
     rhs = _RhsWorkspace(g, config.p, c.shape)
     dt = config.dt
     half = dispersive_phase(g, 0.5 * dt)
@@ -303,7 +301,7 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
                 )
             if n % config.record_stride == 0 or n == num_steps:
                 # both components in one inverse, kept as the snapshot
-                samples = inverse_transform(SpectralField(g, c)).samples
+                samples = inverse_transform(c, g)
                 sup = float(np.abs(samples).max())  # np.max passes a NaN on
                 if sup > config.blowup_factor * baseline:
                     record.blow_up = True
@@ -347,7 +345,7 @@ class PicardResult:
 
     def samples(self) -> np.ndarray:
         """Real samples of the final iterate at every node, (2, num_nodes + 1, N)."""
-        return _real_samples(self.coeffs, self.grid)
+        return inverse_transform(self.coeffs, self.grid)
 
 
 def _duhamel_cumulative(w: np.ndarray, phase_h: np.ndarray, h: float) -> np.ndarray:
@@ -394,7 +392,7 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     m = config.num_nodes
     h = config.t_window / m
     times = initial.t + h * np.arange(m + 1)
-    c0 = forward_transform(initial.pair).coeffs
+    c0 = forward_transform(initial.pair.samples, g)
     free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
     rhs = _node_block_rhs(g, p, free.shape)
     forcing = np.empty_like(free)

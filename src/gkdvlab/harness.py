@@ -58,7 +58,7 @@ from .evolution import (
     picard_solve,
     simulate,
 )
-from .spaces import NormParams, gevrey_norm_rows
+from .spaces import NormParams, gevrey_norm
 from .spectral import Field, SpectralGrid
 
 __all__ = [
@@ -295,7 +295,7 @@ def trajectory_rows(record: TrajectoryRecord, s: float, radii) -> list[list[floa
     rows = zip(record.times, record.snapshots, record.invariant_sets(), *radii)
     return [
         [t, inv.mass_u, inv.mass_v, inv.l2, inv.hamiltonian,
-         *gevrey_norm_rows(snap, record.grid, sobolev),
+         *gevrey_norm(snap, record.grid, sobolev),
          ru.rho, rv.rho, joint_radius(ru, rv).rho, ru.r_squared, rv.r_squared]
         for t, snap, inv, ru, rv in rows
     ]

@@ -22,14 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .spectral import (
-    Field,
-    SpectralGrid,
-    _forward_coeffs,
-    dft_axis,
-    half_multiplicity,
-    idft_axis,
-)
+from .spectral import SpectralGrid, dft_axis, forward_transform, half_multiplicity, idft_axis
 
 SUPPORT_TOL = 1e-8  # edge rows / peak; see check_window_support
 
@@ -185,18 +178,14 @@ def _apply_weights(
     return weighted
 
 
-def gevrey_norm_rows(samples: np.ndarray, grid: SpectralGrid, params: NormParams) -> np.ndarray:
-    """gevrey_norm of every row of real samples (..., N) on grid, in one pass."""
+def gevrey_norm(samples: np.ndarray, grid: SpectralGrid, params: NormParams) -> float | np.ndarray:
+    """L^2-based norm with weight e^{rho (1+|zeta|)} (1+|zeta|)^s of each row
+    of real samples (..., N) on grid, in one pass: a float for one row."""
     # the L^2 sum runs over every mode: each half-spectrum entry stands for
     # multiplicity modes of its size
-    c = np.abs(_forward_coeffs(samples, grid)) * np.sqrt(grid.multiplicity)
+    c = np.abs(forward_transform(samples, grid)) * np.sqrt(grid.multiplicity)
     w = _kernels.gevrey_weight(grid.rzeta, params.rho, params.s)
-    return l2_rows(_apply_weights(c, w, "gevrey_norm", params), grid.dzeta)
-
-
-def gevrey_norm(field: Field, params: NormParams) -> float | np.ndarray:
-    """L^2-based norm with weight e^{rho (1+|zeta|)} (1+|zeta|)^s, per row."""
-    return _float_or_batch(gevrey_norm_rows(field.samples, field.grid, params))
+    return _float_or_batch(l2_rows(_apply_weights(c, w, "gevrey_norm", params), grid.dzeta))
 
 
 def check_window_support(values: np.ndarray) -> None:

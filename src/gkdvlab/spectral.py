@@ -18,7 +18,9 @@ Every 1-D field lives on this half-spectrum.  A full spectrum, every mode
 in numpy's FFT order (mode m at index m mod N), is only the x axis of a
 real space-time sample, which halves its time axis (spaces.xt_transform).
 Only this module knows these layouts; callers select modes by their
-wavenumbers.  The grid owns the x-transform (span 2L) as SpectralGrid.dft/idft.
+wavenumbers.  A half-spectrum is a plain array beside its grid: each
+operation on one takes (array, grid) and checks the array's last axis.  The
+grid owns the x-transform (span 2L) as SpectralGrid.dft/idft.
 
 Every transform is one call of a pocketfft gufunc that np.fft itself calls
 (numpy.fft._pocketfft_umath, which numpy 2.0, the floor in pyproject.toml,
@@ -213,47 +215,29 @@ class Field:
             )
 
 
-@dataclass
-class SpectralField:
-    """Half-spectrum of a real field on a SpectralGrid, modes 0 ... N/2; rows
-    (..., N/2 + 1) on leading axes as for Field."""
-
-    grid: SpectralGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        modes = self.grid.num_points // 2 + 1
-        if self.coeffs.shape[-1:] != (modes,):
-            raise ValueError(
-                f"coeffs shape {self.coeffs.shape} does not match grid (..., {modes})"
-            )
-
-
-def _forward_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Real sample rows (..., N) -> half-spectra (..., N/2 + 1)."""
+def forward_transform(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Real sample rows (..., N) on grid -> half-spectra (..., N/2 + 1), row
+    by row; rejects a last axis other than N and non-finite input."""
     samples = np.asarray(samples, dtype=np.float64)
+    if samples.shape[-1:] != (grid.num_points,):
+        raise ValueError(
+            f"samples shape {samples.shape} does not match grid (..., {grid.num_points})"
+        )
     if not np.all(np.isfinite(samples)):
         raise NonFiniteDataError("forward_transform: non-finite samples")
     return grid.dft(samples, real=True)
 
 
-def forward_transform(field: Field) -> SpectralField:
-    """Samples -> half-spectrum, row by row; rejects non-finite input."""
-    return SpectralField(field.grid, _forward_coeffs(field.samples, field.grid))
-
-
-def _real_samples(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Half-spectrum rows (..., N/2 + 1) -> real samples (..., N); rejects
-    non-finite input."""
+def inverse_transform(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Half-spectrum rows (..., N/2 + 1) on grid -> real samples (..., N), row
+    by row; rejects a last axis other than N/2 + 1 and non-finite input."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    modes = grid.num_points // 2 + 1
+    if coeffs.shape[-1:] != (modes,):
+        raise ValueError(f"coeffs shape {coeffs.shape} does not match grid (..., {modes})")
     if not np.all(np.isfinite(coeffs)):
         raise NonFiniteDataError("inverse_transform: non-finite coefficients")
     return grid.idft(coeffs, real=True)
-
-
-def inverse_transform(sf: SpectralField) -> Field:
-    """Half-spectrum -> real samples, row by row; rejects non-finite input."""
-    return Field(sf.grid, _real_samples(sf.coeffs, sf.grid))
 
 
 def padded_points(num: int, count: int) -> int:
@@ -310,33 +294,24 @@ def truncated_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return PaddedBand(grid.dft(samples, real=True), grid).cut()
 
 
-def dealiased_product_rows(factors: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray:
+def dealiased_product(factors: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray:
     """Pointwise product of real sample arrays (..., N) on grid, dealiased by
-    zero-padding; leading axes are independent rows."""
+    zero-padding; leading axes are independent rows.
+
+    The result equals the exact truncated spectral convolution whenever the
+    true product bandwidth stays below the Nyquist mode of the grid.
+    """
+    if len(factors) == 0:
+        raise ValueError("dealiased_product: need at least one factor")
     num_padded = padded_points(grid.num_points, len(factors))
     prod = last = None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         for samples in factors:
             if samples is not last:  # a factor repeated in a row is padded once
                 last = samples
-                vals = padded_samples(_forward_coeffs(samples, grid), grid, num_padded)
+                vals = padded_samples(forward_transform(samples, grid), grid, num_padded)
             prod = vals if prod is None else prod * vals
         coeffs = truncated_coeffs(prod, grid)
     if not np.all(np.isfinite(coeffs)):
         raise NonFiniteDataError("dealiased product: the product overflows")
     return grid.idft(coeffs, real=True)
-
-
-def dealiased_product(fields: Sequence[Field]) -> Field:
-    """Pointwise product of fields, dealiased by zero-padding.
-
-    The result equals the exact truncated spectral convolution whenever the
-    true product bandwidth stays below the Nyquist mode of the original grid.
-    """
-    if len(fields) == 0:
-        raise ValueError("dealiased_product: need at least one field")
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ValueError("dealiased_product: fields live on different grids")
-    return Field(grid, dealiased_product_rows([f.samples for f in fields], grid))

@@ -46,7 +46,7 @@ from gkdvlab.harness import (
     write_csv,
 )
 from gkdvlab.spaces import NormParams
-from gkdvlab.spectral import Field, SpectralField, SpectralGrid
+from gkdvlab.spectral import Field, SpectralGrid, forward_transform
 
 BOX = 20.0 * np.pi
 
@@ -98,13 +98,13 @@ def test_radius_calibration():
     # sech(kx) has strip half-width pi/(2k); estimator within 5% at N = 2048
     g = SpectralGrid(40.0, 2048)
     for k in (0.5, 1.0, 2.0):
-        est = estimate_radius(Field(g, 1.0 / np.cosh(k * g.x)))
+        est = estimate_radius(forward_transform(1.0 / np.cosh(k * g.x), g), g)
         want = np.pi / (2.0 * k)
         assert abs(est.rho - want) / want < 0.05  # measured <= 0.36%
     # synthetic exact-exponential spectrum recovered to 1e-6
     coeffs = np.exp(-0.8 * g.rzeta).astype(complex)
     coeffs[g.nyquist_index] = 0.0
-    est = estimate_radius(SpectralField(g, coeffs))
+    est = estimate_radius(coeffs, g)
     assert abs(est.rho - 0.8) < 1e-6  # measured 1e-16
 
 

@@ -24,21 +24,15 @@ from gkdvlab.diagnostics import (
 from gkdvlab.evolution import CoupledState, SolverConfig, dispersive_phase, simulate
 from gkdvlab.harness import TRAJECTORY_COLUMNS, read_csv, write_trajectory_csv
 from gkdvlab.spaces import NormParams, gevrey_norm
-from gkdvlab.spectral import (
-    Field,
-    SpectralField,
-    SpectralGrid,
-    forward_transform,
-    inverse_transform,
-)
+from gkdvlab.spectral import Field, SpectralGrid, forward_transform, inverse_transform
 
 
 def free_flow(state, t):
     """The exact free group of w_t + w_xxx = 0 over time t: the phase
     e^{i zeta^3 t} on each component's half-spectrum."""
     g = state.grid
-    c = forward_transform(state.pair).coeffs * dispersive_phase(g, t)
-    return CoupledState(state.t + t, inverse_transform(SpectralField(g, c)))
+    c = forward_transform(state.pair.samples, g) * dispersive_phase(g, t)
+    return CoupledState(state.t + t, Field(g, inverse_transform(c, g)))
 
 
 def soliton_state(grid, c=1.0, x0=0.0):
@@ -85,14 +79,15 @@ class TestInvariants:
         g = SpectralGrid(20.0, 256)
         pair = Field(g, [1.2 / np.cosh(g.x - 2.0), 0.8 / np.cosh(g.x + 1.0) ** 2])
         calls = []
-        forward = spectral._forward_coeffs
-        monkeypatch.setattr(spectral, "_forward_coeffs",
-                            lambda *args: calls.append(args) or forward(*args))
+        forward = spectral.forward_transform
+        for module in (spectral, diagnostics):
+            monkeypatch.setattr(module, "forward_transform",
+                                lambda *args: calls.append(args) or forward(*args))
         inv = invariants(pair, p)
         assert len(calls) <= 3
 
-        def separate(fields):
-            return spectral.dealiased_product([Field(g, f.samples.copy()) for f in fields])
+        def separate(factors, grid):
+            return spectral.dealiased_product([f.copy() for f in factors], grid)
 
         monkeypatch.setattr(diagnostics, "dealiased_product", separate)
         assert invariants(pair, p).hamiltonian == inv.hamiltonian
@@ -115,17 +110,24 @@ def test_one_field_functions_reject_stacked_rows():
     g = SpectralGrid(5.0, 64)
     rows = Field(g, np.zeros((2, 64)))
     with pytest.raises(ValueError, match="stacked rows"):
-        estimate_radius(rows)
+        estimate_radius(forward_transform(rows.samples, g), g)
     with pytest.raises(ValueError, match="stacked rows"):
         invariants(Field(g, [rows.samples, rows.samples]), p=1)
 
 
 class TestEstimateRadius:
+    @pytest.mark.parametrize("modes", [32, 34, 64], ids=["short", "long", "full-spectrum"])
+    def test_rejects_a_half_spectrum_of_the_wrong_length(self, modes):
+        # the grid's half-spectrum has N/2 + 1 = 33 entries
+        g = SpectralGrid(20.0, 64)
+        with pytest.raises(ValueError, match="stacked rows"):
+            estimate_radius(np.exp(-0.7 * g.dzeta * np.arange(modes)).astype(complex), g)
+
     def test_synthetic_exponential_recovered_exactly(self):
         g = SpectralGrid(20.0, 512)
         c = 2.3 * np.exp(-0.7 * g.rzeta).astype(complex)
         c[g.nyquist_index] = 0.0
-        est = estimate_radius(SpectralField(g, c))
+        est = estimate_radius(c, g)
         assert not est.noise_floor_hit
         assert abs(est.rho - 0.7) < 1e-6
         assert est.r_squared > 0.9999
@@ -134,7 +136,7 @@ class TestEstimateRadius:
     def test_sech_rate(self, k):
         # |sech_hat| ~ e^{-pi zeta/(2k)}
         g = SpectralGrid(40.0, 2048)
-        est = estimate_radius(Field(g, 1.0 / np.cosh(k * g.x)))
+        est = estimate_radius(forward_transform(1.0 / np.cosh(k * g.x), g), g)
         target = np.pi / (2.0 * k)
         assert not est.noise_floor_hit
         assert abs(est.rho - target) < 0.05 * target  # measured within 0.4%
@@ -144,33 +146,33 @@ class TestEstimateRadius:
         # shift would move the box-truncation kink and change the floor
         g = SpectralGrid(20.0, 1024)
         sech = 1.0 / np.cosh(g.x)
-        a = estimate_radius(Field(g, sech))
-        b = estimate_radius(Field(g, np.roll(sech, 137)))
+        a = estimate_radius(forward_transform(sech, g), g)
+        b = estimate_radius(forward_transform(np.roll(sech, 137), g), g)
         assert abs(a.rho - b.rho) < 1e-10
         assert a.num_points == b.num_points
 
     def test_free_flow_invariant(self):
         g = SpectralGrid(20.0, 1024)
         s = soliton_state(g)
-        a = estimate_radius(Field(g, s.pair.samples[0]))
-        b = estimate_radius(Field(g, free_flow(s, 1.3).pair.samples[0]))
+        a = estimate_radius(forward_transform(s.pair.samples[0], g), g)
+        b = estimate_radius(forward_transform(free_flow(s, 1.3).pair.samples[0], g), g)
         assert abs(a.rho - b.rho) < 1e-10
 
     def test_white_noise_hits_floor(self):
         g = SpectralGrid(10.0, 512)
         rng = np.random.default_rng(7)
-        est = estimate_radius(Field(g, rng.standard_normal(512)))
+        est = estimate_radius(forward_transform(rng.standard_normal(512), g), g)
         assert est.noise_floor_hit
         assert np.isnan(est.rho)
 
     def test_constant_field_hits_floor(self):
         g = SpectralGrid(10.0, 64)
-        est = estimate_radius(Field(g, np.full(64, 2.0)))
+        est = estimate_radius(forward_transform(np.full(64, 2.0), g), g)
         assert est.noise_floor_hit
 
     def test_fit_metadata_consistent(self):
         g = SpectralGrid(20.0, 1024)
-        est = estimate_radius(Field(g, 1.0 / np.cosh(g.x)))
+        est = estimate_radius(forward_transform(1.0 / np.cosh(g.x), g), g)
         assert 0 < est.zeta_lo < est.zeta_hi <= (2.0 / 3.0) * g.zeta_max
         assert est.num_points >= 8
         assert est.slope_stderr > 0
@@ -256,12 +258,12 @@ class TestTrajectoryTracking:
         assert header == list(TRAJECTORY_COLUMNS) and len(rec) == 5
         for i in range(len(rec)):
             pair = Field(g, rec.samples()[:, i])
-            u, v = Field(g, pair.samples[0]), Field(g, pair.samples[1])
+            u, v = pair.samples
             assert invs[i] == invariants(pair, p=2)
-            assert radius_u[i] == estimate_radius(u)
-            assert radius_v[i] == estimate_radius(v)
-            assert hs_u[i] == gevrey_norm(u, NormParams(0.0, 1.5))
-            assert hs_v[i] == gevrey_norm(v, NormParams(0.0, 1.5))
+            assert radius_u[i] == estimate_radius(forward_transform(u, g), g)
+            assert radius_v[i] == estimate_radius(forward_transform(v, g), g)
+            assert hs_u[i] == gevrey_norm(u, g, NormParams(0.0, 1.5))
+            assert hs_v[i] == gevrey_norm(v, g, NormParams(0.0, 1.5))
 
 
 class TestDecayFit:

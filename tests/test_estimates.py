@@ -52,7 +52,6 @@ from gkdvlab.spaces import (
     bourgain_norm,
     bump,
     gevrey_norm,
-    gevrey_norm_rows,
     mixed_norm,
     xt_inverse,
     xt_transform,
@@ -60,7 +59,6 @@ from gkdvlab.spaces import (
 from gkdvlab.spectral import (
     Field,
     NonFiniteDataError,
-    SpectralField,
     SpectralGrid,
     dealiased_product,
     forward_transform,
@@ -72,8 +70,8 @@ def free_flow(state, t):
     """The exact free group of w_t + w_xxx = 0 over time t: the phase
     e^{i zeta^3 t} on each component's half-spectrum."""
     g = state.grid
-    c = forward_transform(state.pair).coeffs * dispersive_phase(g, t)
-    return CoupledState(state.t + t, inverse_transform(SpectralField(g, c)))
+    c = forward_transform(state.pair.samples, g) * dispersive_phase(g, t)
+    return CoupledState(state.t + t, Field(g, inverse_transform(c, g)))
 
 
 GRID = SpectralGrid(10.0, 64)
@@ -127,7 +125,7 @@ class TestGenerators:
         built = estimates._random_half_spectrum(GRID, spec, 1, np.array([22]))[0, 0]
         assert np.all(built[outside] == 0.0)
         assert built[GRID.nyquist_index] == 0.0
-        c = forward_transform(random_field(GRID, spec)).coeffs
+        c = forward_transform(random_field(GRID, spec).samples, GRID)
         assert outside[GRID.nyquist_index]
         assert np.max(np.abs(c[outside])) < 1e-14
 
@@ -140,11 +138,12 @@ class TestGenerators:
         # same seed, different envelope: the coefficient ratio must equal the
         # weight ratio exactly because the Gaussian draws are shared
         flat = forward_transform(
-            random_field(GRID, SampleSpec(seed=24, envelope="flat"))
-        ).coeffs
+            random_field(GRID, SampleSpec(seed=24, envelope="flat")).samples, GRID
+        )
         expo = forward_transform(
-            random_field(GRID, SampleSpec(seed=24, envelope="exponential", rho0=0.5))
-        ).coeffs
+            random_field(GRID, SampleSpec(seed=24, envelope="exponential", rho0=0.5)).samples,
+            GRID,
+        )
         keep = np.abs(flat) > 1e-12
         got = np.abs(expo[keep]) / np.abs(flat[keep])
         want = np.exp(-0.5 * GRID.rzeta[keep])
@@ -349,7 +348,7 @@ class TestMemberBatches:
     def test_batch_of_one_equals_the_per_sample_ratio(self, seed):
         spec = SampleSpec(seed=seed)
         w = random_window_sample(GRID, spec, 64)
-        emb = float(np.max(gevrey_norm_rows(w.values, GRID, PARAMS))) / bourgain_norm(w, PARAMS)
+        emb = float(np.max(gevrey_norm(w.values, GRID, PARAMS))) / bourgain_norm(w, PARAMS)
         assert check_embedding(spec, PARAMS, ensemble=1).ratios == (emb,)
         assert check_time_cutoff(spec, PARAMS, 1.0, ensemble=1).ratios == (
             time_cutoff_ratio(w, PARAMS, 1.0),)
@@ -701,8 +700,8 @@ class TestMultilinear:
         factors = [random_window_sample(GRID, spec, 48, 83 + k) for k in range(5)]
         ps = product_sample(factors)
         for j in range(48):
-            row = dealiased_product([Field(GRID, f.values[j]) for f in factors])
-            assert np.array_equal(ps.values[j], row.samples)
+            row = dealiased_product([f.values[j] for f in factors], GRID)
+            assert np.array_equal(ps.values[j], row)
 
     def test_overflowing_product_rejected(self):
         # finite factors whose product overflows; raised by name, and no
@@ -874,7 +873,7 @@ class TestApriori:
         st0, rec = self._free_record()
         rep = check_apriori(rec, PARAMS, 1.0)
         h3 = NormParams(0.0, 3.0)
-        want = np.hypot(*gevrey_norm(st0.pair, h3))
+        want = np.hypot(*gevrey_norm(st0.pair.samples, st0.grid, h3))
         assert abs(rep.extra["sup_derivative"] - want) < 1e-9 * want
         assert np.isfinite(rep.max_ratio) and rep.max_ratio > 0.0
         assert rep.max_ratio == max(rep.ratios)

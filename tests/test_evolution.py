@@ -30,7 +30,6 @@ from gkdvlab.harness import RunConfig, initial_state
 from gkdvlab.spaces import NormParams, gevrey_norm
 from gkdvlab.spectral import (
     Field,
-    SpectralField,
     SpectralGrid,
     forward_transform,
     inverse_transform,
@@ -48,7 +47,7 @@ def bandlimited_state(grid, seed, bandwidth=5, amp=1.5):
         c = np.zeros(grid.num_points // 2 + 1, dtype=complex)
         for k in range(1, bandwidth + 1):
             c[k] = (r.standard_normal() + 1j * r.standard_normal()) * amp * 0.5**k
-        return inverse_transform(SpectralField(grid, c)).samples
+        return inverse_transform(c, grid)
 
     return CoupledState(0.0, Field(grid, [one(seed), one(seed + 1000)]))
 
@@ -57,15 +56,15 @@ def free_flow(state, t):
     """The exact free group of w_t + w_xxx = 0 over time t: the phase
     e^{i zeta^3 t} on each component's half-spectrum."""
     g = state.grid
-    c = forward_transform(state.pair).coeffs * dispersive_phase(g, t)
-    return CoupledState(state.t + t, inverse_transform(SpectralField(g, c)))
+    c = forward_transform(state.pair.samples, g) * dispersive_phase(g, t)
+    return CoupledState(state.t + t, Field(g, inverse_transform(c, g)))
 
 
 def pair_rhs(state, p):
     """The workspace RHS of a state's pair, as real samples (2, N)."""
-    c = forward_transform(state.pair).coeffs
+    c = forward_transform(state.pair.samples, state.grid)
     out = _RhsWorkspace(state.grid, p, c.shape)(c)
-    return inverse_transform(SpectralField(state.grid, out)).samples
+    return inverse_transform(out, state.grid)
 
 
 def run_steps(state, config, num_steps):
@@ -105,8 +104,8 @@ class TestFreeGroup:
         g = SpectralGrid(10.0, 256)
         s = bandlimited_state(g, 7)
         params = NormParams(0.4, 2.0, 0.0)
-        before = gevrey_norm(Field(g, s.pair.samples[0]), params)
-        after = gevrey_norm(Field(g, free_flow(s, 1.7).pair.samples[0]), params)
+        before = gevrey_norm(s.pair.samples[0], g, params)
+        after = gevrey_norm(free_flow(s, 1.7).pair.samples[0], g, params)
         assert abs(after - before) < 1e-12 * before
 
     def test_group_property(self):
@@ -160,23 +159,20 @@ class TestRhsWorkspace:
         s = CoupledState(0.0, Field(g, [w, w]))
         ru, rv = pair_rhs(s, p=p)
         assert np.array_equal(ru, rv)
-        power = Field(g, w ** (2 * p + 1))
+        power = w ** (2 * p + 1)
         expect = inverse_transform(
-            SpectralField(
-                g,
-                forward_transform(power).coeffs
-                * np.where(np.arange(129) == 0, 0.0, -1j * g.rzeta),
-            )
+            forward_transform(power, g) * np.where(np.arange(129) == 0, 0.0, -1j * g.rzeta),
+            g,
         )
         # pointwise power is alias-free here only up to spectral decay
-        assert np.max(np.abs(ru - expect.samples)) < 1e-8
+        assert np.max(np.abs(ru - expect)) < 1e-8
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_node_stack_equals_per_node_calls(self, p):
         # picard_solve evaluates all nodes in one call
         g = SpectralGrid(20.0, 256)
         nodes = [bandlimited_state(g, 40 + j) for j in range(7)]
-        c = np.stack([forward_transform(s.pair).coeffs for s in nodes], axis=1)
+        c = np.stack([forward_transform(s.pair.samples, s.grid) for s in nodes], axis=1)
         w = _RhsWorkspace(g, p, c.shape)(c)
         rhs = _RhsWorkspace(g, p, c[:, 0].shape)
         for j in range(len(nodes)):
@@ -187,7 +183,7 @@ class TestRhsWorkspace:
         g = SpectralGrid(7.0, 128)
         s = bandlimited_state(g, 5)
         for r in pair_rhs(s, p=1):
-            c0 = forward_transform(Field(g, r)).coeffs[0]
+            c0 = forward_transform(r, g)[0]
             assert abs(c0) < 1e-14
 
 
@@ -288,7 +284,7 @@ class TestHalfSpectrumMarch:
     def _march(scheme, p, num_steps=5, dt=2e-3):
         g = SpectralGrid(10.0, 128)
         s = bandlimited_state(g, 31, bandwidth=12, amp=0.8 if p == 1 else 0.6)
-        half = forward_transform(s.pair).coeffs
+        half = forward_transform(s.pair.samples, s.grid)
         full = full_spectrum(half, g)
         eh, e2h = (dispersive_phase(g, t) for t in (0.5 * dt, dt))
         ef, e2f = (full_phase(g, t) for t in (0.5 * dt, dt))
@@ -366,7 +362,7 @@ class TestInPlaceStepping:
     def _pair_stack(g, p, nodes):
         amp = 0.8 if p == 1 else 0.6
         states = [bandlimited_state(g, 60 + j, bandwidth=12, amp=amp) for j in range(nodes)]
-        c = np.stack([forward_transform(s.pair).coeffs for s in states], axis=1)
+        c = np.stack([forward_transform(s.pair.samples, s.grid) for s in states], axis=1)
         return c[:, 0] if nodes == 1 else c
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -548,7 +544,7 @@ class TestPicard:
 
         rhs = _RhsWorkspace(g, 1, (2, g.num_points // 2 + 1))
         m, h = cfg.num_nodes, cfg.t_window / cfg.num_nodes
-        c0 = forward_transform(s0.pair).coeffs
+        c0 = forward_transform(s0.pair.samples, s0.grid)
         free = np.stack([dispersive_phase(g, h * j) * c0 for j in range(m + 1)])
         w_u = np.stack([rhs(free[j])[0] for j in range(m + 1)])
         expect_u = free[:, 0].copy()
@@ -589,7 +585,7 @@ class TestPicard:
         )
         res = picard_solve(s0, cfg, p=1)
         h = cfg.t_window / cfg.num_nodes
-        c0 = forward_transform(s0.pair).coeffs
+        c0 = forward_transform(s0.pair.samples, s0.grid)
         free = dispersive_phase(g, h * np.arange(17)) * c0[:, None, :]
         every = g.dft(g.idft(res.coeffs - free, real=True))  # (2, 17, N), FFT order
         weight = (1.0 + np.abs(g.zeta)) ** (2.0 * cfg.diff_s)
@@ -606,7 +602,7 @@ class TestPicard:
         assert pic.shape == (2, 17, 128)
         for k in range(2):
             for j in range(17):
-                node = inverse_transform(SpectralField(g, res.coeffs[k, j])).samples
+                node = inverse_transform(res.coeffs[k, j], g)
                 assert np.array_equal(pic[k, j], node)
 
     def test_reference_record_samples_are_pair_first(self):
@@ -769,7 +765,7 @@ def whole_stack_picard(initial, config, p):
     g = initial.grid
     m = config.num_nodes
     h = config.t_window / m
-    c0 = forward_transform(initial.pair).coeffs
+    c0 = forward_transform(initial.pair.samples, initial.grid)
     free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
     rhs = _RhsWorkspace(g, p, free.shape)
     phase_h = dispersive_phase(g, h)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gkdvlab import _kernels
-from gkdvlab.spectral import Field, SpectralGrid, forward_transform
+from gkdvlab.spectral import SpectralGrid, forward_transform
 from gkdvlab.spaces import (
     CutoffProfile,
     NormParams,
@@ -16,7 +16,6 @@ from gkdvlab.spaces import (
     bump,
     check_window_support,
     gevrey_norm,
-    gevrey_norm_rows,
     mixed_norm,
     xt_inverse,
     xt_modulus,
@@ -177,7 +176,7 @@ class TestGevreyNorm:
         g = SpectralGrid(np.pi, 64)
         a, z0 = 0.8, 5.0
         params = NormParams(0.3, 1.5)
-        val = gevrey_norm(Field(g, a * np.cos(z0 * g.x)), params)
+        val = gevrey_norm(a * np.cos(z0 * g.x), g, params)
         expect = a * np.exp(0.3 * 6.0) * 6.0**1.5 * np.sqrt(np.pi)
         assert np.isclose(val, expect, rtol=1e-12)
 
@@ -185,14 +184,14 @@ class TestGevreyNorm:
         g = SpectralGrid(3.0, 128)
         rng = np.random.default_rng(5)
         u = rng.standard_normal(128)
-        val = gevrey_norm(Field(g, u), NormParams(0.0, 0.0))
+        val = gevrey_norm(u, g, NormParams(0.0, 0.0))
         assert np.isclose(val, np.sqrt(np.sum(u**2) * g.dx), rtol=1e-12)
 
     def test_sech_against_analytic_transform(self):
         # direct sum over the exact transform sqrt(pi/2) sech(pi zeta/2)
         g = SpectralGrid(40.0, 1024)
         params = NormParams(0.5, 1.0)
-        val = gevrey_norm(Field(g, 1.0 / np.cosh(g.x)), params)
+        val = gevrey_norm(1.0 / np.cosh(g.x), g, params)
         w = np.exp(0.5 * (1 + np.abs(g.zeta))) * (1 + np.abs(g.zeta))
         uh = np.sqrt(np.pi / 2.0) / np.cosh(np.pi * g.zeta / 2.0)
         direct = np.sqrt(np.sum((w * uh) ** 2) * g.dzeta)
@@ -201,39 +200,39 @@ class TestGevreyNorm:
 
     def test_monotone_in_rho_and_s(self):
         g = SpectralGrid(10.0, 256)
-        u = Field(g, np.exp(-g.x**2))
-        n00 = gevrey_norm(u, NormParams(0.0, 0.0))
-        n10 = gevrey_norm(u, NormParams(0.3, 0.0))
-        n11 = gevrey_norm(u, NormParams(0.3, 1.0))
+        u = np.exp(-g.x**2)
+        n00 = gevrey_norm(u, g, NormParams(0.0, 0.0))
+        n10 = gevrey_norm(u, g, NormParams(0.3, 0.0))
+        n11 = gevrey_norm(u, g, NormParams(0.3, 1.0))
         assert n00 < n10 < n11
 
     def test_overflow_guard(self):
         g = SpectralGrid(40.0, 1024)
-        u = Field(g, 1.0 / np.cosh(g.x))
+        u = 1.0 / np.cosh(g.x)
         with pytest.raises(OverflowError):
-            gevrey_norm(u, NormParams(50.0, 0.0))
+            gevrey_norm(u, g, NormParams(50.0, 0.0))
 
     def test_overflow_message_names_s(self):
         # at rho = 0 the polynomial H^s weight is the one that overflows
         g = SpectralGrid(40.0, 1024)
-        u = Field(g, 1.0 / np.cosh(g.x))
+        u = 1.0 / np.cosh(g.x)
         with pytest.raises(OverflowError, match=r"rho, s or the grid bandwidth") as info:
-            gevrey_norm(u, NormParams(0.0, 300.0))
+            gevrey_norm(u, g, NormParams(0.0, 300.0))
         assert "s = 300" in str(info.value)
 
     def test_zero_field_is_zero_even_at_huge_rho(self):
         g = SpectralGrid(40.0, 1024)
-        assert gevrey_norm(Field(g, np.zeros(1024)), NormParams(50.0, 0.0)) == 0.0
+        assert gevrey_norm(np.zeros(1024), g, NormParams(50.0, 0.0)) == 0.0
 
     def test_rows_equal_per_row_norms_exactly(self):
         g = SpectralGrid(10.0, 64)
         rows = np.random.default_rng(3).standard_normal((3, 2, 64))
         rows[1, 0] = 0.0
         params = NormParams(0.4, 1.5)
-        norms = gevrey_norm_rows(rows, g, params)
+        norms = gevrey_norm(rows, g, params)
         assert norms.shape == (3, 2) and norms[1, 0] == 0.0
         for i, j in np.ndindex(3, 2):
-            assert norms[i, j] == gevrey_norm(Field(g, rows[i, j]), params)
+            assert norms[i, j] == gevrey_norm(rows[i, j], g, params)
 
     def test_slices_equal_per_slice_loop(self):
         # one peak-scaled L^2 per time slice, over the half-spectrum with each
@@ -257,7 +256,7 @@ class TestGevreyNorm:
                 expect.append(peak * np.sqrt(np.sum(ratio * ratio) * g.dzeta))
             return np.array(expect)
 
-        got = gevrey_norm_rows(vals, g, params)
+        got = gevrey_norm(vals, g, params)
         half = loop(g.rzeta, lambda row: np.abs(g.dft(row, real=True)) * np.sqrt(g.multiplicity))
         assert np.array_equal(got, half)
         full = loop(g.zeta, lambda row: np.abs(g.dft(row)))
@@ -274,7 +273,7 @@ class TestBourgainNorm:
         s = SpaceTimeSample(g, -2.5, 2.5, vals)
         params = NormParams(0.2, 1.0, 0.0)
         total = bourgain_norm(s, params, cutoff=None)
-        slices = gevrey_norm_rows(s.values, g, params)
+        slices = gevrey_norm(s.values, g, params)
         assert np.isclose(total**2, np.sum(slices**2) * s.dt, rtol=1e-10)
 
     def test_free_wave_rides_the_curve(self):

@@ -9,10 +9,8 @@ from gkdvlab.spectral import (
     NonFiniteDataError,
     Field,
     PaddedBand,
-    SpectralField,
     SpectralGrid,
     dealiased_product,
-    dealiased_product_rows,
     dft_axis,
     forward_transform,
     idft_axis,
@@ -24,9 +22,9 @@ from gkdvlab.spectral import (
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
-def apply_derivative(sf, order):
+def apply_derivative(c, grid, order):
     """Spectral d^order/dx^order: the grid's derivative symbol on the half-spectrum."""
-    return SpectralField(sf.grid, sf.coeffs * sf.grid.derivative_symbol(order))
+    return c * grid.derivative_symbol(order)
 
 
 def random_field(grid, seed, scale=1.0):
@@ -45,7 +43,7 @@ def bandlimited_field(grid, seed, bandwidth):
         c[k] = z
         c[-k] = np.conj(z)
     half = c[: grid.num_points // 2 + 1]
-    return inverse_transform(SpectralField(grid, half)), c
+    return Field(grid, inverse_transform(half, grid)), c
 
 
 class TestGrid:
@@ -75,20 +73,28 @@ class TestGrid:
         with pytest.raises(ValueError):
             Field(g, np.zeros(7))
         with pytest.raises(ValueError):
-            SpectralField(g, np.zeros(9, dtype=complex))
+            inverse_transform(np.zeros(9, dtype=complex), g)
         with pytest.raises(ValueError):  # a full spectrum is not a half-spectrum
-            SpectralField(g, np.zeros(8, dtype=complex))
-        assert SpectralField(g, np.zeros(5)).coeffs.shape == (5,)
+            inverse_transform(np.zeros(8, dtype=complex), g)
+        assert inverse_transform(np.zeros(5), g).shape == (8,)
         # stacked rows are fields too, transformed row by row
         rows = np.random.default_rng(2).standard_normal((3, 8))
-        coeffs = forward_transform(Field(g, rows)).coeffs
+        coeffs = forward_transform(rows, g)
         assert coeffs.shape == (3, 5)
         for row, c in zip(rows, coeffs):
-            assert np.array_equal(c, forward_transform(Field(g, row)).coeffs)
-        assert np.array_equal(inverse_transform(SpectralField(g, coeffs)).samples[1],
-                              inverse_transform(SpectralField(g, coeffs[1])).samples)
+            assert np.array_equal(c, forward_transform(row, g))
+        assert np.array_equal(inverse_transform(coeffs, g)[1],
+                              inverse_transform(coeffs[1], g))
         with pytest.raises(ValueError):
             Field(g, np.zeros((3, 7)))
+
+    @pytest.mark.parametrize("shape", [(3, 7), (8, 3), (3, 5)],
+                             ids=["short-rows", "transposed", "half-spectra"])
+    def test_forward_transform_checks_the_row_length(self, shape):
+        # the last axis of the samples must be the grid's N, stacked or not
+        g = SpectralGrid(1.0, 8)
+        with pytest.raises(ValueError, match="grid"):
+            forward_transform(np.zeros(shape), g)
 
     def test_half_spectrum_wavenumbers_and_multiplicity(self):
         g = SpectralGrid(3.0, 16)
@@ -105,7 +111,7 @@ class TestForwardTransform:
     def test_matches_direct_dft_sum(self):
         g = SpectralGrid(2.0, 64)
         u = random_field(g, 7)
-        c = forward_transform(u).coeffs
+        c = forward_transform(u.samples, g)
         naive = np.array(
             [
                 (g.dx / SQRT_2PI) * np.sum(u.samples * np.exp(-1j * (g.x + g.half_length) * z))
@@ -119,7 +125,7 @@ class TestForwardTransform:
         g = SpectralGrid(np.pi, 64)
         amp, k1 = 0.7, 5
         samples = amp * np.cos(k1 * g.x)
-        c = forward_transform(Field(g, samples)).coeffs
+        c = forward_transform(samples, g)
         full = g.dft(samples)
         n = g.num_points  # mode m sits at index m mod n of the full spectrum
         expected = amp * g.half_length / SQRT_2PI
@@ -132,7 +138,7 @@ class TestForwardTransform:
 
     def test_constant_field_is_zero_mode_only(self):
         g = SpectralGrid(7.0, 64)
-        c = forward_transform(Field(g, np.full(64, 1.5))).coeffs
+        c = forward_transform(np.full(64, 1.5), g)
         expected = 1.5 * 2 * g.half_length / SQRT_2PI
         assert abs(c[0] - expected) < 1e-13 * expected
         rest = np.abs(np.delete(c, 0))
@@ -142,15 +148,15 @@ class TestForwardTransform:
         g = SpectralGrid(3.0, 32)
         c = np.zeros(17, dtype=complex)
         c[0] = 2.5
-        u = inverse_transform(SpectralField(g, c))
+        u = inverse_transform(c, g)
         expected = 2.5 * SQRT_2PI / (2 * g.half_length)
-        assert np.allclose(u.samples, expected, rtol=0, atol=1e-14)
+        assert np.allclose(u, expected, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("num", [8, 64, 250, 1024])
     def test_parseval_exact(self, num):
         g = SpectralGrid(17.3, num)
         u = random_field(g, num)
-        c = forward_transform(u).coeffs
+        c = forward_transform(u.samples, g)
         phys = np.sum(u.samples**2) * g.dx
         # every mode: the modes 1 ... N/2 - 1 stand for their conjugates too
         spec = np.sum(g.multiplicity * np.abs(c) ** 2) * g.dzeta
@@ -160,7 +166,7 @@ class TestForwardTransform:
     def test_roundtrip(self, seed):
         g = SpectralGrid(5.0, 128)
         u = random_field(g, seed)
-        back = inverse_transform(forward_transform(u)).samples
+        back = inverse_transform(forward_transform(u.samples, g), g)
         assert np.max(np.abs(back - u.samples)) <= 1e-12 * np.max(np.abs(u.samples))
 
     def test_rejects_nonfinite(self):
@@ -168,7 +174,7 @@ class TestForwardTransform:
         bad = Field(g, np.zeros(8))
         bad.samples[3] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            forward_transform(bad)
+            forward_transform(bad.samples, g)
 
     @pytest.mark.parametrize("where,value", [(3, np.nan), (0, np.nan), (8, np.inf)])
     def test_inverse_rejects_nonfinite_coeffs(self, where, value):
@@ -176,7 +182,7 @@ class TestForwardTransform:
         c = np.zeros(9, dtype=complex)
         c[where] = value
         with pytest.raises(NonFiniteDataError, match="non-finite"):
-            inverse_transform(SpectralField(g, c))
+            inverse_transform(c, g)
 
     def test_complex_samples_skips_check(self):
         g = SpectralGrid(1.0, 16)
@@ -190,14 +196,14 @@ class TestForwardTransform:
 class TestDifferentiate:
     def test_first_derivative_of_cosine(self):
         g = SpectralGrid(np.pi, 64)
-        sf = forward_transform(Field(g, np.cos(3 * g.x)))
-        d = inverse_transform(apply_derivative(sf, 1)).samples
+        c = forward_transform(np.cos(3 * g.x), g)
+        d = inverse_transform(apply_derivative(c, g, 1), g)
         assert np.max(np.abs(d + 3 * np.sin(3 * g.x))) < 1e-12
 
     def test_third_derivative_of_cosine(self):
         g = SpectralGrid(np.pi, 64)
-        sf = forward_transform(Field(g, np.cos(3 * g.x)))
-        d = inverse_transform(apply_derivative(sf, 3)).samples
+        c = forward_transform(np.cos(3 * g.x), g)
+        d = inverse_transform(apply_derivative(c, g, 3), g)
         assert np.max(np.abs(d - 27 * np.sin(3 * g.x))) < 1e-10
 
     def test_against_finite_differences(self):
@@ -205,7 +211,7 @@ class TestDifferentiate:
         # smooth periodic function; tolerances sized to the stencil error.
         g = SpectralGrid(np.pi, 256)
         f = np.exp(np.sin(g.x))
-        sf = forward_transform(Field(g, f))
+        c = forward_transform(f, g)
         h = g.dx
 
         def s(n):
@@ -215,22 +221,22 @@ class TestDifferentiate:
         fd2 = (-s(2) + 16 * s(1) - 30 * f + 16 * s(-1) - s(-2)) / (12 * h * h)
         fd3 = (s(2) - 2 * s(1) + 2 * s(-1) - s(-2)) / (2 * h**3)
         for order, fd, tol in ((1, fd1, 1e-6), (2, fd2, 1e-6), (3, fd3, 5e-3)):
-            d = inverse_transform(apply_derivative(sf, order)).samples
+            d = inverse_transform(apply_derivative(c, g, order), g)
             assert np.max(np.abs(d - fd)) <= tol * np.max(np.abs(d))
 
     def test_first_derivative_of_sine(self):
         g = SpectralGrid(np.pi, 64)
-        sf = forward_transform(Field(g, np.sin(4 * g.x)))
-        d = inverse_transform(apply_derivative(sf, 1)).samples
+        c = forward_transform(np.sin(4 * g.x), g)
+        d = inverse_transform(apply_derivative(c, g, 1), g)
         assert np.max(np.abs(d - 4 * np.cos(4 * g.x))) < 1e-12
 
     def test_third_derivative_of_sech(self):
         # Closed form: sech''' = sech*tanh*(6 sech^2 - 1).
         g = SpectralGrid(40.0, 32768)
         sech = 1.0 / np.cosh(g.x)
-        d3 = inverse_transform(apply_derivative(forward_transform(Field(g, sech)), 3))
+        d3 = inverse_transform(apply_derivative(forward_transform(sech, g), g, 3), g)
         exact = sech * np.tanh(g.x) * (6 * sech**2 - 1)
-        assert np.max(np.abs(d3.samples - exact)) < 5e-7 * np.max(np.abs(exact))
+        assert np.max(np.abs(d3 - exact)) < 5e-7 * np.max(np.abs(exact))
 
     def test_third_derivative_of_sech_vs_stencil(self):
         # Mutual agreement with the 5-point stencil bottoms out near 2e-6:
@@ -238,7 +244,7 @@ class TestDifferentiate:
         # Interior points only; the box edge carries a periodization kink.
         g = SpectralGrid(36.0, 65536)
         f = 1.0 / np.cosh(g.x)
-        d3 = inverse_transform(apply_derivative(forward_transform(Field(g, f)), 3)).samples
+        d3 = inverse_transform(apply_derivative(forward_transform(f, g), g, 3), g)
         h = g.dx
 
         def s(n):
@@ -251,10 +257,10 @@ class TestDifferentiate:
 
     def test_nyquist_zeroed_for_odd_orders(self):
         g = SpectralGrid(np.pi, 16)
-        sawtooth = Field(g, (-1.0) ** np.arange(16))  # pure Nyquist mode
+        sawtooth = (-1.0) ** np.arange(16)  # pure Nyquist mode
         for order in (1, 3):
-            d = inverse_transform(apply_derivative(forward_transform(sawtooth), order))
-            assert np.max(np.abs(d.samples)) < 1e-12
+            d = inverse_transform(apply_derivative(forward_transform(sawtooth, g), g, order), g)
+            assert np.max(np.abs(d)) < 1e-12
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_symbol_is_i_zeta_to_the_order(self, order):
@@ -273,8 +279,8 @@ class TestDealiasedProduct:
         g = SpectralGrid(np.pi, 64)
         f1, c1 = bandlimited_field(g, 1, 5)
         f2, c2 = bandlimited_field(g, 2, 5)
-        prod = dealiased_product([f1, f2])
-        cp = forward_transform(prod).coeffs
+        prod = dealiased_product([f1.samples, f2.samples], g)
+        cp = forward_transform(prod, g)
         half = 32
         oracle = np.zeros(64, dtype=complex)
         for m in range(-half, half):
@@ -293,22 +299,22 @@ class TestDealiasedProduct:
         # this resolution, so the dealiased product equals the pointwise one.
         g = SpectralGrid(np.pi, 256)
         f = Field(g, np.exp(np.sin(g.x)))
-        cubed = dealiased_product([f, f, f]).samples
+        cubed = dealiased_product([f.samples, f.samples, f.samples], g)
         assert np.max(np.abs(cubed - f.samples**3)) < 1e-11 * np.max(f.samples**3)
 
     def test_product_with_constant_one_is_identity(self):
         g = SpectralGrid(np.pi, 64)
         u, _ = bandlimited_field(g, 9, 12)
         one = Field(g, np.ones(64))
-        prod = dealiased_product([u, one]).samples
+        prod = dealiased_product([u.samples, one.samples], g)
         assert np.max(np.abs(prod - u.samples)) < 1e-13 * np.max(np.abs(u.samples))
 
     def test_cosine_product_lands_on_sum_and_difference_bins(self):
         # cos(5x) cos(3x) = cos(2x)/2 + cos(8x)/2
         g = SpectralGrid(np.pi, 64)
-        prod = dealiased_product([Field(g, np.cos(5 * g.x)), Field(g, np.cos(3 * g.x))])
-        c = g.dft(prod.samples)  # every mode, in FFT order
-        assert np.max(np.abs(forward_transform(prod).coeffs - c[:33])) < 1e-15
+        prod = dealiased_product([np.cos(5 * g.x), np.cos(3 * g.x)], g)
+        c = g.dft(prod)  # every mode, in FFT order
+        assert np.max(np.abs(forward_transform(prod, g) - c[:33])) < 1e-15
         expected = 0.5 * g.half_length / SQRT_2PI  # per-bin weight of cos/2
         for k in (2, 8):
             assert abs(abs(c[k]) - expected) < 1e-12
@@ -322,20 +328,20 @@ class TestDealiasedProduct:
         # two modes near Nyquist: their product wraps around without padding
         g = SpectralGrid(np.pi, 32)
         u = Field(g, np.cos(12 * g.x))
-        clean = forward_transform(dealiased_product([u, u])).coeffs
-        dirty = forward_transform(Field(g, u.samples * u.samples)).coeffs
+        clean = forward_transform(dealiased_product([u.samples, u.samples], g), g)
+        dirty = forward_transform(u.samples * u.samples, g)
         # true product: 1/2 + cos(24 x)/2; mode 24 is unrepresentable, but the
         # aliased copy lands at |k|=8 only in the unpadded version
         assert abs(clean[8]) < 1e-13
         assert abs(dirty[8]) > 0.1
 
     def test_grid_mismatch_rejected(self):
-        f1 = Field(SpectralGrid(np.pi, 32), np.zeros(32))
-        f2 = Field(SpectralGrid(np.pi, 64), np.zeros(64))
+        g = SpectralGrid(np.pi, 32)
+        f1, f2 = np.zeros(32), np.zeros(64)
         with pytest.raises(ValueError, match="grid"):
-            dealiased_product([f1, f2])
+            dealiased_product([f1, f2], g)
         with pytest.raises(ValueError):
-            dealiased_product([])
+            dealiased_product([], g)
 
     def test_pad_truncate_roundtrip(self):
         # the half-spectrum round trip gives what the complex one gives:
@@ -394,7 +400,7 @@ class TestDealiasedProduct:
         full[:, half] = 0.0
         full[:, half + 1 :] = np.conj(band[:, half - 1 : 0 : -1])
         expect = g.idft(full).real
-        got = dealiased_product_rows(factors, g)
+        got = dealiased_product(factors, g)
         peak = np.max(np.abs(expect), axis=-1)
         assert np.all(np.max(np.abs(got - expect), axis=-1) <= 1e-14 * peak)
 
@@ -452,21 +458,30 @@ class TestBatchedTransforms:
             assert np.array_equal(fwd[j], dft_axis(vals[j], span, real=True))
             assert np.array_equal(inv[j], idft_axis(coeffs[j], span, real=True))
 
+    @pytest.mark.parametrize("shape", [(3, 64), (2, 5, 64)])
+    def test_round_trip_rows_equal_lone_rows_exactly(self, shape):
+        g = SpectralGrid(10.0, 64)
+        rows = np.random.default_rng(8).standard_normal(shape)
+        back = inverse_transform(forward_transform(rows, g), g)
+        for idx in np.ndindex(shape[:-1]):
+            alone = inverse_transform(forward_transform(rows[idx], g), g)
+            assert np.array_equal(back[idx], alone)
+
     def test_product_rows_equal_field_products(self):
         g = SpectralGrid(10.0, 64)
         rng = np.random.default_rng(5)
         factors = [rng.standard_normal((9, 64)) for _ in range(3)]
-        rows = dealiased_product_rows(factors, g)
+        rows = dealiased_product(factors, g)
         for j in range(9):
-            one = dealiased_product([Field(g, f[j]) for f in factors])
-            assert np.array_equal(rows[j], one.samples)
+            one = dealiased_product([f[j] for f in factors], g)
+            assert np.array_equal(rows[j], one)
 
     def test_product_rows_reject_nonfinite_row(self):
         g = SpectralGrid(10.0, 64)
         bad = np.ones((4, 64))
         bad[2, 7] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            dealiased_product_rows([np.ones((4, 64)), bad], g)
+            dealiased_product([np.ones((4, 64)), bad], g)
 
 
 def _plain_dft(values, span, axis, real=False):

@@ -27,12 +27,16 @@ COMMANDS = [
     ["picard-test", "--set", "N=64", "--set", "picard_nodes=8",
      "--set", "t_window=0.004", "--set", "max_iters=4"],
     ["estimate-lab", "--set", "ensemble=2", "--set", "lab_M=16"],
+    ["simulate", "--set", "N=128", "--set", "dt=0.01", "--set", "t_end=0.1",
+     "--set", "record_stride=4"],
 ]
 
 # traced evolution.steps of one pass of each command: 10 steps of 0.01 to
-# t = 0.1; the reference stepper of picard-test, one step per node; and two
-# 100-step apriori runs (forward and reflected) per lab member
-STEPS = [10, 8, 400]
+# t = 0.1; the reference stepper of picard-test, one step per node; two
+# 100-step apriori runs (forward and reflected) per lab member; and 10 IF-RK4
+# steps whose trajectory.csv takes the invariants, the radii and the H^s
+# norms of every record, a path none of the other commands runs
+STEPS = [10, 8, 400, 10]
 
 # two traced passes per command; layer_metrics raises SelfCheckError on a
 # broken identity or a count that differs between the two passes; the last
