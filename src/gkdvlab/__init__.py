@@ -64,7 +64,6 @@ from .spaces import (
     mixed_norm,
 )
 from .spectral import (
-    Field,
     SpectralGrid,
     dealiased_product,
     forward_transform,
@@ -78,7 +77,6 @@ __all__ = [
     "CutoffProfile",
     "DecayFit",
     "EstimateReport",
-    "Field",
     "InsufficientDataError",
     "InvariantSet",
     "NonContractionError",

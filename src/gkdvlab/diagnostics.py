@@ -2,9 +2,9 @@
 quantities, spectral-decay radius estimation, decay-law fitting, and
 numerical continuation of a field off the real axis.
 
-A pair (u, v) is one Field whose samples are (2, N), u first, as in the
-evolution module; a trajectory record keeps one such (2, N) snapshot per
-record time.
+A pair (u, v) is one samples array (2, N), u first, as in the evolution
+module; a trajectory record holds one array (2, records, N), and one forward
+transform of it serves its radii, its invariants and its norms.
 
 The radius estimator reads the exponential decay rate of |u_hat| by linear
 regression of -log|u_hat| against zeta over an automatically chosen window:
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .spectral import Field, SpectralGrid, dealiased_product, forward_transform
+from .spectral import SpectralGrid, dealiased_product, forward_transform
 
 # fit and warning thresholds; the docstrings that use them give their roles
 NOISE_FACTOR = 1e3
@@ -40,24 +40,23 @@ class InvariantSet:
     hamiltonian: float
 
 
-def invariants(pair: Field, p: int) -> InvariantSet:
+def invariants(pair: np.ndarray, coeffs: np.ndarray, grid: SpectralGrid, p: int) -> InvariantSet:
     """Masses, combined L^2 energy, and the Hamiltonian
     1/2 (||u_x||^2 + ||v_x||^2) - (p+1)^{-1} integral(u^{p+1} v^{p+1}) of the
-    pair, samples (2, N)."""
-    if pair.samples.shape[:-1] != (2,):
+    pair: samples (2, N) on grid, and coeffs, their half-spectra (2, N/2 + 1),
+    which give the gradient and the coupling product."""
+    if np.shape(pair)[:-1] != (2,) or np.shape(coeffs)[:-1] != (2,):
         raise ValueError("invariants take one pair of fields (2, N), not stacked rows")
-    g = pair.grid
-    u, v = pair.samples
-    mass_u = float(np.sum(u) * g.dx)
-    mass_v = float(np.sum(v) * g.dx)
-    l2 = 0.5 * float(np.sum(u**2 + v**2) * g.dx)
-    cu, cv = forward_transform(pair.samples, g)
+    u, v = pair
+    mass_u = float(np.sum(u) * grid.dx)
+    mass_v = float(np.sum(v) * grid.dx)
+    l2 = 0.5 * float(np.sum(u**2 + v**2) * grid.dx)
+    cu, cv = coeffs
     # a sum over every mode: each half-spectrum entry counts with its multiplicity
-    grad = float(
-        np.sum(g.multiplicity * g.rzeta**2 * (np.abs(cu) ** 2 + np.abs(cv) ** 2)) * g.dzeta
-    )
-    coupling = dealiased_product([u] * (p + 1) + [v] * (p + 1), g)
-    mixed = float(np.sum(coupling) * g.dx)
+    energy = np.abs(cu) ** 2 + np.abs(cv) ** 2
+    grad = float(np.sum(grid.multiplicity * grid.rzeta**2 * energy) * grid.dzeta)
+    coupling = dealiased_product([cu] * (p + 1) + [cv] * (p + 1), grid)
+    mixed = float(np.sum(coupling) * grid.dx)
     return InvariantSet(mass_u, mass_v, l2, 0.5 * grad - mixed / (p + 1))
 
 
@@ -157,42 +156,56 @@ def joint_radius(ru: RadiusEstimate, rv: RadiusEstimate) -> RadiusEstimate:
 
 @dataclass
 class TrajectoryRecord:
-    """Snapshots of one simulation at its record times, one (2, N) array of
-    samples each (u in row 0, v in row 1); the diagnostics are computed from
-    them on request."""
+    """One simulation at its record times.  rows, an array (2, R, ..., N)
+    that the creator sizes for R records, takes the samples of the pair (u
+    in row 0, v in row 1) one record time after another.  The diagnostics
+    take coeffs = spectra(), made once by the caller and shared."""
 
     grid: SpectralGrid
     p: int
+    rows: np.ndarray
     times: list[float] = dc_field(default_factory=list)
-    snapshots: list[np.ndarray] = dc_field(default_factory=list)
     blow_up: bool = False
 
     def record(self, t: float, samples: np.ndarray) -> None:
-        """Append time t and the (2, N) samples of the pair, kept as given."""
+        """Copy the (2, ..., N) samples of the pair at time t into the next row."""
+        self.rows[:, len(self.times)] = samples
         self.times.append(float(t))
-        self.snapshots.append(samples)
 
     def __len__(self) -> int:
         return len(self.times)
 
     def samples(self) -> np.ndarray:
-        """Every snapshot, pair-first: (2, records, N), like
-        PicardResult.samples()."""
-        return np.stack(self.snapshots, axis=1)
+        """A read-only view of the rows recorded so far, pair-first: (2,
+        records, ..., N), like PicardResult.samples()."""
+        view = self.rows[:, : len(self.times)]
+        view.flags.writeable = False
+        return view
 
-    def invariant_sets(self) -> list[InvariantSet]:
-        """Conserved functionals at each record time."""
-        return [invariants(Field(self.grid, snap), self.p) for snap in self.snapshots]
+    def spectra(self) -> np.ndarray:
+        """The half-spectra (2, records, ..., N/2 + 1) of samples()."""
+        return forward_transform(self.samples(), self.grid)
 
-    def radii(self) -> tuple[list[RadiusEstimate], list[RadiusEstimate]]:
-        """Fitted radius of u and of v at each record time; one transform."""
-        coeffs = forward_transform(self.samples(), self.grid)
+    def _check_spectra(self, coeffs: np.ndarray) -> None:
+        if np.shape(coeffs)[:-1] != self.samples().shape[:-1]:
+            raise ValueError(f"coeffs {np.shape(coeffs)} are not the record's spectra()")
+
+    def invariant_sets(self, coeffs: np.ndarray) -> list[InvariantSet]:
+        """Conserved functionals at each record time, row by row."""
+        self._check_spectra(coeffs)
+        pairs = self.samples()
+        return [invariants(pairs[:, i], coeffs[:, i], self.grid, self.p)
+                for i in range(len(self))]
+
+    def radii(self, coeffs: np.ndarray) -> tuple[list[RadiusEstimate], list[RadiusEstimate]]:
+        """Fitted radius of u and of v at each record time."""
+        self._check_spectra(coeffs)
         return tuple([estimate_radius(row, self.grid) for row in rows] for rows in coeffs)
 
 
 def track_radius(record: TrajectoryRecord) -> tuple[np.ndarray, list[RadiusEstimate]]:
     """Joint (min over components) radius estimate at each record time."""
-    joints = [joint_radius(ru, rv) for ru, rv in zip(*record.radii())]
+    joints = [joint_radius(ru, rv) for ru, rv in zip(*record.radii(record.spectra()))]
     return np.asarray(record.times), joints
 
 
@@ -250,14 +263,11 @@ class AnalyticityMarginWarning(UserWarning):
     """Continuation requested at or beyond the estimated analyticity radius."""
 
 
-def evaluate_analytic_extension(
-    f: Field,
-    y: float,
-    order: int = 0,
-    band_limit: float | None = None,
-) -> Field:
-    """|d^order/dx^order f(x + i y)| via the multiplier (i zeta)^order
-    e^{-y zeta} on the half-spectrum c of f: e^{-y zeta} = cosh(y zeta) -
+def evaluate_analytic_extension(samples: np.ndarray, grid: SpectralGrid, y: float, order: int = 0,
+                                band_limit: float | None = None) -> np.ndarray:
+    """|d^order/dx^order f(x + i y)| as samples (N,), for f with samples
+    (N,) on grid, via the multiplier (i zeta)^order e^{-y zeta} on its
+    half-spectrum c: e^{-y zeta} = cosh(y zeta) -
     sinh(y zeta), so irfft(c cosh(y zeta)) is the real part and
     irfft(i c sinh(y zeta)) the imaginary part.  Warns when |y| reaches the
     fitted radius minus ANALYTICITY_MARGIN (0.05); values there are
@@ -271,8 +281,8 @@ def evaluate_analytic_extension(
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
-    g = f.grid
-    c = forward_transform(f.samples, g)
+    g = grid
+    c = forward_transform(samples, g)
     est = estimate_radius(c, g)
     if not est.noise_floor_hit and abs(y) >= est.rho - ANALYTICITY_MARGIN:
         warnings.warn(
@@ -305,5 +315,4 @@ def evaluate_analytic_extension(
     # a zeroed mode keeps exponent 0, so it never meets an overflowing cosh
     yz = np.where(c != 0.0, y * g.rzeta, 0.0)
     c *= g.derivative_symbol(order)
-    return Field(g, np.hypot(g.idft(c * np.cosh(yz), real=True),
-                             g.idft(1j * c * np.sinh(yz), real=True)))
+    return np.hypot(g.idft(c * np.cosh(yz), real=True), g.idft(1j * c * np.sinh(yz), real=True))

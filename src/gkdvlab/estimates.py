@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .spaces import (
     xt_transform,
 )
 from .spectral import (
-    Field,
     NonFiniteDataError,
     SpectralGrid,
     dealiased_product,
@@ -222,11 +221,11 @@ def _envelope_weights(grid: SpectralGrid, spec: SampleSpec) -> np.ndarray:
 
 def random_field(
     grid: SpectralGrid, spec: SampleSpec, seed: int | Sequence[int] | None = None
-) -> Field:
-    """Envelope-shaped random real field (the law of :class:`SampleSpec`,
-    drawn by :func:`_random_half_spectrum`); seed defaults to spec.seed, and
-    a sequence of seeds gives one row per seed."""
-    return Field(grid, _random_rows(grid, spec, 1, seed)[..., 0, :])
+) -> np.ndarray:
+    """Samples (N,) of an envelope-shaped random real field (the law of
+    :class:`SampleSpec`, drawn by :func:`_random_half_spectrum`); seed
+    defaults to spec.seed, and a sequence of seeds gives one row per seed."""
+    return _random_rows(grid, spec, 1, seed)[..., 0, :]
 
 
 def _random_half_spectrum(
@@ -306,28 +305,28 @@ def random_boxed_sample(grid: SpectralGrid, spec: SampleSpec, num_times: int = 6
 # them directly.
 
 
-def free_wave_sample(u0: Field, num_times: int = 64) -> SpaceTimeSample:
-    """Free evolution of u0 sampled on [-HALF_SPAN, HALF_SPAN); each mode
-    carries its exact phase e^{i zeta^3 t}, no time stepping involved.  Rows
-    of u0 give a batch, one member per row."""
-    g = u0.grid
-    c0 = forward_transform(u0.samples, g)
+def free_wave_sample(c0: np.ndarray, grid: SpectralGrid, num_times: int = 64) -> SpaceTimeSample:
+    """Free evolution of the data with half-spectrum c0 on grid, sampled on
+    [-HALF_SPAN, HALF_SPAN); each mode carries its exact phase
+    e^{i zeta^3 t}, no time stepping involved.  Rows of c0 give a batch, one
+    member per row."""
     times = -HALF_SPAN + (2.0 * HALF_SPAN / num_times) * np.arange(num_times)
-    rows = dispersive_phase(g, times) * c0[..., None, :]
-    vals = g.idft(rows, axis=-1, real=True)
-    return SpaceTimeSample(g, -HALF_SPAN, HALF_SPAN, vals)
+    rows = dispersive_phase(grid, times) * c0[..., None, :]
+    vals = grid.idft(rows, axis=-1, real=True)
+    return SpaceTimeSample(grid, -HALF_SPAN, HALF_SPAN, vals)
 
 
-def linear_free_ratio(u0: Field, params: NormParams, T: float,
+def linear_free_ratio(u0: np.ndarray, grid: SpectralGrid, params: NormParams, T: float,
                       num_times: int = 64) -> float | np.ndarray:
-    """Windowed free wave in the dispersive norm against sqrt(T) times the
-    exponential norm of the data.  The cutoff is the unscaled psi, so T only
-    enters the denominator."""
+    """Windowed free wave of the data u0, samples (..., N) on grid, in the
+    dispersive norm against sqrt(T) times the exponential norm of the data;
+    one transform of u0 serves both.  The cutoff is the unscaled psi, so T
+    only enters the denominator."""
     _require(params.b > 0.5, f"need b > 1/2, got {params.b}")
     _require(T >= 1.0, f"need T >= 1, got {T}")
-    sample = free_wave_sample(u0, num_times)
-    lhs = bourgain_norm(sample, params, CutoffProfile(1.0))
-    return _ratio(lhs, np.sqrt(T) * gevrey_norm(u0.samples, u0.grid, params))
+    c0 = forward_transform(u0, grid)
+    lhs = bourgain_norm(free_wave_sample(c0, grid, num_times), params, CutoffProfile(1.0))
+    return _ratio(lhs, np.sqrt(T) * gevrey_norm(c0, grid, params))
 
 
 def time_cutoff_ratio(sample: SpaceTimeSample, params: NormParams, T: float) -> float | np.ndarray:
@@ -426,6 +425,20 @@ def strichartz_ratio(
     return _ratio(lhs, sample_l2(xt_modulus(sample, coeffs), sample.cell))
 
 
+class _FactorSpectra:
+    """The half-spectra of samples' rows for dealiased_product, each made as
+    it is read, so one factor's transform is alive at a time."""
+
+    def __init__(self, samples: Sequence[SpaceTimeSample]):
+        self.samples = samples
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return (forward_transform(s.values, s.grid) for s in self.samples)
+
+
 def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
     """Dealiased pointwise product of samples sharing both grids and their
     shape, taken on all time rows (and members) at once: each row is one
@@ -435,7 +448,7 @@ def product_sample(samples: Sequence[SpaceTimeSample]) -> SpaceTimeSample:
     window = (base.grid, base.values.shape, base.t0, base.t1)
     same = all((s.grid, s.values.shape, s.t0, s.t1) == window for s in samples[1:])
     _require(same, "product_sample: samples must share grid and time window")
-    rows = dealiased_product([s.values for s in samples], base.grid)
+    rows = dealiased_product(_FactorSpectra(samples), base.grid)
     return SpaceTimeSample(base.grid, base.t0, base.t1, rows)
 
 
@@ -521,7 +534,7 @@ def check_linear_free(
     sqrt(T) times the data norm."""
 
     def ratios(seeds: list[int]) -> np.ndarray:
-        return linear_free_ratio(random_field(grid, spec, seeds), params, T, num_times)
+        return linear_free_ratio(random_field(grid, spec, seeds), grid, params, T, num_times)
 
     return _ensemble("linear_free", spec, params, grid, num_times, ensemble, ratios, T=T)
 
@@ -634,8 +647,8 @@ def check_embedding(
 
     def ratios(seeds: list[int]) -> np.ndarray:
         w = random_window_sample(grid, spec, num_times, seeds)
-        return _ratio(np.max(gevrey_norm(w.values, grid, params), axis=-1),
-                      bourgain_norm(w, params, None))
+        slices = gevrey_norm(forward_transform(w.values, grid), grid, params)
+        return _ratio(np.max(slices, axis=-1), bourgain_norm(w, params, None))
 
     return _ensemble("embedding", spec, params, grid, num_times, ensemble, ratios)
 
@@ -730,19 +743,17 @@ def bidirectional_record(
 ) -> TrajectoryRecord:
     """Trajectory on [t0 - t_half, t0 + t_half] with uniform record times.
 
-    The backward half is the run of the reflected data with its snapshots
-    reflected back, all in one gather.
+    The backward half is the run of the reflected data with its rows
+    reflected back, joined to the forward rows in one array.
     """
     _require(t_half > 0.0, f"t_half must be positive, got {t_half}")
     cfg = dataclasses.replace(config, t_end=initial.t + t_half)
     fwd = simulate(initial, cfg)
-    reflected = Field(initial.grid, reflect_samples(initial.pair.samples))
-    back = simulate(CoupledState(initial.t, reflected), cfg)
-    merged = TrajectoryRecord(initial.grid, config.p)
+    back = simulate(CoupledState(initial.t, initial.grid, reflect_samples(initial.pair)), cfg)
     # back in time; [:0:-1] skips the duplicate t0 entry
-    merged.times = [2.0 * initial.t - t for t in back.times[:0:-1]] + fwd.times
-    merged.snapshots = list(reflect_samples(np.asarray(back.snapshots[:0:-1]))) + fwd.snapshots
-    return merged
+    rows = np.concatenate((reflect_samples(back.samples()[:, :0:-1]), fwd.samples()), axis=1)
+    times = [2.0 * initial.t - t for t in back.times[:0:-1]] + fwd.times
+    return TrajectoryRecord(initial.grid, config.p, rows, times)
 
 
 def _windowed_pair_sample(record: TrajectoryRecord, T: float) -> SpaceTimeSample:
@@ -773,11 +784,9 @@ def _windowed_pair_sample(record: TrajectoryRecord, T: float) -> SpaceTimeSample
     return SpaceTimeSample(record.grid, t0, t0 + pair.shape[1] * h, pair)
 
 
-def _pair_sup(record: TrajectoryRecord, T: float, params: NormParams) -> float:
-    times = np.asarray(record.times)
-    inside = (times >= -1e-9) & (times <= 2.0 * T + 1e-9)
-    norms = gevrey_norm(record.samples()[:, inside], record.grid, params)
-    return float(np.max(np.hypot(*norms), initial=0.0))
+def _pair_sup(coeffs: np.ndarray, grid: SpectralGrid, params: NormParams) -> float:
+    """Sup over the rows (2, rows, N/2 + 1) of the pair's norm."""
+    return float(np.max(np.hypot(*gevrey_norm(coeffs, grid, params)), initial=0.0))
 
 
 def check_apriori(
@@ -795,15 +804,18 @@ def check_apriori(
     _require(isinstance(p, (int, np.integer)) and p >= 1, f"p must be a positive int, got {p}")
     pair = _windowed_pair_sample(traj, T)
     power = 2 * p + 1
+    times = np.asarray(traj.times)
+    inside = (times >= -1e-9) & (times <= 2.0 * T + 1e-9)
+    coeffs = forward_transform(traj.samples()[:, inside], traj.grid)  # the rows on [0, 2T]
 
     plain = NormParams(0.0, params.s, params.b)
     lhs0 = float(np.hypot(*bourgain_norm(pair, plain, None)))
-    lam = _pair_sup(traj, T, NormParams(0.0, params.s + 1.0, 0.0))
+    lam = _pair_sup(coeffs, traj.grid, NormParams(0.0, params.s + 1.0, 0.0))
     r0 = _ratio(lhs0, np.sqrt(T) * (1.0 + lam) ** power)
 
     if params.rho > 0.0:
         lhs1 = float(np.hypot(*bourgain_norm(pair, params, None)))
-        kap = _pair_sup(traj, T, NormParams(params.rho, params.s + 1.0, 0.0))
+        kap = _pair_sup(coeffs, traj.grid, NormParams(params.rho, params.s + 1.0, 0.0))
         r1 = _ratio(lhs1, np.sqrt(T) * (1.0 + kap) ** power)
     else:
         kap = lam
@@ -836,9 +848,9 @@ def check_apriori_ensemble(
     cfg = SolverConfig(p=p, dt=APRIORI_DT, t_end=2.0 * T, record_stride=APRIORI_STRIDE)
 
     def ratios(seeds: list[int]) -> list[float]:
-        us = random_field(grid, spec, seeds).samples
-        vs = random_field(grid, spec, [sd + 7919 for sd in seeds]).samples
-        states = (CoupledState(0.0, Field(grid, [u, v])) for u, v in zip(us, vs))
+        us = random_field(grid, spec, seeds)
+        vs = random_field(grid, spec, [sd + 7919 for sd in seeds])
+        states = (CoupledState(0.0, grid, [u, v]) for u, v in zip(us, vs))
         return [check_apriori(bidirectional_record(st, cfg, 2.0 * T), params, T, p).max_ratio
                 for st in states]
 

@@ -11,9 +11,10 @@ half-step around a midpoint-rule nonlinear step.  Also a fixed-point
 a short window, with per-iteration contraction factors.
 
 The two components share their linear part, so the pair is one array with
-u and v on the leading axis throughout: samples (2, N) in a CoupledState
-and in each record snapshot, half-spectra (modes 0 ... N/2) (2, N/2 + 1) in
-the steppers and (2, num_nodes + 1, N/2 + 1) for a Picard node stack.
+u and v on the leading axis throughout: samples (2, N) in a CoupledState and
+(2, records, N) in a record that simulate sizes before it steps, half-spectra
+(2, N/2 + 1) in the steppers and (2, num_nodes + 1, N/2 + 1) for a Picard
+node stack.
 
 The stepping loop allocates little and builds what it can once: the
 right-hand side is built for one input shape and keeps the padded
@@ -39,7 +40,6 @@ import numpy as np
 from . import _kernels
 from .diagnostics import TrajectoryRecord
 from .spectral import (
-    Field,
     SpectralGrid,
     PaddedBand,
     dft_axis,
@@ -65,20 +65,18 @@ class NonContractionError(RuntimeError):
 
 @dataclass
 class CoupledState:
-    """Solution pair at one instant: one Field whose samples are (2, ..., N),
-    u in row 0 and v in row 1."""
+    """Solution pair at one instant: float64 samples (2, ..., N) on grid, u
+    in row 0 and v in row 1."""
 
     t: float
-    pair: Field
+    grid: SpectralGrid
+    pair: np.ndarray
 
     def __post_init__(self):
-        shape = self.pair.samples.shape
-        if len(shape) < 2 or shape[0] != 2:
-            raise ValueError(f"the pair needs samples (2, ..., N), got {shape}")
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.pair.grid
+        self.pair = np.asarray(self.pair, dtype=np.float64)
+        shape, num = self.pair.shape, self.grid.num_points
+        if len(shape) < 2 or shape[0] != 2 or shape[-1] != num:
+            raise ValueError(f"the pair needs samples (2, ..., N), N = {num}, got {shape}")
 
 
 SCHEMES = ("if_rk4", "strang")
@@ -250,8 +248,9 @@ def _step_strang(c, dt, e, rhs):
 
 
 def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
-    """March from initial.t to config.t_end, recording snapshots every
-    record_stride steps (always at the first and last instant).
+    """March from initial.t to config.t_end, recording the pair every
+    record_stride steps (always at the first and last instant) into a
+    record sized for that many rows.
 
     Sup-norm growth beyond blowup_factor times the initial amplitude, or a
     non-finite spectrum, aborts via NumericalBlowupError carrying the
@@ -269,9 +268,11 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
             "of steps; adjust dt or t_end"
         )
 
-    record = TrajectoryRecord(grid=g, p=config.p)
+    stride = config.record_stride
+    num_records = num_steps // stride + 1 + (1 if num_steps % stride else 0)
+    record = TrajectoryRecord(g, config.p, np.empty((2, num_records) + initial.pair.shape[1:]))
 
-    c = forward_transform(initial.pair.samples, g)
+    c = forward_transform(initial.pair, g)
     rhs = _RhsWorkspace(g, config.p, c.shape)
     dt = config.dt
     half = dispersive_phase(g, 0.5 * dt)
@@ -284,9 +285,8 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
         def step(c):
             return _step_strang(c, dt, half, rhs)
 
-    samples = initial.pair.samples.copy()  # a record never aliases the caller's data
-    baseline = max(float(np.max(np.abs(samples))), 1e-300)
-    record.record(initial.t, samples)
+    baseline = max(float(np.max(np.abs(initial.pair))), 1e-300)
+    record.record(initial.t, initial.pair)  # a copy: a record never aliases the caller's data
 
     # overflow inside a diverging step is expected; the finite check below
     # turns it into the typed error instead of a warning cascade
@@ -299,8 +299,8 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
                 raise NumericalBlowupError(
                     f"blow-up at t = {t:.6g}: non-finite spectrum", record
                 )
-            if n % config.record_stride == 0 or n == num_steps:
-                # both components in one inverse, kept as the snapshot
+            if n % stride == 0 or n == num_steps:
+                # both components in one inverse, copied into the record
                 samples = inverse_transform(c, g)
                 sup = float(np.abs(samples).max())  # np.max passes a NaN on
                 if sup > config.blowup_factor * baseline:
@@ -392,7 +392,7 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     m = config.num_nodes
     h = config.t_window / m
     times = initial.t + h * np.arange(m + 1)
-    c0 = forward_transform(initial.pair.samples, g)
+    c0 = forward_transform(initial.pair, g)
     free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
     rhs = _node_block_rhs(g, p, free.shape)
     forcing = np.empty_like(free)

@@ -59,7 +59,7 @@ from .evolution import (
     simulate,
 )
 from .spaces import NormParams, gevrey_norm
-from .spectral import Field, SpectralGrid
+from .spectral import SpectralGrid
 
 __all__ = [
     "DECAY_COLUMNS",
@@ -105,7 +105,9 @@ _POS = (lambda v: np.isfinite(v) and v > 0, "must be positive and finite")
 _NONNEG = (lambda v: np.isfinite(v) and v >= 0, "must be >= 0")
 _FINITE = (lambda v: np.isfinite(v), "must be finite")
 _ONE_OR_MORE = (lambda v: np.isfinite(v) and v >= 1.0, "must be >= 1")
-_ANY = (lambda v: True, "")
+# '#' would start a comment and a line break would end the line of the
+# rendered config, so parse_config could not read such a value back
+_ONE_LINE = (lambda v: not any(c in v for c in "#\n\r"), "must not contain '#' or a line break")
 
 
 def _at_least(low: int, even: bool = False) -> tuple[Callable[[object], bool], str]:
@@ -122,7 +124,7 @@ _LAB_T = (lambda v: np.isfinite(v) and v >= 1.0
           f"must be >= 1 and a whole multiple of {_LAB_T_STEP:g}")
 
 
-def _key(default, section: str, rule=_ANY, name: str | None = None):
+def _key(default, section: str, rule, name: str | None = None):
     """A RunConfig field declaring one config key: the default (its type is
     the value type), [section], (check, rule) pair and, if not the field name,
     the config spelling."""
@@ -136,7 +138,7 @@ class RunConfig:
 
     kind: str = _key("simulate", "run", _one_of(KINDS))
     seed: int = _key(0, "run", _at_least(0))
-    out: str = _key("", "run")
+    out: str = _key("", "run", _ONE_LINE)
     half_length: float = _key(20.0 * np.pi, "grid", _POS, name="L")
     num_points: int = _key(1024, "grid", _at_least(4, even=True), name="N")
     p: int = _key(1, "solver", _at_least(1))
@@ -288,21 +290,22 @@ def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return header, np.asarray(data, dtype=float).reshape(len(data), len(header))
 
 
-def trajectory_rows(record: TrajectoryRecord, s: float, radii) -> list[list[float]]:
-    """One row per record time; hs_u and hs_v are H^s norms, and radii is
-    record.radii(), the fitted radii of u and of v."""
-    sobolev = NormParams(0.0, s, 0.0)
-    rows = zip(record.times, record.snapshots, record.invariant_sets(), *radii)
+def trajectory_rows(record: TrajectoryRecord, s: float, coeffs, radii) -> list[list[float]]:
+    """One row per record time; coeffs is record.spectra(), which gives the
+    invariants and the H^s norms hs_u and hs_v, and radii is
+    record.radii(coeffs), the fitted radii of u and of v."""
+    hs_u, hs_v = gevrey_norm(coeffs, record.grid, NormParams(0.0, s, 0.0))
+    rows = zip(record.times, record.invariant_sets(coeffs), hs_u, hs_v, *radii)
     return [
-        [t, inv.mass_u, inv.mass_v, inv.l2, inv.hamiltonian,
-         *gevrey_norm(snap, record.grid, sobolev),
+        [t, inv.mass_u, inv.mass_v, inv.l2, inv.hamiltonian, h_u, h_v,
          ru.rho, rv.rho, joint_radius(ru, rv).rho, ru.r_squared, rv.r_squared]
-        for t, snap, inv, ru, rv in rows
+        for t, inv, h_u, h_v, ru, rv in rows
     ]
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: Path, s: float) -> None:
-    write_csv(path, TRAJECTORY_COLUMNS, trajectory_rows(record, s, record.radii()))
+    coeffs = record.spectra()
+    write_csv(path, TRAJECTORY_COLUMNS, trajectory_rows(record, s, coeffs, record.radii(coeffs)))
 
 
 def write_decay_csv(fit: DecayFit, path: Path) -> None:
@@ -349,7 +352,7 @@ def initial_state(config: RunConfig) -> CoupledState:
     else:
         u = config.ic_amp * np.exp(-((y / config.ic_width) ** 2))
         v = u
-    return CoupledState(0.0, Field(g, [u, v]))
+    return CoupledState(0.0, g, [u, v])
 
 
 def _solver_config(config: RunConfig) -> SolverConfig:
@@ -372,8 +375,10 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
 
 def _run_radius_track(config: RunConfig, out: Path) -> list[str]:
     rec = _simulate_record(config)
-    radii = rec.radii()  # fitted once, for the trajectory file and the decay fit
-    write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, trajectory_rows(rec, config.s, radii))
+    coeffs = rec.spectra()
+    radii = rec.radii(coeffs)  # transformed and fitted once, for both files
+    write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS,
+              trajectory_rows(rec, config.s, coeffs, radii))
     joints = [joint_radius(ru, rv) for ru, rv in zip(*radii)]
     rhos = np.asarray([e.rho for e in joints])
     try:
@@ -405,10 +410,10 @@ def _run_soliton_test(config: RunConfig, out: Path) -> list[str]:
     c = config.ic_speed
     shift = _periodic_shift(g.x - config.ic_x0 - c * config.t_end, g.half_length)
     exact = soliton_profile(shift, c, config.p)
-    final = rec.snapshots[-1]  # (2, N): u and v at t_end
+    final = rec.samples()[:, -1]  # (2, N): u and v at t_end
     err_u, err_v = (float(e) for e in np.sqrt(np.sum((final - exact) ** 2, axis=-1) * g.dx))
 
-    invs = rec.invariant_sets()
+    invs = rec.invariant_sets(rec.spectra())
     inv0 = invs[0]
     rel = lambda a, b: abs(a - b) / max(abs(b), 1e-300)
     drifts = {
@@ -603,9 +608,9 @@ def sweep(
         print(f"[gkdvlab] sweep point {idx}: " + ", ".join(pairs))
         manifests.append(run(cfg, sub))
         alpha, k_fit = np.nan, np.nan
-        decay = sub / "decay_fit.csv"
-        if decay.exists():
-            _, data = read_csv(decay)
+        # only this run's own fit: a file left by an earlier run is not one
+        if "decay_fit.csv" in manifests[-1].outputs:
+            _, data = read_csv(sub / "decay_fit.csv")
             k_fit, alpha = data[0][1], data[0][2]
         point = [pos if isinstance(f.default, str) else getattr(cfg, f.name)
                  for f, (pos, _) in zip(fields, combo)]

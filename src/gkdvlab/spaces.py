@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .spectral import SpectralGrid, dft_axis, forward_transform, half_multiplicity, idft_axis
+from .spectral import SpectralGrid, check_coeffs, dft_axis, half_multiplicity, idft_axis
 
 SUPPORT_TOL = 1e-8  # edge rows / peak; see check_window_support
 
@@ -178,12 +178,13 @@ def _apply_weights(
     return weighted
 
 
-def gevrey_norm(samples: np.ndarray, grid: SpectralGrid, params: NormParams) -> float | np.ndarray:
+def gevrey_norm(coeffs: np.ndarray, grid: SpectralGrid, params: NormParams) -> float | np.ndarray:
     """L^2-based norm with weight e^{rho (1+|zeta|)} (1+|zeta|)^s of each row
-    of real samples (..., N) on grid, in one pass: a float for one row."""
+    of half-spectra (..., N/2 + 1) on grid, in one pass: a float for one row."""
+    check_coeffs(coeffs, grid, "gevrey_norm: coeffs")
     # the L^2 sum runs over every mode: each half-spectrum entry stands for
     # multiplicity modes of its size
-    c = np.abs(forward_transform(samples, grid)) * np.sqrt(grid.multiplicity)
+    c = np.abs(coeffs) * np.sqrt(grid.multiplicity)
     w = _kernels.gevrey_weight(grid.rzeta, params.rho, params.s)
     return _float_or_batch(l2_rows(_apply_weights(c, w, "gevrey_norm", params), grid.dzeta))
 

@@ -18,9 +18,10 @@ Every 1-D field lives on this half-spectrum.  A full spectrum, every mode
 in numpy's FFT order (mode m at index m mod N), is only the x axis of a
 real space-time sample, which halves its time axis (spaces.xt_transform).
 Only this module knows these layouts; callers select modes by their
-wavenumbers.  A half-spectrum is a plain array beside its grid: each
-operation on one takes (array, grid) and checks the array's last axis.  The
-grid owns the x-transform (span 2L) as SpectralGrid.dft/idft.
+wavenumbers.  Samples (..., N) and half-spectra (..., N/2 + 1) are plain
+arrays beside their grid: each operation takes (array, grid) and checks the
+array's last axis, and one transform of samples serves every reader of their
+modes.  The grid owns the x-transform (span 2L) as SpectralGrid.dft/idft.
 
 Every transform is one call of a pocketfft gufunc that np.fft itself calls
 (numpy.fft._pocketfft_umath, which numpy 2.0, the floor in pyproject.toml,
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Collection
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
@@ -198,23 +199,6 @@ class SpectralGrid:
         return mult
 
 
-@dataclass
-class Field:
-    """Real-valued samples on a SpectralGrid: one row (N,), or rows (..., N)
-    on leading axes where a function says it takes them."""
-
-    grid: SpectralGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.shape[-1:] != (self.grid.num_points,):
-            raise ValueError(
-                f"samples shape {self.samples.shape} does not match grid "
-                f"(..., {self.grid.num_points})"
-            )
-
-
 def forward_transform(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Real sample rows (..., N) on grid -> half-spectra (..., N/2 + 1), row
     by row; rejects a last axis other than N and non-finite input."""
@@ -228,15 +212,21 @@ def forward_transform(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return grid.dft(samples, real=True)
 
 
+def check_coeffs(coeffs: np.ndarray, grid: SpectralGrid, what: str) -> None:
+    """Raise ValueError naming the grid unless coeffs are half-spectrum rows
+    (..., N/2 + 1) of grid, and NonFiniteDataError if any is non-finite."""
+    modes = grid.num_points // 2 + 1
+    if np.shape(coeffs)[-1:] != (modes,):
+        raise ValueError(f"{what} shape {np.shape(coeffs)} does not match grid (..., {modes})")
+    if not np.all(np.isfinite(coeffs)):
+        raise NonFiniteDataError(f"{what}: non-finite values")
+
+
 def inverse_transform(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Half-spectrum rows (..., N/2 + 1) on grid -> real samples (..., N), row
     by row; rejects a last axis other than N/2 + 1 and non-finite input."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    modes = grid.num_points // 2 + 1
-    if coeffs.shape[-1:] != (modes,):
-        raise ValueError(f"coeffs shape {coeffs.shape} does not match grid (..., {modes})")
-    if not np.all(np.isfinite(coeffs)):
-        raise NonFiniteDataError("inverse_transform: non-finite coefficients")
+    check_coeffs(coeffs, grid, "inverse_transform: coeffs")
     return grid.idft(coeffs, real=True)
 
 
@@ -294,9 +284,12 @@ def truncated_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return PaddedBand(grid.dft(samples, real=True), grid).cut()
 
 
-def dealiased_product(factors: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray:
-    """Pointwise product of real sample arrays (..., N) on grid, dealiased by
-    zero-padding; leading axes are independent rows.
+def dealiased_product(factors: Collection[np.ndarray], grid: SpectralGrid) -> np.ndarray:
+    """Real samples (..., N) of the pointwise product of the fields whose
+    half-spectra (..., N/2 + 1) on grid are factors, dealiased by
+    zero-padding; leading axes are independent rows.  Each factor is read
+    once, in order, and dropped once padded, so factors made as they are
+    read are alive one at a time.
 
     The result equals the exact truncated spectral convolution whenever the
     true product bandwidth stays below the Nyquist mode of the grid.
@@ -304,12 +297,14 @@ def dealiased_product(factors: Sequence[np.ndarray], grid: SpectralGrid) -> np.n
     if len(factors) == 0:
         raise ValueError("dealiased_product: need at least one factor")
     num_padded = padded_points(grid.num_points, len(factors))
-    prod = last = None
+
+    def padded(coeffs: np.ndarray) -> np.ndarray:
+        check_coeffs(coeffs, grid, "dealiased_product: factor")
+        return padded_samples(coeffs, grid, num_padded)
+
+    prod = None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        for samples in factors:
-            if samples is not last:  # a factor repeated in a row is padded once
-                last = samples
-                vals = padded_samples(forward_transform(samples, grid), grid, num_padded)
+        for vals in map(padded, factors):  # map holds no factor past its padding
             prod = vals if prod is None else prod * vals
         coeffs = truncated_coeffs(prod, grid)
     if not np.all(np.isfinite(coeffs)):

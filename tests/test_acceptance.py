@@ -46,14 +46,14 @@ from gkdvlab.harness import (
     write_csv,
 )
 from gkdvlab.spaces import NormParams
-from gkdvlab.spectral import Field, SpectralGrid, forward_transform
+from gkdvlab.spectral import SpectralGrid, forward_transform
 
 BOX = 20.0 * np.pi
 
 
 def _sech_pair(grid, amp, width=1.0, x0=0.0):
     w = amp / np.cosh(width * (grid.x - x0))
-    return CoupledState(0.0, Field(grid, [w, w]))
+    return CoupledState(0.0, grid, [w, w])
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ def test_soliton_fidelity(soliton_run):
 def test_invariant_drift(soliton_run):
     # masses and combined L2 conserved to 1e-8 relative, energy to 1e-6
     rec, _ = soliton_run
-    invs = rec.invariant_sets()
+    invs = rec.invariant_sets(rec.spectra())
     inv0 = invs[0]
     rel = lambda a, b: abs(a - b) / abs(b)
     assert max(rel(i.mass_u, inv0.mass_u) for i in invs) < 1e-8
@@ -114,7 +114,7 @@ def test_decay_law_consistency():
     # 2 p^2 + 6 p + 1 + 0.5 = 9.5 (faster decay would break the lower bound)
     g = SpectralGrid(BOX, 1024)
     prof = 0.5 * np.exp(-((g.x / 5.0) ** 2))
-    st = CoupledState(0.0, Field(g, [prof, prof]))
+    st = CoupledState(0.0, g, [prof, prof])
     cfg = SolverConfig(p=1, dt=1e-3, t_end=20.0, record_stride=200)
     t0 = time.monotonic()
     rec = simulate(st, cfg)

@@ -24,20 +24,20 @@ from gkdvlab.diagnostics import (
 from gkdvlab.evolution import CoupledState, SolverConfig, dispersive_phase, simulate
 from gkdvlab.harness import TRAJECTORY_COLUMNS, read_csv, write_trajectory_csv
 from gkdvlab.spaces import NormParams, gevrey_norm
-from gkdvlab.spectral import Field, SpectralGrid, forward_transform, inverse_transform
+from gkdvlab.spectral import SpectralGrid, forward_transform, inverse_transform
 
 
 def free_flow(state, t):
     """The exact free group of w_t + w_xxx = 0 over time t: the phase
     e^{i zeta^3 t} on each component's half-spectrum."""
     g = state.grid
-    c = forward_transform(state.pair.samples, g) * dispersive_phase(g, t)
-    return CoupledState(state.t + t, Field(g, inverse_transform(c, g)))
+    c = forward_transform(state.pair, g) * dispersive_phase(g, t)
+    return CoupledState(state.t + t, g, inverse_transform(c, g))
 
 
 def soliton_state(grid, c=1.0, x0=0.0):
     w = np.sqrt(2.0 * c) / np.cosh(np.sqrt(c) * (grid.x - x0))
-    return CoupledState(0.0, Field(grid, [w, w]))
+    return CoupledState(0.0, grid, [w, w])
 
 
 class TestInvariants:
@@ -45,7 +45,8 @@ class TestInvariants:
         # u = v = sqrt(2) sech(x): mass = sqrt(2) pi, combined L2 = 4,
         # energy = 4/3 - 8/3 = -4/3
         g = SpectralGrid(30.0, 1024)
-        inv = invariants(soliton_state(g).pair, p=1)
+        pair = soliton_state(g).pair
+        inv = invariants(pair, forward_transform(pair, g), g, p=1)
         assert abs(inv.mass_u - np.sqrt(2.0) * np.pi) < 1e-11
         assert abs(inv.mass_v - np.sqrt(2.0) * np.pi) < 1e-11
         assert abs(inv.l2 - 4.0) < 1e-12
@@ -54,17 +55,15 @@ class TestInvariants:
     def test_zero_state(self):
         g = SpectralGrid(5.0, 64)
         z = np.zeros(64)
-        inv = invariants(Field(g, [z, z]), p=1)
+        inv = invariants(np.array([z, z]), forward_transform(np.array([z, z]), g), g, p=1)
         assert inv.mass_u == inv.mass_v == inv.l2 == inv.hamiltonian == 0.0
 
     def test_free_flow_preserves_linear_invariants_only(self):
         g = SpectralGrid(20.0, 512)
-        s = CoupledState(
-            0.0,
-            Field(g, [1.2 / np.cosh(g.x - 2.0), 0.8 / np.cosh(g.x + 1.0) ** 2]),
-        )
-        a = invariants(s.pair, p=1)
-        b = invariants(free_flow(s, 0.5).pair, p=1)
+        s = CoupledState(0.0, g, [1.2 / np.cosh(g.x - 2.0), 0.8 / np.cosh(g.x + 1.0) ** 2])
+        a = invariants(s.pair, forward_transform(s.pair, g), g, p=1)
+        flowed = free_flow(s, 0.5).pair
+        b = invariants(flowed, forward_transform(flowed, g), g, p=1)
         assert abs(b.mass_u - a.mass_u) < 1e-12
         assert abs(b.mass_v - a.mass_v) < 1e-12
         assert abs(b.l2 - a.l2) < 1e-12 * a.l2
@@ -73,31 +72,31 @@ class TestInvariants:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_coupling_transforms_each_component_once(self, p, monkeypatch):
-        # one transform of the pair, then one padded copy of u and one of v
-        # serve all 2p + 2 factors of u^(p+1) v^(p+1), bit for bit as if each
-        # factor were a separate array
+        # the caller's one transform of the pair serves all 2p + 2 factors of
+        # u^(p+1) v^(p+1), bit for bit as if each factor were a separate array
         g = SpectralGrid(20.0, 256)
-        pair = Field(g, [1.2 / np.cosh(g.x - 2.0), 0.8 / np.cosh(g.x + 1.0) ** 2])
+        pair = np.array([1.2 / np.cosh(g.x - 2.0), 0.8 / np.cosh(g.x + 1.0) ** 2])
+        coeffs = forward_transform(pair, g)
         calls = []
         forward = spectral.forward_transform
         for module in (spectral, diagnostics):
             monkeypatch.setattr(module, "forward_transform",
                                 lambda *args: calls.append(args) or forward(*args))
-        inv = invariants(pair, p)
-        assert len(calls) <= 3
+        inv = invariants(pair, coeffs, g, p)
+        assert len(calls) == 0
 
         def separate(factors, grid):
             return spectral.dealiased_product([f.copy() for f in factors], grid)
 
         monkeypatch.setattr(diagnostics, "dealiased_product", separate)
-        assert invariants(pair, p).hamiltonian == inv.hamiltonian
+        assert invariants(pair, coeffs, g, p).hamiltonian == inv.hamiltonian
 
     def test_conserved_along_the_nonlinear_flow(self):
         g = SpectralGrid(20.0, 256)
         rec = simulate(
             soliton_state(g), SolverConfig(p=1, dt=1e-3, t_end=0.2, record_stride=100)
         )
-        invs = rec.invariant_sets()
+        invs = rec.invariant_sets(rec.spectra())
         first, last = invs[0], invs[-1]
         assert abs(last.mass_u - first.mass_u) < 1e-10
         assert abs(last.l2 - first.l2) < 1e-10
@@ -108,11 +107,12 @@ def test_one_field_functions_reject_stacked_rows():
     # fields may hold stacked rows for the batched lab; a radius fit or the
     # invariants of one state must not silently run over them
     g = SpectralGrid(5.0, 64)
-    rows = Field(g, np.zeros((2, 64)))
+    rows = np.zeros((2, 64))
     with pytest.raises(ValueError, match="stacked rows"):
-        estimate_radius(forward_transform(rows.samples, g), g)
+        estimate_radius(forward_transform(rows, g), g)
+    stack = np.array([rows, rows])
     with pytest.raises(ValueError, match="stacked rows"):
-        invariants(Field(g, [rows.samples, rows.samples]), p=1)
+        invariants(stack, forward_transform(stack, g), g, p=1)
 
 
 class TestEstimateRadius:
@@ -154,8 +154,8 @@ class TestEstimateRadius:
     def test_free_flow_invariant(self):
         g = SpectralGrid(20.0, 1024)
         s = soliton_state(g)
-        a = estimate_radius(forward_transform(s.pair.samples[0], g), g)
-        b = estimate_radius(forward_transform(free_flow(s, 1.3).pair.samples[0], g), g)
+        a = estimate_radius(forward_transform(s.pair[0], g), g)
+        b = estimate_radius(forward_transform(free_flow(s, 1.3).pair[0], g), g)
         assert abs(a.rho - b.rho) < 1e-10
 
     def test_white_noise_hits_floor(self):
@@ -241,29 +241,42 @@ class TestTrajectoryTracking:
         assert ok
         u0 = rec.samples()[0, 0]
         assert np.max(np.abs(u0 - np.sqrt(2.0) / np.cosh(g.x))) < 1e-14
-        assert len(rec.invariant_sets()) == len(rec) == 3
+        assert len(rec.invariant_sets(rec.spectra())) == len(rec) == 3
 
     def test_derived_diagnostics_equal_direct_calls(self, tmp_path):
-        # the record keeps snapshots only; every diagnostic read from it is
+        # the record keeps the samples only; every diagnostic read from it is
         # the plain function applied to one snapshot, bit for bit
         g = SpectralGrid(20.0, 256)
         rec = simulate(
             soliton_state(g), SolverConfig(p=2, dt=1e-3, t_end=0.2, record_stride=50)
         )
-        invs = rec.invariant_sets()
-        radius_u, radius_v = rec.radii()
+        coeffs = forward_transform(rec.samples(), g)
+        invs = rec.invariant_sets(coeffs)
+        radius_u, radius_v = rec.radii(coeffs)
         write_trajectory_csv(rec, tmp_path / "trajectory.csv", 1.5)
         header, data = read_csv(tmp_path / "trajectory.csv")
         hs_u, hs_v = (data[:, header.index(c)] for c in ("hs_u", "hs_v"))
         assert header == list(TRAJECTORY_COLUMNS) and len(rec) == 5
         for i in range(len(rec)):
-            pair = Field(g, rec.samples()[:, i])
-            u, v = pair.samples
-            assert invs[i] == invariants(pair, p=2)
+            pair = rec.samples()[:, i]
+            u, v = pair
+            assert invs[i] == invariants(pair, forward_transform(pair, g), g, p=2)
             assert radius_u[i] == estimate_radius(forward_transform(u, g), g)
             assert radius_v[i] == estimate_radius(forward_transform(v, g), g)
-            assert hs_u[i] == gevrey_norm(u, g, NormParams(0.0, 1.5))
-            assert hs_v[i] == gevrey_norm(v, g, NormParams(0.0, 1.5))
+            assert hs_u[i] == gevrey_norm(forward_transform(u, g), g, NormParams(0.0, 1.5))
+            assert hs_v[i] == gevrey_norm(forward_transform(v, g), g, NormParams(0.0, 1.5))
+        assert np.array_equal(rec.spectra(), coeffs)
+
+    def test_diagnostics_reject_spectra_of_other_rows(self):
+        g = SpectralGrid(20.0, 256)
+        rec = simulate(
+            soliton_state(g), SolverConfig(p=1, dt=1e-3, t_end=0.2, record_stride=100)
+        )
+        for coeffs in (rec.spectra()[:, :-1], rec.spectra()[:1], rec.spectra()[:, :, None]):
+            with pytest.raises(ValueError, match="spectra"):
+                rec.radii(coeffs)
+            with pytest.raises(ValueError, match="spectra"):
+                rec.invariant_sets(coeffs)
 
 
 class TestDecayFit:
@@ -305,26 +318,26 @@ class TestDecayFit:
 class TestAnalyticExtension:
     def test_zero_offset_is_identity(self):
         g = SpectralGrid(10.0, 256)
-        f = Field(g, 0.7 * np.exp(np.sin(g.x)))
-        out = evaluate_analytic_extension(f, 0.0)
-        assert np.max(np.abs(out.samples - np.abs(f.samples))) < 1e-12
+        f = 0.7 * np.exp(np.sin(g.x))
+        out = evaluate_analytic_extension(f, g, 0.0)
+        assert np.max(np.abs(out - np.abs(f))) < 1e-12
 
     def test_sech_strip_value(self):
         # max |sech(x + i)| = 1/cos(1).  The float64 coefficient floor cuts
         # the usable band near zeta = 24, bounding accuracy at ~2e-6.
         g = SpectralGrid(20.0, 1024)
-        f = Field(g, 1.0 / np.cosh(g.x))
-        got = np.max(evaluate_analytic_extension(f, 1.0).samples)
+        f = 1.0 / np.cosh(g.x)
+        got = np.max(evaluate_analytic_extension(f, g, 1.0))
         oracle = 1.0 / np.cos(1.0)
         assert abs(got - oracle) < 1e-5 * oracle  # measured 2.9e-6
 
     def test_growth_toward_the_pole(self):
         g = SpectralGrid(20.0, 1024)
-        f = Field(g, 1.0 / np.cosh(g.x))
+        f = 1.0 / np.cosh(g.x)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AnalyticityMarginWarning)
             vals = [
-                np.max(evaluate_analytic_extension(f, y).samples)
+                np.max(evaluate_analytic_extension(f, g, y))
                 for y in (1.2, 1.4, 1.5)
             ]
         assert vals[0] < vals[1] < vals[2]
@@ -334,11 +347,11 @@ class TestAnalyticExtension:
         # |cos(k(x+iy))| peaks at cosh(ky); derivative adds a factor k
         g = SpectralGrid(np.pi, 64)
         k, y = 3, 0.4
-        f = Field(g, np.cos(k * g.x))
-        got = np.max(evaluate_analytic_extension(f, y, band_limit=k + 0.5).samples)
+        f = np.cos(k * g.x)
+        got = np.max(evaluate_analytic_extension(f, g, y, band_limit=k + 0.5))
         assert abs(got - np.cosh(k * y)) < 1e-12
         d1 = np.max(
-            evaluate_analytic_extension(f, y, order=1, band_limit=k + 0.5).samples
+            evaluate_analytic_extension(f, g, y, order=1, band_limit=k + 0.5)
         )
         assert abs(d1 - k * np.cosh(k * y)) < 1e-12
 
@@ -351,32 +364,32 @@ class TestAnalyticExtension:
         # (imaginary) part of every mode, so it is compared point by point
         g = SpectralGrid(np.pi, 64)
         a0, modes = 0.4, [(1, 1.0, 0.3), (2, -0.6, 1.1), (5, 0.35, -2.0), (9, 0.2, 0.7)]
-        f = Field(g, a0 + sum(a * np.cos(k * g.x + ph) for k, a, ph in modes))
+        f = a0 + sum(a * np.cos(k * g.x + ph) for k, a, ph in modes)
         z = g.x + 1j * y
         exact = (a0 if order == 0 else 0.0) + sum(
             a * k**order * np.cos(k * z + ph + order * np.pi / 2) for k, a, ph in modes)
-        got = evaluate_analytic_extension(f, y, order=order, band_limit=9.5).samples
+        got = evaluate_analytic_extension(f, g, y, order=order, band_limit=9.5)
         np.testing.assert_allclose(got, np.abs(exact), rtol=1e-12, atol=0.0)
 
     def test_margin_warning(self):
         g = SpectralGrid(20.0, 1024)
-        f = Field(g, 1.0 / np.cosh(g.x))  # fitted radius 1.564
+        f = 1.0 / np.cosh(g.x)  # fitted radius 1.564
         with pytest.warns(AnalyticityMarginWarning):
-            evaluate_analytic_extension(f, 1.55)
+            evaluate_analytic_extension(f, g, 1.55)
         with warnings.catch_warnings():
             warnings.simplefilter("error", AnalyticityMarginWarning)
-            evaluate_analytic_extension(f, 1.2)  # must not warn
+            evaluate_analytic_extension(f, g, 1.2)  # must not warn
 
     def test_overflow_guard_on_explicit_band(self):
         g = SpectralGrid(10.0, 256)
-        f = Field(g, 1.0 / np.cosh(g.x))
+        f = 1.0 / np.cosh(g.x)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AnalyticityMarginWarning)
             with pytest.raises(OverflowError):
-                evaluate_analytic_extension(f, 50.0, band_limit=g.zeta_max)
+                evaluate_analytic_extension(f, g, 50.0, band_limit=g.zeta_max)
 
     def test_order_validated(self):
         g = SpectralGrid(1.0, 16)
-        f = Field(g, np.zeros(16))
+        f = np.zeros(16)
         with pytest.raises(ValueError, match="order"):
-            evaluate_analytic_extension(f, 0.1, order=4)
+            evaluate_analytic_extension(f, g, 0.1, order=4)

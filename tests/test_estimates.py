@@ -57,7 +57,6 @@ from gkdvlab.spaces import (
     xt_transform,
 )
 from gkdvlab.spectral import (
-    Field,
     NonFiniteDataError,
     SpectralGrid,
     dealiased_product,
@@ -70,8 +69,8 @@ def free_flow(state, t):
     """The exact free group of w_t + w_xxx = 0 over time t: the phase
     e^{i zeta^3 t} on each component's half-spectrum."""
     g = state.grid
-    c = forward_transform(state.pair.samples, g) * dispersive_phase(g, t)
-    return CoupledState(state.t + t, Field(g, inverse_transform(c, g)))
+    c = forward_transform(state.pair, g) * dispersive_phase(g, t)
+    return CoupledState(state.t + t, g, inverse_transform(c, g))
 
 
 GRID = SpectralGrid(10.0, 64)
@@ -103,7 +102,7 @@ class TestGenerators:
     def test_lab_sample_is_pinned(self):
         # the draws go to the wavenumbers in ascending order, so no change of
         # coefficient layout may redraw the lab ensembles; sha256 of the bytes
-        s = random_field(estimates.LAB_GRID, SampleSpec(seed=3)).samples
+        s = random_field(estimates.LAB_GRID, SampleSpec(seed=3))
         assert list(s[:4]) == [0.43361360014777617, 0.5332406915445411,
                                0.7498276986999528, 0.9634919158035145]
         digest = hashlib.sha256(s.astype("<f8").tobytes()).hexdigest()
@@ -113,8 +112,8 @@ class TestGenerators:
         spec = SampleSpec(seed=21)
         a = random_field(GRID, spec)
         b = random_field(GRID, spec)
-        assert a.samples.dtype == np.float64
-        assert np.array_equal(a.samples, b.samples)
+        assert a.dtype == np.float64
+        assert np.array_equal(a, b)
 
     def test_field_band_limited(self):
         # exact zeros hold for the half-spectrum the sampler builds; the
@@ -125,23 +124,23 @@ class TestGenerators:
         built = estimates._random_half_spectrum(GRID, spec, 1, np.array([22]))[0, 0]
         assert np.all(built[outside] == 0.0)
         assert built[GRID.nyquist_index] == 0.0
-        c = forward_transform(random_field(GRID, spec).samples, GRID)
+        c = forward_transform(random_field(GRID, spec), GRID)
         assert outside[GRID.nyquist_index]
         assert np.max(np.abs(c[outside])) < 1e-14
 
     def test_amplitude_scales_samples_linearly(self):
         base = random_field(GRID, SampleSpec(seed=23, amplitude=1.0))
         double = random_field(GRID, SampleSpec(seed=23, amplitude=2.0))
-        assert np.allclose(double.samples, 2.0 * base.samples, rtol=1e-14, atol=0.0)
+        assert np.allclose(double, 2.0 * base, rtol=1e-14, atol=0.0)
 
     def test_envelope_reweights_same_draws(self):
         # same seed, different envelope: the coefficient ratio must equal the
         # weight ratio exactly because the Gaussian draws are shared
         flat = forward_transform(
-            random_field(GRID, SampleSpec(seed=24, envelope="flat")).samples, GRID
+            random_field(GRID, SampleSpec(seed=24, envelope="flat")), GRID
         )
         expo = forward_transform(
-            random_field(GRID, SampleSpec(seed=24, envelope="exponential", rho0=0.5)).samples,
+            random_field(GRID, SampleSpec(seed=24, envelope="exponential", rho0=0.5)),
             GRID,
         )
         keep = np.abs(flat) > 1e-12
@@ -313,7 +312,7 @@ class TestMemberBatches:
         for i, sd in enumerate(self.SEEDS):
             assert np.array_equal(batch.values[i], random_window_sample(GRID, spec, 16, sd).values)
             assert np.array_equal(boxed.values[i], random_boxed_sample(GRID, spec, 16, sd).values)
-            assert np.array_equal(fields.samples[i], random_field(GRID, spec, sd).samples)
+            assert np.array_equal(fields[i], random_field(GRID, spec, sd))
 
     def test_batch_gives_each_member_its_single_sample_ratio(self):
         spec = SampleSpec(seed=0)
@@ -330,7 +329,7 @@ class TestMemberBatches:
 
         cases = {
             "linear_free": (lambda sd: random_field(GRID, spec, sd),
-                            lambda u: linear_free_ratio(u, PARAMS, 1.0)),
+                            lambda u: linear_free_ratio(u, GRID, PARAMS, 1.0)),
             "time_cutoff": (window, lambda w: time_cutoff_ratio(w, PARAMS, 1.0)),
             "duhamel": (window, lambda w: duhamel_ratio(w, PARAMS, -0.3, 1.0)),
             "multilinear": (factors, lambda f: multilinear_ratio(f, PARAMS, -0.3)),
@@ -348,12 +347,13 @@ class TestMemberBatches:
     def test_batch_of_one_equals_the_per_sample_ratio(self, seed):
         spec = SampleSpec(seed=seed)
         w = random_window_sample(GRID, spec, 64)
-        emb = float(np.max(gevrey_norm(w.values, GRID, PARAMS))) / bourgain_norm(w, PARAMS)
+        slices = gevrey_norm(forward_transform(w.values, GRID), GRID, PARAMS)
+        emb = float(np.max(slices)) / bourgain_norm(w, PARAMS)
         assert check_embedding(spec, PARAMS, ensemble=1).ratios == (emb,)
         assert check_time_cutoff(spec, PARAMS, 1.0, ensemble=1).ratios == (
             time_cutoff_ratio(w, PARAMS, 1.0),)
         assert check_linear_free(spec, PARAMS, 1.0, ensemble=1).ratios == (
-            linear_free_ratio(random_field(GRID, spec), PARAMS, 1.0),)
+            linear_free_ratio(random_field(GRID, spec), GRID, PARAMS, 1.0),)
         boxed = random_boxed_sample(GRID, spec, 64)
         assert check_strichartz("maximal_l4x_linft", spec, ensemble=1).ratios == (
             strichartz_ratio(boxed, "maximal_l4x_linft"),)
@@ -367,21 +367,21 @@ class TestMemberBatches:
 
 class TestLinearFree:
     def test_zero_data_ratio_zero(self):
-        zero = Field(GRID, np.zeros(GRID.num_points))
-        assert linear_free_ratio(zero, PARAMS, 1.0) == 0.0
+        zero = np.zeros(GRID.num_points)
+        assert linear_free_ratio(zero, GRID, PARAMS, 1.0) == 0.0
 
     def test_homogeneity(self):
         u0 = random_field(GRID, SampleSpec(seed=41))
-        base = linear_free_ratio(u0, PARAMS, 1.0)
-        scaled = linear_free_ratio(Field(GRID, 37.5 * u0.samples), PARAMS, 1.0)
+        base = linear_free_ratio(u0, GRID, PARAMS, 1.0)
+        scaled = linear_free_ratio(37.5 * u0, GRID, PARAMS, 1.0)
         assert abs(scaled - base) < 1e-12 * base
 
     def test_exact_inverse_sqrt_T_scaling(self):
         # the cutoff is T-independent, so T only rescales the denominator
         u0 = random_field(GRID, SampleSpec(seed=42))
-        r1 = linear_free_ratio(u0, PARAMS, 1.0)
-        r2 = linear_free_ratio(u0, PARAMS, 2.0)
-        r4 = linear_free_ratio(u0, PARAMS, 4.0)
+        r1 = linear_free_ratio(u0, GRID, PARAMS, 1.0)
+        r2 = linear_free_ratio(u0, GRID, PARAMS, 2.0)
+        r4 = linear_free_ratio(u0, GRID, PARAMS, 4.0)
         assert abs(r1 - 2.0 * r4) < 1e-12 * r1
         assert abs(r1 - np.sqrt(2.0) * r2) < 1e-12 * r1
         assert max(r1, r2, r4) <= 2.0 * min(r1, r2, r4) * (1.0 + 1e-12)
@@ -389,17 +389,17 @@ class TestLinearFree:
     def test_free_wave_single_mode_phase(self):
         k = 4
         zk = k * GRID.dzeta
-        u0 = Field(GRID, np.cos(zk * GRID.x))
-        s = free_wave_sample(u0, num_times=16)
+        u0 = np.cos(zk * GRID.x)
+        s = free_wave_sample(forward_transform(u0, GRID), GRID, num_times=16)
         want = np.cos(zk * GRID.x[None, :] + zk**3 * s.times[:, None])
         assert np.max(np.abs(s.values - want)) < 1e-12
 
     def test_hypothesis_validation(self):
         u0 = random_field(GRID, SampleSpec(seed=43))
         with pytest.raises(ValueError, match="b > 1/2"):
-            linear_free_ratio(u0, NormParams(0.25, 2.0, 0.4), 1.0)
+            linear_free_ratio(u0, GRID, NormParams(0.25, 2.0, 0.4), 1.0)
         with pytest.raises(ValueError, match="T >= 1"):
-            linear_free_ratio(u0, PARAMS, 0.5)
+            linear_free_ratio(u0, GRID, PARAMS, 0.5)
 
     def test_report_contents(self):
         spec = SampleSpec(seed=44)
@@ -700,7 +700,7 @@ class TestMultilinear:
         factors = [random_window_sample(GRID, spec, 48, 83 + k) for k in range(5)]
         ps = product_sample(factors)
         for j in range(48):
-            row = dealiased_product([f.values[j] for f in factors], GRID)
+            row = dealiased_product([forward_transform(f.values[j], GRID) for f in factors], GRID)
             assert np.array_equal(ps.values[j], row)
 
     def test_overflowing_product_rejected(self):
@@ -848,22 +848,22 @@ class TestExponentialLemmas:
 
 
 def _manual_record(states, p=1):
-    rec = TrajectoryRecord(GRID, p)
+    rec = TrajectoryRecord(GRID, p, np.empty((2, len(states), GRID.num_points)))
     for st in states:
-        rec.record(st.t, st.pair.samples)
+        rec.record(st.t, st.pair)
     return rec
 
 
 class TestApriori:
     def _free_record(self, amplitude=1.0):
         spec = SampleSpec(seed=91, amplitude=amplitude, bandwidth=3.0)
-        st0 = CoupledState(0.0, random_field(GRID, spec, [91, 92]))
+        st0 = CoupledState(0.0, GRID, random_field(GRID, spec, [91, 92]))
         states = [free_flow(st0, t) for t in np.linspace(-2.0, 2.0, 17)]
         return st0, _manual_record(states)
 
     def test_zero_trajectory_ratio_zero(self):
-        zero = Field(GRID, np.zeros((2, GRID.num_points)))
-        states = [CoupledState(t, zero) for t in np.linspace(-2.0, 2.0, 17)]
+        zero = np.zeros((2, GRID.num_points))
+        states = [CoupledState(t, GRID, zero) for t in np.linspace(-2.0, 2.0, 17)]
         rep = check_apriori(_manual_record(states), PARAMS, 1.0)
         assert rep.max_ratio == 0.0
         assert rep.extra["ratio_derivative_scale"] == 0.0
@@ -873,7 +873,7 @@ class TestApriori:
         st0, rec = self._free_record()
         rep = check_apriori(rec, PARAMS, 1.0)
         h3 = NormParams(0.0, 3.0)
-        want = np.hypot(*gevrey_norm(st0.pair.samples, st0.grid, h3))
+        want = np.hypot(*gevrey_norm(forward_transform(st0.pair, GRID), st0.grid, h3))
         assert abs(rep.extra["sup_derivative"] - want) < 1e-9 * want
         assert np.isfinite(rep.max_ratio) and rep.max_ratio > 0.0
         assert rep.max_ratio == max(rep.ratios)
@@ -887,7 +887,7 @@ class TestApriori:
 
     def test_forward_only_coverage_rejected(self):
         spec = SampleSpec(seed=93, bandwidth=3.0)
-        st0 = CoupledState(0.0, random_field(GRID, spec, [93, 94]))
+        st0 = CoupledState(0.0, GRID, random_field(GRID, spec, [93, 94]))
         states = [free_flow(st0, t) for t in np.linspace(0.0, 2.0, 9)]
         with pytest.raises(ValueError, match="reflection"):
             check_apriori(_manual_record(states), PARAMS, 1.0)
@@ -911,7 +911,7 @@ class TestApriori:
 class TestBidirectional:
     def _setup(self):
         spec = SampleSpec(seed=3, amplitude=0.05, bandwidth=3.0)
-        state = CoupledState(0.0, random_field(GRID, spec, [77, 78]))
+        state = CoupledState(0.0, GRID, random_field(GRID, spec, [77, 78]))
         cfg = SolverConfig(p=1, dt=0.02, t_end=2.0, record_stride=10)
         return state, cfg
 
@@ -923,25 +923,25 @@ class TestBidirectional:
         assert np.allclose(np.diff(times), 0.2, rtol=0.0, atol=1e-12)
         i0 = int(np.argmin(np.abs(times)))
         u0, v0 = rec.samples()[:, i0]
-        assert np.array_equal(u0, state.pair.samples[0])
-        assert np.array_equal(v0, state.pair.samples[1])
+        assert np.array_equal(u0, state.pair[0])
+        assert np.array_equal(v0, state.pair[1])
 
     def test_backward_half_rejoins_forward_flow(self):
         # integrate the recorded t=-2 state forward; it must land on the data
         state, cfg = self._setup()
         rec = bidirectional_record(state, cfg, 2.0)
-        start = Field(GRID, rec.samples()[:, 0])
-        rec2 = simulate(CoupledState(-2.0, start), dataclasses.replace(cfg, t_end=0.0))
+        start = rec.samples()[:, 0]
+        rec2 = simulate(CoupledState(-2.0, GRID, start), dataclasses.replace(cfg, t_end=0.0))
         uf, vf = rec2.samples()[:, len(rec2) - 1]
-        assert np.max(np.abs(uf - state.pair.samples[0])) < 1e-9
-        assert np.max(np.abs(vf - state.pair.samples[1])) < 1e-9
+        assert np.max(np.abs(uf - state.pair[0])) < 1e-9
+        assert np.max(np.abs(vf - state.pair[1])) < 1e-9
 
     def test_backward_half_is_reflected_back_run(self):
         # the gathered backward half equals reflect_samples applied per
-        # snapshot to the run of the reflected data, bit for bit
+        # row to the run of the reflected data, bit for bit
         state, cfg = self._setup()
         rec = bidirectional_record(state, cfg, 2.0)
-        back = simulate(CoupledState(0.0, Field(GRID, reflect_samples(state.pair.samples))), cfg)
+        back = simulate(CoupledState(0.0, GRID, reflect_samples(state.pair)), cfg)
         k = len(back) - 1
         assert len(rec) == 2 * k + 1
         for i in range(k):

@@ -29,7 +29,6 @@ from gkdvlab.evolution import (
 from gkdvlab.harness import RunConfig, initial_state
 from gkdvlab.spaces import NormParams, gevrey_norm
 from gkdvlab.spectral import (
-    Field,
     SpectralGrid,
     forward_transform,
     inverse_transform,
@@ -49,20 +48,20 @@ def bandlimited_state(grid, seed, bandwidth=5, amp=1.5):
             c[k] = (r.standard_normal() + 1j * r.standard_normal()) * amp * 0.5**k
         return inverse_transform(c, grid)
 
-    return CoupledState(0.0, Field(grid, [one(seed), one(seed + 1000)]))
+    return CoupledState(0.0, grid, [one(seed), one(seed + 1000)])
 
 
 def free_flow(state, t):
     """The exact free group of w_t + w_xxx = 0 over time t: the phase
     e^{i zeta^3 t} on each component's half-spectrum."""
     g = state.grid
-    c = forward_transform(state.pair.samples, g) * dispersive_phase(g, t)
-    return CoupledState(state.t + t, Field(g, inverse_transform(c, g)))
+    c = forward_transform(state.pair, g) * dispersive_phase(g, t)
+    return CoupledState(state.t + t, g, inverse_transform(c, g))
 
 
 def pair_rhs(state, p):
     """The workspace RHS of a state's pair, as real samples (2, N)."""
-    c = forward_transform(state.pair.samples, state.grid)
+    c = forward_transform(state.pair, state.grid)
     out = _RhsWorkspace(state.grid, p, c.shape)(c)
     return inverse_transform(out, state.grid)
 
@@ -75,7 +74,7 @@ def run_steps(state, config, num_steps):
             config, t_end=state.t + num_steps * config.dt, record_stride=num_steps
         ),
     )
-    return CoupledState(rec.times[-1], Field(rec.grid, rec.snapshots[-1]))
+    return CoupledState(rec.times[-1], rec.grid, rec.samples()[:, -1])
 
 
 class TestFreeGroup:
@@ -83,19 +82,19 @@ class TestFreeGroup:
         g = SpectralGrid(10.0, 128)
         s = bandlimited_state(g, 3)
         out = free_flow(s, 0.0)
-        scale = np.max(np.abs(s.pair.samples[0]))
-        assert np.max(np.abs(out.pair.samples[0] - s.pair.samples[0])) < 1e-14 * scale
+        scale = np.max(np.abs(s.pair[0]))
+        assert np.max(np.abs(out.pair[0] - s.pair[0])) < 1e-14 * scale
         assert out.t == s.t
 
     def test_single_mode_phase(self):
         # w = cos(k x + k^3 t) solves w_t + w_xxx = 0
         g = SpectralGrid(np.pi, 64)
         k, t = 3, 0.37
-        s = CoupledState(0.0, Field(g, [np.cos(k * g.x), np.zeros(64)]))
+        s = CoupledState(0.0, g, [np.cos(k * g.x), np.zeros(64)])
         out = free_flow(s, t)
         exact = np.cos(k * g.x + k**3 * t)
-        assert np.max(np.abs(out.pair.samples[0] - exact)) < 1e-12
-        assert np.max(np.abs(out.pair.samples[1])) < 1e-14
+        assert np.max(np.abs(out.pair[0] - exact)) < 1e-12
+        assert np.max(np.abs(out.pair[1])) < 1e-14
         assert out.t == pytest.approx(t)
 
     def test_weighted_norms_preserved(self):
@@ -104,8 +103,8 @@ class TestFreeGroup:
         g = SpectralGrid(10.0, 256)
         s = bandlimited_state(g, 7)
         params = NormParams(0.4, 2.0, 0.0)
-        before = gevrey_norm(s.pair.samples[0], g, params)
-        after = gevrey_norm(free_flow(s, 1.7).pair.samples[0], g, params)
+        before = gevrey_norm(forward_transform(s.pair[0], g), g, params)
+        after = gevrey_norm(forward_transform(free_flow(s, 1.7).pair[0], g), g, params)
         assert abs(after - before) < 1e-12 * before
 
     def test_group_property(self):
@@ -113,7 +112,7 @@ class TestFreeGroup:
         s = bandlimited_state(g, 11)
         one = free_flow(free_flow(s, 0.3), 0.5)
         both = free_flow(s, 0.8)
-        assert np.max(np.abs(one.pair.samples[0] - both.pair.samples[0])) < 1e-12
+        assert np.max(np.abs(one.pair[0] - both.pair[0])) < 1e-12
 
     def test_nyquist_untouched(self):
         g = SpectralGrid(np.pi, 16)
@@ -135,7 +134,7 @@ class TestRhsWorkspace:
     def test_zero_state(self):
         g = SpectralGrid(np.pi, 64)
         z = np.zeros(64)
-        ru, rv = pair_rhs(CoupledState(0.0, Field(g, [z, z])), p=1)
+        ru, rv = pair_rhs(CoupledState(0.0, g, [z, z]), p=1)
         assert np.max(np.abs(ru)) == 0.0
         assert np.max(np.abs(rv)) == 0.0
 
@@ -144,7 +143,7 @@ class TestRhsWorkspace:
         #   -(u v^2)_x = sin(x)/4 - 3 sin(3x)/4
         #   -(u^2 v)_x = -cos(x)/4 - 3 cos(3x)/4
         g = SpectralGrid(np.pi, 64)
-        s = CoupledState(0.0, Field(g, [np.cos(g.x), np.sin(g.x)]))
+        s = CoupledState(0.0, g, [np.cos(g.x), np.sin(g.x)])
         ru, rv = pair_rhs(s, p=1)
         eu = 0.25 * np.sin(g.x) - 0.75 * np.sin(3 * g.x)
         ev = -0.25 * np.cos(g.x) - 0.75 * np.cos(3 * g.x)
@@ -156,7 +155,7 @@ class TestRhsWorkspace:
         # u = v = w makes both components -(w^(2p+1))_x
         g = SpectralGrid(np.pi, 256)
         w = 0.9 * np.exp(np.sin(g.x)) - 1.0
-        s = CoupledState(0.0, Field(g, [w, w]))
+        s = CoupledState(0.0, g, [w, w])
         ru, rv = pair_rhs(s, p=p)
         assert np.array_equal(ru, rv)
         power = w ** (2 * p + 1)
@@ -172,7 +171,7 @@ class TestRhsWorkspace:
         # picard_solve evaluates all nodes in one call
         g = SpectralGrid(20.0, 256)
         nodes = [bandlimited_state(g, 40 + j) for j in range(7)]
-        c = np.stack([forward_transform(s.pair.samples, s.grid) for s in nodes], axis=1)
+        c = np.stack([forward_transform(s.pair, s.grid) for s in nodes], axis=1)
         w = _RhsWorkspace(g, p, c.shape)(c)
         rhs = _RhsWorkspace(g, p, c[:, 0].shape)
         for j in range(len(nodes)):
@@ -191,17 +190,17 @@ class TestStep:
     def test_zero_state_stays_zero(self):
         g = SpectralGrid(np.pi, 64)
         z = np.zeros(64)
-        out = run_steps(CoupledState(0.0, Field(g, [z, z])), SolverConfig(p=1, dt=0.01), 1)
-        assert np.max(np.abs(out.pair.samples[0])) == 0.0
+        out = run_steps(CoupledState(0.0, g, [z, z]), SolverConfig(p=1, dt=0.01), 1)
+        assert np.max(np.abs(out.pair[0])) == 0.0
         assert out.t == pytest.approx(0.01)
 
     @pytest.mark.parametrize("scheme", ["if_rk4", "strang"])
     def test_equal_components_stay_equal(self, scheme):
         g = SpectralGrid(10.0, 128)
         w = 1.0 / np.cosh(g.x)
-        st = CoupledState(0.0, Field(g, [w, w]))
+        st = CoupledState(0.0, g, [w, w])
         st = run_steps(st, SolverConfig(p=1, dt=1e-3, scheme=scheme), 50)
-        assert np.max(np.abs(st.pair.samples[0] - st.pair.samples[1])) < 1e-10
+        assert np.max(np.abs(st.pair[0] - st.pair[1])) < 1e-10
 
     @staticmethod
     def _observed_order(scheme):
@@ -211,7 +210,7 @@ class TestStep:
 
         def run(dt, t_end=0.064):
             cfg = SolverConfig(p=1, dt=dt, scheme=scheme)
-            return run_steps(s0, cfg, int(round(t_end / dt))).pair.samples[0]
+            return run_steps(s0, cfg, int(round(t_end / dt))).pair[0]
 
         ref = run(0.000125)
         coarse = np.max(np.abs(run(0.004) - ref))
@@ -229,10 +228,10 @@ class TestStep:
     def test_schemes_agree_at_small_dt(self):
         g = SpectralGrid(10.0, 128)
         w = 1.0 / np.cosh(g.x)
-        s0 = CoupledState(0.0, Field(g, [w, w]))
+        s0 = CoupledState(0.0, g, [w, w])
         a = run_steps(s0, SolverConfig(p=1, dt=5e-4, scheme="if_rk4"), 20)
         b = run_steps(s0, SolverConfig(p=1, dt=5e-4, scheme="strang"), 20)
-        assert np.max(np.abs(a.pair.samples[0] - b.pair.samples[0])) < 1e-6
+        assert np.max(np.abs(a.pair[0] - b.pair[0])) < 1e-6
 
 
 def full_spectrum(half, grid):
@@ -284,7 +283,7 @@ class TestHalfSpectrumMarch:
     def _march(scheme, p, num_steps=5, dt=2e-3):
         g = SpectralGrid(10.0, 128)
         s = bandlimited_state(g, 31, bandwidth=12, amp=0.8 if p == 1 else 0.6)
-        half = forward_transform(s.pair.samples, s.grid)
+        half = forward_transform(s.pair, s.grid)
         full = full_spectrum(half, g)
         eh, e2h = (dispersive_phase(g, t) for t in (0.5 * dt, dt))
         ef, e2f = (full_phase(g, t) for t in (0.5 * dt, dt))
@@ -362,7 +361,7 @@ class TestInPlaceStepping:
     def _pair_stack(g, p, nodes):
         amp = 0.8 if p == 1 else 0.6
         states = [bandlimited_state(g, 60 + j, bandwidth=12, amp=amp) for j in range(nodes)]
-        c = np.stack([forward_transform(s.pair.samples, s.grid) for s in states], axis=1)
+        c = np.stack([forward_transform(s.pair, s.grid) for s in states], axis=1)
         return c[:, 0] if nodes == 1 else c
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -430,17 +429,17 @@ class TestReflection:
     def test_double_reflection_is_identity(self):
         g = SpectralGrid(3.0, 32)
         s = bandlimited_state(g, 9)
-        back = reflect_samples(reflect_samples(s.pair.samples))
-        assert np.array_equal(back, s.pair.samples)
+        back = reflect_samples(reflect_samples(s.pair))
+        assert np.array_equal(back, s.pair)
 
     def test_block_reflection_matches_per_state(self):
         # a (k, 2, N) block of pairs reflects row by row, bit for bit
         g = SpectralGrid(3.0, 32)
         states = [bandlimited_state(g, sd) for sd in range(4)]
-        block = np.stack([s.pair.samples for s in states])
+        block = np.stack([s.pair for s in states])
         out = reflect_samples(block)
         for row, s in zip(out, states):
-            r = reflect_samples(s.pair.samples)
+            r = reflect_samples(s.pair)
             assert np.array_equal(row[0], r[0])
             assert np.array_equal(row[1], r[1])
 
@@ -448,19 +447,16 @@ class TestReflection:
         # (t,x) -> (-t,-x) symmetry: forward-evolving the reflected final
         # state undoes the evolution up to scheme error
         g = SpectralGrid(20.0, 256)
-        s0 = CoupledState(
-            0.0,
-            Field(g, [1.2 / np.cosh(g.x - 2.0), 0.8 / np.cosh(g.x + 1.0) ** 2]),
-        )
+        s0 = CoupledState(0.0, g, [1.2 / np.cosh(g.x - 2.0), 0.8 / np.cosh(g.x + 1.0) ** 2])
         cfg = SolverConfig(p=1, dt=1e-3)
 
         def reflected(st):
-            return CoupledState(st.t, Field(g, reflect_samples(st.pair.samples)))
+            return CoupledState(st.t, g, reflect_samples(st.pair))
 
         st = reflected(run_steps(s0, cfg, 200))
         st = reflected(run_steps(st, cfg, 200))
-        assert np.max(np.abs(st.pair.samples[0] - s0.pair.samples[0])) < 1e-10
-        assert np.max(np.abs(st.pair.samples[1] - s0.pair.samples[1])) < 1e-10
+        assert np.max(np.abs(st.pair[0] - s0.pair[0])) < 1e-10
+        assert np.max(np.abs(st.pair[1] - s0.pair[1])) < 1e-10
 
 
 class TestSimulate:
@@ -487,19 +483,44 @@ class TestSimulate:
         big = 5.0 * np.sin(g.x)
         with pytest.raises(NumericalBlowupError) as info:
             simulate(
-                CoupledState(0.0, Field(g, [big, big])),
+                CoupledState(0.0, g, [big, big]),
                 SolverConfig(p=1, dt=0.05, t_end=5.0, record_stride=5, scheme=scheme),
             )
         rec = info.value.record
         assert rec is not None and rec.blow_up
         assert len(rec) >= 1
 
+    def test_blown_up_record_holds_only_its_rows(self):
+        # simulate sizes the record for the whole run; a blow-up at t = 0.9
+        # leaves nine rows, each the final row of a clean run stopping there
+        g = SpectralGrid(np.pi, 64)
+        s0 = CoupledState(0.0, g, [np.sin(g.x), np.sin(g.x)])
+        cfg = SolverConfig(p=1, dt=0.05, t_end=5.0, record_stride=2)
+        with pytest.raises(NumericalBlowupError, match="t = 0.9") as info:
+            simulate(s0, cfg)
+        rec = info.value.record
+        rows = rec.samples()
+        assert len(rec) == 9 and rec.rows.shape == (2, 51, 64)
+        assert rows.shape == (2, len(rec), 64) and np.shares_memory(rows, rec.rows)
+        assert np.array_equal(rows[:, 0], s0.pair)
+        for i in range(1, len(rec)):
+            clean = simulate(s0, dataclasses.replace(cfg, t_end=rec.times[i]))
+            assert np.array_equal(rows[:, i], clean.samples()[:, -1])
+
+    def test_record_samples_are_read_only(self):
+        g = SpectralGrid(10.0, 64)
+        rec = simulate(bandlimited_state(g, 2, amp=0.3),
+                       SolverConfig(p=1, dt=0.01, t_end=0.1, record_stride=4))
+        with pytest.raises(ValueError, match="read-only"):
+            rec.samples()[0, 0, 0] = 1.0
+        assert rec.rows.flags.writeable
+
     def test_sup_growth_guard(self):
         # a weak pulse run back 0.1 under the free group refocuses by t = 0.1;
         # its sup-norm grows 1.6x, past a factor of 1.2
         g = SpectralGrid(10.0, 64)
         w = 0.3 * np.exp(-4.0 * g.x**2)
-        s = free_flow(CoupledState(0.1, Field(g, [w, w])), -0.1)
+        s = free_flow(CoupledState(0.1, g, [w, w]), -0.1)
         with pytest.raises(NumericalBlowupError, match="sup-norm") as info:
             simulate(
                 s,
@@ -511,21 +532,21 @@ class TestSimulate:
 
     @pytest.mark.parametrize("scheme", ["if_rk4", "strang"])
     def test_recording_only_reads_the_state(self, scheme):
-        # the final snapshot must not depend on how often the loop records
+        # the final record row must not depend on how often the loop records
         g = SpectralGrid(20.0 * np.pi, 256)
         w = np.sqrt(2.0) / np.cosh(g.x)
-        s0 = CoupledState(0.0, Field(g, [w, w]))
+        s0 = CoupledState(0.0, g, [w, w])
         every = simulate(s0, SolverConfig(dt=1e-3, t_end=0.04, scheme=scheme, record_stride=1))
         once = simulate(s0, SolverConfig(dt=1e-3, t_end=0.04, scheme=scheme, record_stride=40))
         assert len(every) == 41 and len(once) == 2
-        assert np.array_equal(every.snapshots[-1], once.snapshots[-1])
+        assert np.array_equal(every.samples()[:, -1], once.samples()[:, -1])
 
 
 class TestPicard:
     def test_zero_data_converges_immediately(self):
         g = SpectralGrid(np.pi, 64)
         z = np.zeros(64)
-        res = picard_solve(CoupledState(0.0, Field(g, [z, z])), PicardConfig(), p=1)
+        res = picard_solve(CoupledState(0.0, g, [z, z]), PicardConfig(), p=1)
         assert res.converged
         assert res.iterations == 1
         assert res.diffs[0] == 0.0
@@ -544,7 +565,7 @@ class TestPicard:
 
         rhs = _RhsWorkspace(g, 1, (2, g.num_points // 2 + 1))
         m, h = cfg.num_nodes, cfg.t_window / cfg.num_nodes
-        c0 = forward_transform(s0.pair.samples, s0.grid)
+        c0 = forward_transform(s0.pair, s0.grid)
         free = np.stack([dispersive_phase(g, h * j) * c0 for j in range(m + 1)])
         w_u = np.stack([rhs(free[j])[0] for j in range(m + 1)])
         expect_u = free[:, 0].copy()
@@ -560,7 +581,7 @@ class TestPicard:
     def test_contracts_on_short_window_and_matches_stepper(self):
         g = SpectralGrid(20.0, 256)
         w = 1.0 / np.cosh(g.x)
-        s0 = CoupledState(0.0, Field(g, [w, w]))
+        s0 = CoupledState(0.0, g, [w, w])
         res = picard_solve(
             s0, PicardConfig(t_window=0.1, num_nodes=512, max_iters=30), p=1
         )
@@ -585,7 +606,7 @@ class TestPicard:
         )
         res = picard_solve(s0, cfg, p=1)
         h = cfg.t_window / cfg.num_nodes
-        c0 = forward_transform(s0.pair.samples, s0.grid)
+        c0 = forward_transform(s0.pair, s0.grid)
         free = dispersive_phase(g, h * np.arange(17)) * c0[:, None, :]
         every = g.dft(g.idft(res.coeffs - free, real=True))  # (2, 17, N), FFT order
         weight = (1.0 + np.abs(g.zeta)) ** (2.0 * cfg.diff_s)
@@ -596,7 +617,7 @@ class TestPicard:
     def test_samples_match_per_node_inverse(self):
         # one batched inverse of the node stack equals the per-node inverses
         g = SpectralGrid(20.0, 128)
-        s0 = CoupledState(0.0, Field(g, [1.0 / np.cosh(g.x), 0.5 / np.cosh(g.x - 1.0)]))
+        s0 = CoupledState(0.0, g, [1.0 / np.cosh(g.x), 0.5 / np.cosh(g.x - 1.0)])
         res = picard_solve(s0, PicardConfig(num_nodes=16), p=1)
         pic = res.samples()
         assert pic.shape == (2, 17, 128)
@@ -607,7 +628,8 @@ class TestPicard:
 
     def test_reference_record_samples_are_pair_first(self):
         # the picard-test reference stepper records every node; its record
-        # reads pair-first like the Picard node stack, the snapshots bit for bit
+        # reads pair-first like the Picard node stack, and simulate sized it
+        # for exactly its rows
         nodes, t_window = 40, 0.01
         s0 = initial_state(RunConfig(num_points=64, p=2))
         res = picard_solve(s0, PicardConfig(t_window=t_window, num_nodes=nodes), p=2)
@@ -615,21 +637,21 @@ class TestPicard:
                                         record_stride=1))
         samples = ref.samples()
         assert samples.shape == res.samples().shape == (2, nodes + 1, 64)
-        assert samples.tobytes() == np.stack(ref.snapshots, axis=1).tobytes()
+        assert samples.shape == ref.rows.shape
 
     def test_nonfinite_difference_raises_at_first_iterate(self):
         # a sech pair of amplitude 1e300 overflows the first iterate
         g = SpectralGrid(20.0, 64)
         w = 1e300 / np.cosh(g.x)
         with pytest.raises(NumericalBlowupError, match="iterate 1: non-finite"):
-            picard_solve(CoupledState(0.0, Field(g, [w, w])), PicardConfig(max_iters=25), p=1)
+            picard_solve(CoupledState(0.0, g, [w, w]), PicardConfig(max_iters=25), p=1)
 
     def test_long_window_raises(self):
         g = SpectralGrid(20.0, 128)
         w = 1.0 / np.cosh(g.x)
         with pytest.raises(NonContractionError, match="t_window"):
             picard_solve(
-                CoupledState(0.0, Field(g, [w, w])),
+                CoupledState(0.0, g, [w, w]),
                 PicardConfig(t_window=5.0, num_nodes=64, max_iters=25),
                 p=1,
             )
@@ -637,7 +659,7 @@ class TestPicard:
     def test_factors_grow_with_window(self):
         g = SpectralGrid(20.0, 128)
         w = 1.0 / np.cosh(g.x)
-        s0 = CoupledState(0.0, Field(g, [w, w]))
+        s0 = CoupledState(0.0, g, [w, w])
         firsts = []
         for t_window in (0.02, 0.08, 0.32):
             res = picard_solve(
@@ -701,7 +723,7 @@ class TestSwapSymmetry:
     def _pair(p):
         g = SpectralGrid(10.0, 128)
         s = bandlimited_state(g, 21, amp=0.6 if p == 1 else 0.4)
-        return s, CoupledState(s.t, Field(g, s.pair.samples[::-1]))
+        return s, CoupledState(s.t, g, s.pair[::-1])
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("scheme", ["if_rk4", "strang"])
@@ -711,8 +733,8 @@ class TestSwapSymmetry:
         a, b = simulate(s, cfg), simulate(swapped, cfg)
         assert len(a) == len(b) == 6
         for i in range(len(a)):
-            assert np.array_equal(a.snapshots[i], b.snapshots[i][::-1])
-        assert not np.array_equal(a.snapshots[-1][0], a.snapshots[-1][1])
+            assert np.array_equal(a.samples()[:, i], b.samples()[:, i][::-1])
+        assert not np.array_equal(a.samples()[0, -1], a.samples()[1, -1])
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_picard(self, p):
@@ -746,7 +768,7 @@ class TestPinnedOutputs:
         cfg = SolverConfig(p=p, dt=2e-3, t_end=0.1, scheme=scheme, record_stride=50)
         rec = simulate(_perturbed_sech(128, p), cfg)
         assert rec.times == [0.0, 0.1]
-        assert _sha256(rec.snapshots[-1]) == digest
+        assert _sha256(rec.samples()[:, -1]) == digest
 
     @pytest.mark.parametrize("p, digest", [
         (1, "bbb0d66d0d7d25dacfa051b1b3948f87cacb32312793a524cc564de839af3d4c"),
@@ -765,7 +787,7 @@ def whole_stack_picard(initial, config, p):
     g = initial.grid
     m = config.num_nodes
     h = config.t_window / m
-    c0 = forward_transform(initial.pair.samples, initial.grid)
+    c0 = forward_transform(initial.pair, initial.grid)
     free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
     rhs = _RhsWorkspace(g, p, free.shape)
     phase_h = dispersive_phase(g, h)
@@ -836,10 +858,15 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 PicardConfig(**kwargs)
 
+    def test_state_rejects_samples_off_the_grid(self):
+        g = SpectralGrid(1.0, 16)
+        with pytest.raises(ValueError, match=r"\(2, \.\.\., N\), N = 16, got \(2, 8\)"):
+            CoupledState(0.0, g, np.zeros((2, 8)))
+
     @pytest.mark.parametrize("shape", [(16,), (3, 16), (1, 16)])
     def test_state_rejects_anything_but_a_pair(self, shape):
-        # one Field holds the pair, u first: a single row or a leading
+        # one array holds the pair, u first: a single row or a leading
         # axis other than 2 is no pair
         g = SpectralGrid(1.0, 16)
         with pytest.raises(ValueError, match=r"\(2, \.\.\., N\)"):
-            CoupledState(0.0, Field(g, np.zeros(shape)))
+            CoupledState(0.0, g, np.zeros(shape))

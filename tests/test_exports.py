@@ -1,13 +1,16 @@
 """Every name a module exports resolves, so a deletion cannot leave an
 export behind; the package's modules import one another without a cycle;
 a full spectrum of a 1-D field is built nowhere outside the modules that
-own the layouts; and only spectral touches numpy.fft."""
+own the layouts; only spectral touches numpy.fft; and the README's Python
+example runs as written."""
 
 import ast
 import graphlib
 import importlib
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gkdvlab
@@ -85,3 +88,13 @@ def test_only_spectral_uses_numpy_fft():
         if _uses_numpy_fft(node)
     }
     assert users == {"spectral"}  # the parse sees spectral's import
+
+
+def test_readme_python_example_runs_as_written():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(readme), "exec"), namespace)
+    rho = namespace["joints"][-1].rho
+    assert abs(rho - np.pi / 2.0) < 0.05 * np.pi / 2.0  # "~pi/2 for sech data"

@@ -9,12 +9,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gkdvlab import diagnostics
+from gkdvlab import diagnostics, spectral
 from gkdvlab.cli import main
 from gkdvlab.diagnostics import estimate_radius
 from gkdvlab.harness import (
@@ -171,6 +172,13 @@ class TestParse:
                 assert fragment in str(exc)
                 raise
 
+    @pytest.mark.parametrize("out", ["runs/#1", "runs/a\nb", "runs/a\rb"])
+    def test_out_that_cannot_round_trip_rejected(self, out):
+        # '#' starts a comment and a line break ends the line, so the rendered
+        # config text could not give such an out back
+        with pytest.raises(ConfigError, match="out must not contain '#' or a line break"):
+            apply_overrides(RunConfig(), [f"out={out}"])
+
     def test_duplicate_cites_both_lines(self):
         with pytest.raises(ConfigError, match="line 3.*first set on line 2"):
             parse_config("[solver]\np = 1\np = 2")
@@ -201,21 +209,21 @@ class TestInitialState:
         st = initial_state(fast_config("ic_speed=4", "ic_x0=3"))
         g = st.grid
         want = np.sqrt(8.0) / np.cosh(2.0 * (g.x - 3.0))
-        assert np.allclose(st.pair.samples[0], want, atol=1e-14)
-        assert np.array_equal(st.pair.samples[0], st.pair.samples[1])
+        assert np.allclose(st.pair[0], want, atol=1e-14)
+        assert np.array_equal(st.pair[0], st.pair[1])
 
     def test_soliton_p1_is_the_sech_formula(self):
         # the general profile keeps the p = 1 samples bit for bit
         st = initial_state(fast_config("ic_speed=2.5", "ic_x0=-1"))
         y = st.grid.x + 1.0
-        assert np.array_equal(st.pair.samples[0], np.sqrt(2.0 * 2.5) / np.cosh(np.sqrt(2.5) * y))
+        assert np.array_equal(st.pair[0], np.sqrt(2.0 * 2.5) / np.cosh(np.sqrt(2.5) * y))
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_soliton_profile_solves_its_equation(self, p):
         # u = v = Q(x - c t) needs -c Q + Q'' + Q^(2p+1) = 0
         # N = 4096 resolves the strip of half-width pi / (2 p sqrt(c)) down to roundoff
         st = initial_state(fast_config(f"p={p}", "ic_speed=1.5", "N=4096"))
-        q = st.pair.samples[0]
+        q = st.pair[0]
         assert np.array_equal(q, soliton_profile(st.grid.x, 1.5, p))
         c = forward_transform(q, st.grid) * st.grid.derivative_symbol(2)
         q2 = inverse_transform(c, st.grid)
@@ -224,21 +232,21 @@ class TestInitialState:
 
     def test_sech_and_gaussian_params(self):
         st = initial_state(fast_config("ic=sech", "ic_amp=0.5", "ic_width=2"))
-        assert abs(st.pair.samples[0].max() - 0.5) < 1e-12
+        assert abs(st.pair[0].max() - 0.5) < 1e-12
         st = initial_state(fast_config("ic=gaussian", "ic_amp=0.25"))
-        assert abs(st.pair.samples[0].max() - 0.25) < 1e-12
+        assert abs(st.pair[0].max() - 0.25) < 1e-12
 
     def test_perturbed_components_differ(self):
         st = initial_state(fast_config("ic=perturbed_sech"))
-        assert not np.array_equal(st.pair.samples[0], st.pair.samples[1])
+        assert not np.array_equal(st.pair[0], st.pair[1])
         # eps = 0 collapses back to the plain profile
         st0 = initial_state(fast_config("ic=perturbed_sech", "ic_eps=0"))
-        assert np.array_equal(st0.pair.samples[0], st0.pair.samples[1])
+        assert np.array_equal(st0.pair[0], st0.pair[1])
 
     def test_deterministic(self):
         a = initial_state(fast_config("ic=perturbed_sech"))
         b = initial_state(fast_config("ic=perturbed_sech"))
-        assert np.array_equal(a.pair.samples[0], b.pair.samples[0])
+        assert np.array_equal(a.pair[0], b.pair[0])
 
 
 class TestCsv:
@@ -455,6 +463,20 @@ class TestSweep:
         _, data = read_csv(tmp_path / "summary.csv")
         assert np.isnan(data[0, -2]) and np.isnan(data[0, -1])
 
+    def test_summary_ignores_a_fit_left_by_an_earlier_sweep(self, tmp_path):
+        # a radius-track sweep leaves decay_fit.csv in its point directory; a
+        # simulate sweep into the same directory writes none, so its summary
+        # has no fit to report
+        args = ["--out", str(tmp_path), "--vary", "ic_amp=0.5", *(f"--set={s}" for s in FAST),
+                "--set", "t_end=1.6", "--set", "record_stride=25", "--set", "ic=perturbed_sech"]
+        assert main(["sweep", "--set", "kind=radius-track", *args]) == 0
+        _, data = read_csv(tmp_path / "summary.csv")
+        assert np.all(np.isfinite(data[0, -2:]))
+        assert main(["sweep", "--set", "kind=simulate", *args]) == 0
+        assert (tmp_path / "point_000" / "decay_fit.csv").exists()
+        _, data = read_csv(tmp_path / "summary.csv")
+        assert np.isnan(data[0, -2]) and np.isnan(data[0, -1])
+
     def test_rejects_unknown_vary_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             sweep(fast_config(), {"zork": ["1"]}, tmp_path)
@@ -462,6 +484,28 @@ class TestSweep:
     def test_rejects_empty_values(self, tmp_path):
         with pytest.raises(ConfigError, match="no values"):
             sweep(fast_config(), {"p": []}, tmp_path)
+
+
+@pytest.mark.parametrize("argv, shapes", [
+    (["radius-track", "--set", "N=512", "--set", "t_end=2.0"], [(2, 512), (2, 41, 512)]),
+    (["soliton-test", "--set", "t_end=0.5"], [(2, 1024), (2, 11, 1024)]),
+], ids=["radius-track", "soliton-test"])
+def test_one_forward_transform_serves_a_record(tmp_path, monkeypatch, argv, shapes):
+    # one transform of the initial pair to step from, and one of the whole
+    # record, which the radii, the invariants and the H^s norms share
+    calls = []
+    forward = spectral.forward_transform
+
+    def counted(samples, grid):
+        calls.append(np.shape(samples))
+        return forward(samples, grid)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gkdvlab"]
+    for module in modules:
+        for key in [k for k, v in vars(module).items() if v is forward]:
+            monkeypatch.setattr(module, key, counted)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert calls == shapes
 
 
 class TestCli:
@@ -539,6 +583,15 @@ class TestCli:
             "--set", "ic=perturbed_sech",
         )
         assert rc == 4
+
+    def test_out_with_hash_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = self.run_main("simulate", "--out", "a#b", *(f"--set={s}" for s in FAST))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("gkdvlab: config error: flag #1: out must not contain '#' or a "
+                       "line break, got 'a#b'\n")
+        assert not (tmp_path / "a#b").exists()
 
     def test_sweep_requires_vary(self):
         assert self.run_main("sweep") == 2

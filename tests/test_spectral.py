@@ -2,12 +2,13 @@
 an O(N^2) direct DFT sum, finite-difference stencils, and an O(N^2) direct
 spectral convolution."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from gkdvlab.spectral import (
     NonFiniteDataError,
-    Field,
     PaddedBand,
     SpectralGrid,
     dealiased_product,
@@ -29,7 +30,7 @@ def apply_derivative(c, grid, order):
 
 def random_field(grid, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    return Field(grid, scale * rng.standard_normal(grid.num_points))
+    return scale * rng.standard_normal(grid.num_points)
 
 
 def bandlimited_field(grid, seed, bandwidth):
@@ -43,7 +44,7 @@ def bandlimited_field(grid, seed, bandwidth):
         c[k] = z
         c[-k] = np.conj(z)
     half = c[: grid.num_points // 2 + 1]
-    return Field(grid, inverse_transform(half, grid)), c
+    return inverse_transform(half, grid), c
 
 
 class TestGrid:
@@ -71,7 +72,7 @@ class TestGrid:
     def test_field_shape_checked(self):
         g = SpectralGrid(1.0, 8)
         with pytest.raises(ValueError):
-            Field(g, np.zeros(7))
+            forward_transform(np.zeros(7), g)
         with pytest.raises(ValueError):
             inverse_transform(np.zeros(9, dtype=complex), g)
         with pytest.raises(ValueError):  # a full spectrum is not a half-spectrum
@@ -86,7 +87,7 @@ class TestGrid:
         assert np.array_equal(inverse_transform(coeffs, g)[1],
                               inverse_transform(coeffs[1], g))
         with pytest.raises(ValueError):
-            Field(g, np.zeros((3, 7)))
+            forward_transform(np.zeros((3, 7)), g)
 
     @pytest.mark.parametrize("shape", [(3, 7), (8, 3), (3, 5)],
                              ids=["short-rows", "transposed", "half-spectra"])
@@ -111,10 +112,10 @@ class TestForwardTransform:
     def test_matches_direct_dft_sum(self):
         g = SpectralGrid(2.0, 64)
         u = random_field(g, 7)
-        c = forward_transform(u.samples, g)
+        c = forward_transform(u, g)
         naive = np.array(
             [
-                (g.dx / SQRT_2PI) * np.sum(u.samples * np.exp(-1j * (g.x + g.half_length) * z))
+                (g.dx / SQRT_2PI) * np.sum(u * np.exp(-1j * (g.x + g.half_length) * z))
                 for z in g.rzeta
             ]
         )
@@ -156,8 +157,8 @@ class TestForwardTransform:
     def test_parseval_exact(self, num):
         g = SpectralGrid(17.3, num)
         u = random_field(g, num)
-        c = forward_transform(u.samples, g)
-        phys = np.sum(u.samples**2) * g.dx
+        c = forward_transform(u, g)
+        phys = np.sum(u**2) * g.dx
         # every mode: the modes 1 ... N/2 - 1 stand for their conjugates too
         spec = np.sum(g.multiplicity * np.abs(c) ** 2) * g.dzeta
         assert abs(phys - spec) <= 1e-12 * phys
@@ -166,15 +167,15 @@ class TestForwardTransform:
     def test_roundtrip(self, seed):
         g = SpectralGrid(5.0, 128)
         u = random_field(g, seed)
-        back = inverse_transform(forward_transform(u.samples, g), g)
-        assert np.max(np.abs(back - u.samples)) <= 1e-12 * np.max(np.abs(u.samples))
+        back = inverse_transform(forward_transform(u, g), g)
+        assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
 
     def test_rejects_nonfinite(self):
         g = SpectralGrid(1.0, 8)
-        bad = Field(g, np.zeros(8))
-        bad.samples[3] = np.inf
+        bad = np.zeros(8)
+        bad[3] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            forward_transform(bad.samples, g)
+            forward_transform(bad, g)
 
     @pytest.mark.parametrize("where,value", [(3, np.nan), (0, np.nan), (8, np.inf)])
     def test_inverse_rejects_nonfinite_coeffs(self, where, value):
@@ -279,7 +280,7 @@ class TestDealiasedProduct:
         g = SpectralGrid(np.pi, 64)
         f1, c1 = bandlimited_field(g, 1, 5)
         f2, c2 = bandlimited_field(g, 2, 5)
-        prod = dealiased_product([f1.samples, f2.samples], g)
+        prod = dealiased_product([forward_transform(f1, g), forward_transform(f2, g)], g)
         cp = forward_transform(prod, g)
         half = 32
         oracle = np.zeros(64, dtype=complex)
@@ -298,21 +299,22 @@ class TestDealiasedProduct:
         # exp(sin x) decays fast enough that aliasing is below roundoff at
         # this resolution, so the dealiased product equals the pointwise one.
         g = SpectralGrid(np.pi, 256)
-        f = Field(g, np.exp(np.sin(g.x)))
-        cubed = dealiased_product([f.samples, f.samples, f.samples], g)
-        assert np.max(np.abs(cubed - f.samples**3)) < 1e-11 * np.max(f.samples**3)
+        f = np.exp(np.sin(g.x))
+        c = forward_transform(f, g)
+        cubed = dealiased_product([c, c, c], g)
+        assert np.max(np.abs(cubed - f**3)) < 1e-11 * np.max(f**3)
 
     def test_product_with_constant_one_is_identity(self):
         g = SpectralGrid(np.pi, 64)
         u, _ = bandlimited_field(g, 9, 12)
-        one = Field(g, np.ones(64))
-        prod = dealiased_product([u.samples, one.samples], g)
-        assert np.max(np.abs(prod - u.samples)) < 1e-13 * np.max(np.abs(u.samples))
+        one = np.ones(64)
+        prod = dealiased_product([forward_transform(u, g), forward_transform(one, g)], g)
+        assert np.max(np.abs(prod - u)) < 1e-13 * np.max(np.abs(u))
 
     def test_cosine_product_lands_on_sum_and_difference_bins(self):
         # cos(5x) cos(3x) = cos(2x)/2 + cos(8x)/2
         g = SpectralGrid(np.pi, 64)
-        prod = dealiased_product([np.cos(5 * g.x), np.cos(3 * g.x)], g)
+        prod = dealiased_product([forward_transform(np.cos(k * g.x), g) for k in (5, 3)], g)
         c = g.dft(prod)  # every mode, in FFT order
         assert np.max(np.abs(forward_transform(prod, g) - c[:33])) < 1e-15
         expected = 0.5 * g.half_length / SQRT_2PI  # per-bin weight of cos/2
@@ -327,9 +329,10 @@ class TestDealiasedProduct:
     def test_unpadded_product_aliases(self):
         # two modes near Nyquist: their product wraps around without padding
         g = SpectralGrid(np.pi, 32)
-        u = Field(g, np.cos(12 * g.x))
-        clean = forward_transform(dealiased_product([u.samples, u.samples], g), g)
-        dirty = forward_transform(u.samples * u.samples, g)
+        u = np.cos(12 * g.x)
+        c = forward_transform(u, g)
+        clean = forward_transform(dealiased_product([c, c], g), g)
+        dirty = forward_transform(u * u, g)
         # true product: 1/2 + cos(24 x)/2; mode 24 is unrepresentable, but the
         # aliased copy lands at |k|=8 only in the unpadded version
         assert abs(clean[8]) < 1e-13
@@ -339,7 +342,8 @@ class TestDealiasedProduct:
         g = SpectralGrid(np.pi, 32)
         f1, f2 = np.zeros(32), np.zeros(64)
         with pytest.raises(ValueError, match="grid"):
-            dealiased_product([f1, f2], g)
+            dealiased_product([forward_transform(f1, g),
+                               forward_transform(f2, SpectralGrid(np.pi, 64))], g)
         with pytest.raises(ValueError):
             dealiased_product([], g)
 
@@ -400,14 +404,14 @@ class TestDealiasedProduct:
         full[:, half] = 0.0
         full[:, half + 1 :] = np.conj(band[:, half - 1 : 0 : -1])
         expect = g.idft(full).real
-        got = dealiased_product(factors, g)
+        got = dealiased_product([forward_transform(f, g) for f in factors], g)
         peak = np.max(np.abs(expect), axis=-1)
         assert np.all(np.max(np.abs(got - expect), axis=-1) <= 1e-14 * peak)
 
 
 class TestGridTransforms:
     # every x-transform goes through the grid; it must be exactly dft_axis /
-    # idft_axis over the span 2L, or snapshots and report hashes would move
+    # idft_axis over the span 2L, or record rows and report hashes would move
     @pytest.mark.parametrize("shape, axis", [
         ((64,), -1), ((5, 64), 1), ((64, 5), 0), ((2, 3, 64), -1), ((5, 96), 1),
     ], ids=["row", "stack-axis1", "stack-axis0", "pair-stack", "padded"])
@@ -470,7 +474,7 @@ class TestBatchedTransforms:
     def test_product_rows_equal_field_products(self):
         g = SpectralGrid(10.0, 64)
         rng = np.random.default_rng(5)
-        factors = [rng.standard_normal((9, 64)) for _ in range(3)]
+        factors = [forward_transform(rng.standard_normal((9, 64)), g) for _ in range(3)]
         rows = dealiased_product(factors, g)
         for j in range(9):
             one = dealiased_product([f[j] for f in factors], g)
@@ -478,10 +482,35 @@ class TestBatchedTransforms:
 
     def test_product_rows_reject_nonfinite_row(self):
         g = SpectralGrid(10.0, 64)
-        bad = np.ones((4, 64))
+        good = forward_transform(np.ones((4, 64)), g)
+        bad = good.copy()
         bad[2, 7] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            dealiased_product([np.ones((4, 64)), bad], g)
+        with pytest.raises(NonFiniteDataError, match="dealiased_product: factor: non-finite"):
+            dealiased_product([good, bad], g)
+
+    def test_product_frees_each_factor_once_padded(self):
+        # factors made as they are read give the list's product, and none
+        # is still alive when the next one is made
+        g = SpectralGrid(10.0, 64)
+        rows = np.random.default_rng(6).standard_normal((3, 5, 64))
+        made = []
+
+        def make(row):
+            assert all(ref() is None for ref in made)
+            coeffs = forward_transform(row, g)
+            made.append(weakref.ref(coeffs))
+            return coeffs
+
+        class Made:
+            def __len__(self):
+                return len(rows)
+
+            def __iter__(self):
+                return (make(row) for row in rows)
+
+        got = dealiased_product(Made(), g)
+        assert len(made) == 3
+        assert np.array_equal(got, dealiased_product(list(forward_transform(rows, g)), g))
 
 
 def _plain_dft(values, span, axis, real=False):
@@ -499,7 +528,7 @@ def _plain_idft(coeffs, span, axis, real=False):
 
 class TestTransformPlan:
     # every transform must be the plain scaled np.fft bit for bit, or
-    # snapshots and report hashes would move; odd sizes check an odd axis
+    # record rows and report hashes would move; odd sizes check an odd axis
     @pytest.mark.parametrize("num", [8, 9, 64, 2048])
     @pytest.mark.parametrize("span", [20.0, 2.0], ids=["grid", "time-window"])
     @pytest.mark.parametrize("layout", ["row", "stack-axis0", "stack-axis-1"])
