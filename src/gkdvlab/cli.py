@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(blowup, non-contracting iteration, an overflowing norm weight, or
-non-finite samples or coefficients), 4 not enough usable data for the
-requested analysis.
+(blowup, non-contracting iteration, an overflowing norm weight,
+non-finite samples or coefficients, or an underflowing multilinear
+denominator), 4 not enough usable data for the requested analysis.
 """
 
 from __future__ import annotations

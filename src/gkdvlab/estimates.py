@@ -87,7 +87,7 @@ APRIORI_STRIDE = 10
 # slack around the support [-2, 2] of the cutoff psi
 HALF_SPAN = 2.5
 
-# smoothing exponent of the Strichartz checks, above every variant's floor
+# smoothing exponent of the Strichartz checks, above every variant's floor (1/4 or 1/2)
 STRICHARTZ_KAPPA = 0.55
 
 # members per batch of an ensemble check, which bounds a batch's memory
@@ -148,11 +148,6 @@ class EstimateReport:
     violation: bool
     ratios: tuple = ()
     extra: dict = dc_field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["ratios"] = list(self.ratios)
-        return out
 
 
 def _fold(
@@ -374,54 +369,42 @@ def duhamel_ratio(
 @dataclass(frozen=True)
 class StrichartzVariant:
     """One mixed-norm bound: spatial weight power (None means -s, the
-    maximal-function family), outer/inner exponents, and its validity floor."""
+    maximal-function family), outer/inner exponents, and the floor of s."""
 
     weight_power: float | None
     p_exp: float
     q_exp: float
-    kappa_floor: float
-    s_rule: str  # none | 3kappa | quarter | half
+    s_floor: float
 
 
 STRICHARTZ_VARIANTS = {
-    "smooth_l4x_l2t": StrichartzVariant(0.5, 4.0, 2.0, 0.25, "none"),
-    "smooth_linfx_l2t": StrichartzVariant(1.0, np.inf, 2.0, 0.25, "none"),
-    "maximal_l2x_linft": StrichartzVariant(None, 2.0, np.inf, 0.5, "3kappa"),
-    "maximal_l4x_linft": StrichartzVariant(None, 4.0, np.inf, 0.5, "quarter"),
-    "maximal_linfx_linft": StrichartzVariant(None, np.inf, np.inf, 0.5, "half"),
-}
-
-_S_FLOORS = {
-    "none": lambda kappa: None,
-    "3kappa": lambda kappa: 3.0 * kappa,
-    "quarter": lambda kappa: 0.25,
-    "half": lambda kappa: 0.5,
+    "smooth_l4x_l2t": StrichartzVariant(0.5, 4.0, 2.0, -np.inf),
+    "smooth_linfx_l2t": StrichartzVariant(1.0, np.inf, 2.0, -np.inf),
+    "maximal_l2x_linft": StrichartzVariant(None, 2.0, np.inf, 3.0 * STRICHARTZ_KAPPA),
+    "maximal_l4x_linft": StrichartzVariant(None, 4.0, np.inf, 0.25),
+    "maximal_linfx_linft": StrichartzVariant(None, np.inf, np.inf, 0.5),
 }
 
 
-def _strichartz_variant(variant: str, kappa: float, s: float) -> StrichartzVariant:
+def _strichartz_variant(variant: str, s: float) -> StrichartzVariant:
     try:
         v = STRICHARTZ_VARIANTS[variant]
     except KeyError:
         raise ValueError(
             f"unknown variant {variant!r}; choose from {sorted(STRICHARTZ_VARIANTS)}"
         ) from None
-    _require(kappa > v.kappa_floor, f"{variant} needs kappa > {v.kappa_floor}, got {kappa}")
-    floor = _S_FLOORS[v.s_rule](kappa)
-    if floor is not None:
-        _require(s > floor, f"{variant} needs s > {floor:.4g}, got {s}")
+    _require(s > v.s_floor, f"{variant} needs s > {v.s_floor:.4g}, got {s}")
     return v
 
 
-def strichartz_ratio(
-    sample: SpaceTimeSample, variant: str, kappa: float = STRICHARTZ_KAPPA, s: float = 2.0
-) -> float | np.ndarray:
+def strichartz_ratio(sample: SpaceTimeSample, variant: str, s: float = 2.0) -> float | np.ndarray:
     """Mixed norm of the weighted, dispersively smoothed sample against the
     plain L^2 size of its space-time spectrum."""
-    v = _strichartz_variant(variant, kappa, s)
+    v = _strichartz_variant(variant, s)
     power = -s if v.weight_power is None else v.weight_power
     coeffs = xt_transform(sample)  # one transform serves both sides
-    lhs = mixed_norm(apply_smoothing_weight(sample, coeffs, kappa, power), v.p_exp, v.q_exp)
+    lhs = mixed_norm(apply_smoothing_weight(sample, coeffs, STRICHARTZ_KAPPA, power),
+                     v.p_exp, v.q_exp)
     return _ratio(lhs, sample_l2(xt_modulus(sample, coeffs), sample.cell))
 
 
@@ -463,7 +446,8 @@ def multilinear_ratio(
     factors: Sequence[SpaceTimeSample], params: NormParams, b_prime: float
 ) -> float | np.ndarray:
     """Derivative of the dealiased product in the b' norm against the product
-    of the factors' b norms."""
+    of the factors' b norms.  Tiny factors flush the numerator to 0, so a
+    product of positive norms below the normal float range raises."""
     _require(params.b > 0.5, f"need b > 1/2, got {params.b}")
     _require(b_prime < -0.25, f"need b' < -1/4, got {b_prime}")
     _require(b_prime >= -1.0, f"need b' >= -1, got {b_prime}")
@@ -473,9 +457,11 @@ def multilinear_ratio(
         NormParams(params.rho, params.s, b_prime),
         None,
     )
-    rhs = 1.0
-    for f in factors:
-        rhs *= bourgain_norm(f, params, None)
+    norms = np.array([bourgain_norm(f, params, None) for f in factors])
+    rhs = np.prod(norms, axis=0)  # in factor order, the bits of a running product
+    if np.any((rhs < np.finfo(np.float64).tiny) & np.all(norms > 0.0, axis=0)):
+        raise OverflowError(f"multilinear: the product of {len(factors)} positive factor "
+                            "norms underflows the float range; raise the sample amplitude")
     return _ratio(lhs, rhs)
 
 
@@ -585,11 +571,11 @@ def check_strichartz(
 ) -> EstimateReport:
     """One mixed-norm bound at kappa = STRICHARTZ_KAPPA over an ensemble of
     boxed random samples."""
-    _strichartz_variant(variant, STRICHARTZ_KAPPA, s)  # fail fast before sampling
+    _strichartz_variant(variant, s)  # fail fast before sampling
 
     def ratios(seeds: list[int]) -> np.ndarray:
         batch = random_boxed_sample(grid, spec, num_times, seeds)
-        return strichartz_ratio(batch, variant, STRICHARTZ_KAPPA, s)
+        return strichartz_ratio(batch, variant, s)
 
     return _ensemble(f"strichartz:{variant}", spec, None, grid, num_times, ensemble, ratios,
                      variant=variant, kappa=STRICHARTZ_KAPPA, s=s, half_span=HALF_SPAN)

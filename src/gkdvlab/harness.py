@@ -317,7 +317,7 @@ def _write_json(obj, path: Path) -> None:
 
 
 def write_report_json(report: EstimateReport, path: Path) -> None:
-    _write_json(report.as_dict(), path)
+    _write_json(dataclasses.asdict(report), path)
 
 
 def _report_filename(report: EstimateReport) -> str:
@@ -535,9 +535,6 @@ class RunManifest:
     config_text: str
     outputs: dict  # filename -> sha256 hex
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -545,7 +542,7 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(manifest: RunManifest, path: Path) -> None:
     tmp = Path(str(path) + ".tmp")
-    tmp.write_text(json.dumps(manifest.as_dict(), sort_keys=True, indent=2) + "\n",
+    tmp.write_text(json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n",
                    encoding="utf-8")
     os.replace(tmp, path)
 

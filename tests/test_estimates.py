@@ -16,6 +16,7 @@ import pytest
 from gkdvlab import _kernels, estimates, spaces
 from gkdvlab.diagnostics import TrajectoryRecord
 from gkdvlab.estimates import (
+    STRICHARTZ_KAPPA,
     STRICHARTZ_VARIANTS,
     SampleSpec,
     bidirectional_record,
@@ -240,7 +241,7 @@ class TestSamplerLaw:
 class TestReportPlumbing:
     def test_as_dict_serializes(self):
         rep = check_time_cutoff(SampleSpec(seed=1), PARAMS, 1.0, ensemble=2)
-        blob = json.dumps(rep.as_dict(), sort_keys=True)
+        blob = json.dumps(dataclasses.asdict(rep), sort_keys=True)
         assert "time_cutoff" in blob
         assert json.loads(blob)["ensemble"] == 2
 
@@ -480,7 +481,7 @@ class TestStrichartz:
         # a real mode lives on the bins (eta0, zeta0) and (-eta0, -zeta0),
         # where both multipliers take one value, and the right-hand side is
         # its L^2 norm (Parseval)
-        kappa, s = 0.55, 2.0
+        kappa, s = STRICHARTZ_KAPPA, 2.0
         m_times = 64
         f = np.zeros((m_times // 2 + 1, GRID.num_points), dtype=complex)
         m0, k0 = 5, 3
@@ -497,33 +498,31 @@ class TestStrichartz:
         mult = (1.0 + abs(zeta0)) ** power * (1.0 + abs(eta0 - zeta0**3)) ** (-kappa)
         l2 = np.sqrt(np.sum(vals**2) * GRID.dx * sample.dt)
         want = mult * mixed_norm(sample, v.p_exp, v.q_exp) / l2
-        got = strichartz_ratio(sample, variant, kappa, s)
+        got = strichartz_ratio(sample, variant, s)
         assert abs(got - want) < 1e-12 * want
 
     def test_zero_sample_ratio_zero(self):
         sample = SpaceTimeSample(GRID, -2.5, 2.5, np.zeros((16, GRID.num_points)))
-        assert strichartz_ratio(sample, "smooth_l4x_l2t", 0.55, 2.0) == 0.0
+        assert strichartz_ratio(sample, "smooth_l4x_l2t", 2.0) == 0.0
 
     @pytest.mark.parametrize(
-        "variant,kappa,s",
+        "variant,s,floor",
         [
-            ("smooth_l4x_l2t", 0.25, 2.0),
-            ("smooth_linfx_l2t", 0.2, 2.0),
-            ("maximal_l2x_linft", 0.4, 2.0),
-            ("maximal_l2x_linft", 0.7, 2.0),  # needs s > 2.1
-            ("maximal_l4x_linft", 0.6, 0.2),
-            ("maximal_linfx_linft", 0.6, 0.5),
+            ("maximal_l2x_linft", 1.6, "1.65"),  # 3 kappa
+            ("maximal_l2x_linft", 1.65, "1.65"),
+            ("maximal_l4x_linft", 0.2, "0.25"),
+            ("maximal_linfx_linft", 0.5, "0.5"),
         ],
     )
-    def test_threshold_validation(self, variant, kappa, s):
+    def test_threshold_validation(self, variant, s, floor):
         sample = random_boxed_sample(GRID, SampleSpec(seed=71), num_times=16)
-        with pytest.raises(ValueError):
-            strichartz_ratio(sample, variant, kappa, s)
+        with pytest.raises(ValueError, match=f"^{variant} needs s > {floor}, got {s}$"):
+            strichartz_ratio(sample, variant, s)
 
     def test_unknown_variant_rejected(self):
         sample = random_boxed_sample(GRID, SampleSpec(seed=72), num_times=16)
         with pytest.raises(ValueError, match="unknown variant"):
-            strichartz_ratio(sample, "smooth_l6x_l2t", 0.55, 2.0)
+            strichartz_ratio(sample, "smooth_l6x_l2t", 2.0)
 
     @pytest.mark.parametrize("variant", list(STRICHARTZ_VARIANTS))
     def test_both_sides_share_one_transform(self, variant, monkeypatch):
@@ -610,7 +609,7 @@ class TestFullSpectrumOracle:
 
     @pytest.mark.parametrize("variant", list(STRICHARTZ_VARIANTS))
     def test_strichartz_ratio(self, variant):
-        kappa, s = 0.55, 2.0
+        kappa, s = STRICHARTZ_KAPPA, 2.0
         v = STRICHARTZ_VARIANTS[variant]
         power = -s if v.weight_power is None else v.weight_power
         for w in self.samples():
@@ -620,7 +619,7 @@ class TestFullSpectrumOracle:
             smoothed = np.fft.ifft2(np.fft.fft2(w.values) * mult).real
             lhs = mixed_norm(SpaceTimeSample(GRID, w.t0, w.t1, smoothed), v.p_exp, v.q_exp)
             want = lhs / np.sqrt(np.sum(np.abs(c) ** 2) * cell)
-            got = strichartz_ratio(w, variant, kappa, s)
+            got = strichartz_ratio(w, variant, s)
             assert abs(got - want) < 1e-13 * want
 
 
@@ -681,6 +680,18 @@ class TestMultilinear:
             GRID, factors[2].t0, factors[2].t1, np.zeros_like(factors[2].values)
         )
         assert multilinear_ratio(factors, PARAMS, -0.3) == 0.0
+
+    def test_underflowing_norms_raise(self):
+        # each norm ~1e-108, so their product is subnormal and the numerator 0
+        factors, *_ = self._trig_factors()
+        tiny = [SpaceTimeSample(GRID, f.t0, f.t1, 1e-110 * f.values) for f in factors]
+        with pytest.raises(OverflowError, match="underflow"):
+            multilinear_ratio(tiny, PARAMS, -0.3)
+        # one member of a batch is enough
+        batch = [SpaceTimeSample(GRID, f.t0, f.t1, np.stack([f.values, t.values]))
+                 for f, t in zip(factors, tiny)]
+        with pytest.raises(OverflowError, match="underflow"):
+            multilinear_ratio(batch, PARAMS, -0.3)
 
     def test_hypothesis_validation(self):
         factors, *_ = self._trig_factors()

@@ -18,12 +18,15 @@ import pytest
 from gkdvlab import diagnostics, spectral
 from gkdvlab.cli import main
 from gkdvlab.diagnostics import estimate_radius
+from gkdvlab.estimates import EstimateReport
 from gkdvlab.harness import (
     DECAY_COLUMNS,
     TRAJECTORY_COLUMNS,
     ConfigError,
     InsufficientDataError,
     RunConfig,
+    RunManifest,
+    _write_manifest,
     apply_overrides,
     format_float,
     initial_state,
@@ -34,6 +37,7 @@ from gkdvlab.harness import (
     soliton_profile,
     sweep,
     write_csv,
+    write_report_json,
 )
 from gkdvlab.spectral import forward_transform, inverse_transform
 
@@ -276,6 +280,41 @@ class TestCsv:
         write_csv(path, ("v",), [[0.5]])
         assert "," not in path.read_text().splitlines()[1]
         assert "0.5" in path.read_text()
+
+
+class TestJsonLayout:
+    """Report and manifest bytes pinned across commits: sorted keys, two-space
+    indent, a tuple written as a list, a trailing newline."""
+
+    def test_report_text(self, tmp_path):
+        rep = EstimateReport(
+            estimate_id="multilinear:p=1", ensemble=2,
+            params={"s": 2.0, "window": {"t0": -2.5, "t1": 2.5}},
+            max_ratio=1.5, max_seed=8, violation=False, ratios=(0.25, 1.5),
+            extra={"splits": {"first": 1.5, "mirror": (0.25, 1e-300)}},
+        )
+        write_report_json(rep, tmp_path / "report.json")
+        assert (tmp_path / "report.json").read_text() == (
+            '{\n  "ensemble": 2,\n  "estimate_id": "multilinear:p=1",\n'
+            '  "extra": {\n    "splits": {\n      "first": 1.5,\n'
+            '      "mirror": [\n        0.25,\n        1e-300\n      ]\n    }\n  },\n'
+            '  "max_ratio": 1.5,\n  "max_seed": 8,\n'
+            '  "params": {\n    "s": 2.0,\n    "window": {\n      "t0": -2.5,\n'
+            '      "t1": 2.5\n    }\n  },\n'
+            '  "ratios": [\n    0.25,\n    1.5\n  ],\n  "violation": false\n}\n'
+        )
+
+    def test_manifest_text(self, tmp_path):
+        manifest = RunManifest("estimate-lab", "0.1.0", 1.5, 2.25,
+                               "[run]\nkind = estimate-lab\n", {"b.json": "ff", "a.json": "00"})
+        _write_manifest(manifest, tmp_path / "manifest.json")
+        assert (tmp_path / "manifest.json").read_text() == (
+            '{\n  "config_text": "[run]\\nkind = estimate-lab\\n",\n'
+            '  "finished_unix": 2.25,\n  "kind": "estimate-lab",\n'
+            '  "outputs": {\n    "a.json": "00",\n    "b.json": "ff"\n  },\n'
+            '  "started_unix": 1.5,\n  "version": "0.1.0"\n}\n'
+        )
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestRunSimulate:
@@ -625,6 +664,20 @@ class TestCli:
         assert rc == 3
         err = capsys.readouterr().err
         assert err == "gkdvlab: numerical failure: dealiased product: the product overflows\n"
+
+    @pytest.mark.parametrize("p,amplitude", [(1, "1e-110"), (2, "1e-70")])
+    def test_underflowing_multilinear_exits_3(self, tmp_path, capsys, p, amplitude):
+        # the ratio does not depend on the amplitude, but at these the
+        # multilinear check's product of factor norms leaves the normal float
+        # range, and the flushed numerator would read as the ratio 0
+        rc = self.run_main("estimate-lab", "--out", str(tmp_path), "--seed", "1",
+                           "--set", f"p={p}", "--set", f"amplitude={amplitude}",
+                           "--set", "ensemble=2")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gkdvlab: numerical failure: multilinear:") and "underflow" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / f"report_multilinear_p_{p}.json").exists()
 
     def test_too_few_lab_time_rows_exit_2_at_parse(self, tmp_path, capsys):
         # 8 rows over [-2.5, 2.5) end at 1.875, inside the cutoff support
