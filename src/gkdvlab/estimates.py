@@ -335,10 +335,12 @@ def time_cutoff_ratio(sample: SpaceTimeSample, params: NormParams, T: float) -> 
 
 def _duhamel_rows(coeffs: np.ndarray, grid: SpectralGrid, dt: float, j0: int) -> np.ndarray:
     """Trapezoid accumulation of int_0^t e^{i zeta^3 (t-s)} w(s) ds per mode
-    of the half-spectrum rows (..., M, N/2+1), marching both ways from row j0."""
+    of the half-spectrum rows (..., M, N/2+1), marching both ways from row j0.
+    Each march forms its sum in place, so each gets a copy of its rows: the
+    two share row j0, and coeffs stays as it is."""
     phase = dispersive_phase(grid, dt)
-    forward = _duhamel_cumulative(coeffs[..., j0:, :], phase, dt)
-    backward = _duhamel_cumulative(coeffs[..., j0::-1, :], np.conj(phase), -dt)
+    forward = _duhamel_cumulative(coeffs[..., j0:, :].copy(), phase, dt)
+    backward = _duhamel_cumulative(coeffs[..., j0::-1, :].copy(), np.conj(phase), -dt)
     return np.concatenate([backward[..., ::-1, :], forward[..., 1:, :]], axis=-2)
 
 
@@ -775,6 +777,18 @@ def _pair_sup(coeffs: np.ndarray, grid: SpectralGrid, params: NormParams) -> flo
     return float(np.max(np.hypot(*gevrey_norm(coeffs, grid, params)), initial=0.0))
 
 
+def _sup_power(sup: float, power: int, name: str, params: NormParams) -> float:
+    """(1 + sup)^power, or OverflowError naming the sup, rho and s where that
+    leaves the float range."""
+    try:
+        return (1.0 + sup) ** power
+    except OverflowError:
+        raise OverflowError(
+            f"apriori: (1 + {name})^{power} overflows at {name} = {sup:.4g} "
+            f"(rho = {params.rho:g}, s = {params.s:g}); reduce rho or s"
+        ) from None
+
+
 def check_apriori(
     traj: TrajectoryRecord, params: NormParams, T: float, p: int = 1
 ) -> EstimateReport:
@@ -797,12 +811,12 @@ def check_apriori(
     plain = NormParams(0.0, params.s, params.b)
     lhs0 = float(np.hypot(*bourgain_norm(pair, plain, None)))
     lam = _pair_sup(coeffs, traj.grid, NormParams(0.0, params.s + 1.0, 0.0))
-    r0 = _ratio(lhs0, np.sqrt(T) * (1.0 + lam) ** power)
+    r0 = _ratio(lhs0, np.sqrt(T) * _sup_power(lam, power, "sup_derivative", params))
 
     if params.rho > 0.0:
         lhs1 = float(np.hypot(*bourgain_norm(pair, params, None)))
         kap = _pair_sup(coeffs, traj.grid, NormParams(params.rho, params.s + 1.0, 0.0))
-        r1 = _ratio(lhs1, np.sqrt(T) * (1.0 + kap) ** power)
+        r1 = _ratio(lhs1, np.sqrt(T) * _sup_power(kap, power, "sup_exponential", params))
     else:
         kap = lam
         r1 = r0

@@ -23,13 +23,15 @@ component rows, writes both bands at once and has the transforms and the
 power products write into them; a run builds the stage phases of its scheme
 and enters its floating-point error state once.  Only IF-RK4, the scheme of
 every workload, computes its stages in place, as that measured faster.  The
-Picard pass evaluates the RHS of its node stack in blocks of NODE_BLOCK
-nodes into one node-stack array, builds the trapezoid forcing of every node
-at once and leaves only the recurrence of the group property node by node,
-on node-major views; once the Duhamel sum has read the RHS array, the
-successive difference is written into it.  Every operation keeps its
-operands and their order, so the results are those of the plain expressions
-bit for bit.
+Picard pass holds three complex node stacks: the free solution, the
+iterate and a spare.  It evaluates the RHS of the iterate in blocks of
+NODE_BLOCK nodes into the spare, forms the Duhamel sum there in place (the
+trapezoid forcing NODE_BLOCK nodes at a time from the last node down, then
+only the recurrence of the group property node by node, on node-major
+views), and that array becomes the next iterate; the successive difference
+is written into the old iterate, which becomes the next spare.  Every
+operation keeps its operands and their order, so the results are those of
+the plain expressions bit for bit.
 """
 
 from __future__ import annotations
@@ -164,12 +166,13 @@ class _RhsWorkspace:
         return np.multiply(self.deriv, self.band.cut(), out=out)
 
 
-# nodes per RHS call of picard_solve, which bounds its padded buffers and
-# the temporaries of coupled_powers to one block instead of the whole node
-# stack; no result depends on it.  On a 2-core Xeon with numpy 2.4.6, one
-# RHS of the (2, 193, 129) stack took 2.9 ms in 32-node blocks, 2.7 ms
-# whole and 3.2 ms in 16-node blocks; with 32-node blocks picard_solve
-# peaks at 4.2 MiB of traced memory on that stack.
+# nodes per RHS call of picard_solve and per forcing block of
+# _duhamel_cumulative, which bounds the padded buffers, the temporaries of
+# coupled_powers and the forcing temporary to one block instead of the
+# whole node stack; no result depends on it.  On a 2-core Xeon with numpy
+# 2.4.6, one RHS of the (2, 193, 129) stack took 2.9 ms in 32-node blocks,
+# 2.7 ms whole and 3.2 ms in 16-node blocks; with 32-node blocks
+# picard_solve peaks at 3.45 MiB of traced memory on that stack.
 NODE_BLOCK = 32
 
 
@@ -348,24 +351,30 @@ def _duhamel_cumulative(w: np.ndarray, phase_h: np.ndarray, h: float) -> np.ndar
     """Trapezoid quadrature of  integral_0^{t_j} e^{i zeta^3 (t_j - s)} w(s) ds
     for all nodes t_j (axis -2 of w), accumulated with the group property:
 
-        out[0] = 0,  out[j] = phase_h out[j-1] + h/2 (phase_h w[j-1] + w[j]).
+        out[j] = phase_h out[j-1] + h/2 (phase_h w[j-1] + w[j]),  out[0] = 0,
 
-    The forcing, the second term, is built for all nodes at once in rows
-    1 ... of the result; the recurrence then runs over node-major views of
-    it with one preallocated temporary, two in-place operations per node.
-    Each operation keeps the operands and the order of the formula, so the
-    result is that of evaluating it node by node, bit for bit."""
-    out = np.empty(w.shape, dtype=np.complex128)
-    out[..., 0, :] = 0.0
-    forcing = out[..., 1:, :]
-    np.multiply(phase_h, w[..., :-1, :], out=forcing)
-    np.add(forcing, w[..., 1:, :], out=forcing)
-    np.multiply(0.5 * h, forcing, out=forcing)
-    nodes = np.moveaxis(out, -2, 0)
-    carried = np.empty(nodes.shape[1:], dtype=np.complex128)
+    formed in place in w, which is returned.  The forcing, the second term,
+    is built NODE_BLOCK nodes at a time in one block-sized temporary and
+    written back from the last node down, so every block still reads the
+    unmodified w[j-1]; the recurrence then runs over node-major views of w
+    with a row of that temporary, two in-place operations per node.  Each
+    operation keeps the operands and the order of the formula, so the result
+    is that of evaluating it node by node, bit for bit."""
+    rows = w.shape[-2]
+    block = np.empty(w.shape[:-2] + (min(NODE_BLOCK, rows), w.shape[-1]), dtype=np.complex128)
+    for stop in range(rows, 1, -NODE_BLOCK):
+        start = max(stop - NODE_BLOCK, 1)
+        forcing = block[..., : stop - start, :]
+        np.multiply(phase_h, w[..., start - 1 : stop - 1, :], out=forcing)
+        np.add(forcing, w[..., start:stop, :], out=forcing)
+        np.multiply(0.5 * h, forcing, out=forcing)
+        w[..., start:stop, :] = forcing
+    w[..., 0, :] = 0.0
+    nodes = np.moveaxis(w, -2, 0)
+    carried = block[..., 0, :]
     for prev, cur in zip(nodes[:-1], nodes[1:]):
         np.add(np.multiply(phase_h, prev, out=carried), cur, out=cur)
-    return out
+    return w
 
 
 def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardResult:
@@ -373,12 +382,14 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     starting from the free solution; stop when the sup-over-nodes H^s
     successive difference falls below contraction_tol.
 
-    The RHS runs per block of NODE_BLOCK nodes.  Besides the free solution
-    and the current iterate, two node-stack arrays stay alive across
-    iterates: the complex RHS array, which takes the successive difference
-    once the Duhamel sum has read it, and the real modulus of that
-    difference; the Duhamel sum is the only node-stack array an iterate
-    allocates, and it becomes the next iterate.
+    The RHS runs per block of NODE_BLOCK nodes.  Three complex node stacks
+    live across iterates: the free solution, the current iterate and a
+    spare.  An iterate writes its RHS into the spare, forms the Duhamel sum
+    and the new iterate there, and writes the successive difference into the
+    old iterate, which becomes the next spare; the real modulus of that
+    difference is the only other node-stack array.  The first iterate starts
+    from the free solution, so its difference takes the one node stack that
+    the run allocates after setup.
 
     Three consecutive non-decreasing differences raise NonContractionError:
     the window is too long for the contraction regime.  A non-finite
@@ -391,7 +402,7 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     c0 = forward_transform(initial.pair, g)
     free = dispersive_phase(g, h * np.arange(m + 1)) * c0[:, None, :]
     rhs = _node_block_rhs(g, p, free.shape)
-    forcing = np.empty_like(free)
+    spare = np.empty_like(free)
     delta = np.empty(free.shape)
     phase_h = dispersive_phase(g, h)
 
@@ -405,12 +416,13 @@ def picard_solve(initial: CoupledState, config: PicardConfig, p: int) -> PicardR
     rising = 0
     for it in range(1, config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            new = _duhamel_cumulative(rhs(cur, forcing), phase_h, h)
+            new = _duhamel_cumulative(rhs(cur, spare), phase_h, h)
             np.add(free, new, out=new)
             # sup over components and nodes of the H^s successive difference,
-            # formed in the RHS array, which the sum has read, and squared in
-            # place: no node-stack temporary
-            np.abs(np.subtract(new, cur, out=forcing), out=delta)
+            # formed in the old iterate (a new stack while that is the free
+            # solution) and squared in place
+            spare = np.subtract(new, cur, out=None if cur is free else cur)
+            np.abs(spare, out=delta)
             delta *= weight
             delta *= delta
             d = float(np.sqrt(delta @ cell).max())

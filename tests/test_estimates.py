@@ -909,6 +909,15 @@ class TestApriori:
         with pytest.raises(ValueError, match="uniform"):
             check_apriori(rec, PARAMS, 1.0)
 
+    def test_overflowing_sup_power_names_the_sup(self):
+        # at rho = 50 the exponential sup is about 1.8e227, so its cube leaves
+        # the float range; the error names the check, the sup, rho and s
+        _, rec = self._free_record()
+        with pytest.raises(OverflowError, match=r"^apriori: \(1 \+ sup_exponential\)\^3 "
+                           r"overflows at sup_exponential = 1\.7\d\de\+227 "
+                           r"\(rho = 50, s = 2\)"):
+            check_apriori(rec, NormParams(50.0, 2.0, 0.55), 1.0)
+
     def test_hypothesis_validation(self):
         _, rec = self._free_record()
         with pytest.raises(ValueError, match="3/2"):

@@ -9,6 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from gkdvlab.estimates import LAB_GRID, SampleSpec, duhamel_ratio, random_window_sample
 from gkdvlab.evolution import (
     NODE_BLOCK,
     CoupledState,
@@ -691,28 +692,36 @@ class TestDuhamelCumulative:
         rng = np.random.default_rng(seed)
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    @pytest.mark.parametrize("nodes", [1, 2, 193])
+    # 34, 40 and 41 nodes leave a short first block of forcing rows
+    @pytest.mark.parametrize("nodes", [1, 2, 33, 34, 40, 41, 193])
     @pytest.mark.parametrize("pair", [True, False], ids=["node-stack", "rows"])
     def test_equals_the_per_node_loop(self, nodes, pair):
         g = SpectralGrid(20.0, 64)
         h = 0.025 / 192
         w = self._forcing(((2,) if pair else ()) + (nodes, 33), nodes)
         phase_h = dispersive_phase(g, h)
-        got = _duhamel_cumulative(w, phase_h, h)
-        assert got.shape == w.shape
+        got = w.copy()
+        assert _duhamel_cumulative(got, phase_h, h) is got
         assert np.array_equal(self._bits(got), self._bits(per_node_duhamel(w, phase_h, h)))
 
     def test_backward_march_on_a_reversed_view(self):
-        # the lab marches back from a row j0 with the conjugate phase, a
-        # negative step and a negative-stride view of its rows
+        # the lab marches back from a row j0 with the conjugate phase and a
+        # negative step; in place on a negative-stride view of the rows too
         g = SpectralGrid(np.pi, 32)
         h, j0 = 0.05, 11
         coeffs = self._forcing((24, 17), 7)
         phase = np.conj(dispersive_phase(g, h))
         rows = coeffs[j0::-1]
         assert rows.strides[0] < 0
-        got = _duhamel_cumulative(rows, phase, -h)
-        assert np.array_equal(self._bits(got), self._bits(per_node_duhamel(rows, phase, -h)))
+        want = per_node_duhamel(rows, phase, -h)
+        assert _duhamel_cumulative(rows, phase, -h) is rows
+        assert np.array_equal(self._bits(rows), self._bits(want))
+
+    def test_duhamel_ratio_leaves_the_sample_alone(self):
+        sample = random_window_sample(LAB_GRID, SampleSpec(seed=5), 64, 5)
+        before = sample.values.copy()
+        duhamel_ratio(sample, NormParams(0.5, 2.0, 0.55), -0.3, 1.0)
+        assert np.array_equal(self._bits(sample.values), self._bits(before))
 
 
 class TestSwapSymmetry:

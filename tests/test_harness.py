@@ -679,6 +679,19 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / f"report_multilinear_p_{p}.json").exists()
 
+    def test_overflowing_apriori_bound_exits_3(self, tmp_path, capsys):
+        # at rho = 30 the apriori check's exponential sup cubed leaves the
+        # float range; amplitude 1e-40 keeps the multilinear check's product
+        # of factor norms inside it, so the run gets that far
+        rc = self.run_main("estimate-lab", "--out", str(tmp_path), "--set", "ensemble=1",
+                           "--set", "rho=30", "--set", "amplitude=1e-40")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gkdvlab: numerical failure: apriori: (1 + sup_exponential)^3 "
+                              "overflows at sup_exponential = ")
+        assert err.endswith(" (rho = 30, s = 2); reduce rho or s\n")
+        assert not (tmp_path / "report_apriori.json").exists()
+
     def test_too_few_lab_time_rows_exit_2_at_parse(self, tmp_path, capsys):
         # 8 rows over [-2.5, 2.5) end at 1.875, inside the cutoff support
         rc = self.run_main("estimate-lab", "--out", str(tmp_path), "--set", "lab_M=8")
