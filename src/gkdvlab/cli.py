@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (blowup, non-contracting iteration, an overflowing norm weight,
-non-finite samples or coefficients, an underflowing multilinear
-denominator or an overflowing apriori bound), 4 not enough usable data for
-the requested analysis.
+non-finite samples or coefficients, a multilinear denominator that
+underflows or overflows, or an overflowing apriori bound), 4 not enough
+usable data for the requested analysis.
 """
 
 from __future__ import annotations

@@ -448,8 +448,8 @@ def multilinear_ratio(
     factors: Sequence[SpaceTimeSample], params: NormParams, b_prime: float
 ) -> float | np.ndarray:
     """Derivative of the dealiased product in the b' norm against the product
-    of the factors' b norms.  Tiny factors flush the numerator to 0, so a
-    product of positive norms below the normal float range raises."""
+    of the factors' b norms.  A product of finite positive norms outside the
+    normal float range raises, as it would read as the ratio 0."""
     _require(params.b > 0.5, f"need b > 1/2, got {params.b}")
     _require(b_prime < -0.25, f"need b' < -1/4, got {b_prime}")
     _require(b_prime >= -1.0, f"need b' >= -1, got {b_prime}")
@@ -460,10 +460,15 @@ def multilinear_ratio(
         None,
     )
     norms = np.array([bourgain_norm(f, params, None) for f in factors])
-    rhs = np.prod(norms, axis=0)  # in factor order, the bits of a running product
-    if np.any((rhs < np.finfo(np.float64).tiny) & np.all(norms > 0.0, axis=0)):
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        rhs = np.prod(norms, axis=0)  # in factor order, the bits of a running product
+    positive = np.all((norms > 0.0) & np.isfinite(norms), axis=0)
+    if np.any((rhs < np.finfo(np.float64).tiny) & positive):
         raise OverflowError(f"multilinear: the product of {len(factors)} positive factor "
                             "norms underflows the float range; raise the sample amplitude")
+    if np.any(np.isinf(rhs) & positive):
+        raise OverflowError(f"multilinear: the product of {len(factors)} positive factor "
+                            "norms overflows the float range; lower the sample amplitude or rho")
     return _ratio(lhs, rhs)
 
 

@@ -693,6 +693,19 @@ class TestMultilinear:
         with pytest.raises(OverflowError, match="underflow"):
             multilinear_ratio(batch, PARAMS, -0.3)
 
+    def test_overflowing_norms_raise(self):
+        # each norm ~3e103 to 2e104, so their product is inf and the ratio
+        # would read 0, while the numerator, about 1e306, stays finite; no
+        # RuntimeWarning escapes (warnings are errors in this suite)
+        factors, *_ = self._trig_factors()
+        huge = [SpaceTimeSample(GRID, f.t0, f.t1, 1e102 * f.values) for f in factors]
+        with pytest.raises(OverflowError, match="norms overflows the float range"):
+            multilinear_ratio(huge, PARAMS, -0.3)
+        batch = [SpaceTimeSample(GRID, f.t0, f.t1, np.stack([f.values, t.values]))
+                 for f, t in zip(factors, huge)]
+        with pytest.raises(OverflowError, match="overflow"):
+            multilinear_ratio(batch, PARAMS, -0.3)
+
     def test_hypothesis_validation(self):
         factors, *_ = self._trig_factors()
         with pytest.raises(ValueError, match="b > 1/2"):

@@ -178,6 +178,32 @@ class TestRhsWorkspace:
         for j in range(len(nodes)):
             assert np.array_equal(w[:, j], rhs(c[:, j]))
 
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("nodes", [(), (32,)], ids=["pair", "picard-block"])
+    def test_reused_workspace_equals_a_fresh_one(self, p, nodes):
+        # a call leaves the last product modes above the band in the padded
+        # spectrum; the next call's result has the bits of a fresh
+        # workspace's, so none of them reaches it (a lone pair inverts its
+        # bands alone, a node block zeroes the modes above them)
+        g = SpectralGrid(20.0, 64)
+        rng = np.random.default_rng(10 * p + len(nodes))
+        shape = (2,) + nodes + (64,)
+        c1, c2 = (forward_transform(np.exp(-0.05 * g.x**2) * rng.standard_normal(shape), g)
+                  for _ in range(2))
+        keep = c2.copy()
+        ws = _RhsWorkspace(g, p, c1.shape)
+        ws(c1)
+        assert np.all(ws.spectra[0][..., 33:] != 0.0)  # stale product modes
+        got = ws(c2)
+        ws(c1)
+        out = np.full_like(c2, np.nan)
+        assert ws(c2, out=out) is out
+        fresh = _RhsWorkspace(g, p, c2.shape)(c2)
+        assert np.array_equal(got, reference_rhs(g, p)(c2))
+        assert np.array_equal(got.view(np.uint64), fresh.view(np.uint64))
+        assert np.array_equal(out.view(np.uint64), fresh.view(np.uint64))
+        assert np.array_equal(c2.view(np.uint64), keep.view(np.uint64))
+
     def test_mean_is_conserved_by_flux_form(self):
         # the rhs is an exact x-derivative, so its zero mode vanishes
         g = SpectralGrid(7.0, 128)

@@ -1,8 +1,9 @@
 """Every name a module exports resolves, so a deletion cannot leave an
 export behind; the package's modules import one another without a cycle;
 a full spectrum of a 1-D field is built nowhere outside the modules that
-own the layouts; only spectral touches numpy.fft; and the README's Python
-example runs as written."""
+own the layouts; only spectral touches numpy.fft, and there only its two
+transforms call the pocketfft gufuncs; and the README's Python example runs
+as written."""
 
 import ast
 import graphlib
@@ -88,6 +89,23 @@ def test_only_spectral_uses_numpy_fft():
         if _uses_numpy_fft(node)
     }
     assert users == {"spectral"}  # the parse sees spectral's import
+
+
+def test_only_the_two_transforms_call_pocketfft():
+    # the scale convention, the forward factor inside the gufunc and the
+    # inverse's 1 / num, lives in dft_axis and idft_axis alone: no other
+    # function of spectral reads the gufunc module
+    path = Path(gkdvlab.__file__).parent / "spectral.py"
+    readers = set()
+
+    def visit(node, func):
+        if isinstance(node, ast.Name) and node.id == "_pocketfft":
+            readers.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert readers == {"dft_axis", "idft_axis"}
 
 
 def test_readme_python_example_runs_as_written():

@@ -679,6 +679,20 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / f"report_multilinear_p_{p}.json").exists()
 
+    def test_overflowing_multilinear_exits_3(self, tmp_path, capsys):
+        # at rho = 30 the three factor norms are about 4e111 each, so their
+        # product leaves the float range; apriori_amplitude=1e-40 would keep
+        # the apriori bound inside it, were the run to get that far
+        rc = self.run_main("estimate-lab", "--out", str(tmp_path), "--set", "ensemble=1",
+                           "--set", "rho=30", "--set", "amplitude=1e-20",
+                           "--set", "apriori_amplitude=1e-40")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == ("gkdvlab: numerical failure: multilinear: the product of 3 positive "
+                       "factor norms overflows the float range; lower the sample amplitude "
+                       "or rho\n")
+        assert not (tmp_path / "report_multilinear_p_1.json").exists()
+
     def test_overflowing_apriori_bound_exits_3(self, tmp_path, capsys):
         # at rho = 30 the apriori check's exponential sup cubed leaves the
         # float range; amplitude 1e-40 keeps the multilinear check's product

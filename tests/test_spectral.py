@@ -746,12 +746,138 @@ class TestTransformPlan:
             assert dft_axis(vals, 2.0, real=True).dtype == np.fft.rfft(vals).dtype
 
 
+def _bits(a):
+    """The bit patterns of the real and imaginary parts of a, so that a
+    signed zero counts."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint64 if a.real.dtype == np.float64 else np.uint32)
+
+
+def _parts_scaled_dft(values, span, axis, real=False):
+    """np.fft's transform with each real and imaginary part multiplied once
+    by the scale, in the result's precision: what a factor given to the
+    gufunc does, and what np.fft's own norm does with its factor."""
+    coeffs = np.ascontiguousarray((np.fft.rfft if real else np.fft.fft)(values, axis=axis))
+    parts = coeffs.view(coeffs.real.dtype)
+    parts *= parts.dtype.type((span / values.shape[axis]) / SQRT_2PI)
+    return coeffs
+
+
+class TestScaleInTheGufunc:
+    # dft_axis hands its scale to the gufunc as the factor: its coefficients
+    # are np.fft's with each part scaled once, in bits.  A complex multiply
+    # by the scale, _plain_dft's scale * np.fft.rfft, gives equal values but
+    # can turn an exact -0 part into +0, so these compare bit patterns on
+    # rows whose transforms hold exact zeros
+    @pytest.mark.parametrize("num", [8, 64, 192, 1024])
+    @pytest.mark.parametrize("row", ["zero", "constant", "even-about-0", "random"])
+    def test_rows_with_exact_zeros(self, num, row):
+        span = 20.0
+        x = -0.5 * span + (span / num) * np.arange(num)
+        vals = {
+            "zero": np.zeros(num),
+            "constant": np.full(num, -2.5),
+            "even-about-0": np.exp(-x**2) + np.cos(3 * (2.0 * np.pi / span) * x),
+            "random": np.random.default_rng(num).standard_normal(num),
+        }[row]
+        for real in (False, True):
+            fwd = dft_axis(vals, span, real=real)
+            assert np.array_equal(_bits(fwd), _bits(_parts_scaled_dft(vals, span, -1, real)))
+            assert np.array_equal(fwd, _plain_dft(vals, span, -1, real))  # values, +-0 equal
+
+    @pytest.mark.parametrize("num", [64, 96])
+    def test_rhs_rows_and_a_picard_block(self, num):
+        span = 20.0
+        rng = np.random.default_rng(num + 1)
+        for rows in [(), (32,)]:
+            samples = rng.standard_normal((2,) + rows + (num,))
+            samples[1, ..., :] = 0.0  # a zero component, as in an uncoupled start
+            spectra = np.full((2,) + rows + (num // 2 + 1,), np.nan + 0j)
+            for row, spectrum in zip(samples, spectra):
+                dft_axis(row, span, real=True, out=spectrum)
+            expect = _parts_scaled_dft(samples, span, -1, real=True)
+            assert np.array_equal(_bits(spectra), _bits(expect))
+            assert np.array_equal(_bits(dft_axis(samples, span, real=True)), _bits(expect))
+
+    @pytest.mark.parametrize("view", ["reversed-rows", "strided", "axis-0"])
+    def test_views(self, view):
+        span = 20.0
+        vals = np.random.default_rng(7).standard_normal((4, 128))
+        vals[1] = 1.0
+        axis = 0 if view == "axis-0" else -1
+        vals = {"reversed-rows": vals[::-1], "strided": vals[:, ::2], "axis-0": vals.T}[view]
+        for real in (False, True):
+            assert np.array_equal(_bits(dft_axis(vals, span, axis=axis, real=real)),
+                                  _bits(_parts_scaled_dft(vals, span, axis, real)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_float32_and_integer_input(self, dtype):
+        # integers are transformed in double precision, so their bits hold;
+        # in single precision pocketfft's passes round with the factor in
+        # them and can move the last bit (no package path transforms float32)
+        span = 20.0
+        vals = (np.arange(32) % 5 - 2).astype(dtype)
+        for real in (False, True):
+            fwd = dft_axis(vals, span, real=real)
+            expect = _parts_scaled_dft(vals, span, -1, real)
+            assert fwd.dtype == expect.dtype == (np.fft.rfft if real else np.fft.fft)(vals).dtype
+            if dtype == np.float32:
+                assert np.max(np.abs(fwd - expect)) <= 1e-6 * np.max(np.abs(expect))
+            else:
+                assert np.array_equal(_bits(fwd), _bits(expect))
+
+
+class TestPaddedInverse:
+    # idft_axis(band, num=M) zero-pads the band inside the gufunc; it gives
+    # the bits of the inverse of the band with an explicit zero tail, the
+    # buffer the RHS no longer zeroes
+    @pytest.mark.parametrize("num, num_padded", [(64, 192), (256, 512), (1024, 2048), (16, 16)])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_band_equals_the_zero_padded_inverse(self, num, num_padded, real):
+        span = 20.0
+        rng = np.random.default_rng(num_padded)
+        modes = num // 2 + 1 if real else num
+        shape = (2, 3, modes)
+        band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        band[..., -1] *= 0.5
+        padded = np.zeros(shape[:-1] + ((num_padded // 2 + 1) if real else num_padded,),
+                          dtype=complex)
+        padded[..., :modes] = band
+        expect = idft_axis(padded, span, real=real)
+        got = idft_axis(band, span, real=real, num=num_padded)
+        assert got.shape == expect.shape and np.array_equal(_bits(got), _bits(expect))
+        out = np.full(expect.shape[1:], np.nan, dtype=expect.dtype)
+        assert idft_axis(band[0], span, real=real, out=out, num=num_padded) is out
+        assert np.array_equal(_bits(out), _bits(expect[0]))
+        # a band view of a wider spectrum reads only its own modes
+        wide = np.full(padded.shape, 7.0 + 7.0j)
+        wide[..., :modes] = band
+        assert np.array_equal(_bits(idft_axis(wide[..., :modes], span, real=real,
+                                              num=num_padded)), _bits(expect))
+
+    def test_num_is_checked(self):
+        band = np.ones(9, dtype=complex)
+        with pytest.raises(ValueError, match="even"):
+            idft_axis(band, 20.0, real=True, num=17)
+        for num in (14, 8):  # below 2 (n - 1) = 16
+            with pytest.raises(ValueError, match=">= 16, got"):
+                idft_axis(band, 20.0, real=True, num=num)
+        with pytest.raises(ValueError, match=">= 9, got"):
+            idft_axis(band, 20.0, num=8)
+        assert idft_axis(band, 20.0, num=9).shape == (9,)  # an odd complex num is fine
+        # the out check still fires, against num
+        for shape in ((32,), (16,), (1, 32)):
+            with pytest.raises(ValueError, match="wrong shape"):
+                idft_axis(band, 20.0, real=True, out=np.zeros(shape), num=24)
+
+
 class TestPaddingBuffers:
     # the RHS workspace pads and truncates the pair through one buffer it
-    # keeps: PaddedBand.write fills the band of both components at once,
-    # whatever the buffer held before, and PaddedBand.cut cuts the forward
-    # transforms back in place; per component they give padded_samples and
-    # truncated_coeffs bit for bit, and the views made once serve every call
+    # keeps: it writes the band of both components at once and halves their
+    # Nyquist entries, whatever the buffer held before; each band inverted
+    # alone on the padded grid, as a lone pair is, gives padded_samples bit
+    # for bit, PaddedBand.cut cuts the forward transforms back in place to
+    # truncated_coeffs' bits, and the views made once serve every call
     @pytest.mark.parametrize("num_padded", [16, 24, 40])
     @pytest.mark.parametrize("rows", [(), (3,), (2, 3)])
     def test_buffers_give_the_fresh_results(self, num_padded, rows):
@@ -763,11 +889,14 @@ class TestPaddingBuffers:
         spectrum = np.full(pair + (num_padded // 2 + 1,), 7.0 + 7.0j)
         band = PaddedBand(spectrum, g)
         for _ in range(2):
-            assert band.write(c) is spectrum
+            band.band[...] = c
+            if num_padded > 16:
+                band.nyquist *= 0.5
             for k in range(2):
                 samples = np.full(rows + (num_padded,), 7.0)
-                idft_axis(spectrum[k], 2.0 * g.half_length, real=True, out=samples)
-                assert np.array_equal(samples, padded_samples(c[k], g, num_padded))
+                idft_axis(band.band[k], 2.0 * g.half_length, real=True, out=samples,
+                          num=num_padded)
+                assert np.array_equal(_bits(samples), _bits(padded_samples(c[k], g, num_padded)))
 
             w = rng.standard_normal(pair + (num_padded,))
             spectrum[...] = 7.0 + 7.0j
