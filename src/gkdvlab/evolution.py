@@ -19,19 +19,19 @@ node stack.
 The stepping loop allocates little and builds what it can once: the
 right-hand side is built for one input shape and keeps the padded
 half-spectra and the padded samples of the pair with their band views and
-component rows, writes both bands at once (a lone pair inverts them alone)
-and has the transforms and the power products write into them; a run builds
-the stage phases of its scheme and enters its floating-point error state
-once.  Only IF-RK4, the scheme of every workload, computes its stages in
-place, as that measured faster.  The Picard pass holds three complex node
-stacks: the free solution, the iterate and a spare.  It evaluates the RHS
-of the iterate in blocks of NODE_BLOCK nodes into the spare, forms the
-Duhamel sum there in place (the trapezoid forcing NODE_BLOCK nodes at a
-time from the last node down, then only the recurrence of the group
-property node by node, on node-major views), and that array becomes the
-next iterate; the successive difference is written into the old iterate,
-which becomes the next spare.  Every operation keeps its operands and their
-order, so the results are those of the plain expressions bit for bit.
+component rows, writes both bands at once and has the transforms and the
+power products write into them; a run builds the stage phases of its scheme
+and enters its floating-point error state once.  Only IF-RK4, the scheme of
+every workload, computes its stages in place, as that measured faster.  The
+Picard pass holds three complex node stacks: the free solution, the
+iterate and a spare.  It evaluates the RHS of the iterate in blocks of
+NODE_BLOCK nodes into the spare, forms the Duhamel sum there in place (the
+trapezoid forcing NODE_BLOCK nodes at a time from the last node down, then
+only the recurrence of the group property node by node, on node-major
+views), and that array becomes the next iterate; the successive difference
+is written into the old iterate, which becomes the next spare.  Every
+operation keeps its operands and their order, so the results are those of
+the plain expressions bit for bit.
 """
 
 from __future__ import annotations
@@ -135,49 +135,44 @@ class _RhsWorkspace:
     when it is built, to the stacked RHS.
 
     Keeps one padded half-spectrum (2, ..., M/2 + 1), the padded samples
-    (2, ..., M) of the pair, their views and component rows, so a call makes
-    no view and no padded array but coupled_powers' temporaries.  It writes
-    both bands into the half-spectrum at once with their Nyquist entries
-    (the modes +-N/2 on the wider grid) halved, inverts each band into its
-    samples (a stack zeroes the modes above it and inverts the spectrum),
-    has the products overwrite them and transforms each back, and returns
-    the derivative of the cut-back band, into out if given."""
+    (2, ..., M) of the pair, the band views of the spectrum and the
+    component rows of both, so a call makes no view.  A call writes both
+    bands into the half-spectrum at once, inverts each component into its
+    samples, has the products overwrite the samples, transforms each
+    product back into the half-spectrum and returns the derivative of the
+    cut-back band as a fresh array, or writes it into out."""
 
     def __init__(self, grid: SpectralGrid, p: int, shape: tuple[int, ...]):
         self.p = p
         self.span = 2.0 * grid.half_length
         self.deriv = -grid.derivative_symbol(1)
-        self.num_padded = padded_points(grid.num_points, 2 * p + 1)
-        spectrum = np.empty(shape[:-1] + (self.num_padded // 2 + 1,), dtype=np.complex128)
+        m = padded_points(grid.num_points, 2 * p + 1)
+        spectrum = np.empty(shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
         self.band = PaddedBand(spectrum, grid)
-        # numpy's zero fill costs a stack less per row than the gufunc's
-        # (0.68 against 0.76 ms per Picard RHS below)
-        self.tail = spectrum[..., grid.num_points // 2 + 1:] if len(shape) > 2 else None
-        self.inputs = tuple(self.band.band if self.tail is None else spectrum)
         self.spectra = tuple(spectrum)
-        self.samples = tuple(np.empty(shape[:-1] + (self.num_padded,)))
+        self.samples = tuple(np.empty(shape[:-1] + (m,)))
 
     def __call__(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        band, inputs, spectra, (u, v) = self.band, self.inputs, self.spectra, self.samples
-        band.band[...] = c
-        band.nyquist *= 0.5
-        if self.tail is not None:
-            self.tail[...] = 0.0
-        idft_axis(inputs[0], self.span, real=True, out=u, num=self.num_padded)
-        idft_axis(inputs[1], self.span, real=True, out=v, num=self.num_padded)
+        # one inverse transform per component and one forward transform per
+        # product, each into the buffers; the only padded-size arrays a call
+        # makes are the temporaries of coupled_powers' common factor
+        spectra, (u, v) = self.spectra, self.samples
+        self.band.write(c)
+        idft_axis(spectra[0], self.span, real=True, out=u)
+        idft_axis(spectra[1], self.span, real=True, out=v)
         powers = _kernels.coupled_powers(u, v, self.p, out=(v, u))
         dft_axis(powers[0], self.span, real=True, out=spectra[0])
         dft_axis(powers[1], self.span, real=True, out=spectra[1])
-        return np.multiply(self.deriv, band.cut(), out=out)
+        return np.multiply(self.deriv, self.band.cut(), out=out)
 
 
 # nodes per RHS call of picard_solve and per forcing block of
 # _duhamel_cumulative, which bounds the padded buffers, the temporaries of
 # coupled_powers and the forcing temporary to one block instead of the
 # whole node stack; no result depends on it.  On a 2-core AMD EPYC with
-# numpy 2.4.6, one RHS of the (2, 193, 129) stack took 0.68 ms in 32-node
-# blocks, 0.61 ms whole and 0.74 ms in 16-node blocks; in 32-node blocks
-# picard_solve peaks at 3.46 MiB of traced memory on that stack.
+# numpy 2.4.6, one RHS of the (2, 193, 129) stack took 0.68-0.71 ms in
+# 32-node blocks, 0.61-0.62 ms whole and 0.73-0.76 ms in 16-node blocks;
+# in 32-node blocks picard_solve peaks at 3.45 MiB of traced memory there.
 NODE_BLOCK = 32
 
 
@@ -205,7 +200,7 @@ def _node_block_rhs(grid: SpectralGrid, p: int, shape: tuple[int, ...]):
 # The steppers leave c alone.  Each product keeps its operand order, e * t
 # and not t * e: numpy's complex multiply is not bitwise commutative, so an
 # order swap would move the last bits of every result.  IF-RK4 works in
-# place: its plain expression has the same bits but ran 2-6% slower per
+# place: its plain expression has the same bits but ran 0.6-6% slower per
 # step (medians, N = 64 to 1024, p = 1 and 2, 2-core AMD EPYC, numpy 2.4.6).
 
 

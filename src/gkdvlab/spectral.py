@@ -29,8 +29,8 @@ introduced), with np.fft's check of out and result dtype, without the
 wrapper's few microseconds of Python per call that the small transforms of
 every time step would pay.  The forward scale is the gufunc's factor, the
 argument through which np.fft applies its norm; the inverse takes np.fft's
-1 / num (its reciprocal(num) in double precision), divides by the scale
-after and zero-pads its modes to num points, as np.fft.irfft's n does.
+factor 1 / num (its reciprocal(num) in double precision) and divides by the
+scale after.
 
 Derivative and product rules follow standard Fourier pseudospectral
 practice (see Trefethen, "Spectral Methods in MATLAB", ch. 3): the grid owns
@@ -105,20 +105,16 @@ def dft_axis(values: np.ndarray, span: float, axis: int = -1,
     return gufunc(values, scale, axes=[(axis,), (), (axis,)], out=(out,))
 
 
-def idft_axis(coeffs: np.ndarray, span: float, axis: int = -1, real: bool = False,
-              out: np.ndarray | None = None, num: int | None = None) -> np.ndarray:
+def idft_axis(coeffs: np.ndarray, span: float, axis: int = -1,
+              real: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of :func:`dft_axis`: the gufunc of np.fft.ifft, complex
-    samples, or with real of np.fft.irfft, real samples from the modes
-    0 ... n - 1 of the axis, on num points (np.fft's n: by default n, or
-    2 (n - 1) with real, where it is even; more zero-pads the modes, with
-    the bits of a zero tail), with np.fft's factor 1 / num.  With out, an
-    array of the result's shape and dtype, the samples are written there and
-    out is returned; an out of another shape raises ValueError, as in np.fft."""
+    samples, or with real of np.fft.irfft, real samples on 2 (n - 1) points
+    from the modes 0 ... n - 1 of the axis; np.fft's factor 1 / num either
+    way.  With out, an array of the result's shape and dtype, the samples
+    are written there and out is returned; an out of another shape raises
+    ValueError, as in np.fft."""
     coeffs = np.asarray(coeffs)
-    least = 2 * (coeffs.shape[axis] - 1) if real else coeffs.shape[axis]
-    num = least if num is None else num
-    if num < least or (real and num % 2):
-        raise ValueError(f"num must be{' even and' if real else ''} >= {least}, got {num}")
+    num = 2 * (coeffs.shape[axis] - 1) if real else coeffs.shape[axis]
     scale = (span / num) / SQRT_2PI
     gufunc = _pocketfft.irfft if real else _pocketfft.ifft
     if out is None:
@@ -129,7 +125,8 @@ def idft_axis(coeffs: np.ndarray, span: float, axis: int = -1, real: bool = Fals
         samples = gufunc(coeffs, 1.0 / num, out=(out,))
     else:
         samples = gufunc(coeffs, 1.0 / num, axes=[(axis,), (), (axis,)], out=(out,))
-    return np.divide(samples, scale, out=samples)
+    samples /= scale
+    return samples
 
 
 @dataclass(frozen=True)
@@ -241,31 +238,43 @@ def padded_points(num: int, count: int) -> int:
 
 class PaddedBand:
     """grid's band, the modes 0 ... N/2, of a complex padded half-spectrum
-    spectrum (..., M/2 + 1) with M >= N and its Nyquist entry, as views
-    made once: a buffer that is padded and cut again and again keeps one."""
+    spectrum (..., M/2 + 1) with M >= N, as views made once: a buffer that
+    is padded and cut again and again keeps one of these."""
 
     def __init__(self, spectrum: np.ndarray, grid: SpectralGrid):
-        self.band = spectrum[..., : grid.num_points // 2 + 1]
-        self.nyquist = self.band[..., -1]
+        half = grid.num_points // 2
+        self.spectrum = spectrum
+        self.band = spectrum[..., : half + 1]
+        self._tail = spectrum[..., half + 1:]
+        self._nyquist = spectrum[..., half]
+        self._wider = spectrum.shape[-1] > half + 1
+
+    def write(self, coeffs: np.ndarray) -> np.ndarray:
+        """Write grid's half-spectrum rows coeffs (..., N/2 + 1) into the
+        band and zero the rest of the spectrum; returns the spectrum.  Any
+        stack of rows, the pair of the RHS too, goes in one call."""
+        self.band[...] = coeffs
+        self._tail[...] = 0.0
+        if self._wider:
+            # on a wider grid the Nyquist entry stands for the two modes
+            # +-N/2, so +N/2 keeps half of it
+            self._nyquist *= 0.5
+        return self.spectrum
 
     def cut(self) -> np.ndarray:
         """The band, with its Nyquist entry set to zero in place, since that
         one entry cannot hold both of the padded modes +-N/2."""
-        self.nyquist[...] = 0.0
+        self._nyquist[...] = 0.0
         return self.band
 
 
 def padded_samples(coeffs: np.ndarray, grid: SpectralGrid, num_padded: int) -> np.ndarray:
-    """Real samples of grid's half-spectrum rows on num_padded points over
-    [-L, L), inverted from a copy; on a wider grid the Nyquist entry stands
-    for the two modes +-N/2, so the copy's +N/2 keeps half of it."""
+    """Real samples of grid's half-spectrum rows on num_padded points over [-L, L)."""
     num = grid.num_points
     if num_padded < num or num_padded % 2 != 0:
         raise ValueError(f"num_padded must be even and >= {num}, got {num_padded}")
-    band = np.array(coeffs, dtype=np.complex128)
-    if num_padded > num:
-        band[..., -1] *= 0.5
-    return idft_axis(band, 2.0 * grid.half_length, real=True, num=num_padded)
+    spectrum = np.empty(coeffs.shape[:-1] + (num_padded // 2 + 1,), dtype=np.complex128)
+    return grid.idft(PaddedBand(spectrum, grid).write(coeffs), real=True)
 
 
 def truncated_coeffs(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:

@@ -183,8 +183,7 @@ class TestRhsWorkspace:
     def test_reused_workspace_equals_a_fresh_one(self, p, nodes):
         # a call leaves the last product modes above the band in the padded
         # spectrum; the next call's result has the bits of a fresh
-        # workspace's, so none of them reaches it (a lone pair inverts its
-        # bands alone, a node block zeroes the modes above them)
+        # workspace's, so none of them reaches it
         g = SpectralGrid(20.0, 64)
         rng = np.random.default_rng(10 * p + len(nodes))
         shape = (2,) + nodes + (64,)

@@ -827,57 +827,12 @@ class TestScaleInTheGufunc:
                 assert np.array_equal(_bits(fwd), _bits(expect))
 
 
-class TestPaddedInverse:
-    # idft_axis(band, num=M) zero-pads the band inside the gufunc; it gives
-    # the bits of the inverse of the band with an explicit zero tail, the
-    # buffer the RHS no longer zeroes
-    @pytest.mark.parametrize("num, num_padded", [(64, 192), (256, 512), (1024, 2048), (16, 16)])
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_band_equals_the_zero_padded_inverse(self, num, num_padded, real):
-        span = 20.0
-        rng = np.random.default_rng(num_padded)
-        modes = num // 2 + 1 if real else num
-        shape = (2, 3, modes)
-        band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        band[..., -1] *= 0.5
-        padded = np.zeros(shape[:-1] + ((num_padded // 2 + 1) if real else num_padded,),
-                          dtype=complex)
-        padded[..., :modes] = band
-        expect = idft_axis(padded, span, real=real)
-        got = idft_axis(band, span, real=real, num=num_padded)
-        assert got.shape == expect.shape and np.array_equal(_bits(got), _bits(expect))
-        out = np.full(expect.shape[1:], np.nan, dtype=expect.dtype)
-        assert idft_axis(band[0], span, real=real, out=out, num=num_padded) is out
-        assert np.array_equal(_bits(out), _bits(expect[0]))
-        # a band view of a wider spectrum reads only its own modes
-        wide = np.full(padded.shape, 7.0 + 7.0j)
-        wide[..., :modes] = band
-        assert np.array_equal(_bits(idft_axis(wide[..., :modes], span, real=real,
-                                              num=num_padded)), _bits(expect))
-
-    def test_num_is_checked(self):
-        band = np.ones(9, dtype=complex)
-        with pytest.raises(ValueError, match="even"):
-            idft_axis(band, 20.0, real=True, num=17)
-        for num in (14, 8):  # below 2 (n - 1) = 16
-            with pytest.raises(ValueError, match=">= 16, got"):
-                idft_axis(band, 20.0, real=True, num=num)
-        with pytest.raises(ValueError, match=">= 9, got"):
-            idft_axis(band, 20.0, num=8)
-        assert idft_axis(band, 20.0, num=9).shape == (9,)  # an odd complex num is fine
-        # the out check still fires, against num
-        for shape in ((32,), (16,), (1, 32)):
-            with pytest.raises(ValueError, match="wrong shape"):
-                idft_axis(band, 20.0, real=True, out=np.zeros(shape), num=24)
-
-
 class TestPaddingBuffers:
     # the RHS workspace pads and truncates the pair through one buffer it
-    # keeps: it writes the band of both components at once and halves their
-    # Nyquist entries, whatever the buffer held before; each band inverted
-    # alone on the padded grid, as a lone pair is, gives padded_samples bit
-    # for bit, PaddedBand.cut cuts the forward transforms back in place to
-    # truncated_coeffs' bits, and the views made once serve every call
+    # keeps: PaddedBand.write fills the band of both components at once,
+    # whatever the buffer held before, and PaddedBand.cut cuts the forward
+    # transforms back in place; per component they give padded_samples and
+    # truncated_coeffs bit for bit, and the views made once serve every call
     @pytest.mark.parametrize("num_padded", [16, 24, 40])
     @pytest.mark.parametrize("rows", [(), (3,), (2, 3)])
     def test_buffers_give_the_fresh_results(self, num_padded, rows):
@@ -889,14 +844,11 @@ class TestPaddingBuffers:
         spectrum = np.full(pair + (num_padded // 2 + 1,), 7.0 + 7.0j)
         band = PaddedBand(spectrum, g)
         for _ in range(2):
-            band.band[...] = c
-            if num_padded > 16:
-                band.nyquist *= 0.5
+            assert band.write(c) is spectrum
             for k in range(2):
                 samples = np.full(rows + (num_padded,), 7.0)
-                idft_axis(band.band[k], 2.0 * g.half_length, real=True, out=samples,
-                          num=num_padded)
-                assert np.array_equal(_bits(samples), _bits(padded_samples(c[k], g, num_padded)))
+                idft_axis(spectrum[k], 2.0 * g.half_length, real=True, out=samples)
+                assert np.array_equal(samples, padded_samples(c[k], g, num_padded))
 
             w = rng.standard_normal(pair + (num_padded,))
             spectrum[...] = 7.0 + 7.0j
