@@ -202,18 +202,25 @@ def _node_block_rhs(grid: SpectralGrid, p: int, shape: tuple[int, ...]):
 # order swap would move the last bits of every result.  IF-RK4 works in
 # place: its plain expression has the same bits but ran 0.6-6% slower per
 # step (medians, N = 64 to 1024, p = 1 and 2, 2-core AMD EPYC, numpy 2.4.6).
+# Its scalar operands, dt/2 and dt/6, are 0-d complex arrays built with the
+# phases: numpy converts a Python float operand on every ufunc call (NEP 50,
+# "Promotion rules for Python scalars"), and the complex multiply takes the
+# 0-d array as it is, with the same bits.
 
 
 def _if_rk4_phases(dt, e, e2):
-    """The phases of an IF-RK4 step of size dt, built once per run: e and e2
-    are the half- and full-step phases, and the step also takes dt e and
-    2 e."""
-    return e, e2, dt * e, 2.0 * e
+    """The phases and constants of an IF-RK4 step of size dt, built once per
+    run: e and e2 are the half- and full-step phases, and the step also
+    takes dt e, 2 e and the read-only 0-d complex128 arrays dt/2 and dt/6."""
+    half_dt, sixth_dt = np.array(0.5 * dt, complex), np.array(dt / 6.0, complex)
+    half_dt.flags.writeable = sixth_dt.flags.writeable = False
+    return e, e2, dt * e, 2.0 * e, half_dt, sixth_dt
 
 
 def _step_if_rk4(c, dt, phases, rhs):
     """One integrating-factor RK4 step; phases is :func:`_if_rk4_phases`
-    of dt.  The stages are
+    of dt, which holds every constant of the step (dt itself is only the
+    argument the steppers share).  The stages are
 
         n1 = rhs(c)
         n2 = rhs(e * (c + dt/2 n1))
@@ -221,14 +228,14 @@ def _step_if_rk4(c, dt, phases, rhs):
         n4 = rhs(e2 * c + dt e n3)
 
     and the step returns e2 * c + dt/6 (e2 n1 + 2 e (n2 + n3) + n4)."""
-    e, e2, dt_e, two_e = phases
+    e, e2, dt_e, two_e, half_dt, sixth_dt = phases
     e2c = e2 * c
     n1 = rhs(c)
-    arg = np.multiply(0.5 * dt, n1)
+    arg = np.multiply(half_dt, n1)
     np.add(c, arg, out=arg)
     n2 = rhs(np.multiply(e, arg, out=arg))
     np.multiply(e, c, out=arg)
-    n3 = rhs(np.add(arg, np.multiply(0.5 * dt, n2), out=arg))
+    n3 = rhs(np.add(arg, np.multiply(half_dt, n2), out=arg))
     np.multiply(dt_e, n3, out=arg)
     n4 = rhs(np.add(e2c, arg, out=arg))
     np.multiply(e2, n1, out=n1)
@@ -236,7 +243,7 @@ def _step_if_rk4(c, dt, phases, rhs):
     np.multiply(two_e, n2, out=n2)
     np.add(n1, n2, out=n1)
     np.add(n1, n4, out=n1)
-    np.multiply(dt / 6.0, n1, out=n1)
+    np.multiply(sixth_dt, n1, out=n1)
     return np.add(e2c, n1, out=e2c)
 
 

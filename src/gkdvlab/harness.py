@@ -317,7 +317,9 @@ def _write_json(obj, path: Path) -> None:
 
 
 def write_report_json(report: EstimateReport, path: Path) -> None:
-    _write_json(dataclasses.asdict(report), path)
+    # vars, not asdict: every field is a JSON value already, and asdict would
+    # deep-copy each leaf for the same bytes
+    _write_json(vars(report), path)
 
 
 def _report_filename(report: EstimateReport) -> str:
@@ -542,7 +544,7 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(manifest: RunManifest, path: Path) -> None:
     tmp = Path(str(path) + ".tmp")
-    tmp.write_text(json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n",
+    tmp.write_text(json.dumps(vars(manifest), sort_keys=True, indent=2) + "\n",
                    encoding="utf-8")
     os.replace(tmp, path)
 

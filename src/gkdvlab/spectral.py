@@ -30,7 +30,13 @@ wrapper's few microseconds of Python per call that the small transforms of
 every time step would pay.  The forward scale is the gufunc's factor, the
 argument through which np.fft applies its norm; the inverse takes np.fft's
 factor 1 / num (its reciprocal(num) in double precision) and divides by the
-scale after.
+scale after.  Both factors are read-only 0-d arrays in the input's
+precision, built once per (span, num, dtype) by _transform_factors: a
+Python float would be converted on every call (NEP 50, "Promotion rules
+for Python scalars"), a fixed cost that the small transforms of a time step
+feel, while the 0-d array runs the same loop on the same value, bit for
+bit.  PaddedBand halves its Nyquist entry by a 0-d complex 0.5 for the same
+reason.
 
 Derivative and product rules follow standard Fourier pseudospectral
 practice (see Trefethen, "Spectral Methods in MATLAB", ch. 3): the grid owns
@@ -42,7 +48,7 @@ result an exact spectral convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Collection
 
 import numpy as np
@@ -67,6 +73,19 @@ def half_multiplicity(num: int) -> np.ndarray:
     return count
 
 
+@lru_cache(maxsize=128)
+def _transform_factors(span: float, num: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The scale (span / num) / sqrt(2 pi) and np.fft's 1 / num of a
+    transform of num points over span, as read-only 0-d arrays in the
+    precision np.fft gives input of dtype (float64 for double and integer
+    input), so the gufunc runs the loop that a Python float would select."""
+    real = np.result_type(np.empty(0, dtype).real.dtype, 1.0)
+    factors = np.array((span / num) / SQRT_2PI, real), np.array(1.0 / num, real)
+    for factor in factors:
+        factor.flags.writeable = False
+    return factors
+
+
 def _new_out(values: np.ndarray, axis: int, num_out: int, real: bool = False) -> np.ndarray:
     """np.fft's result array for a transform of values to num_out points
     along axis: real with real, else complex."""
@@ -84,12 +103,14 @@ def dft_axis(values: np.ndarray, span: float, axis: int = -1,
     (span / num) / sqrt(2 pi) as its factor, which scales each real and
     imaginary part once, so an exact zero keeps its sign: with real, real
     samples on an even-sized axis map to the modes 0 ... num/2, on the same
-    scale as the complex modes.  With out, a complex array of the result's
-    shape, the coefficients are written there and out is returned; an out
-    of another shape raises ValueError, as in np.fft."""
+    scale as the complex modes.  The scale is the cached 0-d array of
+    :func:`_transform_factors`, not a Python float that the gufunc would
+    convert on every call (NEP 50).  With out, a complex array of the
+    result's shape, the coefficients are written there and out is returned;
+    an out of another shape raises ValueError, as in np.fft."""
     values = np.asarray(values)
     num = values.shape[axis]
-    scale = (span / num) / SQRT_2PI
+    scale, _ = _transform_factors(span, num, values.dtype)
     if real:
         if num % 2:
             raise ValueError(f"a real transform needs an even axis, got {num} points")
@@ -110,21 +131,22 @@ def idft_axis(coeffs: np.ndarray, span: float, axis: int = -1,
     """Inverse of :func:`dft_axis`: the gufunc of np.fft.ifft, complex
     samples, or with real of np.fft.irfft, real samples on 2 (n - 1) points
     from the modes 0 ... n - 1 of the axis; np.fft's factor 1 / num either
-    way.  With out, an array of the result's shape and dtype, the samples
-    are written there and out is returned; an out of another shape raises
-    ValueError, as in np.fft."""
+    way, then a division by the scale.  Both are the cached 0-d arrays of
+    :func:`_transform_factors`, as in :func:`dft_axis`.  With out, an array
+    of the result's shape and dtype, the samples are written there and out
+    is returned; an out of another shape raises ValueError, as in np.fft."""
     coeffs = np.asarray(coeffs)
     num = 2 * (coeffs.shape[axis] - 1) if real else coeffs.shape[axis]
-    scale = (span / num) / SQRT_2PI
+    scale, inv_num = _transform_factors(span, num, coeffs.dtype)
     gufunc = _pocketfft.irfft if real else _pocketfft.ifft
     if out is None:
         out = _new_out(coeffs, axis, num, real)
     elif out.ndim != coeffs.ndim or out.shape[axis] != num:
         raise ValueError("output array has wrong shape.")
     if axis == -1 or axis == coeffs.ndim - 1:
-        samples = gufunc(coeffs, 1.0 / num, out=(out,))
+        samples = gufunc(coeffs, inv_num, out=(out,))
     else:
-        samples = gufunc(coeffs, 1.0 / num, axes=[(axis,), (), (axis,)], out=(out,))
+        samples = gufunc(coeffs, inv_num, axes=[(axis,), (), (axis,)], out=(out,))
     samples /= scale
     return samples
 
@@ -236,6 +258,12 @@ def padded_points(num: int, count: int) -> int:
     return num_padded + (num_padded % 2)
 
 
+# the Nyquist halving of PaddedBand.write: a 0-d complex operand, which the
+# complex multiply takes as it is, where a Python 0.5 is converted per call
+_HALF = np.array(0.5 + 0.0j)
+_HALF.flags.writeable = False
+
+
 class PaddedBand:
     """grid's band, the modes 0 ... N/2, of a complex padded half-spectrum
     spectrum (..., M/2 + 1) with M >= N, as views made once: a buffer that
@@ -254,17 +282,17 @@ class PaddedBand:
         band and zero the rest of the spectrum; returns the spectrum.  Any
         stack of rows, the pair of the RHS too, goes in one call."""
         self.band[...] = coeffs
-        self._tail[...] = 0.0
+        self._tail.fill(0)
         if self._wider:
             # on a wider grid the Nyquist entry stands for the two modes
             # +-N/2, so +N/2 keeps half of it
-            self._nyquist *= 0.5
+            np.multiply(self._nyquist, _HALF, out=self._nyquist)
         return self.spectrum
 
     def cut(self) -> np.ndarray:
         """The band, with its Nyquist entry set to zero in place, since that
         one entry cannot hold both of the padded modes +-N/2."""
-        self._nyquist[...] = 0.0
+        self._nyquist.fill(0)
         return self.band
 
 

@@ -78,7 +78,7 @@ def test_soliton_fidelity(soliton_run):
     err_v = np.sqrt(np.sum((vf - exact) ** 2) * g.dx)
     assert err_u < 1e-4  # measured 9.9e-10
     assert err_v < 1e-4
-    assert wall < 60.0  # measured ~2 s on a loaded 2-core box
+    assert wall < 60.0  # measured 0.7 s on a 2-core box
 
 
 def test_invariant_drift(soliton_run):
@@ -125,7 +125,7 @@ def test_decay_law_consistency():
     rhos = np.asarray([e.rho for e in joints])
     fit = fit_decay_exponent(np.asarray(times), rhos, t_min=1.0)
     assert fit.alpha_fit <= 9.5  # measured 0.048
-    assert time.monotonic() - t0 < 600.0  # measured ~9 s on a loaded 2-core box
+    assert time.monotonic() - t0 < 600.0  # measured 2.9-3.0 s on a 2-core box
 
 
 def test_picard_contraction():
@@ -180,7 +180,7 @@ def test_estimate_lab_boundedness():
     assert table["passed"]
     assert table["pointwise_failures"] == 0
     assert table["triangle_failures"] == 0
-    assert time.monotonic() - t0 < 900.0  # measured 33-44 s on a loaded 2-core box
+    assert time.monotonic() - t0 < 900.0  # measured 9.1-9.4 s on a 2-core box
 
 
 def test_determinism_and_plumbing(tmp_path):

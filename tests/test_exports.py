@@ -2,8 +2,8 @@
 export behind; the package's modules import one another without a cycle;
 a full spectrum of a 1-D field is built nowhere outside the modules that
 own the layouts; only spectral touches numpy.fft, and there only its two
-transforms call the pocketfft gufuncs; and the README's Python example runs
-as written."""
+transforms call the pocketfft gufuncs; no numpy call of the stepping loop
+takes a Python scalar; and the README's Python example runs as written."""
 
 import ast
 import graphlib
@@ -106,6 +106,60 @@ def test_only_the_two_transforms_call_pocketfft():
 
     visit(ast.parse(path.read_text(encoding="utf-8")), None)
     assert readers == {"dft_axis", "idft_axis"}
+
+
+def _function(path: Path, qualname: str) -> ast.FunctionDef:
+    """The definition of the function or method qualname in path."""
+    node = ast.parse(path.read_text(encoding="utf-8"))
+    for name in qualname.split("."):
+        node = next(child for child in node.body
+                    if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and child.name == name)
+    return node
+
+
+def _scalar_operands(operand: ast.expr) -> list[str]:
+    """operand, or an element of it when it is a tuple or list, that is a
+    numeric literal or an arithmetic expression."""
+    if isinstance(operand, (ast.Tuple, ast.List)):
+        return [found for elt in operand.elts for found in _scalar_operands(elt)]
+    if isinstance(operand, (ast.BinOp, ast.UnaryOp)) or (
+            isinstance(operand, ast.Constant) and not isinstance(operand.value, bool)
+            and isinstance(operand.value, (int, float, complex))):
+        return [ast.unparse(operand)]
+    return []
+
+
+# the per-step hot path: the IF-RK4 stages, the RHS, its padding buffer and
+# the two transforms.  A Python float operand is converted on every ufunc
+# call (NEP 50), so each scalar there is a 0-d array built once
+HOT_PATH = [
+    ("evolution.py", "_step_if_rk4"),
+    ("evolution.py", "_RhsWorkspace.__call__"),
+    ("spectral.py", "PaddedBand.write"),
+    ("spectral.py", "dft_axis"),
+    ("spectral.py", "idft_axis"),
+]
+
+
+@pytest.mark.parametrize("module, qualname", HOT_PATH)
+def test_the_stepping_loop_passes_numpy_no_python_scalar(module, qualname):
+    # no np.* call, pocketfft gufunc call or in-place operator (x *= y)
+    # takes a numeric literal or an arithmetic expression
+    func = _function(Path(gkdvlab.__file__).parent / module, qualname)
+    calls, found = 0, []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np"
+                or isinstance(node.func, ast.Name) and node.func.id == "gufunc"):
+            calls += 1
+            for operand in node.args + [kw.value for kw in node.keywords]:
+                found += _scalar_operands(operand)
+        elif isinstance(node, ast.AugAssign):
+            calls += 1
+            found += _scalar_operands(node.value)
+    assert calls > 0  # the parse sees the calls
+    assert found == []
 
 
 def test_readme_python_example_runs_as_written():

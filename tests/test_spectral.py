@@ -18,6 +18,7 @@ from gkdvlab.spectral import (
     inverse_transform,
     padded_samples,
     truncated_coeffs,
+    _transform_factors,
 )
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -744,6 +745,27 @@ class TestTransformPlan:
         assert idft_axis(vals[:9], 2.0, real=True).dtype == np.fft.irfft(vals[:9]).dtype
         if not np.iscomplexobj(vals):
             assert dft_axis(vals, 2.0, real=True).dtype == np.fft.rfft(vals).dtype
+
+    # the factors are 0-d arrays made once per (span, num) and input dtype,
+    # in the precision np.fft's loop takes for that input, which a Python
+    # float would select; read-only, since every transform shares them
+    @pytest.mark.parametrize("dtype, precision", [
+        (np.float64, np.float64), (np.complex128, np.float64), (np.int64, np.float64),
+        (np.float32, np.float32), (np.complex64, np.float32),
+    ])
+    def test_factors_are_cached_read_only_0d_arrays(self, dtype, precision):
+        span, num = 20.0, 64
+        scale, inv_num = factors = _transform_factors(span, num, np.dtype(dtype))
+        again = _transform_factors(span, num, np.dtype(dtype))
+        assert again[0] is scale and again[1] is inv_num
+        for factor in factors:
+            assert factor.shape == () and factor.dtype == precision
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                factor[...] = 1.0
+        assert scale == precision((span / num) / SQRT_2PI) and inv_num == precision(1.0 / num)
+        assert _transform_factors(span, 2 * num, np.dtype(dtype))[0] is not scale
+        assert _transform_factors(2.0, num, np.dtype(dtype))[0] is not scale
 
 
 def _bits(a):
