@@ -110,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             vary = _parse_vary(args.vary)
             if not vary:
                 raise ConfigError("sweep needs at least one --vary KEY=V1,V2,...")
-            out_root = args.out or config.out or str(default_out_root() / "sweep")
+            out_root = config.out or str(default_out_root() / "sweep")
             sweep(config, vary, out_root)
         else:
             config = dataclasses.replace(config, kind=args.command)

@@ -217,10 +217,10 @@ def _if_rk4_phases(dt, e, e2):
     return e, e2, dt * e, 2.0 * e, half_dt, sixth_dt
 
 
-def _step_if_rk4(c, dt, phases, rhs):
-    """One integrating-factor RK4 step; phases is :func:`_if_rk4_phases`
-    of dt, which holds every constant of the step (dt itself is only the
-    argument the steppers share).  The stages are
+def _step_if_rk4(c, phases, rhs):
+    """One integrating-factor RK4 step of size dt; phases is
+    :func:`_if_rk4_phases` of dt, which holds every constant of the step.
+    The stages are
 
         n1 = rhs(c)
         n2 = rhs(e * (c + dt/2 n1))
@@ -286,7 +286,7 @@ def simulate(initial: CoupledState, config: SolverConfig) -> TrajectoryRecord:
         phases = _if_rk4_phases(dt, half, dispersive_phase(g, dt))
 
         def step(c):
-            return _step_if_rk4(c, dt, phases, rhs)
+            return _step_if_rk4(c, phases, rhs)
     else:
         def step(c):
             return _step_strang(c, dt, half, rhs)

@@ -29,6 +29,7 @@ from . import __version__
 from .diagnostics import (
     STDERR_FACTOR,
     DecayFit,
+    RadiusEstimate,
     TrajectoryRecord,
     fit_decay_exponent,
     joint_radius,
@@ -290,22 +291,22 @@ def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return header, np.asarray(data, dtype=float).reshape(len(data), len(header))
 
 
-def trajectory_rows(record: TrajectoryRecord, s: float, coeffs, radii) -> list[list[float]]:
-    """One row per record time; coeffs is record.spectra(), which gives the
-    invariants and the H^s norms hs_u and hs_v, and radii is
-    record.radii(coeffs), the fitted radii of u and of v."""
+def write_trajectory_csv(
+    record: TrajectoryRecord, path: Path, s: float
+) -> tuple[list[RadiusEstimate], list[RadiusEstimate]]:
+    """One row per record time, from one transform of the record, which
+    gives the invariants, the H^s norms hs_u and hs_v and the fitted radii;
+    returns those radii, record.radii(), for a caller that fits them."""
+    coeffs = record.spectra()
+    radii = record.radii(coeffs)
     hs_u, hs_v = gevrey_norm(coeffs, record.grid, NormParams(0.0, s, 0.0))
     rows = zip(record.times, record.invariant_sets(coeffs), hs_u, hs_v, *radii)
-    return [
+    write_csv(path, TRAJECTORY_COLUMNS, [
         [t, inv.mass_u, inv.mass_v, inv.l2, inv.hamiltonian, h_u, h_v,
          ru.rho, rv.rho, joint_radius(ru, rv).rho, ru.r_squared, rv.r_squared]
         for t, inv, h_u, h_v, ru, rv in rows
-    ]
-
-
-def write_trajectory_csv(record: TrajectoryRecord, path: Path, s: float) -> None:
-    coeffs = record.spectra()
-    write_csv(path, TRAJECTORY_COLUMNS, trajectory_rows(record, s, coeffs, record.radii(coeffs)))
+    ])
+    return radii
 
 
 def write_decay_csv(fit: DecayFit, path: Path) -> None:
@@ -357,14 +358,14 @@ def initial_state(config: RunConfig) -> CoupledState:
     return CoupledState(0.0, g, [u, v])
 
 
-def _solver_config(config: RunConfig) -> SolverConfig:
-    # every SolverConfig field is a RunConfig key of the same name
-    names = [f.name for f in dataclasses.fields(SolverConfig)]
-    return SolverConfig(**{name: getattr(config, name) for name in names})
+def _from_config(cls, config: RunConfig):
+    # every field of cls (SolverConfig, NormParams, SampleSpec) is a
+    # RunConfig key of the same name
+    return cls(**{f.name: getattr(config, f.name) for f in dataclasses.fields(cls)})
 
 
 def _simulate_record(config: RunConfig) -> TrajectoryRecord:
-    rec = simulate(initial_state(config), _solver_config(config))
+    rec = simulate(initial_state(config), _from_config(SolverConfig, config))
     print(f"[gkdvlab] integrated to t = {config.t_end:g} ({len(rec)} records)")
     return rec
 
@@ -377,10 +378,7 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
 
 def _run_radius_track(config: RunConfig, out: Path) -> list[str]:
     rec = _simulate_record(config)
-    coeffs = rec.spectra()
-    radii = rec.radii(coeffs)  # transformed and fitted once, for both files
-    write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS,
-              trajectory_rows(rec, config.s, coeffs, radii))
+    radii = write_trajectory_csv(rec, out / "trajectory.csv", config.s)
     joints = [joint_radius(ru, rv) for ru, rv in zip(*radii)]
     rhos = np.asarray([e.rho for e in joints])
     try:
@@ -446,7 +444,7 @@ def _run_picard_test(config: RunConfig, out: Path) -> list[str]:
     )
     # reference stepper on the same node grid, one record per step
     ref_cfg = dataclasses.replace(
-        _solver_config(config),
+        _from_config(SolverConfig, config),
         dt=config.t_window / config.picard_nodes,
         t_end=config.t_window,
         record_stride=1,
@@ -476,14 +474,8 @@ def _run_picard_test(config: RunConfig, out: Path) -> list[str]:
 
 def _run_estimate_lab(config: RunConfig, out: Path) -> list[str]:
     g = SpectralGrid(config.lab_half_length, config.lab_num_points)
-    spec = SampleSpec(
-        seed=config.seed,
-        bandwidth=config.bandwidth,
-        envelope=config.envelope,
-        rho0=config.rho0,
-        amplitude=config.amplitude,
-    )
-    params = NormParams(config.rho, config.s, config.b)
+    spec = _from_config(SampleSpec, config)
+    params = _from_config(NormParams, config)
     m, n_ens, T = config.lab_num_times, config.ensemble, config.lab_T
     reports = [
         check_linear_free(spec, params, T, g, m, n_ens),
@@ -590,19 +582,22 @@ def sweep(
     The summary has one column per varied key, in vary order; a string value
     is written as its 0-based position in that key's list, so the file stays
     numeric."""
-    out_root = Path(out_root)
-    out_root.mkdir(parents=True, exist_ok=True)
     keys = list(vary)
     fields = []
     for key in keys:
         fields.append(_lookup(key, "--vary"))
         if not vary[key]:
             raise ConfigError(f"--vary: no values for key {key!r}")
+    # every point's config is checked before the first point runs
+    points = []
+    for combo in itertools.product(*(enumerate(vary[k]) for k in keys)):
+        pairs = [f"{k}={v}" for k, (_, v) in zip(keys, combo)]
+        points.append((combo, pairs, apply_overrides(template, pairs, origin="--vary")))
+    out_root = Path(out_root)
+    out_root.mkdir(parents=True, exist_ok=True)
     manifests = []
     summary = []
-    for idx, combo in enumerate(itertools.product(*(enumerate(vary[k]) for k in keys))):
-        pairs = [f"{k}={v}" for k, (_, v) in zip(keys, combo)]
-        cfg = apply_overrides(template, pairs, origin="--vary")
+    for idx, (combo, pairs, cfg) in enumerate(points):
         sub = out_root / f"point_{idx:03d}"
         print(f"[gkdvlab] sweep point {idx}: " + ", ".join(pairs))
         manifests.append(run(cfg, sub))

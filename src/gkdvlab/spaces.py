@@ -134,13 +134,13 @@ def xt_transform(sample: SpaceTimeSample) -> np.ndarray:
     sample.eta), then the full x-transform (columns grid.zeta); like the
     x-transform, the time transform is taken from its window's left edge."""
     ct = dft_axis(sample.values, sample.t1 - sample.t0, axis=-2, real=True)
-    return sample.grid.dft(ct, axis=-1)
+    return sample.grid.dft(ct)
 
 
 def xt_inverse(coeffs: np.ndarray, grid: SpectralGrid, t0: float, t1: float) -> np.ndarray:
     """Inverse of :func:`xt_transform`: real (..., M, N) values from
     (..., M/2 + 1, N) coefficients."""
-    return idft_axis(grid.idft(coeffs, axis=-1), t1 - t0, axis=-2, real=True)
+    return idft_axis(grid.idft(coeffs), t1 - t0, axis=-2, real=True)
 
 
 def xt_modulus(sample: SpaceTimeSample, coeffs: np.ndarray) -> np.ndarray:

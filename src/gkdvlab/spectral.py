@@ -201,14 +201,14 @@ class SpectralGrid:
     def zeta_max(self) -> float:
         return self.dzeta * (self.num_points // 2 - 1)
 
-    def dft(self, values: np.ndarray, axis: int = -1, real: bool = False) -> np.ndarray:
-        """x-transform along axis; any length, padded too, spans [-L, L)."""
-        return dft_axis(values, 2.0 * self.half_length, axis, real)
+    def dft(self, values: np.ndarray, real: bool = False) -> np.ndarray:
+        """x-transform along the last axis; any length, padded too, spans [-L, L)."""
+        return dft_axis(values, 2.0 * self.half_length, real=real)
 
-    def idft(self, coeffs: np.ndarray, axis: int = -1, real: bool = False) -> np.ndarray:
+    def idft(self, coeffs: np.ndarray, real: bool = False) -> np.ndarray:
         """Inverse of :meth:`dft`; complex samples with no reality check, or
         with real, real samples from the modes 0 ... num/2."""
-        return idft_axis(coeffs, 2.0 * self.half_length, axis, real)
+        return idft_axis(coeffs, 2.0 * self.half_length, real=real)
 
     def derivative_symbol(self, order: int) -> np.ndarray:
         """Multiplier (i zeta)^order of d^order/dx^order over the

@@ -191,7 +191,7 @@ def full_spectrum_real_rows(grid, spec, num_times, seeds):
     az = np.abs(grid.zeta)
     c *= spec.amplitude * np.where(az <= spec.bandwidth, np.exp(-spec.rho0 * az), 0.0)
     c[..., 1::2] *= -1.0
-    return grid.idft(c, axis=-1).real
+    return grid.idft(c).real
 
 
 class TestSamplerLaw:
@@ -432,7 +432,7 @@ class TestTimeCutoff:
 class TestDuhamel:
     def test_recursion_matches_direct_quadrature(self):
         w = random_window_sample(GRID, SampleSpec(seed=61), num_times=32)
-        cw = GRID.dft(w.values, axis=1, real=True)
+        cw = GRID.dft(w.values, real=True)
         times, h = w.times, w.dt
         j0 = int(np.argmin(np.abs(times)))
         direct = np.zeros_like(cw)

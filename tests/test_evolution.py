@@ -321,7 +321,7 @@ class TestHalfSpectrumMarch:
 
         for _ in range(num_steps):
             if scheme == "if_rk4":
-                half = _step_if_rk4(half, dt, phases, rhs)
+                half = _step_if_rk4(half, phases, rhs)
                 n1 = frhs(full)
                 n2 = frhs(ef * (full + 0.5 * dt * n1))
                 n3 = frhs(ef * full + 0.5 * dt * n2)
@@ -403,7 +403,7 @@ class TestInPlaceStepping:
         for _ in range(4):
             before = got.copy()
             if scheme == "if_rk4":
-                got = _step_if_rk4(got, dt, phases, rhs)
+                got = _step_if_rk4(got, phases, rhs)
                 want = reference_if_rk4(want, dt, e, e2, ref_rhs)
             else:
                 got = _step_strang(got, dt, e, rhs)
@@ -420,7 +420,7 @@ class TestInPlaceStepping:
         c = self._pair_stack(g, 1, 1)
         keep = c.copy()
         if scheme == "if_rk4":
-            _step_if_rk4(c, dt, _if_rk4_phases(dt, e, e2), _RhsWorkspace(g, 1, c.shape))
+            _step_if_rk4(c, _if_rk4_phases(dt, e, e2), _RhsWorkspace(g, 1, c.shape))
         else:
             _step_strang(c, dt, e, _RhsWorkspace(g, 1, c.shape))
         assert np.array_equal(c, keep)

@@ -3,7 +3,8 @@ export behind; the package's modules import one another without a cycle;
 a full spectrum of a 1-D field is built nowhere outside the modules that
 own the layouts; only spectral touches numpy.fft, and there only its two
 transforms call the pocketfft gufuncs; no numpy call of the stepping loop
-takes a Python scalar; and the README's Python example runs as written."""
+takes a Python scalar; every function parameter is read; and the README's
+Python example runs as written."""
 
 import ast
 import graphlib
@@ -160,6 +161,32 @@ def test_the_stepping_loop_passes_numpy_no_python_scalar(module, qualname):
             found += _scalar_operands(node.value)
     assert calls > 0  # the parse sees the calls
     assert found == []
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """Each parameter of a function or lambda in path that its body never
+    loads, nested functions included, as "file:line name(param)"."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [arg.arg for arg in (a.vararg, a.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        found += [f"{path.name}:{node.lineno} {name}({param})"
+                  for param in params if param not in read]
+    return found
+
+
+def test_every_parameter_is_read():
+    # a parameter that only one value reaches, or none, is a second path
+    # beside the code that does the job
+    paths = sorted(Path(gkdvlab.__file__).parent.glob("*.py"))
+    assert [found for path in paths for found in _unread_parameters(path)] == []
 
 
 def test_readme_python_example_runs_as_written():

@@ -754,6 +754,25 @@ class TestCli:
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "point_001" / "manifest.json").exists()
 
+    def test_sweep_checks_every_point_before_running_one(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = self.run_main("sweep", "--out", str(out), "--set", "N=64", "--set", "t_end=0.01",
+                           "--vary", "N=64,abc")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gkdvlab: config error: --vary #1:") and "'abc'" in err
+        assert not out.exists()
+
+    def test_sweep_out_flag_wins_over_the_config_file(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"out = {tmp_path / 'from_file'}\n")
+        out = tmp_path / "from_flag"
+        rc = self.run_main("sweep", "--config", str(cfg_file), "--out", str(out),
+                           *(f"--set={s}" for s in FAST), "--vary", "p=1")
+        assert rc == 0
+        assert (out / "summary.csv").exists() and (out / "point_000" / "manifest.json").exists()
+        assert not (tmp_path / "from_file").exists()
+
     def test_env_var_output_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GKDVLAB_OUT", str(tmp_path))
         rc = self.run_main("simulate", *(f"--set={s}" for s in FAST))

@@ -413,23 +413,20 @@ class TestDealiasedProduct:
 class TestGridTransforms:
     # every x-transform goes through the grid; it must be exactly dft_axis /
     # idft_axis over the span 2L, or record rows and report hashes would move
-    @pytest.mark.parametrize("shape, axis", [
-        ((64,), -1), ((5, 64), 1), ((64, 5), 0), ((2, 3, 64), -1), ((5, 96), 1),
-    ], ids=["row", "stack-axis1", "stack-axis0", "pair-stack", "padded"])
-    def test_equal_to_axis_transforms_on_the_grid(self, shape, axis):
+    @pytest.mark.parametrize("shape", [(64,), (5, 64), (2, 3, 64), (5, 96)],
+                             ids=["row", "stack-axis1", "pair-stack", "padded"])
+    def test_equal_to_axis_transforms_on_the_grid(self, shape):
         g = SpectralGrid(7.5, 64)
-        rng = np.random.default_rng(len(shape) + shape[axis])
+        rng = np.random.default_rng(len(shape) + shape[-1])
         vals = rng.standard_normal(shape)
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         span = 2.0 * g.half_length
-        assert np.array_equal(g.dft(vals, axis=axis), dft_axis(vals, span, axis=axis))
-        assert np.array_equal(g.idft(coeffs, axis=axis), idft_axis(coeffs, span, axis=axis))
+        assert np.array_equal(g.dft(vals), dft_axis(vals, span))
+        assert np.array_equal(g.idft(coeffs), idft_axis(coeffs, span))
         # the real pair: samples to the modes 0 ... num/2 and back
-        half = np.take(coeffs, np.arange(shape[axis] // 2 + 1), axis=axis)
-        assert np.array_equal(g.dft(vals, axis=axis, real=True),
-                              dft_axis(vals, span, axis=axis, real=True))
-        assert np.array_equal(g.idft(half, axis=axis, real=True),
-                              idft_axis(half, span, axis=axis, real=True))
+        half = coeffs[..., : shape[-1] // 2 + 1]
+        assert np.array_equal(g.dft(vals, real=True), dft_axis(vals, span, real=True))
+        assert np.array_equal(g.idft(half, real=True), idft_axis(half, span, real=True))
 
 
 class TestBatchedTransforms:
